@@ -7,9 +7,8 @@ from .bitwidth import (BitLogits, CANDIDATE_WIDTHS, QuantSpec, bit_regularizer,
 from .codec import (CapacityError, CodecError, CorruptStreamError,
                     EncodedModule, Format, choose_format, decode, encode,
                     encode_dense, encode_indep, expected_bits, optimal_group)
-from .container import (SparseModule, SparseTaskVector, load_bundle,
-                        load_container, load_params, save_bundle, save_params,
-                        sparse_from_decoded, streams_from_switch)
+from .container import (load_bundle, load_container, load_params, save_bundle,
+                        save_params, sparse_from_decoded)
 from .gating import (GateOutput, GateParams, harden, soft_gate, sparsity_loss,
                      temperature_schedule)
 from .harness import (SyntheticTaskSpec, TaskData, base_dataset,
@@ -18,15 +17,13 @@ from .harness import (SyntheticTaskSpec, TaskData, base_dataset,
                       read_dataset, write_dataset)
 from .losses import (DEFAULT_LAMBDA, LAMBDA_PRESETS, cka_loss, kl_loss,
                      mse_loss, preservation_loss)
-from .merging import (ReferenceIndex, build_index, build_query_set, kmeans,
-                      knn_weights, load_index, merged_forward, save_index,
+from .merging import (ReferenceIndex, build_index, kmeans, knn_weights,
+                      load_index, materialize, merged_forward, save_index,
                       train_metric)
 from .model import MlpSpec, accuracy, features, forward, init_params, predict
-from .switch import (SwitchModule, TaskSwitch, apply_switch, build_switch,
-                     pulse_mask, switch_scale, switch_values)
+from .switch import build_switch, pulse_mask, switch_scale
 from .training import (CompressedModule, CompressedTaskVector, TrainConfig,
-                       TrainResult, TrainingDivergedError, apply_compressed,
-                       train)
+                       TrainResult, TrainingDivergedError, train)
 from .vectors import (ParamSet, SignedBounds, StructureError, TaskVector, add,
                       diff, sign_quantile, signed_bounds)
 

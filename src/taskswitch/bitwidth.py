@@ -8,7 +8,6 @@ move while the gate trains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,20 +144,3 @@ def select_bitwidth(logits: BitLogits) -> int:
     vals = ad._np(logits.values)
     return CANDIDATE_WIDTHS[int(np.argmax(vals))]
 
-
-def max_quant_error(spec: QuantSpec) -> float:
-    """Tight bound on |quantize(x) - x| over the representable range.
-
-    The floor-then-shift index rule reconstructs interior values at the
-    center one bin below, so the error approaches 1.5 * step just under
-    the interior bin edges (it stays within step/2 only in the outermost
-    half-bins).
-    """
-    return 1.5 * spec.step if not spec.degenerate else 0.0
-
-
-def softmax_temperature_schedule(step: int, initial: float = 1.0,
-                                 decay: float = 0.9, interval: int = 10) -> float:
-    if step < 0:
-        raise ValueError("step must be non-negative")
-    return initial * decay ** (step // interval)

@@ -16,14 +16,16 @@ import numpy as np
 from . import merging
 from .codec import CodecError, Format, nominal_bits
 from .container import (load_bundle, load_container, load_params, save_bundle,
-                        save_params, streams_from_switch)
+                        save_params)
 from .harness import (ETA_GRID, SyntheticTaskSpec, base_dataset, baseline_merge,
                       fine_tune, gen_tasks, probe_precision, probe_scale,
                       probe_sparsity, read_dataset, write_dataset,
                       write_probe_csv, write_tasks)
-from .model import MlpSpec, accuracy, init_params
+# named apply_compressed because perfbench/spans.py traces cli.apply_compressed
+from .merging import materialize as apply_compressed
+from .model import MlpSpec, accuracy, features, init_params
 from .switch import build_switch
-from .training import TrainConfig, apply_compressed, train
+from .training import TrainConfig, train
 from .vectors import StructureError, diff
 
 
@@ -252,9 +254,9 @@ def cmd_tswitch(args) -> int:
     for name, path in args.finetuned:
         tuned, _ = _load_finetuned(spec, path)
         sw = build_switch(diff(tuned, base, name), alpha=args.alpha)
-        streams = streams_from_switch(sw)
+        streams = sw.to_streams()
         bits = sum(e.file_bits for e in streams)
-        nnz = sum(int(m.mask.sum()) for _, m in sw.modules)
+        nnz = sw.total_nnz()
         print(f"{name}: nnz {nnz} of {base.total_size()}, {bits} encoded bits")
         entries.append((name, streams))
     save_bundle(args.out, entries, base.names,
@@ -294,7 +296,7 @@ def cmd_compress(args) -> int:
     widths = ",".join(str(m.bit_width) for _, m in comp.modules)
     print(f"{task_id}: sparsity {comp.sparsity():.4f}, bit widths {widths}")
     x, y = read_dataset(args.exemplars)
-    merged = apply_compressed(base, comp)
+    merged = apply_compressed(base, [comp], [1.0])
     print(f"exemplar-set accuracy {accuracy(spec, merged, x, y):.4f} "
           f"(fine-tuned {accuracy(spec, tuned, x, y):.4f})")
     print(args.out)
@@ -373,8 +375,7 @@ def cmd_train_metric(args) -> int:
     index = merging.load_index(args.index)
     spec, base, _ = load_params(args.base)
     pairs = _index_inputs(args, spec, base)
-    feats = [(name, merging.build_query_set(spec, base, x))
-             for name, x in pairs]
+    feats = [(name, features(spec, base, x)) for name, x in pairs]
     result = merging.train_metric(index, feats, rank=args.rank,
                                   epochs=args.epochs, lr=args.lr,
                                   n_neighbors=args.neighbors, seed=args.seed)

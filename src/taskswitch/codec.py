@@ -85,6 +85,7 @@ class DecodedModule:
     header: ModuleHeader
     values: np.ndarray   # unscaled bin centers (or raw floats for DENSE)
     mask: np.ndarray
+    bins: np.ndarray | None  # bin index per masked position; None for DENSE
     payload_bits: int
     bits_consumed: int   # header + payload + padding, a multiple of 8
 
@@ -449,20 +450,21 @@ def decode_at(reader: BitReader) -> DecodedModule:
             raise CorruptStreamError("non-finite dense payload",
                                      payload_start)
         mask = values != 0.0
+        bins = None
     elif header.fmt == Format.INDEP:
         mask = reader.read_bits(n).astype(bool)
-        bins = reader.read_uint_array(n, header.bit_width)
-        centers = _centers(header)
+        bins = reader.read_uint_array(n, header.bit_width)[mask]
         values = np.zeros(n)
-        values[mask] = centers[bins[mask]]
+        values[mask] = _centers(header)[bins]
     else:
-        values, mask = _decode_grouped(reader, header)
+        values, mask, bins = _decode_grouped(reader, header)
     payload_bits = reader.pos - payload_start
     pad = (-(reader.pos - start)) % 8
     pad_bits = reader.read_bits(pad)
     if np.any(pad_bits):
         raise CorruptStreamError("nonzero padding bits", reader.pos - pad)
-    return DecodedModule(header, values, mask, payload_bits, reader.pos - start)
+    return DecodedModule(header, values, mask, bins, payload_bits,
+                         reader.pos - start)
 
 
 def _decode_grouped(reader: BitReader, header: ModuleHeader):
@@ -473,7 +475,7 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
     mask = np.zeros(n, dtype=bool)
     n_groups_open = flagged.size
     if n_groups_open == 0:
-        return values, mask
+        return values, mask, np.zeros(0, dtype=np.int64)
     k = index_bits(c)
     rec_w = k + b + 1
     records_start = reader.pos
@@ -530,7 +532,7 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
     centers = _centers(header)
     values[positions] = centers[bins]
     mask[positions] = True
-    return values, mask
+    return values, mask, bins
 
 
 def decode(data: bytes) -> DecodedModule:

@@ -1,80 +1,30 @@
-"""Multi-task container files and the decoded sparse vector runtime form.
+"""Multi-task container files, decoded into compressed task vectors.
 
 Layout: magic "TSWC", version byte, u16 task count; per task a
 length-prefixed UTF-8 id, u16 module count, then the byte-aligned module
 streams back to back; finally one u32-length-prefixed UTF-8 JSON metadata
 block (module names, model layout, optional extras). Multi-byte framing
 integers are little-endian; the module streams themselves are the MSB-first
-bitstreams from codec.
+bitstreams from codec. A loaded bundle is a list of CompressedTaskVector,
+the same form training and the binary switch produce.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .codec import (BitReader, CodecError, DecodedModule, EncodedModule,
-                    choose_format, decode_at, encode_dense)
+                    Format, decode_at, encode_dense)
 from .model import MlpSpec
-from .switch import TaskSwitch
+from .training import CompressedModule, CompressedTaskVector
 from .vectors import ParamSet, StructureError
 
 MAGIC = b"TSWC"
 VERSION = 1
-
-
-@dataclass
-class SparseModule:
-    """One decoded module: support indices and final (scale-applied) values."""
-
-    length: int
-    support: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return int(self.support.size)
-
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.nnz / self.length
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.length)
-        out[self.support] = self.values
-        return out
-
-
-@dataclass
-class SparseTaskVector:
-    task_id: str
-    modules: list[tuple[str, SparseModule]]
-
-    @property
-    def names(self) -> list[str]:
-        return [n for n, _ in self.modules]
-
-    def total_size(self) -> int:
-        return sum(m.length for _, m in self.modules)
-
-    def total_nnz(self) -> int:
-        return sum(m.nnz for _, m in self.modules)
-
-    def sparsity(self) -> float:
-        return 1.0 - self.total_nnz() / self.total_size()
-
-
-def streams_from_switch(sw: TaskSwitch) -> list[EncodedModule]:
-    """Binary switches as 1-bit modules: centers -+1, the knob in the scale."""
-    out = []
-    for _, mod in sw.modules:
-        vals = np.where(mod.mask, mod.polarity.astype(np.float64), 0.0)
-        out.append(choose_format(vals, 1, 2.0, 2.0, mod.scale))
-    return out
 
 
 def streams_from_params(params: ParamSet) -> list[EncodedModule]:
@@ -100,6 +50,12 @@ def save_container(path, tasks: list[tuple[str, list[EncodedModule]]],
     Path(path).write_bytes(bytes(buf))
 
 
+def _unpack(fmt: str, data: bytes, cursor: int, path, what: str):
+    if cursor + struct.calcsize(fmt) > len(data):
+        raise CodecError(f"{path}: {what} cut short at byte {cursor}")
+    return struct.unpack_from(fmt, data, cursor)
+
+
 def load_container(path) -> tuple[list[tuple[str, list[DecodedModule]]], dict]:
     data = Path(path).read_bytes()
     if len(data) < 7 or data[:4] != MAGIC:
@@ -108,15 +64,16 @@ def load_container(path) -> tuple[list[tuple[str, list[DecodedModule]]], dict]:
         raise CodecError(f"{path}: unsupported container version {data[4]}")
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     cursor = 5
-    (n_tasks,) = struct.unpack_from("<H", data, cursor)
+    (n_tasks,) = _unpack("<H", data, cursor, path, "task count")
     cursor += 2
     tasks = []
     for _ in range(n_tasks):
-        (id_len,) = struct.unpack_from("<H", data, cursor)
+        (id_len,) = _unpack("<H", data, cursor, path, "task id length")
         cursor += 2
-        task_id = data[cursor:cursor + id_len].decode("utf-8")
+        (ident,) = _unpack(f"{id_len}s", data, cursor, path, "task id")
+        task_id = ident.decode("utf-8")
         cursor += id_len
-        (n_mods,) = struct.unpack_from("<H", data, cursor)
+        (n_mods,) = _unpack("<H", data, cursor, path, "module count")
         cursor += 2
         mods = []
         for _ in range(n_mods):
@@ -125,25 +82,40 @@ def load_container(path) -> tuple[list[tuple[str, list[DecodedModule]]], dict]:
             mods.append(dm)
             cursor += dm.bits_consumed // 8
         tasks.append((task_id, mods))
-    (meta_len,) = struct.unpack_from("<I", data, cursor)
+    (meta_len,) = _unpack("<I", data, cursor, path, "metadata length")
     cursor += 4
+    if cursor + meta_len > len(data):
+        raise CodecError(f"{path}: metadata of {meta_len} bytes at byte "
+                         f"{cursor} runs past the end of the file")
     metadata = json.loads(data[cursor:cursor + meta_len].decode("utf-8")) \
         if meta_len else {}
     return tasks, metadata
 
 
+def _module_names(path, metadata: dict, count: int) -> list[str]:
+    """Stored module names, or ordinals; the count must match the file."""
+    names = metadata.get("module_names")
+    if not names:
+        return [f"mod{i}" for i in range(count)]
+    if len(names) != count:
+        raise StructureError(f"{path}: {len(names)} module names for "
+                             f"{count} modules")
+    return names
+
+
 def sparse_from_decoded(task_id: str, decoded: list[DecodedModule],
-                        names: list[str] | None) -> SparseTaskVector:
+                        names: list[str]) -> CompressedTaskVector:
     modules = []
-    for i, dm in enumerate(decoded):
-        name = names[i] if names else f"mod{i}"
-        support = np.flatnonzero(dm.mask)
-        modules.append((name, SparseModule(
-            length=dm.header.count,
-            support=support,
-            values=dm.values[support] * dm.header.scale,
-        )))
-    return SparseTaskVector(task_id, modules)
+    for name, dm in zip(names, decoded, strict=True):
+        h = dm.header
+        if h.fmt == Format.DENSE:
+            raise CodecError(f"task {task_id!r} module {name!r}: a dense "
+                             "stream is not a compressed task vector")
+        modules.append((name, CompressedModule(
+            length=h.count, support=np.flatnonzero(dm.mask), bins=dm.bins,
+            bit_width=h.bit_width, range_neg=h.range_neg,
+            range_pos=h.range_pos, scale=h.scale)))
+    return CompressedTaskVector(task_id, modules)
 
 
 def save_bundle(path, entries: list[tuple[str, list[EncodedModule]]],
@@ -155,10 +127,11 @@ def save_bundle(path, entries: list[tuple[str, list[EncodedModule]]],
     save_container(path, entries, metadata)
 
 
-def load_bundle(path) -> tuple[list[SparseTaskVector], dict]:
+def load_bundle(path) -> tuple[list[CompressedTaskVector], dict]:
     tasks, metadata = load_container(path)
-    names = metadata.get("module_names")
-    out = [sparse_from_decoded(tid, mods, names) for tid, mods in tasks]
+    out = [sparse_from_decoded(tid, mods,
+                               _module_names(path, metadata, len(mods)))
+           for tid, mods in tasks]
     return out, metadata
 
 
@@ -178,8 +151,7 @@ def load_params(path) -> tuple[MlpSpec, ParamSet, str]:
         raise StructureError(f"{path}: container has no model layout")
     spec = MlpSpec.from_dict(metadata["model"])
     task_id, mods = tasks[0]
-    names = metadata.get("module_names") or [f"mod{i}"
-                                             for i in range(len(mods))]
-    params = ParamSet([(names[i], dm.values * dm.header.scale)
-                       for i, dm in enumerate(mods)])
+    names = _module_names(path, metadata, len(mods))
+    params = ParamSet([(name, dm.values * dm.header.scale)
+                       for name, dm in zip(names, mods)])
     return spec, params, task_id

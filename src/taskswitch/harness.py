@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .model import MlpSpec, accuracy, check_params, cross_entropy, forward
 from .optim import Adam, Sgd
 from .seeding import rng_for
-from .switch import build_switch, pulse_mask, switch_values
+from .switch import build_switch, pulse_mask
 from .vectors import ParamSet, TaskVector, add, check_aligned
 
 ETA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
@@ -267,7 +267,7 @@ def probe_precision(spec: MlpSpec, base: ParamSet, tv: TaskVector,
     """Accuracy cost of binarizing one unit's delta (signs at one scale)."""
     def binarize(name, tau):
         sw = build_switch(TaskVector(tv.task_id, [(name, tau)]), alpha=0.0)
-        return switch_values(sw).modules[0][1]
+        return sw.to_vector().modules[0][1]
     return _probe(spec, base, tv, x, y, level, binarize)
 
 
@@ -290,7 +290,7 @@ def probe_scale(spec: MlpSpec, base: ParamSet, tv: TaskVector,
     finetuned = add(base, tv, 1.0)
     ref_acc = accuracy(spec, finetuned, x, y)
     sw = build_switch(tv, alpha=0.0)
-    binary = switch_values(sw)
+    binary = sw.to_vector()
     rows = []
     for eta in etas:
         acc = accuracy(spec, add(base, binary, float(eta)), x, y)

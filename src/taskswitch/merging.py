@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .container import SparseTaskVector
 from .model import MlpSpec, features, forward
 from .optim import Adam
 from .seeding import rng_for
+from .training import CompressedTaskVector
 from .vectors import ParamSet, StructureError
 
 IDX_MAGIC = b"TSWQ"
@@ -47,12 +47,6 @@ class ReferenceIndex:
     @property
     def rank(self) -> int:
         return self.projection.shape[0]
-
-
-def build_query_set(spec: MlpSpec, base: ParamSet, exemplars: np.ndarray,
-                    ) -> np.ndarray:
-    """Feature rows for one task's exemplar inputs under the base model."""
-    return features(spec, base, exemplars)
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -114,7 +108,7 @@ def build_index(spec: MlpSpec, base: ParamSet,
     all_labels = []
     for ordinal, (task_id, xs) in enumerate(task_exemplars):
         task_ids.append(task_id)
-        feats = build_query_set(spec, base, xs)
+        feats = features(spec, base, xs)
         if centers_per_task is None:
             centers = feats
         else:
@@ -132,12 +126,6 @@ def init_projection(rank: int, feature_dim: int, seed: int) -> np.ndarray:
     """Gaussian entries scaled by 1/sqrt(feature_dim)."""
     rng = rng_for(seed, "metric-init")
     return rng.normal(size=(rank, feature_dim)) / np.sqrt(feature_dim)
-
-
-def metric_distance(projection: np.ndarray, a: np.ndarray,
-                    b: np.ndarray) -> float:
-    """Distance between two feature rows under the learned projection."""
-    return float(np.linalg.norm(projection @ (np.asarray(a) - np.asarray(b))))
 
 
 def projected_distances(projection, feats, centers):
@@ -242,8 +230,8 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     return w
 
 
-def materialize(base: ParamSet, vectors: list[SparseTaskVector],
-                weights: np.ndarray) -> ParamSet:
+def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
+                weights) -> ParamSet:
     """base + sum_k w_k * vector_k touching only the union of supports."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(vectors),):
@@ -256,7 +244,10 @@ def materialize(base: ParamSet, vectors: list[SparseTaskVector],
             raise StructureError(
                 f"bundle {sv.task_id!r} has {len(sv.modules)} modules, "
                 f"base has {len(out)}")
-        for (name, acc), (_, mod) in zip(out, sv.modules):
+        for (name, acc), (mname, mod) in zip(out, sv.modules):
+            if mname != name:
+                raise StructureError(f"bundle {sv.task_id!r}: module "
+                                     f"{mname!r} where base has {name!r}")
             if acc.size != mod.length:
                 raise StructureError(
                     f"bundle {sv.task_id!r} module {name!r}: length "
@@ -266,7 +257,7 @@ def materialize(base: ParamSet, vectors: list[SparseTaskVector],
 
 
 def merged_forward(spec: MlpSpec, base: ParamSet,
-                   vectors: list[SparseTaskVector], index: ReferenceIndex,
+                   vectors: list[CompressedTaskVector], index: ReferenceIndex,
                    x: np.ndarray, n_neighbors: int = 10,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-input merged predictions. Returns (predictions, weight rows).
@@ -274,7 +265,11 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
     Bundle tasks are matched to index tasks by id; inputs sharing a weight
     vector share one materialized parameter set.
     """
-    by_id = {sv.task_id: sv for sv in vectors}
+    by_id = {}
+    for sv in vectors:
+        if sv.task_id in by_id:
+            raise StructureError(f"two bundles hold task {sv.task_id!r}")
+        by_id[sv.task_id] = sv
     missing = [t for t in index.task_ids if t not in by_id]
     if missing:
         raise StructureError(f"bundle is missing tasks {missing}")

@@ -1,6 +1,8 @@
-"""Binary task switches: pulse mask, polarity, and a single scale knob.
+"""Binary task switches: the 1-bit case of the quantized sparse module.
 
-A switch replaces a module's task vector by scale * (mask * polarity). The
+A switch replaces a module's task vector by scale * (mask * polarity): a
+width-1 CompressedModule whose ranges of 2.0 put the two bin centers at
+exactly -1 and +1, so the bins carry the polarity of the support. The
 scale is chosen so the l2 norm over the masked positions is preserved
 exactly; everything else is thrown away.
 """
@@ -8,33 +10,13 @@ exactly; everything else is thrown away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import ParamSet, StructureError, TaskVector, sign_quantile
+from .training import CompressedModule, CompressedTaskVector
+from .vectors import TaskVector, sign_quantile
 
-
-@dataclass
-class SwitchModule:
-    mask: np.ndarray       # bool, which positions fire
-    polarity: np.ndarray   # int8, +-1 for every position (zeros map to -1)
-    scale: float           # the knob; 0 iff the mask is empty
-
-    def values(self) -> np.ndarray:
-        """Reconstructed module vector: scale * mask * polarity."""
-        return self.scale * self.mask.astype(np.float64) \
-            * self.polarity.astype(np.float64)
-
-
-@dataclass
-class TaskSwitch:
-    task_id: str
-    modules: list[tuple[str, SwitchModule]]
-
-    @property
-    def names(self) -> list[str]:
-        return [name for name, _ in self.modules]
+SWITCH_RANGE = 2.0   # width 1 over [-2, 2]: bin centers -1 and +1
 
 
 def pulse_mask(v: np.ndarray, alpha: float) -> np.ndarray:
@@ -50,12 +32,6 @@ def pulse_mask(v: np.ndarray, alpha: float) -> np.ndarray:
     return (v > gamma_pos) | (v < gamma_neg)
 
 
-def sign_vector(v: np.ndarray) -> np.ndarray:
-    """Polarity of every element; zeros map to -1 (they never fire anyway)."""
-    v = np.asarray(v, dtype=np.float64)
-    return np.where(v > 0.0, 1, -1).astype(np.int8)
-
-
 def switch_scale(v: np.ndarray, mask: np.ndarray) -> float:
     """Norm-preserving knob: ||v * mask||_2 / sqrt(nnz(mask)); 0 if empty."""
     nnz = int(np.count_nonzero(mask))
@@ -65,35 +41,15 @@ def switch_scale(v: np.ndarray, mask: np.ndarray) -> float:
     return float(np.linalg.norm(masked) / math.sqrt(nnz))
 
 
-def build_switch(tv: TaskVector, alpha: float) -> TaskSwitch:
+def build_switch(tv: TaskVector, alpha: float) -> CompressedTaskVector:
     """Compress every module of a task vector into a binary switch."""
     mods = []
     for name, v in tv.modules:
         mask = pulse_mask(v, alpha)
-        mods.append((name, SwitchModule(
-            mask=mask,
-            polarity=sign_vector(v),
-            scale=switch_scale(v, mask),
-        )))
-    return TaskSwitch(tv.task_id, mods)
-
-
-def switch_values(sw: TaskSwitch) -> TaskVector:
-    """The switch as a plain task vector (reconstructed module values)."""
-    return TaskVector(sw.task_id, [(n, m.values()) for n, m in sw.modules])
-
-
-def apply_switch(base: ParamSet, sw: TaskSwitch, weight: float = 1.0) -> ParamSet:
-    """base + weight * reconstructed switch, module by module."""
-    if len(base.modules) != len(sw.modules):
-        raise StructureError(
-            f"module count mismatch: {len(base.modules)} vs {len(sw.modules)}")
-    out = []
-    for (name_b, vb), (name_s, mod) in zip(base.modules, sw.modules):
-        if name_b != name_s:
-            raise StructureError(f"module name mismatch: {name_b!r} vs {name_s!r}")
-        if vb.size != mod.mask.size:
-            raise StructureError(
-                f"module {name_b!r}: size {vb.size} vs {mod.mask.size}")
-        out.append((name_b, vb + weight * mod.values()))
-    return ParamSet(out)
+        support = np.flatnonzero(mask)
+        mods.append((name, CompressedModule(
+            length=v.size, support=support,
+            bins=(v[support] > 0.0).astype(np.int64), bit_width=1,
+            range_neg=SWITCH_RANGE, range_pos=SWITCH_RANGE,
+            scale=switch_scale(v, mask))))
+    return CompressedTaskVector(tv.task_id, mods)

@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
 from .bitwidth import (BitLogits, CANDIDATE_WIDTHS, QuantSpec, bit_regularizer,
-                       mixed_quantize, quantize_indices, select_bitwidth,
-                       softmax_temperature_schedule)
+                       mixed_quantize, quantize_indices, select_bitwidth)
 from .codec import EncodedModule, choose_format
 from .gating import (GateParams, INIT_SCALE_LOGIT, harden, soft_gate,
                      sparsity_loss, temperature_schedule)
 from .losses import DEFAULT_LAMBDA, preservation_loss
-from .model import MlpSpec, accuracy, check_params, forward
+from .model import MlpSpec, check_params, forward
 from .optim import Adam, clip_global_norm
 from .seeding import rng_for
 from .vectors import ParamSet, TaskVector, check_aligned
@@ -63,7 +63,11 @@ class TrainConfig:
 
 @dataclass
 class CompressedModule:
-    """Final hard-masked, single-width module of a compressed task vector."""
+    """One hard-masked, single-width quantized module of a task vector.
+
+    Trained modules, decoded bundle modules and binary switches (width 1,
+    ranges 2.0, so the bin centers are exactly -1 and +1) all take this form.
+    """
 
     length: int
     support: np.ndarray      # sorted positions of surviving weights
@@ -71,7 +75,7 @@ class CompressedModule:
     bit_width: int
     range_neg: float         # float32-representable quantizer ranges
     range_pos: float
-    scale: float             # float32-representable softplus(scale logit)
+    scale: float             # softplus(scale logit) in float32, or switch knob
 
     @property
     def nnz(self) -> int:
@@ -93,6 +97,11 @@ class CompressedModule:
 
     def final_values(self) -> np.ndarray:
         return self.scale * self.center_values()
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Scaled values on the support, computed once per module."""
+        return self.scale * self.quant_spec().centers()[self.bins]
 
 
 @dataclass
@@ -215,7 +224,7 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
 
     for step in range(config.steps):
         rho = temperature_schedule(step)
-        omega = softmax_temperature_schedule(step)
+        omega = temperature_schedule(step)
         idx = batch_rng.integers(0, n_ex, size=config.batch_size)
         obj = make_objective(spec, base, tv, qspecs, ref_all[idx],
                              exemplars[idx], config.loss_kind, config.lam,
@@ -265,24 +274,3 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         bit_state={n + ".bits": leaves[n + ".bits"].copy() for n, _ in tv.modules},
     )
 
-
-def apply_compressed(base: ParamSet, compressed: CompressedTaskVector,
-                     weight: float = 1.0) -> ParamSet:
-    return_mods = []
-    if len(base.modules) != len(compressed.modules):
-        raise ValueError("compressed vector does not align with the base")
-    for (name_b, vb), (name_c, cm) in zip(base.modules, compressed.modules):
-        if name_b != name_c or vb.size != cm.length:
-            raise ValueError(f"module mismatch at {name_b!r}")
-        out = vb.copy()
-        if cm.nnz:
-            out[cm.support] += weight * cm.scale \
-                * cm.quant_spec().centers()[cm.bins]
-        return_mods.append((name_b, out))
-    return ParamSet(return_mods)
-
-
-def evaluate(spec: MlpSpec, params: ParamSet, x: np.ndarray,
-             y: np.ndarray) -> float:
-    """Plain accuracy of a parameter set on labeled data."""
-    return accuracy(spec, params, x, y)

@@ -168,6 +168,3 @@ def sign_quantile(v: np.ndarray, alpha: float, sign: str) -> float:
         return float(cls_sorted[k - 1])        # k-th smallest positive
     return float(cls_sorted[m - k])            # k-th largest negative
 
-
-def l2_norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=np.float64)))

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from taskswitch import (
+    CompressedTaskVector,
     MlpSpec,
     ParamSet,
-    SparseTaskVector,
     SyntheticTaskSpec,
     TaskData,
     TaskVector,
@@ -28,13 +28,14 @@ from taskswitch import (
     base_dataset,
     baseline_merge,
     build_index,
-    build_query_set,
     diff,
     evaluate_tasks,
+    features,
     fine_tune,
     gen_tasks,
     init_params,
     load_bundle,
+    materialize,
     save_bundle,
     train,
     train_metric,
@@ -61,7 +62,7 @@ class Pipeline:
     vectors: list[TaskVector]
     results: list[TrainResult]
     bundle_path: str
-    sparse: list[SparseTaskVector]
+    sparse: list[CompressedTaskVector]
     bundle_meta: dict
     index: ReferenceIndex
     metric: MetricTrainResult
@@ -112,9 +113,8 @@ def _build_pipeline(tmp_dir) -> Pipeline:
                for ft, t in zip(finetuned, tasks)]
     comp_accs = []
     for r, t in zip(results, tasks):
-        from taskswitch import apply_compressed
-        comp_accs.append(accuracy(mspec, apply_compressed(base, r.compressed),
-                                  t.test_x, t.test_y))
+        merged = materialize(base, [r.compressed], [1.0])
+        comp_accs.append(accuracy(mspec, merged, t.test_x, t.test_y))
 
     t0 = time.monotonic()
     exemplar_sets = [(t.task_id, t.train_x[:EXEMPLARS_PER_TASK])
@@ -122,7 +122,7 @@ def _build_pipeline(tmp_dir) -> Pipeline:
     index = build_index(mspec, base, exemplar_sets,
                         centers_per_task=20, seed=0)
     task_feats = [(t.task_id,
-                   build_query_set(mspec, base, t.train_x[:EXEMPLARS_PER_TASK]))
+                   features(mspec, base, t.train_x[:EXEMPLARS_PER_TASK]))
                   for t in tasks]
     metric = train_metric(index, task_feats, rank=32, epochs=100,
                           lr=0.5, n_neighbors=10, seed=0)

@@ -19,15 +19,14 @@ from taskswitch.codec import (NOMINAL_HEADER_BITS, CorruptStreamError,
                               choose_format, decode, encode, encode_dense,
                               encode_indep, expected_bits, indep_bits,
                               index_bits, optimal_group)
-from taskswitch.container import streams_from_switch
 from taskswitch.gating import (INIT_SCALE_LOGIT, GateParams, map_threshold,
                                soft_gate)
 from taskswitch.losses import DEFAULT_LAMBDA
-from taskswitch.merging import ReferenceIndex, build_query_set, knn_weights
-from taskswitch.model import MlpSpec, accuracy, init_params
+from taskswitch.merging import ReferenceIndex, knn_weights, materialize
+from taskswitch.model import MlpSpec, accuracy, features, init_params
 from taskswitch.switch import build_switch
-from taskswitch.training import (TrainConfig, apply_compressed,
-                                 make_objective, reference_outputs, train)
+from taskswitch.training import (TrainConfig, make_objective,
+                                 reference_outputs, train)
 from taskswitch.vectors import TaskVector, add, signed_bounds
 
 
@@ -224,12 +223,12 @@ def test_05_switch_fidelity(capsys):
         tau[rng.random(n) < 0.1] = 0.0
         sw = build_switch(TaskVector("t", [("m", tau)]), alpha=0.9)
         mod = sw.modules[0][1]
-        nnz = int(np.count_nonzero(mod.mask))
-        kept_norm = float(np.linalg.norm(tau * mod.mask))
+        nnz = mod.nnz
+        kept_norm = float(np.linalg.norm(tau[mod.support]))
         rel = abs(mod.scale * math.sqrt(nnz) - kept_norm) / kept_norm
         worst_rel = max(worst_rel, rel)
         norm_ok &= rel <= 1e-10
-        bits = sum(e.file_bits for e in streams_from_switch(sw))
+        bits = sum(e.file_bits for e in sw.to_streams())
         worst_ratio = min(worst_ratio, 32 * n / bits)
         storage_ok &= bits * 16 <= 32 * n
     ok = norm_ok and storage_ok
@@ -408,7 +407,7 @@ def test_10_retrieval_properties(capsys, pipeline):
     sums_ok = True
     task_feats = []
     for t in p.tasks:
-        feats = build_query_set(p.mspec, p.base, t.test_x)
+        feats = features(p.mspec, p.base, t.test_x)
         task_feats.append(feats)
         w = knn_weights(index, feats, n_neighbors=10)
         sums_ok &= bool(np.all(np.sum(w, axis=1) == 1.0))

@@ -5,6 +5,7 @@ import pytest
 
 from taskswitch import (
     CodecError,
+    CompressedModule,
     MlpSpec,
     ParamSet,
     StructureError,
@@ -16,10 +17,8 @@ from taskswitch import (
     load_params,
     save_bundle,
     save_params,
-    streams_from_switch,
-    switch_values,
 )
-from taskswitch.container import SparseModule, save_container, sparse_from_decoded
+from taskswitch.container import save_container, sparse_from_decoded
 
 
 def _switch_streams(seed):
@@ -27,16 +26,18 @@ def _switch_streams(seed):
     tv = TaskVector(f"task{seed}", [("a", rng.normal(size=40)),
                                     ("b", rng.normal(size=16))])
     sw = build_switch(tv, alpha=0.6)
-    return sw, streams_from_switch(sw)
+    return sw, sw.to_streams()
 
 
 class TestSparseStructures:
     def test_sparse_module_counts(self):
-        mod = SparseModule(length=10, support=np.array([2, 7]),
-                           values=np.array([0.5, -0.5]))
+        mod = CompressedModule(length=10, support=np.array([2, 7]),
+                               bins=np.array([1, 0]), bit_width=1,
+                               range_neg=2.0, range_pos=2.0, scale=0.5)
         assert mod.nnz == 2
         assert mod.sparsity == pytest.approx(0.8)
-        dense = mod.dense()
+        np.testing.assert_array_equal(mod.values, [0.5, -0.5])
+        dense = mod.final_values()
         assert dense.shape == (10,)
         assert dense[2] == 0.5 and dense[7] == -0.5
         assert np.count_nonzero(dense) == 2
@@ -56,10 +57,10 @@ class TestBundleRoundTrip:
         assert sv.task_id == sw.task_id
         # Dense reconstruction equals the in-memory switch values to
         # float32 scale precision (the knob is stored as f32).
-        want = switch_values(sw)
+        want = sw.to_vector()
         for (name, mod), (wname, wv) in zip(sv.modules, want.modules):
             assert name == wname
-            np.testing.assert_allclose(mod.dense(), wv, rtol=1e-7)
+            np.testing.assert_allclose(mod.final_values(), wv, rtol=1e-7)
 
     def test_multi_task_order_preserved(self, tmp_path):
         entries = []
@@ -80,18 +81,26 @@ class TestBundleRoundTrip:
 
     def test_mixed_formats_in_one_container(self, tmp_path):
         # A quantized stream and a raw-float stream side by side; raw
-        # floats can only travel densely.
-        from taskswitch.codec import encode_dense
+        # floats can only travel densely. The container carries both, but
+        # a dense stream is not a compressed task vector.
+        from taskswitch.codec import Format, encode_dense
         rng = np.random.default_rng(2)
         dense_vals = rng.normal(size=12)
-        streams = [_switch_streams(2)[1][0], encode_dense(dense_vals)]
+        sw, switch_streams = _switch_streams(2)
+        streams = [switch_streams[0], encode_dense(dense_vals)]
         path = tmp_path / "mixed.tsw"
         save_bundle(path, [("t", streams)], ["q", "d"])
-        loaded, _ = load_bundle(path)
-        assert loaded[0].names == ["q", "d"]
+        tasks, meta = load_container(path)
+        assert meta["module_names"] == ["q", "d"]
+        (task_id, (q, d)), = tasks
+        assert task_id == "t" and d.header.fmt == Format.DENSE
+        np.testing.assert_array_equal(q.values,
+                                      sw.modules[0][1].center_values())
         np.testing.assert_array_equal(
-            dict(loaded[0].modules)["d"].dense(),
+            d.scaled_values(),
             dense_vals.astype(np.float32).astype(np.float64))
+        with pytest.raises(CodecError, match="'t' module 'd'"):
+            load_bundle(path)
 
 
 class TestCorruptContainers:
@@ -117,6 +126,34 @@ class TestCorruptContainers:
         save_bundle(p, [(sw.task_id, streams)], ["a", "b"])
         p.write_bytes(p.read_bytes()[:20])
         with pytest.raises(CodecError):
+            load_container(p)
+
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        # Framing fields, task ids, module streams and the metadata block
+        # all fail with the codec's error when the file is cut short.
+        sw, streams = _switch_streams(0)
+        p = tmp_path / "full.tsw"
+        save_bundle(p, [(sw.task_id, streams)], ["a", "b"])
+        data = p.read_bytes()
+        cut = tmp_path / "cut.tsw"
+        for end in range(len(data)):
+            cut.write_bytes(data[:end])
+            with pytest.raises(CodecError):
+                load_bundle(cut)
+
+    def test_framing_errors_name_the_byte(self, tmp_path):
+        sw, streams = _switch_streams(0)
+        p = tmp_path / "full.tsw"
+        save_bundle(p, [(sw.task_id, streams)], ["a", "b"])
+        data = p.read_bytes()
+        meta_at = len(data) - len(b'{"module_names": ["a", "b"]}')
+        p.write_bytes(data[:meta_at - 2])
+        with pytest.raises(CodecError,
+                           match=f"metadata length cut short at byte "
+                                 f"{meta_at - 4}"):
+            load_container(p)
+        p.write_bytes(data[:-1])
+        with pytest.raises(CodecError, match=f"at byte {meta_at} runs past"):
             load_container(p)
 
 
@@ -151,6 +188,25 @@ class TestParamsFile:
                                  "module_names": ps.names})
         with pytest.raises(StructureError, match="one parameter set"):
             load_params(p)
+
+
+class TestModuleNames:
+    def test_too_few_names_rejected(self, tmp_path):
+        spec = MlpSpec((4, 3, 2))
+        from taskswitch.container import streams_from_params
+        ps = init_params(spec, seed=0)
+        p = tmp_path / "short.tsw"
+        save_container(p, [("m", streams_from_params(ps))],
+                       metadata={"model": spec.to_dict(),
+                                 "module_names": ps.names[:1]})
+        with pytest.raises(StructureError,
+                           match=f"short.tsw: 1 module names for "
+                                 f"{len(ps.names)} modules"):
+            load_params(p)
+        _, streams = _switch_streams(0)
+        save_bundle(p, [("t", streams)], ["a"])
+        with pytest.raises(StructureError, match="1 module names for 2"):
+            load_bundle(p)
 
 
 class TestSparseFromDecoded:

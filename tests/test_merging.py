@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from taskswitch import autodiff as ad
-from taskswitch.container import SparseModule, SparseTaskVector
-from taskswitch.merging import (ReferenceIndex, build_index, build_query_set,
+from taskswitch.merging import (ReferenceIndex, build_index,
                                 init_projection, kmeans, knn_weights,
                                 load_index, materialize, merged_forward,
-                                metric_distance, metric_objective, save_index,
-                                train_metric)
+                                metric_objective, projected_distances,
+                                save_index, train_metric)
 from taskswitch.model import MlpSpec, features, forward, init_params
+from taskswitch.training import CompressedModule, CompressedTaskVector
 from taskswitch.vectors import ParamSet, StructureError
 
 
@@ -186,8 +186,10 @@ class TestKnnWeights:
 
 def test_metric_distance_hand_case():
     proj = np.array([[1.0, 0.0], [0.0, 2.0]])
-    d = metric_distance(proj, np.array([3.0, 4.0]), np.array([1.0, 1.0]))
-    assert d == pytest.approx(math.sqrt(2.0**2 + 6.0**2))
+    d = projected_distances(proj, np.array([[3.0, 4.0]]),
+                            np.array([[1.0, 1.0]]))
+    assert d.shape == (1, 1)
+    assert d[0, 0] == pytest.approx(math.sqrt(2.0**2 + 6.0**2))
 
 
 class TestMetricObjective:
@@ -283,12 +285,27 @@ class TestTrainMetric:
                          epochs=1)
 
 
+def _quantized(length, support, bins, width, scale):
+    return CompressedModule(length, np.asarray(support, dtype=np.int64),
+                            np.asarray(bins, dtype=np.int64), width,
+                            range_neg=2.0 ** width, range_pos=2.0 ** width,
+                            scale=scale)
+
+
 def _sparse(task_id, specs):
-    """specs: list of (length, support, values) per module."""
-    return SparseTaskVector(task_id, [
-        (f"m{i}", SparseModule(length, np.asarray(support, dtype=np.int64),
-                               np.asarray(values, dtype=np.float64)))
-        for i, (length, support, values) in enumerate(specs)])
+    """specs: (length, support, values) per module, values all +-scale.
+
+    Each module is width 1 with bin centers -1 and +1, so every value is
+    exactly representable.
+    """
+    mods = []
+    for i, (length, support, values) in enumerate(specs):
+        values = np.asarray(values, dtype=np.float64)
+        scale = float(np.abs(values).max())
+        assert np.all(np.abs(values) == scale)
+        mods.append((f"m{i}",
+                     _quantized(length, support, values > 0.0, 1, scale)))
+    return CompressedTaskVector(task_id, mods)
 
 
 class TestMaterialize:
@@ -325,6 +342,10 @@ class TestMaterialize:
         wrong_len = _sparse("a", [(4, [0], [1.0]), (2, [0], [1.0])])
         with pytest.raises(StructureError):
             materialize(self.BASE, [wrong_len], np.array([1.0]))
+        renamed = _sparse("a", [(3, [0], [1.0]), (2, [0], [1.0])])
+        renamed.modules.reverse()
+        with pytest.raises(StructureError, match="module 'm1' where base"):
+            materialize(self.BASE, [renamed], np.array([1.0]))
 
 
 SPEC = MlpSpec((4, 6, 3))
@@ -335,13 +356,15 @@ def _model_setup(seed=0):
     base = init_params(SPEC, seed=seed)
     vectors = []
     for tid in ("a", "b"):
-        specs = []
+        mods = []
         for name, v in base.modules:
             support = np.sort(rng.choice(v.size, size=max(1, v.size // 3),
                                          replace=False))
-            specs.append((v.size, support,
-                          rng.normal(scale=0.5, size=support.size)))
-        vectors.append(_sparse(tid, specs))
+            # width 4 over [-16, 16]: values 0.05 * odd integers in +-15
+            mods.append((name, _quantized(
+                v.size, support, rng.integers(0, 16, support.size), 4,
+                0.05)))
+        vectors.append(CompressedTaskVector(tid, mods))
     exemplars = [("a", rng.normal(size=(10, 4)) + 1.0),
                  ("b", rng.normal(size=(10, 4)) - 1.0)]
     return base, vectors, exemplars
@@ -380,12 +403,19 @@ class TestMergedForward:
             merged_forward(SPEC, base, vectors[:1], index,
                            np.zeros((2, 4)))
 
+    def test_duplicate_task_raises(self):
+        base, vectors, exemplars = _model_setup()
+        index = build_index(SPEC, base, exemplars, centers_per_task=4, seed=0)
+        with pytest.raises(StructureError, match="'b'"):
+            merged_forward(SPEC, base, vectors + vectors[1:], index,
+                           np.zeros((2, 4)))
+
 
 class TestBuildIndex:
     def test_no_clustering_keeps_all_features(self):
         base, _, exemplars = _model_setup()
         index = build_index(SPEC, base, exemplars, centers_per_task=None)
-        want = np.vstack([build_query_set(SPEC, base, xs)
+        want = np.vstack([features(SPEC, base, xs)
                           for _, xs in exemplars])
         np.testing.assert_array_equal(index.centers, want)
         np.testing.assert_array_equal(index.projection, np.eye(6))

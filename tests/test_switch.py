@@ -1,4 +1,4 @@
-"""Binary switches: pulse masks, polarity, norm-preserving scale."""
+"""Binary switches: pulse masks, polarity bins, norm-preserving scale."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,10 @@ from taskswitch import (
     StructureError,
     TaskVector,
     add,
-    apply_switch,
     build_switch,
+    materialize,
     pulse_mask,
     switch_scale,
-    switch_values,
 )
 
 
@@ -84,15 +83,20 @@ class TestBuildSwitch:
     def test_polarity_maps_zeros_negative(self):
         tv = TaskVector("t", [("a", [0.5, 0.0, -0.5])])
         sw = build_switch(tv, alpha=0.0)
-        np.testing.assert_array_equal(sw.modules[0][1].polarity, [1, -1, -1])
+        mod = sw.modules[0][1]
+        # The zero never fires, so no polarity is stored for it; +0.5 and
+        # -0.5 land in the +1 and -1 bins of the width-1 quantizer.
+        np.testing.assert_array_equal(mod.support, [0, 2])
+        np.testing.assert_array_equal(mod.bins, [1, 0])
+        np.testing.assert_array_equal(mod.quant_spec().centers(), [-1.0, 1.0])
 
     def test_all_zero_module(self):
         tv = TaskVector("t", [("a", np.zeros(4))])
         sw = build_switch(tv, alpha=0.5)
         mod = sw.modules[0][1]
         assert mod.scale == 0.0
-        assert not mod.mask.any()
-        np.testing.assert_array_equal(mod.values(), np.zeros(4))
+        assert mod.nnz == 0
+        np.testing.assert_array_equal(mod.final_values(), np.zeros(4))
 
     def test_uniform_magnitude_vector_is_a_fixed_point(self):
         # c * signs is exactly representable: the switch reproduces it.
@@ -100,7 +104,7 @@ class TestBuildSwitch:
         tv = TaskVector("t", [("a", tau)])
         sw = build_switch(tv, alpha=0.0)
         np.testing.assert_allclose(
-            switch_values(sw).modules[0][1], tau, rtol=1e-15)
+            sw.to_vector().modules[0][1], tau, rtol=1e-15)
 
     def test_names_preserved(self):
         tv = TaskVector("t", [("a", [1.0]), ("b", [2.0])])
@@ -114,8 +118,8 @@ class TestApplySwitch:
         tv = TaskVector("t", [("a", rng.normal(size=6)),
                               ("b", rng.normal(size=3))])
         sw = build_switch(tv, alpha=0.4)
-        direct = apply_switch(base, sw, weight=1.3)
-        via_vector = add(base, switch_values(sw), weight=1.3)
+        direct = materialize(base, [sw], [1.3])
+        via_vector = add(base, sw.to_vector(), weight=1.3)
         for (_, va), (_, vb) in zip(direct.modules, via_vector.modules):
             np.testing.assert_allclose(va, vb, rtol=1e-15)
 
@@ -123,7 +127,7 @@ class TestApplySwitch:
         base = ParamSet([("a", np.ones(3))])
         sw = build_switch(TaskVector("t", [("b", np.ones(3))]), 0.0)
         with pytest.raises(StructureError):
-            apply_switch(base, sw)
+            materialize(base, [sw], [1.0])
         sw2 = build_switch(TaskVector("t", [("a", np.ones(4))]), 0.0)
         with pytest.raises(StructureError):
-            apply_switch(base, sw2)
+            materialize(base, [sw2], [1.0])
