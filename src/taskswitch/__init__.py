@@ -4,9 +4,10 @@ a grouped sparse bitstream, and per-input dynamic merging."""
 from .bitwidth import (BitLogits, CANDIDATE_WIDTHS, QuantSpec, bit_regularizer,
                        bit_weights, mean_bitwidth, mixed_quantize, quantize,
                        quantize_indices, select_bitwidth)
-from .codec import (CapacityError, CodecError, CorruptStreamError,
-                    EncodedModule, Format, choose_format, decode, encode,
-                    encode_dense, encode_indep, expected_bits, optimal_group)
+from .codec import (CapacityError, CodecError, CompressedModule,
+                    CorruptStreamError, EncodedModule, Format, choose_format,
+                    decode, encode, encode_dense, encode_indep, expected_bits,
+                    optimal_group)
 from .container import (load_bundle, load_container, load_params, save_bundle,
                         save_params, sparse_from_decoded)
 from .gating import (GateOutput, GateParams, harden, soft_gate, sparsity_loss,
@@ -22,8 +23,8 @@ from .merging import (ReferenceIndex, build_index, kmeans, knn_weights,
                       train_metric)
 from .model import MlpSpec, accuracy, features, forward, init_params, predict
 from .switch import build_switch, pulse_mask, switch_scale
-from .training import (CompressedModule, CompressedTaskVector, TrainConfig,
-                       TrainResult, TrainingDivergedError, train)
+from .training import (CompressedTaskVector, TrainConfig, TrainResult,
+                       TrainingDivergedError, train)
 from .vectors import (ParamSet, SignedBounds, StructureError, TaskVector, add,
                       diff, sign_quantile, signed_bounds)
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import merging
 from .codec import CodecError, Format, nominal_bits
-from .container import (load_bundle, load_container, load_params, save_bundle,
-                        save_params)
+from .container import (_module_names, load_bundle, load_container,
+                        load_params, save_bundle, save_params)
 from .harness import (ETA_GRID, SyntheticTaskSpec, base_dataset, baseline_merge,
                       fine_tune, gen_tasks, probe_precision, probe_scale,
                       probe_sparsity, read_dataset, write_dataset,
@@ -305,12 +305,11 @@ def cmd_compress(args) -> int:
 
 def cmd_inspect(args) -> int:
     tasks, metadata = load_container(args.bundle)
-    names = metadata.get("module_names")
     rows = []
     for task_id, decs in tasks:
-        for i, dec in enumerate(decs):
+        names = _module_names(args.bundle, metadata, len(decs))
+        for name, dec in zip(names, decs):
             h = dec.header
-            name = names[i] if names and i < len(names) else f"module{i}"
             rows.append([
                 task_id, name, Format(h.fmt).name, h.count, dec.nnz,
                 f"{1.0 - dec.nnz / h.count:.4f}", h.bit_width, h.group_size,

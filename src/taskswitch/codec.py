@@ -1,8 +1,10 @@
 """Bit-exact serialization of masked quantized modules.
 
-Three formats share one fixed 137-bit header (format tag 2, bit width 4,
-group-size-minus-1 8, element count 27, then scale / range_neg / range_pos
-as IEEE-754 float32). Payloads:
+A CompressedModule (support positions and one bin index per position) is
+what the grouped and independent encoders take and their decoder returns;
+the dense format carries raw floats. All three share one fixed 137-bit
+header (format tag 2, bit width 4, group-size-minus-1 8, element count 27,
+then scale / range_neg / range_pos as IEEE-754 float32). Payloads:
 
   grouped   group-presence bitmap (n/c bits), then one record per nonzero in
             position order: intra-group index (ceil(log2 c) bits), bin index
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -81,19 +84,66 @@ class EncodedModule:
 
 
 @dataclass
+class CompressedModule:
+    """One hard-masked, single-width quantized module of a task vector.
+
+    Trained modules, decoded bundle modules and binary switches (width 1,
+    ranges 2.0, so the bin centers are exactly -1 and +1) all take this form.
+    """
+
+    length: int
+    support: np.ndarray      # sorted positions of surviving weights
+    bins: np.ndarray         # bin index per survivor
+    bit_width: int
+    range_neg: float         # float32-representable quantizer ranges
+    range_pos: float
+    scale: float             # softplus(scale logit) in float32, or switch knob
+
+    @property
+    def nnz(self) -> int:
+        return int(self.support.size)
+
+    @property
+    def sparsity(self) -> float:
+        return 1.0 - self.nnz / self.length
+
+    def quant_spec(self) -> QuantSpec:
+        return QuantSpec(self.bit_width, self.range_neg, self.range_pos)
+
+    def center_values(self) -> np.ndarray:
+        """Full-length unscaled vector: bin centers on the support, else 0."""
+        out = np.zeros(self.length)
+        if self.nnz:
+            out[self.support] = self.quant_spec().centers()[self.bins]
+        return out
+
+    def final_values(self) -> np.ndarray:
+        return self.scale * self.center_values()
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Scaled values on the support, computed once per module."""
+        return self.scale * self.quant_spec().centers()[self.bins]
+
+
+@dataclass
 class DecodedModule:
     header: ModuleHeader
-    values: np.ndarray   # unscaled bin centers (or raw floats for DENSE)
-    mask: np.ndarray
-    bins: np.ndarray | None  # bin index per masked position; None for DENSE
+    module: CompressedModule | None  # GROUPED and INDEP streams
+    values: np.ndarray | None        # raw floats of a DENSE stream
     payload_bits: int
     bits_consumed: int   # header + payload + padding, a multiple of 8
 
     @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        if self.module is not None:
+            return self.module.nnz
+        return int(np.count_nonzero(self.values))
 
-    def scaled_values(self) -> np.ndarray:
+    def final_values(self) -> np.ndarray:
+        """Full-length scaled values, whatever the format."""
+        if self.module is not None:
+            return self.module.final_values()
         return self.values * self.header.scale
 
 
@@ -291,65 +341,50 @@ def _read_header(r: BitReader) -> ModuleHeader:
     return ModuleHeader(fmt, b, c, n, scale, range_neg, range_pos)
 
 
-def _centers(header: ModuleHeader) -> np.ndarray:
-    spec = QuantSpec(header.bit_width, float(np.float32(header.range_neg)),
-                     float(np.float32(header.range_pos)))
-    return spec.centers()
-
-
-def _bins_for_values(values: np.ndarray, header: ModuleHeader,
-                     where: np.ndarray) -> np.ndarray:
-    """Map nonzero values back to bin indices, insisting on exact centers."""
-    centers = _centers(header)
-    spec = QuantSpec(header.bit_width, header.range_neg, header.range_pos)
-    picked = values[where]
-    if spec.degenerate:
-        raise CodecError("degenerate quantizer cannot carry nonzero values")
-    # centers sit at -rn + (I + 0.5) * step, so invert by rounding
-    idx = np.clip(np.round((picked + spec.range_neg) / spec.step - 0.5),
-                  0, spec.levels - 1).astype(np.int64)
-    if not np.array_equal(centers[idx], picked):
-        bad = int(np.flatnonzero(centers[idx] != picked)[0])
-        raise CodecError(
-            f"value at flat position {int(np.flatnonzero(where)[bad])} is "
-            "not a bin center for the given width and ranges")
-    return idx
-
-
-def encode(values: np.ndarray, bit_width: int, range_neg: float,
-           range_pos: float, scale: float,
-           group_size: int | None = None) -> EncodedModule:
-    """Grouped-format encoding of a masked, already-quantized module.
-
-    Zero entries are treated as masked out; every nonzero must sit exactly
-    on a bin center of the float32-rounded (range_neg, range_pos) quantizer.
-    """
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = values.size
+def _module_header(module: CompressedModule, fmt: Format) -> ModuleHeader:
+    """The stream header of a module, once its fields are known sound."""
+    n, b, support, bins = (module.length, module.bit_width, module.support,
+                           module.bins)
     if not 1 <= n < MAX_COUNT:
         raise CapacityError(f"element count {n} outside [1, {MAX_COUNT})")
-    mask = values != 0.0
-    nnz = int(np.count_nonzero(mask))
-    alpha = 1.0 - nnz / n
-    c = optimal_group(n, alpha) if group_size is None else int(group_size)
+    rn, rp = (float(np.float32(r)) for r in (module.range_neg,
+                                             module.range_pos))
+    # a finite negative range here; non-finite fields fail in _write_header
+    if not 1 <= b <= 15 or -math.inf < min(rn, rp) < 0.0:
+        raise CodecError(f"no quantizer of width {b}, ranges {rn}, {rp}")
+    if support.ndim != 1 or bins.shape != support.shape:
+        raise CodecError(f"{bins.size} bins for {support.size} positions")
+    if support.size:
+        if rn + rp == 0.0:
+            raise CodecError("degenerate quantizer cannot carry survivors")
+        if (support[0] < 0 or support[-1] >= n
+                or np.any(support[1:] <= support[:-1])):
+            raise CodecError(f"support not strictly increasing in [0, {n})")
+        if bins.min() < 0 or bins.max() >= 1 << b:
+            raise CodecError(f"bin index outside [0, {1 << b})")
+    return ModuleHeader(fmt, b, 1, n, float(np.float32(module.scale)), rn, rp)
+
+
+def encode(module: CompressedModule,
+           group_size: int | None = None) -> EncodedModule:
+    """Grouped-format encoding of a module's support and bins."""
+    header = _module_header(module, Format.GROUPED)
+    n, nnz, support = module.length, module.nnz, module.support
+    c = optimal_group(n, 1.0 - nnz / n) if group_size is None \
+        else int(group_size)
     if not 1 <= c <= MAX_GROUP or n % c != 0:
         raise CodecError(f"group size {c} inadmissible for n={n}")
-    header = ModuleHeader(Format.GROUPED, int(bit_width), c, n,
-                          float(np.float32(scale)),
-                          float(np.float32(range_neg)),
-                          float(np.float32(range_pos)))
-    bins = _bins_for_values(values, header, mask) if nnz else \
-        np.zeros(0, dtype=np.int64)
+    header = replace(header, group_size=c)
 
     w = BitWriter()
     _write_header(w, header)
     payload_start = w.nbits
-    group_any = mask.reshape(n // c, c).any(axis=1)
+    group_any = np.zeros(n // c, dtype=np.uint8)
+    group_any[support // c] = 1
     w.write_bits(group_any)
     if nnz:
-        positions = np.flatnonzero(mask)
-        group_id = positions // c
-        intra = positions % c
+        group_id = support // c
+        intra = support % c
         flags = np.empty(nnz, dtype=np.uint8)
         flags[:-1] = (group_id[1:] != group_id[:-1]).astype(np.uint8)
         flags[-1] = 1
@@ -360,35 +395,27 @@ def encode(values: np.ndarray, bit_width: int, range_neg: float,
             rec[:, :k] = (intra.astype(np.uint64)[:, None] >> shifts) & 1
         shifts = np.arange(header.bit_width - 1, -1, -1, dtype=np.uint64)
         rec[:, k:k + header.bit_width] = \
-            (bins.astype(np.uint64)[:, None] >> shifts) & 1
+            (module.bins.astype(np.uint64)[:, None] >> shifts) & 1
         rec[:, -1] = flags
         w.write_bits(rec)
     payload_bits = w.nbits - payload_start
     return EncodedModule(w.to_bytes(), header, payload_bits, nnz)
 
 
-def encode_indep(values: np.ndarray, bit_width: int, range_neg: float,
-                 range_pos: float, scale: float) -> EncodedModule:
+def encode_indep(module: CompressedModule) -> EncodedModule:
     """Mask-plus-fixed-width encoding: exactly (b+1)*n payload bits."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = values.size
-    if not 1 <= n < MAX_COUNT:
-        raise CapacityError(f"element count {n} outside [1, {MAX_COUNT})")
-    mask = values != 0.0
-    nnz = int(np.count_nonzero(mask))
-    header = ModuleHeader(Format.INDEP, int(bit_width), 1, n,
-                          float(np.float32(scale)),
-                          float(np.float32(range_neg)),
-                          float(np.float32(range_pos)))
-    all_bins = np.zeros(n, dtype=np.int64)
-    if nnz:
-        all_bins[mask] = _bins_for_values(values, header, mask)
+    header = _module_header(module, Format.INDEP)
+    mask = np.zeros(header.count, dtype=np.uint8)
+    mask[module.support] = 1
+    all_bins = np.zeros(header.count, dtype=np.int64)
+    all_bins[module.support] = module.bins
     w = BitWriter()
     _write_header(w, header)
     payload_start = w.nbits
     w.write_bits(mask)
     w.write_uint_array(all_bins, header.bit_width)
-    return EncodedModule(w.to_bytes(), header, w.nbits - payload_start, nnz)
+    return EncodedModule(w.to_bytes(), header, w.nbits - payload_start,
+                         module.nnz)
 
 
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
@@ -410,28 +437,16 @@ def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
     return EncodedModule(w.to_bytes(), header, w.nbits - payload_start, nnz)
 
 
-def choose_format(values: np.ndarray, bit_width: int, range_neg: float,
-                  range_pos: float, scale: float) -> EncodedModule:
-    """Smallest of the three encodings by the nominal-size accounting.
-
-    Ties prefer grouped, then independent, then dense, so the choice is
-    deterministic.
+def choose_format(module: CompressedModule) -> EncodedModule:
+    """Grouped or independent encoding, whichever is smaller by nominal
+    size (ties go to grouped). Dense never wins: (b+1)*n < 32*n for b <= 15.
     """
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = values.size
-    nnz = int(np.count_nonzero(values))
-    c = optimal_group(n, 1.0 - nnz / n)
-    grouped_cost = (NOMINAL_HEADER_BITS + n // c
-                    + nnz * (index_bits(c) + bit_width + 1))
-    costs = [(grouped_cost, 0), (indep_bits(n, bit_width), 1),
-             (dense_bits(n), 2)]
-    best = min(costs, key=lambda t: (t[0], t[1]))[1]
-    if best == 0:
-        return encode(values, bit_width, range_neg, range_pos, scale,
-                      group_size=c)
-    if best == 1:
-        return encode_indep(values, bit_width, range_neg, range_pos, scale)
-    return encode_dense(values, scale)
+    n, nnz, b = module.length, module.nnz, module.bit_width
+    c = optimal_group(n, 1.0 - nnz / max(n, 1))   # n < 1: CapacityError
+    grouped_cost = NOMINAL_HEADER_BITS + n // c + nnz * (index_bits(c) + b + 1)
+    if grouped_cost <= indep_bits(n, b):
+        return encode(module, group_size=c)
+    return encode_indep(module)
 
 
 def decode_at(reader: BitReader) -> DecodedModule:
@@ -449,21 +464,24 @@ def decode_at(reader: BitReader) -> DecodedModule:
         if not np.all(np.isfinite(values)):
             raise CorruptStreamError("non-finite dense payload",
                                      payload_start)
-        mask = values != 0.0
-        bins = None
-    elif header.fmt == Format.INDEP:
-        mask = reader.read_bits(n).astype(bool)
-        bins = reader.read_uint_array(n, header.bit_width)[mask]
-        values = np.zeros(n)
-        values[mask] = _centers(header)[bins]
+        module = None
     else:
-        values, mask, bins = _decode_grouped(reader, header)
+        if header.fmt == Format.INDEP:
+            mask = reader.read_bits(n).astype(bool)
+            support = np.flatnonzero(mask)
+            bins = reader.read_uint_array(n, header.bit_width)[mask]
+        else:
+            support, bins = _decode_grouped(reader, header)
+        module = CompressedModule(n, support, bins, header.bit_width,
+                                  header.range_neg, header.range_pos,
+                                  header.scale)
+        values = None
     payload_bits = reader.pos - payload_start
     pad = (-(reader.pos - start)) % 8
     pad_bits = reader.read_bits(pad)
     if np.any(pad_bits):
         raise CorruptStreamError("nonzero padding bits", reader.pos - pad)
-    return DecodedModule(header, values, mask, bins, payload_bits,
+    return DecodedModule(header, module, values, payload_bits,
                          reader.pos - start)
 
 
@@ -471,11 +489,9 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
     n, c, b = header.count, header.group_size, header.bit_width
     group_any = reader.read_bits(n // c).astype(bool)
     flagged = np.flatnonzero(group_any)
-    values = np.zeros(n)
-    mask = np.zeros(n, dtype=bool)
     n_groups_open = flagged.size
     if n_groups_open == 0:
-        return values, mask, np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     k = index_bits(c)
     rec_w = k + b + 1
     records_start = reader.pos
@@ -528,11 +544,7 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
         bad = int(np.flatnonzero(same_seg & (intra[1:] <= intra[:-1]))[0]) + 1
         raise CorruptStreamError("intra-group indices not strictly increasing",
                                  records_start + bad * rec_w)
-    positions = flagged[seg] * c + intra
-    centers = _centers(header)
-    values[positions] = centers[bins]
-    mask[positions] = True
-    return values, mask, bins
+    return flagged[seg] * c + intra, bins
 
 
 def decode(data: bytes) -> DecodedModule:

@@ -2,11 +2,14 @@
 
 Layout: magic "TSWC", version byte, u16 task count; per task a
 length-prefixed UTF-8 id, u16 module count, then the byte-aligned module
-streams back to back; finally one u32-length-prefixed UTF-8 JSON metadata
-block (module names, model layout, optional extras). Multi-byte framing
-integers are little-endian; the module streams themselves are the MSB-first
-bitstreams from codec. A loaded bundle is a list of CompressedTaskVector,
-the same form training and the binary switch produce.
+streams back to back; finally one u32-length-prefixed UTF-8 JSON object
+(module names, model layout, optional extras) that ends the file.
+Multi-byte framing integers are little-endian; the module streams
+themselves are the MSB-first bitstreams from codec. A short field, bytes
+after the metadata, or metadata that is not a JSON object raise CodecError
+naming the file and the byte. A loaded bundle is a list of
+CompressedTaskVector over the decoded modules, the same form training and
+the binary switch produce.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .codec import (BitReader, CodecError, DecodedModule, EncodedModule,
-                    Format, decode_at, encode_dense)
+                    decode_at, encode_dense)
 from .model import MlpSpec
-from .training import CompressedModule, CompressedTaskVector
+from .training import CompressedTaskVector
 from .vectors import ParamSet, StructureError
 
 MAGIC = b"TSWC"
@@ -87,8 +90,18 @@ def load_container(path) -> tuple[list[tuple[str, list[DecodedModule]]], dict]:
     if cursor + meta_len > len(data):
         raise CodecError(f"{path}: metadata of {meta_len} bytes at byte "
                          f"{cursor} runs past the end of the file")
-    metadata = json.loads(data[cursor:cursor + meta_len].decode("utf-8")) \
-        if meta_len else {}
+    if cursor + meta_len < len(data):
+        raise CodecError(f"{path}: {len(data) - cursor - meta_len} trailing "
+                         f"bytes at byte {cursor + meta_len}")
+    try:
+        metadata = json.loads(data[cursor:cursor + meta_len]
+                              .decode("utf-8")) if meta_len else {}
+    except ValueError as exc:   # bad UTF-8 or bad JSON
+        raise CodecError(f"{path}: metadata at byte {cursor} is not valid "
+                         f"JSON: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise CodecError(f"{path}: metadata at byte {cursor} is not a JSON "
+                         "object")
     return tasks, metadata
 
 
@@ -105,17 +118,12 @@ def _module_names(path, metadata: dict, count: int) -> list[str]:
 
 def sparse_from_decoded(task_id: str, decoded: list[DecodedModule],
                         names: list[str]) -> CompressedTaskVector:
-    modules = []
     for name, dm in zip(names, decoded, strict=True):
-        h = dm.header
-        if h.fmt == Format.DENSE:
+        if dm.module is None:
             raise CodecError(f"task {task_id!r} module {name!r}: a dense "
                              "stream is not a compressed task vector")
-        modules.append((name, CompressedModule(
-            length=h.count, support=np.flatnonzero(dm.mask), bins=dm.bins,
-            bit_width=h.bit_width, range_neg=h.range_neg,
-            range_pos=h.range_pos, scale=h.scale)))
-    return CompressedTaskVector(task_id, modules)
+    return CompressedTaskVector(task_id, [(name, dm.module) for name, dm
+                                          in zip(names, decoded)])
 
 
 def save_bundle(path, entries: list[tuple[str, list[EncodedModule]]],
@@ -152,6 +160,6 @@ def load_params(path) -> tuple[MlpSpec, ParamSet, str]:
     spec = MlpSpec.from_dict(metadata["model"])
     task_id, mods = tasks[0]
     names = _module_names(path, metadata, len(mods))
-    params = ParamSet([(name, dm.values * dm.header.scale)
+    params = ParamSet([(name, dm.final_values())
                        for name, dm in zip(names, mods)])
     return spec, params, task_id

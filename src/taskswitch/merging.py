@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .codec import CodecError
+from .container import _unpack
 from .model import MlpSpec, features, forward
 from .optim import Adam
 from .seeding import rng_for
@@ -303,30 +305,40 @@ def save_index(path, index: ReferenceIndex) -> None:
 
 
 def load_index(path) -> ReferenceIndex:
+    """Read an .idx written by save_index.
+
+    A short field, an index with no tasks, float blocks that do not end the
+    file exactly or a non-finite float raise CodecError naming the byte.
+    """
     data = Path(path).read_bytes()
     if data[:4] != IDX_MAGIC:
         raise StructureError(f"{path}: not a reference index")
-    cursor = 4
-    (n_tasks,) = struct.unpack_from("<I", data, cursor)
-    cursor += 4
-    task_ids = []
-    counts = []
+    (n_tasks,) = _unpack("<I", data, 4, path, "task count")
+    if n_tasks == 0:
+        raise CodecError(f"{path}: task count at byte 4 is zero")
+    cursor = 8
+    task_ids, counts = [], []
     for _ in range(n_tasks):
-        (id_len,) = struct.unpack_from("<H", data, cursor)
-        cursor += 2
-        task_ids.append(data[cursor:cursor + id_len].decode("utf-8"))
-        cursor += id_len
-        (cnt,) = struct.unpack_from("<I", data, cursor)
-        cursor += 4
+        (id_len,) = _unpack("<H", data, cursor, path, "task id length")
+        (ident,) = _unpack(f"{id_len}s", data, cursor + 2, path, "task id")
+        (cnt,) = _unpack("<I", data, cursor + 2 + id_len, path,
+                         "center count")
+        cursor += 6 + id_len
+        task_ids.append(ident.decode("utf-8"))
         counts.append(cnt)
-    e, r = struct.unpack_from("<II", data, cursor)
+    e, r = _unpack("<II", data, cursor, path, "dimensions")
     cursor += 8
     total = sum(counts)
-    centers = np.frombuffer(data, dtype="<f4", count=total * e,
-                            offset=cursor).reshape(total, e).astype(np.float64)
-    cursor += total * e * 4
-    proj = np.frombuffer(data, dtype="<f4", count=r * e,
-                         offset=cursor).reshape(r, e).astype(np.float64)
-    labels = np.concatenate([np.full(c, i, dtype=np.int64)
-                             for i, c in enumerate(counts)])
-    return ReferenceIndex(task_ids, centers, labels, proj)
+    if cursor + 4 * e * (total + r) != len(data):
+        raise CodecError(f"{path}: {total + r} rows of {e} floats at byte "
+                         f"{cursor} need {4 * e * (total + r)} bytes, the "
+                         f"file has {len(data) - cursor}")
+    floats = np.frombuffer(data, dtype="<f4", offset=cursor) \
+        .astype(np.float64)
+    if not np.all(np.isfinite(floats)):
+        bad = int(np.flatnonzero(~np.isfinite(floats))[0])
+        raise CodecError(f"{path}: non-finite float at byte "
+                         f"{cursor + 4 * bad}")
+    return ReferenceIndex(task_ids, floats[:total * e].reshape(total, e),
+                          np.repeat(np.arange(n_tasks), counts),
+                          floats[total * e:].reshape(r, e))

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
 from .bitwidth import (BitLogits, CANDIDATE_WIDTHS, QuantSpec, bit_regularizer,
                        mixed_quantize, quantize_indices, select_bitwidth)
-from .codec import EncodedModule, choose_format
+from .codec import CompressedModule, EncodedModule, choose_format
 from .gating import (GateParams, INIT_SCALE_LOGIT, harden, soft_gate,
                      sparsity_loss, temperature_schedule)
 from .losses import DEFAULT_LAMBDA, preservation_loss
@@ -62,49 +61,6 @@ class TrainConfig:
 
 
 @dataclass
-class CompressedModule:
-    """One hard-masked, single-width quantized module of a task vector.
-
-    Trained modules, decoded bundle modules and binary switches (width 1,
-    ranges 2.0, so the bin centers are exactly -1 and +1) all take this form.
-    """
-
-    length: int
-    support: np.ndarray      # sorted positions of surviving weights
-    bins: np.ndarray         # bin index per survivor
-    bit_width: int
-    range_neg: float         # float32-representable quantizer ranges
-    range_pos: float
-    scale: float             # softplus(scale logit) in float32, or switch knob
-
-    @property
-    def nnz(self) -> int:
-        return int(self.support.size)
-
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.nnz / self.length
-
-    def quant_spec(self) -> QuantSpec:
-        return QuantSpec(self.bit_width, self.range_neg, self.range_pos)
-
-    def center_values(self) -> np.ndarray:
-        """Full-length unscaled vector: bin centers on the support, else 0."""
-        out = np.zeros(self.length)
-        if self.nnz:
-            out[self.support] = self.quant_spec().centers()[self.bins]
-        return out
-
-    def final_values(self) -> np.ndarray:
-        return self.scale * self.center_values()
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Scaled values on the support, computed once per module."""
-        return self.scale * self.quant_spec().centers()[self.bins]
-
-
-@dataclass
 class CompressedTaskVector:
     task_id: str
     modules: list[tuple[str, CompressedModule]]
@@ -128,8 +84,7 @@ class CompressedTaskVector:
                           [(n, m.final_values()) for n, m in self.modules])
 
     def to_streams(self) -> list[EncodedModule]:
-        return [choose_format(m.center_values(), m.bit_width, m.range_neg,
-                              m.range_pos, m.scale) for _, m in self.modules]
+        return [choose_format(m) for _, m in self.modules]
 
 
 @dataclass

@@ -15,8 +15,8 @@ from taskswitch import autodiff as ad
 from taskswitch.autodiff import fd_check
 from taskswitch.bitwidth import (CANDIDATE_WIDTHS, BitLogits, QuantSpec,
                                  mixed_quantize, quantize, select_bitwidth)
-from taskswitch.codec import (NOMINAL_HEADER_BITS, CorruptStreamError,
-                              choose_format, decode, encode, encode_dense,
+from taskswitch.codec import (NOMINAL_HEADER_BITS, CompressedModule,
+                              CorruptStreamError, choose_format, decode, encode, encode_dense,
                               encode_indep, expected_bits, indep_bits,
                               index_bits, optimal_group)
 from taskswitch.gating import (INIT_SCALE_LOGIT, GateParams, map_threshold,
@@ -54,13 +54,12 @@ def test_01_size_law(capsys):
         alpha = SIZE_LAW_ALPHAS[rng.integers(len(SIZE_LAW_ALPHAS))]
         b = int(rng.integers(1, 9))
         c = optimal_group(n, alpha)
-        spec = QuantSpec(b, 1.0, 1.0)  # symmetric ranges: no zero center
-        centers = spec.centers()
         keep = rng.random(n) < (1.0 - alpha)
-        values = np.where(keep, centers[rng.integers(spec.levels, size=n)],
-                          0.0)
-        enc = encode(values, b, 1.0, 1.0, 1.0, group_size=c)
-        nnz = int(np.count_nonzero(values))
+        idx = rng.integers(1 << b, size=n)
+        mod = CompressedModule(n, np.flatnonzero(keep), idx[keep], b,
+                               1.0, 1.0, 1.0)
+        enc = encode(mod, group_size=c)
+        nnz = mod.nnz
         k = index_bits(c)
         exact &= enc.payload_bits == n // c + nnz * (k + b + 1)
         measured = NOMINAL_HEADER_BITS + enc.payload_bits
@@ -98,12 +97,10 @@ def test_02_storage_crossover(capsys):
 
     def measured(n, alpha, b):
         c = optimal_group(n, alpha)
-        spec = QuantSpec(b, 1.0, 1.0)
         keep = rng.random(n) < (1.0 - alpha)
-        values = np.where(keep,
-                          spec.centers()[rng.integers(spec.levels, size=n)],
-                          0.0)
-        enc = encode(values, b, 1.0, 1.0, 1.0, group_size=c)
+        idx = rng.integers(1 << b, size=n)
+        enc = encode(CompressedModule(n, np.flatnonzero(keep), idx[keep], b,
+                                      1.0, 1.0, 1.0), group_size=c)
         return NOMINAL_HEADER_BITS + enc.payload_bits
 
     below = all(expected_bits(n, optimal_group(n, 0.6), 0.6, b)
@@ -165,17 +162,22 @@ def test_04_codec_fuzz(capsys):
             values = rng.standard_normal(n).astype(np.float32) \
                 .astype(np.float64)
             enc = encode_dense(values, scale)
+            dec = decode(enc.data)
+            same = np.array_equal(dec.values, values)
         else:
             b = CANDIDATE_WIDTHS[rng.integers(4)]
             rn, rp = FUZZ_RANGES[rng.integers(len(FUZZ_RANGES))]
-            spec = QuantSpec(b, rn, rp)
             keep = rng.random(n) < rng.uniform(0.05, 0.95)
-            values = np.where(
-                keep, spec.centers()[rng.integers(spec.levels, size=n)], 0.0)
-            fn = (encode, encode_indep, choose_format)[kind]
-            enc = fn(values, b, rn, rp, scale)
-        dec = decode(enc.data)
-        round_ok &= (np.array_equal(dec.values, values)
+            idx = rng.integers(1 << b, size=n)
+            mod = CompressedModule(n, np.flatnonzero(keep), idx[keep], b,
+                                   rn, rp, scale)
+            enc = (encode, encode_indep, choose_format)[kind](mod)
+            dec = decode(enc.data)
+            same = (np.array_equal(dec.module.support, mod.support)
+                    and np.array_equal(dec.module.bins, mod.bins)
+                    and (dec.header.bit_width, dec.header.range_neg,
+                         dec.header.range_pos) == (b, rn, rp))
+        round_ok &= (same and dec.header == enc.header
                      and dec.header.scale == float(np.float32(scale))
                      and dec.header.count == n)
         if not round_ok:

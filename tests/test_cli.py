@@ -4,8 +4,10 @@ import csv
 import filecmp
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from taskswitch import TaskVector, build_switch, save_bundle
 from taskswitch.cli import main
 
 
@@ -235,6 +237,24 @@ class TestErrorPaths:
         bad = tmp_path / "junk.tswc"
         bad.write_bytes(b"\x00" * 40)
         assert main(["inspect", str(bad)]) == 2
+
+    def test_inspect_bad_metadata_exits_2(self, tmp_path, capsys):
+        # metadata that is not a JSON object, not JSON, or followed by junk
+        sw = build_switch(TaskVector("t", [("a", np.arange(-4.0, 4.0))]),
+                          alpha=0.5)
+        good = tmp_path / "good.tswc"
+        save_bundle(good, [("t", sw.to_streams())], ["a"])
+        data = good.read_bytes()
+        meta_at = len(data) - len(b'{"module_names": ["a"]}')
+        for meta, tail in ((b"[]", b""), (b"{x", b""),
+                           (data[meta_at:], b"junk")):
+            bad = tmp_path / "bad.tswc"
+            bad.write_bytes(data[:meta_at - 4] + len(meta).to_bytes(4, "little")
+                            + meta + tail)
+            assert main(["inspect", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and "at byte" in err
+            assert "Traceback" not in err
 
     def test_bad_widths_argument(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from taskswitch import (
     CapacityError,
     CodecError,
+    CompressedModule,
     CorruptStreamError,
     Format,
     QuantSpec,
@@ -20,7 +21,7 @@ from taskswitch import (
     encode_indep,
     expected_bits,
     optimal_group,
-    quantize,
+    quantize_indices,
 )
 from taskswitch.codec import (
     BitReader,
@@ -36,16 +37,21 @@ from taskswitch.codec import (
 )
 
 
-def _masked_centers(n, alpha, b, seed, rn=1.0, rp=1.0):
-    """Random vector whose nonzeros sit exactly on f32-rounded bin centers."""
+def _module(n, alpha, b, seed, rn=1.0, rp=1.0, scale=1.0):
+    """Random module: each position survives with probability 1 - alpha and
+    takes the bin of a uniform draw over the f32-rounded quantizer."""
     rng = np.random.default_rng(seed)
     spec = QuantSpec(b, float(np.float32(rn)), float(np.float32(rp)))
-    v = np.zeros(n)
-    mask = rng.random(n) >= alpha
-    v[mask] = quantize(rng.uniform(-rn, rp, size=int(mask.sum())), spec)
-    # quantize can land on a center of exactly zero only if 0 is a center;
-    # with rn = rp it never is, so mask and nonzeros agree.
-    return v, mask
+    support = np.flatnonzero(rng.random(n) >= alpha)
+    bins = quantize_indices(rng.uniform(-rn, rp, size=support.size), spec)
+    return CompressedModule(n, support, bins, b, spec.range_neg,
+                            spec.range_pos, scale)
+
+
+def _same_module(got, want):
+    np.testing.assert_array_equal(got.support, want.support)
+    np.testing.assert_array_equal(got.bins, want.bins)
+    assert got.length == want.length and got.bit_width == want.bit_width
 
 
 class TestSizeFormulas:
@@ -93,7 +99,9 @@ class TestFrozenLayout:
         # tag 00, width 0010, group-1 00000000, count 4 in 27 bits, three
         # big-endian float32 fields, bitmap 0101, then per-survivor
         # records (bin, flag) with no intra bits: (11,1), (01,1).
-        enc = encode(np.array([0.0, 0.75, 0.0, -0.25]), 2, 1.0, 1.0, 2.0)
+        # the centers of width 2 over +-1 are -0.75, -0.25, 0.25, 0.75
+        enc = encode(CompressedModule(4, np.array([1, 3]), np.array([3, 1]),
+                                      2, 1.0, 1.0, 2.0))
         assert enc.header.group_size == 1
         bits = "00" + "0010" + "00000000" + format(4, "027b")
         for field in (2.0, 1.0, 1.0):
@@ -111,8 +119,7 @@ class TestFrozenLayout:
 
     def test_payload_matches_deterministic_size_formula(self):
         for seed in range(5):
-            v, _ = _masked_centers(256, 0.8, 3, seed)
-            enc = encode(v, 3, 1.0, 1.0, 1.0)
+            enc = encode(_module(256, 0.8, 3, seed))
             c = enc.header.group_size
             want = 256 // c + enc.nnz * (index_bits(c) + 3 + 1)
             assert enc.payload_bits == want
@@ -123,24 +130,27 @@ class TestRoundTrips:
            st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=120, deadline=None)
     def test_grouped_round_trip(self, n, alpha, b, seed):
-        v, mask = _masked_centers(n, alpha, b, seed)
-        enc = encode(v, b, 1.0, 1.0, 0.7)
+        mod = _module(n, alpha, b, seed, scale=0.7)
+        enc = encode(mod)
         dec = decode(enc.data)
         assert dec.header == enc.header
-        np.testing.assert_array_equal(dec.mask, v != 0.0)
-        np.testing.assert_array_equal(dec.values, v)
+        _same_module(dec.module, mod)
+        assert dec.module.scale == float(np.float32(0.7))
+        v = mod.center_values()
+        np.testing.assert_array_equal(dec.module.center_values(), v)
         np.testing.assert_allclose(
-            dec.scaled_values(), v * float(np.float32(0.7)), rtol=1e-12)
+            dec.final_values(), v * float(np.float32(0.7)), rtol=1e-12)
 
     @given(st.integers(1, 256), st.floats(0.0, 1.0), st.sampled_from([1, 4]),
            st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_indep_round_trip(self, n, alpha, b, seed):
-        v, _ = _masked_centers(n, alpha, b, seed)
-        enc = encode_indep(v, b, 1.0, 1.0, 1.0)
+        mod = _module(n, alpha, b, seed)
+        enc = encode_indep(mod)
         assert enc.payload_bits == (b + 1) * n
         dec = decode(enc.data)
-        np.testing.assert_array_equal(dec.values, v)
+        _same_module(dec.module, mod)
+        np.testing.assert_array_equal(dec.final_values(), mod.final_values())
 
     @given(st.integers(1, 256), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -153,91 +163,138 @@ class TestRoundTrips:
             dec.values, v.astype(np.float32).astype(np.float64))
 
     def test_empty_mask_stream(self):
-        enc = encode(np.zeros(64), 4, 1.0, 1.0, 1.0)
+        enc = encode(_module(64, 1.0, 4, 0))
         dec = decode(enc.data)
-        assert dec.nnz == 0
-        np.testing.assert_array_equal(dec.values, np.zeros(64))
+        assert dec.nnz == 0 and dec.module.support.size == 0
+        np.testing.assert_array_equal(dec.final_values(), np.zeros(64))
 
     def test_single_element_module(self):
-        spec = QuantSpec(2, float(np.float32(0.5)), float(np.float32(0.5)))
-        v = np.array([spec.centers()[3]])
-        enc = encode(v, 2, 0.5, 0.5, 1.0)
-        np.testing.assert_array_equal(decode(enc.data).values, v)
+        mod = CompressedModule(1, np.array([0]), np.array([3]), 2,
+                               0.5, 0.5, 1.0)
+        dec = decode(encode(mod).data)
+        _same_module(dec.module, mod)
+        np.testing.assert_array_equal(dec.final_values(), [0.375])
 
     def test_forced_group_sizes(self):
-        v, _ = _masked_centers(512, 0.9, 2, 0)
+        mod = _module(512, 0.9, 2, 0)
         for c in (1, 2, 256):
-            enc = encode(v, 2, 1.0, 1.0, 1.0, group_size=c)
+            enc = encode(mod, group_size=c)
             assert enc.header.group_size == c
-            np.testing.assert_array_equal(decode(enc.data).values, v)
+            _same_module(decode(enc.data).module, mod)
 
     def test_prime_length_uses_divisor_groups(self):
-        v, _ = _masked_centers(257, 0.9, 2, 1)  # prime: only c=1 divides
-        enc = encode(v, 2, 1.0, 1.0, 1.0)
+        mod = _module(257, 0.9, 2, 1)  # prime: only c=1 divides
+        enc = encode(mod)
         assert enc.header.group_size == 1
-        np.testing.assert_array_equal(decode(enc.data).values, v)
+        _same_module(decode(enc.data).module, mod)
+
+    @pytest.mark.parametrize("fn", [encode, encode_indep, choose_format])
+    def test_zero_center_survivors_kept(self, fn):
+        # Width 1 over (1, 3) has centers 0.0 and 2.0; a survivor on the
+        # zero center is still a survivor.
+        mod = CompressedModule(4, np.array([0, 1, 3]), np.array([0, 1, 0]),
+                               1, 1.0, 3.0, 1.0)
+        dec = decode(fn(mod).data)
+        _same_module(dec.module, mod)
+        assert dec.nnz == 3
 
 
 class TestChooseFormat:
     def test_picks_minimum_nominal_bits(self):
         for n, alpha, b, seed in ((64, 0.3, 8, 0), (1024, 0.95, 2, 1),
                                   (32, 0.0, 8, 2), (100, 0.9, 1, 3)):
-            v, _ = _masked_centers(n, alpha, b, seed)
-            chosen = choose_format(v, b, 1.0, 1.0, 1.0)
-            explicit = [encode(v, b, 1.0, 1.0, 1.0),
-                        encode_indep(v, b, 1.0, 1.0, 1.0),
-                        encode_dense(v, 1.0)]
+            mod = _module(n, alpha, b, seed)
+            chosen = choose_format(mod)
+            explicit = [encode(mod), encode_indep(mod),
+                        encode_dense(mod.center_values(), 1.0)]
             assert chosen.nominal_bits == min(e.nominal_bits for e in explicit)
 
     def test_sparse_wide_module_prefers_grouped(self):
-        v, _ = _masked_centers(4096, 0.95, 4, 0)
-        assert choose_format(v, 4, 1.0, 1.0, 1.0).header.fmt == Format.GROUPED
+        mod = _module(4096, 0.95, 4, 0)
+        assert choose_format(mod).header.fmt == Format.GROUPED
 
     def test_tiny_module_prefers_indep(self):
         # The 35-bit grouped header outweighs its savings at this size.
-        v, _ = _masked_centers(8, 0.5, 2, 0)
-        assert choose_format(v, 2, 1.0, 1.0, 1.0).header.fmt == Format.INDEP
+        mod = _module(8, 0.5, 2, 0)
+        assert choose_format(mod).header.fmt == Format.INDEP
 
     def test_all_zero_wide_module_is_grouped_bitmap_only(self):
-        enc = choose_format(np.zeros(4096), 8, 1.0, 1.0, 1.0)
+        enc = choose_format(_module(4096, 1.0, 8, 0))
         assert enc.header.fmt == Format.GROUPED
         assert enc.header.group_size == 256
         assert enc.payload_bits == 4096 // 256
 
 
+def _small_module(support, bins, bit_width=2, range_neg=1.0,
+                  range_pos=1.0, length=8):
+    """A hand-written module, well formed or not, for the encoder checks."""
+    return CompressedModule(length, np.array(support, dtype=np.int64),
+                            np.array(bins, dtype=np.int64), bit_width,
+                            range_neg, range_pos, 1.0)
+
+
+ENCODERS = [encode, encode_indep, choose_format]
+
+
 class TestEncodeValidation:
-    def test_values_off_center_rejected(self):
-        v = np.zeros(16)
-        v[3] = 0.1  # not a center of the 1-bit +-1 quantizer
-        with pytest.raises(CodecError, match="bin center"):
-            encode(v, 1, 1.0, 1.0, 1.0)
+    @pytest.mark.parametrize("fn", ENCODERS)
+    @pytest.mark.parametrize("support", [[3, 3], [5, 2], [-1, 2], [2, 8]])
+    def test_support_not_increasing_in_range_rejected(self, fn, support):
+        with pytest.raises(CodecError, match="strictly increasing"):
+            fn(_small_module(support, [0, 1]))
+
+    @pytest.mark.parametrize("fn", ENCODERS)
+    def test_one_bin_per_position_required(self, fn):
+        with pytest.raises(CodecError, match="2 bins for 3 positions"):
+            fn(_small_module([1, 2, 3], [0, 1]))
+
+    @pytest.mark.parametrize("fn", ENCODERS)
+    @pytest.mark.parametrize("bins", [[0, 4], [-1, 0]])
+    def test_bin_outside_width_rejected(self, fn, bins):
+        with pytest.raises(CodecError, match=r"bin index outside \[0, 4\)"):
+            fn(_small_module([1, 2], bins))
+
+    @pytest.mark.parametrize("fn", ENCODERS)
+    @pytest.mark.parametrize("bit_width", [0, 16])
+    def test_width_outside_codec_range_rejected(self, fn, bit_width):
+        with pytest.raises(CodecError, match=f"width {bit_width}"):
+            fn(_small_module([], [], bit_width=bit_width))
+
+    @pytest.mark.parametrize("fn", ENCODERS)
+    def test_negative_range_rejected(self, fn):
+        # the decoder refuses such a header, so no encoder may write one
+        with pytest.raises(CodecError, match="ranges -1.0"):
+            fn(_small_module([], [], range_neg=-1.0))
 
     def test_degenerate_ranges_with_nonzeros_rejected(self):
-        v = np.zeros(8)
-        v[0] = 0.5
-        with pytest.raises(CodecError):
-            encode(v, 2, 0.0, 0.0, 1.0)
+        for fn in ENCODERS:
+            with pytest.raises(CodecError, match="degenerate"):
+                fn(_small_module([0], [1], range_neg=0.0, range_pos=0.0))
+            # an empty support is fine: nothing needs a bin center
+            empty = _small_module([], [], range_neg=0.0, range_pos=0.0)
+            assert decode(fn(empty).data).nnz == 0
 
     def test_empty_input_rejected(self):
-        with pytest.raises(CapacityError):
-            encode(np.zeros(0), 1, 1.0, 1.0, 1.0)
+        for fn in ENCODERS:
+            with pytest.raises(CapacityError):
+                fn(_small_module([], [], length=0))
         with pytest.raises(CapacityError):
             encode_dense(np.zeros(0))
 
     def test_inadmissible_group_rejected(self):
-        v = np.zeros(10)
         with pytest.raises(CodecError):
-            encode(v, 1, 1.0, 1.0, 1.0, group_size=3)
+            encode(_small_module([], [], length=10), group_size=3)
 
     def test_non_finite_header_field_rejected(self):
         # The decoder refuses non-finite header fields, so the encoder
         # must never produce them.
-        v = np.zeros(8)
         for rn, rp, s in ((1.0, 1.0, float("nan")),
                           (float("inf"), 1.0, 1.0),
                           (1.0, float("-inf"), 1.0)):
+            mod = CompressedModule(8, np.zeros(0, dtype=np.int64),
+                                   np.zeros(0, dtype=np.int64), 2, rn, rp, s)
             with pytest.raises(CodecError, match="non-finite"):
-                encode(v, 2, rn, rp, s)
+                encode(mod)
 
     def test_non_finite_dense_values_rejected(self):
         v = np.ones(8)
@@ -252,8 +309,7 @@ class TestEncodeValidation:
 class TestCorruption:
     @staticmethod
     def _valid_stream():
-        v, _ = _masked_centers(128, 0.8, 2, 7)
-        return encode(v, 2, 1.0, 1.0, 1.0).data
+        return encode(_module(128, 0.8, 2, 7)).data
 
     def test_truncation_always_detected(self):
         data = self._valid_stream()
@@ -364,9 +420,14 @@ class TestCorruption:
                 out = decode(bytes(data))
             except CorruptStreamError:
                 continue
-            assert out.values.size == out.header.count
-            assert out.mask.shape == out.values.shape
-            assert np.all(np.isfinite(out.values))
+            mod = out.module
+            assert mod.length == out.header.count
+            assert mod.bins.shape == mod.support.shape
+            assert np.all(np.diff(mod.support) > 0)
+            assert mod.support.size == 0 or (
+                0 <= mod.support[0] and mod.support[-1] < mod.length)
+            assert np.all(mod.bins < 1 << mod.bit_width)
+            assert np.all(np.isfinite(out.final_values()))
 
     def test_bit_offset_recorded(self):
         try:
@@ -416,7 +477,7 @@ class TestBitIo:
 
 
 def test_decode_at_requires_byte_alignment():
-    enc = encode(np.zeros(8), 1, 1.0, 1.0, 1.0)
+    enc = encode(_small_module([], [], bit_width=1))
     reader = BitReader.from_bytes(enc.data)
     reader.read_uint(3)
     with pytest.raises(CodecError, match="byte boundary"):

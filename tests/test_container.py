@@ -1,11 +1,14 @@
 """Multi-task containers and parameter-set files."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from taskswitch import (
     CodecError,
     CompressedModule,
+    CompressedTaskVector,
     MlpSpec,
     ParamSet,
     StructureError,
@@ -79,6 +82,23 @@ class TestBundleRoundTrip:
         loaded, _ = load_bundle(path)
         assert loaded[0].names == ["mod0", "mod1"]
 
+    def test_zero_center_survivors_kept(self, tmp_path):
+        # Width 1 over (1.0, 3.0) puts bin 0 on exactly 0.0; survivors there
+        # are positions like any other and must come back as such.
+        mod = CompressedModule(length=4, support=np.array([0, 1, 3]),
+                               bins=np.array([0, 1, 0]), bit_width=1,
+                               range_neg=1.0, range_pos=3.0, scale=0.5)
+        ctv = CompressedTaskVector("t", [("m", mod)])
+        path = tmp_path / "zero.tswc"
+        save_bundle(path, [("t", ctv.to_streams())], ["m"])
+        (sv,), _ = load_bundle(path)
+        got = sv.modules[0][1]
+        np.testing.assert_array_equal(got.support, [0, 1, 3])
+        np.testing.assert_array_equal(got.bins, [0, 1, 0])
+        assert got.nnz == 3 and sv.total_nnz() == 3
+        (_, (dm,)), = load_container(path)[0]
+        assert dm.nnz == 3
+
     def test_mixed_formats_in_one_container(self, tmp_path):
         # A quantized stream and a raw-float stream side by side; raw
         # floats can only travel densely. The container carries both, but
@@ -94,10 +114,14 @@ class TestBundleRoundTrip:
         assert meta["module_names"] == ["q", "d"]
         (task_id, (q, d)), = tasks
         assert task_id == "t" and d.header.fmt == Format.DENSE
-        np.testing.assert_array_equal(q.values,
-                                      sw.modules[0][1].center_values())
+        want = sw.modules[0][1]
+        np.testing.assert_array_equal(q.module.support, want.support)
+        np.testing.assert_array_equal(q.module.bins, want.bins)
+        np.testing.assert_array_equal(q.module.center_values(),
+                                      want.center_values())
+        assert d.module is None
         np.testing.assert_array_equal(
-            d.scaled_values(),
+            d.final_values(),
             dense_vals.astype(np.float32).astype(np.float64))
         with pytest.raises(CodecError, match="'t' module 'd'"):
             load_bundle(path)
@@ -157,6 +181,42 @@ class TestCorruptContainers:
             load_container(p)
 
 
+def _with_metadata(tmp_path, meta: bytes, tail: bytes = b""):
+    """A saved bundle whose metadata block is replaced by raw bytes."""
+    sw, streams = _switch_streams(0)
+    p = tmp_path / "meta.tsw"
+    save_bundle(p, [(sw.task_id, streams)], ["a", "b"])
+    data = p.read_bytes()
+    meta_at = len(data) - len(b'{"module_names": ["a", "b"]}')
+    p.write_bytes(data[:meta_at - 4] + struct.pack("<I", len(meta)) + meta
+                  + tail)
+    return p, meta_at
+
+
+class TestContainerMetadata:
+    def test_metadata_not_an_object(self, tmp_path):
+        p, meta_at = _with_metadata(tmp_path, b"[]")
+        with pytest.raises(CodecError, match=f"meta.tsw: metadata at byte "
+                                             f"{meta_at} is not a JSON object"):
+            load_container(p)
+
+    def test_metadata_not_json(self, tmp_path):
+        p, meta_at = _with_metadata(tmp_path, b"{x")
+        with pytest.raises(CodecError, match=f"meta.tsw: metadata at byte "
+                                             f"{meta_at} is not valid JSON"):
+            load_container(p)
+        p, _ = _with_metadata(tmp_path, b'{"a": "\xff"}')
+        with pytest.raises(CodecError, match="not valid JSON"):
+            load_container(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        meta = b'{"module_names": ["a", "b"]}'
+        p, meta_at = _with_metadata(tmp_path, meta, tail=b"junk")
+        with pytest.raises(CodecError, match=f"meta.tsw: 4 trailing bytes at "
+                                             f"byte {meta_at + len(meta)}"):
+            load_bundle(p)
+
+
 class TestParamsFile:
     def test_round_trip_is_float32_exact(self, tmp_path):
         spec = MlpSpec((6, 5, 3))
@@ -211,10 +271,10 @@ class TestModuleNames:
 
 class TestSparseFromDecoded:
     def test_scale_folded_into_values(self, tmp_path):
-        v = np.zeros(8)
-        v[1], v[5] = 0.25, -0.75
+        # centers of width 2 over +-1: bin 2 is 0.25, bin 0 is -0.75
         from taskswitch.codec import decode, encode
-        enc = encode(v, 2, 1.0, 1.0, 3.0)
+        enc = encode(CompressedModule(8, np.array([1, 5]), np.array([2, 0]),
+                                      2, 1.0, 1.0, 3.0))
         sv = sparse_from_decoded("t", [decode(enc.data)], ["m"])
         mod = dict(sv.modules)["m"]
         np.testing.assert_array_equal(mod.support, [1, 5])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from taskswitch import autodiff as ad
+from taskswitch.codec import CodecError
 from taskswitch.merging import (ReferenceIndex, build_index,
                                 init_projection, kmeans, knn_weights,
                                 load_index, materialize, merged_forward,
@@ -464,4 +465,53 @@ class TestIndexFile:
         path = tmp_path / "refs.idx"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(StructureError):
+            load_index(path)
+
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        path = tmp_path / "refs.idx"
+        save_index(path, self._index())
+        data = path.read_bytes()
+        cut = tmp_path / "cut.idx"
+        for end in range(len(data)):
+            cut.write_bytes(data[:end])
+            with pytest.raises((CodecError, StructureError), match="cut.idx"):
+                load_index(cut)
+        # past the magic, every cut names the byte it stops at
+        cut.write_bytes(data[:6])
+        with pytest.raises(CodecError, match="task count cut short at byte 4"):
+            load_index(cut)
+        cut.write_bytes(data[:12])
+        with pytest.raises(CodecError, match="at byte 10"):
+            load_index(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "refs.idx"
+        save_index(path, self._index())
+        size = len(path.read_bytes())
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(CodecError, match=f"9 rows of 5 floats at byte "
+                                             f"{size - 180} need 180 bytes, "
+                                             f"the file has 184"):
+            load_index(path)
+
+    def test_non_finite_float_rejected(self, tmp_path):
+        index = self._index()
+        index.projection[1, 3] = np.nan
+        path = tmp_path / "refs.idx"
+        save_index(path, index)
+        size = len(path.read_bytes())
+        with pytest.raises(CodecError, match=f"non-finite float at byte "
+                                             f"{size - 8}"):
+            load_index(path)
+        index.projection[1, 3] = 0.0
+        index.centers[0, 0] = -np.inf
+        save_index(path, index)
+        with pytest.raises(CodecError, match=f"at byte {size - 180}"):
+            load_index(path)
+
+    def test_zero_task_index_rejected(self, tmp_path):
+        path = tmp_path / "refs.idx"
+        path.write_bytes(b"TSWQ" + bytes(4) + (3).to_bytes(4, "little")
+                         + (2).to_bytes(4, "little"))
+        with pytest.raises(CodecError, match="task count at byte 4 is zero"):
             load_index(path)

@@ -195,7 +195,9 @@ class TestStreamTransparency:
         streams = comp.to_streams()
         for (name, mod), enc in zip(comp.modules, streams):
             dec = decode(enc.data)
-            np.testing.assert_array_equal(dec.scaled_values(),
+            np.testing.assert_array_equal(dec.module.support, mod.support)
+            np.testing.assert_array_equal(dec.module.bins, mod.bins)
+            np.testing.assert_array_equal(dec.final_values(),
                                           mod.final_values())
             assert dec.nnz == mod.nnz
 
