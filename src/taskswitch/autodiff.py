@@ -252,6 +252,15 @@ def sum_(x, axis=None, keepdims=False):
     return _unary(x, lambda v: np.sum(v, axis=axis, keepdims=keepdims), vjp)
 
 
+def take(x, i: int):
+    """x[i] of a vector; the gradient scatters back to position i."""
+    def vjp(g, v, out):
+        grad = np.zeros_like(v)
+        grad[i] = g
+        return grad
+    return _unary(x, lambda v: v[i], vjp)
+
+
 def mean(x, axis=None, keepdims=False):
     xv = _np(x)
     n = xv.size if axis is None else xv.shape[axis]

@@ -113,12 +113,7 @@ def mixed_quantize(v, logits: BitLogits, specs: list[QuantSpec] | None = None):
     out = None
     for i, spec in enumerate(specs):
         q = quantize_ste(v, spec) if isinstance(v, ad.Var) else quantize(vv, spec)
-        # w is a length-4 vector; pick component i by a one-hot contraction
-        # so the op works on both backends.
-        onehot = np.zeros(len(specs))
-        onehot[i] = 1.0
-        wi = ad.sum_(ad.mul(w, onehot))
-        term = ad.mul(wi, q)
+        term = ad.mul(ad.take(w, i), q)
         out = term if out is None else ad.add(out, term)
     return out
 

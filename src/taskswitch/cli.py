@@ -270,13 +270,13 @@ def cmd_compress(args) -> int:
     spec, base, _ = load_params(args.base)
     tuned, stored_name = _load_finetuned(spec, args.finetuned)
     task_id = args.task or stored_name
-    ex, _ = read_dataset(args.exemplars)
+    x, y = read_dataset(args.exemplars)
     config = TrainConfig(
         loss_kind=args.ppl, preserve_weight=args.lam,
         softmax_temp=args.softmax_temp, steps=args.steps,
         batch_size=args.batch_size, exemplar_count=args.exemplar_count,
         seed=args.seed)
-    result = train(diff(tuned, base, task_id), base, tuned, ex, spec, config)
+    result = train(diff(tuned, base, task_id), base, tuned, x, spec, config)
     comp = result.compressed
     save_bundle(args.out, [(task_id, comp.to_streams())], base.names,
                 {"kind": "compress", "loss": args.ppl, "lambda": config.lam,
@@ -295,7 +295,6 @@ def cmd_compress(args) -> int:
                      for h in hist])
     widths = ",".join(str(m.bit_width) for _, m in comp.modules)
     print(f"{task_id}: sparsity {comp.sparsity():.4f}, bit widths {widths}")
-    x, y = read_dataset(args.exemplars)
     merged = apply_compressed(base, [comp], [1.0])
     print(f"exemplar-set accuracy {accuracy(spec, merged, x, y):.4f} "
           f"(fine-tuned {accuracy(spec, tuned, x, y):.4f})")

@@ -4,7 +4,8 @@ A CompressedModule (support positions and one bin index per position) is
 what the grouped and independent encoders take and their decoder returns;
 the dense format carries raw floats. All three share one fixed 137-bit
 header (format tag 2, bit width 4, group-size-minus-1 8, element count 27,
-then scale / range_neg / range_pos as IEEE-754 float32). Payloads:
+then scale / range_neg / range_pos as IEEE-754 float32), packed and read
+as one integer. Payloads:
 
   grouped   group-presence bitmap (n/c bits), then one record per nonzero in
             position order: intra-group index (ceil(log2 c) bits), bin index
@@ -12,9 +13,12 @@ then scale / range_neg / range_pos as IEEE-754 float32). Payloads:
   indep     n mask bits followed by b bits per element, zeros included;
   dense     32-bit float32 per element, no quantization.
 
-Bits are most-significant-first within each field, fields concatenated in
-declaration order, streams zero-padded to a byte boundary. Every padding
-bit is validated on decode so a single flipped bit can never pass silently.
+Bits are most-significant-first within each field (_fields and _values
+are the one place that order is coded), fields concatenated in declaration
+order, streams zero-padded to a byte boundary. Every padding bit is
+validated on decode so a single flipped bit can never pass silently.
+Decoding reads the stream's bytes in place: a BitReader over a whole file
+unpacks only the bytes each read covers.
 """
 
 from __future__ import annotations
@@ -195,123 +199,82 @@ def dense_bits(n: int) -> int:
     return 32 * n
 
 
-class BitWriter:
-    """Append-only MSB-first bit buffer backed by numpy packbits."""
+def _fields(values, nbits: int) -> np.ndarray:
+    """(m, nbits) bit matrix of unsigned values, most significant bit first."""
+    shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
+    values = np.asarray(values, dtype=np.uint64)
+    return ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
-    def __init__(self):
-        self._chunks: list[np.ndarray] = []
-        self._nbits = 0
 
-    @property
-    def nbits(self) -> int:
-        return self._nbits
-
-    def write_bits(self, bits: np.ndarray) -> None:
-        bits = np.asarray(bits).astype(np.uint8).reshape(-1)
-        self._chunks.append(bits)
-        self._nbits += bits.size
-
-    def write_uint(self, value: int, nbits: int) -> None:
-        if not 0 <= value < (1 << nbits):
-            raise CodecError(f"value {value} does not fit in {nbits} bits")
-        shifts = np.arange(nbits - 1, -1, -1)
-        self.write_bits((value >> shifts) & 1)
-
-    def write_uint_array(self, values: np.ndarray, nbits: int) -> None:
-        if nbits == 0:
-            return
-        values = np.asarray(values, dtype=np.uint64)
-        if values.size and int(values.max()) >= (1 << nbits):
-            raise CodecError(f"array value does not fit in {nbits} bits")
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        self.write_bits((values[:, None] >> shifts) & np.uint64(1))
-
-    def write_f32(self, value: float) -> None:
-        raw = struct.pack(">f", float(np.float32(value)))
-        self.write_bits(np.unpackbits(np.frombuffer(raw, dtype=np.uint8)))
-
-    def to_bytes(self) -> bytes:
-        bits = (np.concatenate(self._chunks) if self._chunks
-                else np.zeros(0, dtype=np.uint8))
-        pad = (-bits.size) % 8
-        if pad:
-            bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        return np.packbits(bits).tobytes()
+def _values(bits: np.ndarray) -> np.ndarray:
+    """Inverse of _fields: one value per row of an (m, nbits) bit matrix."""
+    shifts = np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint64)
+    return bits.astype(np.uint64).dot(np.uint64(1) << shifts).astype(np.int64)
 
 
 class BitReader:
-    """MSB-first reader over an unpacked bit array."""
+    """MSB-first reader over bytes; each read unpacks only what it covers."""
 
-    def __init__(self, bits: np.ndarray, pos: int = 0):
-        self.bits = bits
-        self.pos = pos
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitReader":
-        return cls(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))
+    def __init__(self, data: bytes, pos: int = 0):
+        self.data = data
+        self.pos = pos       # in bits
 
     @property
     def remaining(self) -> int:
-        return self.bits.size - self.pos
-
-    def _need(self, count: int) -> None:
-        if count > self.remaining:
-            raise CorruptStreamError("truncated stream", self.pos)
+        return 8 * len(self.data) - self.pos
 
     def read_bits(self, count: int) -> np.ndarray:
-        self._need(count)
-        out = self.bits[self.pos:self.pos + count]
+        if count > self.remaining:
+            raise CorruptStreamError("truncated stream", self.pos)
+        lo, skip = divmod(self.pos, 8)
+        nbytes = (skip + count + 7) // 8
+        bits = np.unpackbits(np.frombuffer(self.data, np.uint8, nbytes, lo))
         self.pos += count
-        return out
-
-    def read_uint(self, nbits: int) -> int:
-        bits = self.read_bits(nbits).astype(np.uint64)
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        return int(bits.dot(np.uint64(1) << shifts))
-
-    def read_uint_array(self, count: int, nbits: int) -> np.ndarray:
-        if nbits == 0:
-            return np.zeros(count, dtype=np.int64)
-        bits = self.read_bits(count * nbits).reshape(count, nbits)
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        return bits.astype(np.uint64).dot(np.uint64(1) << shifts).astype(np.int64)
-
-    def read_f32(self) -> float:
-        raw = np.packbits(self.read_bits(32)).tobytes()
-        return struct.unpack(">f", raw)[0]
+        return bits[skip:skip + count]
 
 
-def _write_header(w: BitWriter, header: ModuleHeader) -> None:
+def _pack(header: ModuleHeader, nnz: int,
+          *payload: np.ndarray) -> EncodedModule:
+    """Header then payload bits, zero-padded to a byte boundary.
+
+    The header is one integer: format tag (2), bit width (4), group size
+    minus 1 (8) and count (27), then the three float32 fields.
+    """
     if not 1 <= header.count < MAX_COUNT:
         raise CapacityError(
             f"element count {header.count} outside [1, {MAX_COUNT})")
     # mirror the decoder: a stream with non-finite fields is never valid
-    for name, val in (("scale", header.scale),
-                      ("range_neg", header.range_neg),
-                      ("range_pos", header.range_pos)):
-        if not math.isfinite(val):
+    for name in ("scale", "range_neg", "range_pos"):
+        if not math.isfinite(getattr(header, name)):
             raise CodecError(f"non-finite header field {name}")
-    w.write_uint(int(header.fmt), 2)
-    w.write_uint(header.bit_width, 4)
-    w.write_uint(header.group_size - 1 if header.fmt == Format.GROUPED else 0, 8)
-    w.write_uint(header.count, COUNT_BITS)
-    w.write_f32(header.scale)
-    w.write_f32(header.range_neg)
-    w.write_f32(header.range_pos)
+    cfield = header.group_size - 1 if header.fmt == Format.GROUPED else 0
+    ints = ((header.fmt << 4 | header.bit_width) << 8 | cfield) << COUNT_BITS \
+        | header.count
+    floats = struct.pack(">3f", header.scale, header.range_neg,
+                         header.range_pos)
+    word = (ints << 96 | int.from_bytes(floats, "big")) << 7
+    head = np.unpackbits(np.frombuffer(word.to_bytes(18, "big"), np.uint8))
+    bits = [p.reshape(-1) for p in payload]
+    data = np.packbits(np.concatenate([head[:HEADER_BITS], *bits]))
+    return EncodedModule(data.tobytes(), header, sum(b.size for b in bits),
+                         nnz)
 
 
 def _read_header(r: BitReader) -> ModuleHeader:
     start = r.pos
-    tag = r.read_uint(2)
+    if r.remaining < HEADER_BITS:
+        raise CorruptStreamError("truncated stream", start)
+    # streams start on a byte boundary: the header is the top 137 of 18 bytes
+    word = int.from_bytes(r.data[start // 8:start // 8 + 18], "big") >> 7
+    r.pos += HEADER_BITS
+    ints = word >> 96
+    tag, b = ints >> 39, ints >> 35 & 0xF
+    cfield, n = ints >> COUNT_BITS & 0xFF, ints & (MAX_COUNT - 1)
+    scale, range_neg, range_pos = struct.unpack(
+        ">3f", (word & ((1 << 96) - 1)).to_bytes(12, "big"))
     if tag not in (0, 1, 2):
         raise CorruptStreamError(f"unknown format tag {tag}", start)
     fmt = Format(tag)
-    b = r.read_uint(4)
-    cfield = r.read_uint(8)
-    n = r.read_uint(COUNT_BITS)
-    scale = r.read_f32()
-    range_neg = r.read_f32()
-    range_pos = r.read_f32()
     if n < 1:
         raise CorruptStreamError("zero element count", start)
     if fmt == Format.DENSE:
@@ -349,7 +312,7 @@ def _module_header(module: CompressedModule, fmt: Format) -> ModuleHeader:
         raise CapacityError(f"element count {n} outside [1, {MAX_COUNT})")
     rn, rp = (float(np.float32(r)) for r in (module.range_neg,
                                              module.range_pos))
-    # a finite negative range here; non-finite fields fail in _write_header
+    # a finite negative range here; non-finite fields fail in _pack
     if not 1 <= b <= 15 or -math.inf < min(rn, rp) < 0.0:
         raise CodecError(f"no quantizer of width {b}, ranges {rn}, {rp}")
     if support.ndim != 1 or bins.shape != support.shape:
@@ -375,31 +338,14 @@ def encode(module: CompressedModule,
     if not 1 <= c <= MAX_GROUP or n % c != 0:
         raise CodecError(f"group size {c} inadmissible for n={n}")
     header = replace(header, group_size=c)
-
-    w = BitWriter()
-    _write_header(w, header)
-    payload_start = w.nbits
+    group_id = support // c
     group_any = np.zeros(n // c, dtype=np.uint8)
-    group_any[support // c] = 1
-    w.write_bits(group_any)
-    if nnz:
-        group_id = support // c
-        intra = support % c
-        flags = np.empty(nnz, dtype=np.uint8)
-        flags[:-1] = (group_id[1:] != group_id[:-1]).astype(np.uint8)
-        flags[-1] = 1
-        k = index_bits(c)
-        rec = np.zeros((nnz, k + header.bit_width + 1), dtype=np.uint8)
-        if k:
-            shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
-            rec[:, :k] = (intra.astype(np.uint64)[:, None] >> shifts) & 1
-        shifts = np.arange(header.bit_width - 1, -1, -1, dtype=np.uint64)
-        rec[:, k:k + header.bit_width] = \
-            (module.bins.astype(np.uint64)[:, None] >> shifts) & 1
-        rec[:, -1] = flags
-        w.write_bits(rec)
-    payload_bits = w.nbits - payload_start
-    return EncodedModule(w.to_bytes(), header, payload_bits, nnz)
+    group_any[group_id] = 1
+    flags = np.ones((nnz, 1), dtype=np.uint8)
+    flags[:-1, 0] = group_id[1:] != group_id[:-1]
+    rec = np.hstack([_fields(support % c, index_bits(c)),
+                     _fields(module.bins, header.bit_width), flags])
+    return _pack(header, nnz, group_any, rec)
 
 
 def encode_indep(module: CompressedModule) -> EncodedModule:
@@ -409,13 +355,8 @@ def encode_indep(module: CompressedModule) -> EncodedModule:
     mask[module.support] = 1
     all_bins = np.zeros(header.count, dtype=np.int64)
     all_bins[module.support] = module.bins
-    w = BitWriter()
-    _write_header(w, header)
-    payload_start = w.nbits
-    w.write_bits(mask)
-    w.write_uint_array(all_bins, header.bit_width)
-    return EncodedModule(w.to_bytes(), header, w.nbits - payload_start,
-                         module.nnz)
+    return _pack(header, module.nnz, mask,
+                 _fields(all_bins, header.bit_width))
 
 
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
@@ -428,13 +369,8 @@ def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
         raise CodecError("dense values must be finite")
     header = ModuleHeader(Format.DENSE, 0, 1, n, float(np.float32(scale)),
                           0.0, 0.0)
-    w = BitWriter()
-    _write_header(w, header)
-    payload_start = w.nbits
-    as32 = values.astype(np.float32).astype(">f4")
-    w.write_bits(np.unpackbits(as32.view(np.uint8)))
-    nnz = int(np.count_nonzero(values))
-    return EncodedModule(w.to_bytes(), header, w.nbits - payload_start, nnz)
+    return _pack(header, int(np.count_nonzero(values)),
+                 np.unpackbits(values.astype(">f4").view(np.uint8)))
 
 
 def choose_format(module: CompressedModule) -> EncodedModule:
@@ -469,7 +405,8 @@ def decode_at(reader: BitReader) -> DecodedModule:
         if header.fmt == Format.INDEP:
             mask = reader.read_bits(n).astype(bool)
             support = np.flatnonzero(mask)
-            bins = reader.read_uint_array(n, header.bit_width)[mask]
+            b = header.bit_width
+            bins = _values(reader.read_bits(n * b).reshape(n, b))[mask]
         else:
             support, bins = _decode_grouped(reader, header)
         module = CompressedModule(n, support, bins, header.bit_width,
@@ -487,10 +424,8 @@ def decode_at(reader: BitReader) -> DecodedModule:
 
 def _decode_grouped(reader: BitReader, header: ModuleHeader):
     n, c, b = header.count, header.group_size, header.bit_width
-    group_any = reader.read_bits(n // c).astype(bool)
-    flagged = np.flatnonzero(group_any)
-    n_groups_open = flagged.size
-    if n_groups_open == 0:
+    flagged = np.flatnonzero(reader.read_bits(n // c))
+    if flagged.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     k = index_bits(c)
     rec_w = k + b + 1
@@ -498,42 +433,24 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
     max_records = reader.remaining // rec_w
     # Records are flag-terminated; scan in growing chunks until every
     # flagged group has closed.
-    chunk = max(64, 2 * n_groups_open)
-    parsed = 0
-    flag_hits = np.zeros(0, dtype=np.int64)
-    all_bits = None
-    while True:
+    chunk, parsed, closed, chunks = max(64, 2 * flagged.size), 0, 0, []
+    while closed < flagged.size:
         take = min(chunk, max_records - parsed)
         if take <= 0:
             raise CorruptStreamError("records exhausted before all groups "
-                                     "closed", reader.bits.size)
-        bits = reader.bits[records_start + parsed * rec_w:
-                           records_start + (parsed + take) * rec_w]
-        bits = bits.reshape(take, rec_w)
-        all_bits = bits if all_bits is None else np.vstack([all_bits, bits])
+                                     "closed", 8 * len(reader.data))
+        chunks.append(reader.read_bits(take * rec_w).reshape(take, rec_w))
+        closed += int(np.count_nonzero(chunks[-1][:, -1]))
         parsed += take
-        flag_hits = np.flatnonzero(all_bits[:, -1])
-        if flag_hits.size >= n_groups_open:
-            break
         chunk *= 2
-    n_records = int(flag_hits[n_groups_open - 1]) + 1
-    rec = all_bits[:n_records]
+    rec = np.concatenate(chunks)
+    n_records = int(np.flatnonzero(rec[:, -1])[flagged.size - 1]) + 1
+    rec = rec[:n_records]
     reader.pos = records_start + n_records * rec_w
-
-    if k:
-        shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
-        intra = rec[:, :k].astype(np.uint64).dot(np.uint64(1) << shifts)
-        intra = intra.astype(np.int64)
-    else:
-        intra = np.zeros(n_records, dtype=np.int64)
-    shifts = np.arange(b - 1, -1, -1, dtype=np.uint64)
-    bins = rec[:, k:k + b].astype(np.uint64).dot(np.uint64(1) << shifts)
-    bins = bins.astype(np.int64)
-    flags = rec[:, -1]
+    intra, bins, flags = _values(rec[:, :k]), _values(rec[:, k:-1]), rec[:, -1]
 
     seg = np.zeros(n_records, dtype=np.int64)
-    if n_records > 1:
-        seg[1:] = np.cumsum(flags[:-1])
+    seg[1:] = np.cumsum(flags[:-1])
     if np.any(intra >= c):
         bad = int(np.flatnonzero(intra >= c)[0])
         raise CorruptStreamError(f"intra-group index {int(intra[bad])} >= "
@@ -549,7 +466,7 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
 
 def decode(data: bytes) -> DecodedModule:
     """Decode a standalone single-module stream, rejecting trailing bytes."""
-    reader = BitReader.from_bytes(data)
+    reader = BitReader(data)
     out = decode_at(reader)
     if reader.remaining:
         raise CorruptStreamError("trailing bytes after module", reader.pos)

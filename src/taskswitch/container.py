@@ -5,9 +5,10 @@ length-prefixed UTF-8 id, u16 module count, then the byte-aligned module
 streams back to back; finally one u32-length-prefixed UTF-8 JSON object
 (module names, model layout, optional extras) that ends the file.
 Multi-byte framing integers are little-endian; the module streams
-themselves are the MSB-first bitstreams from codec. A short field, bytes
-after the metadata, or metadata that is not a JSON object raise CodecError
-naming the file and the byte. A loaded bundle is a list of
+themselves are the MSB-first bitstreams from codec, each decoded from the
+file's bytes at its own offset. A short field, an id that is not UTF-8,
+bytes after the metadata, or metadata that is not a JSON object raise
+CodecError naming the file and the byte. A loaded bundle is a list of
 CompressedTaskVector over the decoded modules, the same form training and
 the binary switch produce.
 """
@@ -17,8 +18,6 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-
-import numpy as np
 
 from .codec import (BitReader, CodecError, DecodedModule, EncodedModule,
                     decode_at, encode_dense)
@@ -59,29 +58,35 @@ def _unpack(fmt: str, data: bytes, cursor: int, path, what: str):
     return struct.unpack_from(fmt, data, cursor)
 
 
+def _read_id(data: bytes, cursor: int, path) -> tuple[str, int]:
+    """The u16-length-prefixed UTF-8 task id at cursor, and the cursor after
+    it (containers and reference indexes share this framing)."""
+    (id_len,) = _unpack("<H", data, cursor, path, "task id length")
+    (ident,) = _unpack(f"{id_len}s", data, cursor + 2, path, "task id")
+    try:
+        return ident.decode("utf-8"), cursor + 2 + id_len
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"{path}: task id is not UTF-8 at byte "
+                         f"{cursor + 2 + exc.start}") from None
+
+
 def load_container(path) -> tuple[list[tuple[str, list[DecodedModule]]], dict]:
     data = Path(path).read_bytes()
     if len(data) < 7 or data[:4] != MAGIC:
         raise CodecError(f"{path}: not a task container")
     if data[4] != VERSION:
         raise CodecError(f"{path}: unsupported container version {data[4]}")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     cursor = 5
     (n_tasks,) = _unpack("<H", data, cursor, path, "task count")
     cursor += 2
     tasks = []
     for _ in range(n_tasks):
-        (id_len,) = _unpack("<H", data, cursor, path, "task id length")
-        cursor += 2
-        (ident,) = _unpack(f"{id_len}s", data, cursor, path, "task id")
-        task_id = ident.decode("utf-8")
-        cursor += id_len
+        task_id, cursor = _read_id(data, cursor, path)
         (n_mods,) = _unpack("<H", data, cursor, path, "module count")
         cursor += 2
         mods = []
         for _ in range(n_mods):
-            reader = BitReader(bits, pos=cursor * 8)
-            dm = decode_at(reader)
+            dm = decode_at(BitReader(data, cursor * 8))
             mods.append(dm)
             cursor += dm.bits_consumed // 8
         tasks.append((task_id, mods))

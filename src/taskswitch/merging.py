@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .codec import CodecError
-from .container import _unpack
+from .container import _read_id, _unpack
 from .model import MlpSpec, features, forward
 from .optim import Adam
 from .seeding import rng_for
@@ -319,12 +319,10 @@ def load_index(path) -> ReferenceIndex:
     cursor = 8
     task_ids, counts = [], []
     for _ in range(n_tasks):
-        (id_len,) = _unpack("<H", data, cursor, path, "task id length")
-        (ident,) = _unpack(f"{id_len}s", data, cursor + 2, path, "task id")
-        (cnt,) = _unpack("<I", data, cursor + 2 + id_len, path,
-                         "center count")
-        cursor += 6 + id_len
-        task_ids.append(ident.decode("utf-8"))
+        task_id, cursor = _read_id(data, cursor, path)
+        (cnt,) = _unpack("<I", data, cursor, path, "center count")
+        cursor += 4
+        task_ids.append(task_id)
         counts.append(cnt)
     e, r = _unpack("<II", data, cursor, path, "dimensions")
     cursor += 8

@@ -29,9 +29,6 @@ from .optim import Adam, clip_global_norm
 from .seeding import rng_for
 from .vectors import ParamSet, TaskVector, check_aligned
 
-_PICK = [np.eye(3)[i] for i in range(3)]  # component selectors for gate leaves
-
-
 class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int, components: dict[str, float]):
         super().__init__(f"objective became non-finite at step {step}: "
@@ -97,9 +94,9 @@ class TrainResult:
 
 def _gate_from_leaf(leaf) -> GateParams:
     return GateParams(
-        threshold_pos=ad.sum_(ad.mul(leaf, _PICK[0])),
-        threshold_neg=ad.sum_(ad.mul(leaf, _PICK[1])),
-        scale_logit=ad.sum_(ad.mul(leaf, _PICK[2])),
+        threshold_pos=ad.take(leaf, 0),
+        threshold_neg=ad.take(leaf, 1),
+        scale_logit=ad.take(leaf, 2),
     )
 
 

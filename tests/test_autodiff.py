@@ -34,6 +34,7 @@ class TestElementwiseOps:
             t = ad.add(t, ad.tanh(lv["x"]))
             t = ad.add(t, ad.arctan(lv["x"]))
             t = ad.add(t, ad.sqrt(lv["x"]))
+            t = ad.add(t, ad.mul(ad.take(lv["x"], 3), lv["x"]))
             return ad.sum_(ad.square(t))
 
         _fd_ok(obj, {"x": x})

@@ -256,6 +256,19 @@ class TestErrorPaths:
             assert err.startswith(f"error: {bad}: ") and "at byte" in err
             assert "Traceback" not in err
 
+    def test_inspect_non_utf8_task_id_exits_2(self, tmp_path, capsys):
+        sw = build_switch(TaskVector("t", [("a", np.arange(-4.0, 4.0))]),
+                          alpha=0.5)
+        bad = tmp_path / "bad.tswc"
+        save_bundle(bad, [("t", sw.to_streams())], ["a"])
+        data = bytearray(bad.read_bytes())
+        data[9] = 0xFF                   # the first byte of the task id
+        bad.write_bytes(bytes(data))
+        assert main(["inspect", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: task id is not UTF-8 at byte 9")
+        assert "Traceback" not in err
+
     def test_bad_widths_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["fine-tune", "--train", "x.csv", "--widths", "16",

@@ -217,6 +217,20 @@ class TestContainerMetadata:
             load_bundle(p)
 
 
+class TestTaskIds:
+    def test_non_utf8_task_id_names_the_byte(self, tmp_path):
+        sw, streams = _switch_streams(0)
+        p = tmp_path / "ids.tsw"
+        save_bundle(p, [(sw.task_id, streams)], ["a", "b"])
+        data = bytearray(p.read_bytes())
+        assert data[9:14] == b"task0"    # magic, version, count, id length
+        data[9] = 0xFF
+        p.write_bytes(bytes(data))
+        with pytest.raises(CodecError, match="ids.tsw: task id is not UTF-8 "
+                                             "at byte 9"):
+            load_container(p)
+
+
 class TestParamsFile:
     def test_round_trip_is_float32_exact(self, tmp_path):
         spec = MlpSpec((6, 5, 3))

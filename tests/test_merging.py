@@ -509,6 +509,17 @@ class TestIndexFile:
         with pytest.raises(CodecError, match=f"at byte {size - 180}"):
             load_index(path)
 
+    def test_non_utf8_task_id_names_the_byte(self, tmp_path):
+        path = tmp_path / "refs.idx"
+        save_index(path, self._index())
+        data = bytearray(path.read_bytes())
+        assert data[10:15] == b"alpha"   # magic, task count, id length
+        data[12] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CodecError, match="refs.idx: task id is not UTF-8 "
+                                             "at byte 12"):
+            load_index(path)
+
     def test_zero_task_index_rejected(self, tmp_path):
         path = tmp_path / "refs.idx"
         path.write_bytes(b"TSWQ" + bytes(4) + (3).to_bytes(4, "little")

@@ -9,6 +9,11 @@ without failing anything else, so this checks the table against the code.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from taskswitch.codec import (BitReader, CompressedModule, choose_format,
+                              decode_at)
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -25,3 +30,17 @@ def test_every_shim_target_is_defined_on_its_owner():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in table if attr not in vars(owner)]
     assert missing == []
+
+
+def test_codec_extractors_read_real_results():
+    # the span attributes come from the return values, so a change to
+    # their shape must fail here rather than under --trace 1
+    spans = _load_spans()
+    mod = CompressedModule(64, np.array([3, 40]), np.array([1, 0]), 1,
+                           1.0, 1.0, 1.0)
+    enc = choose_format(mod)
+    assert spans._encode_attrs((mod,), {}, enc) == {
+        "elems": 64, "fmt": enc.header.fmt.name}
+    reader = BitReader(enc.data)
+    assert spans._decode_attrs((reader,), {}, decode_at(reader)) == {
+        "elems": 64}
