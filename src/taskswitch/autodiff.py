@@ -252,13 +252,51 @@ def sum_(x, axis=None, keepdims=False):
     return _unary(x, lambda v: np.sum(v, axis=axis, keepdims=keepdims), vjp)
 
 
-def take(x, i: int):
-    """x[i] of a vector; the gradient scatters back to position i."""
+def take(x, i: int | slice):
+    """x[i] along the first axis; the gradient scatters back to i."""
     def vjp(g, v, out):
         grad = np.zeros_like(v)
         grad[i] = g
         return grad
     return _unary(x, lambda v: v[i], vjp)
+
+
+def stack(xs, axis=0):
+    """np.stack of arrays or Vars as one node; the gradient splits back."""
+    values = [_np(x) for x in xs]
+    out = np.stack(values, axis=axis)
+    tape = _tape_of(*xs)
+    if tape is None:
+        return out
+    parents = [(x, lambda g, i=i: np.take(g, i, axis=axis))
+               for i, x in enumerate(xs) if isinstance(x, Var)]
+    return _node(tape, out, parents)
+
+
+def _segment_sums(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of counts[k] entries along the last axis."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    if np.all(counts > 0):
+        return np.add.reduceat(v, starts, axis=-1)
+    # reduceat over the non-empty starts alone ends each run where the next
+    # non-empty one begins; the empty runs stay zero.
+    live = counts > 0
+    out = np.zeros(v.shape[:-1] + counts.shape)
+    out[..., live] = np.add.reduceat(v, starts[live], axis=-1)
+    return out
+
+
+def repeat(x, counts):
+    """Last-axis entry k repeated counts[k] times (np.repeat), one node."""
+    return _unary(x, lambda v: np.repeat(v, counts, axis=-1),
+                  lambda g, v, out: _segment_sums(g, counts))
+
+
+def segment_sum(x, counts):
+    """Sums of consecutive last-axis runs of counts[k]; adjoint of repeat."""
+    return _unary(x, lambda v: _segment_sums(v, counts),
+                  lambda g, v, out: np.repeat(g, counts, axis=-1))
 
 
 def mean(x, axis=None, keepdims=False):

@@ -113,8 +113,12 @@ def load_container(path) -> tuple[list[tuple[str, list[DecodedModule]]], dict]:
 def _module_names(path, metadata: dict, count: int) -> list[str]:
     """Stored module names, or ordinals; the count must match the file."""
     names = metadata.get("module_names")
-    if not names:
+    if names is None or names == []:
         return [f"mod{i}" for i in range(count)]
+    if not isinstance(names, list) or \
+            not all(isinstance(n, str) for n in names):
+        raise StructureError(f"{path}: module_names is not a list of "
+                             "strings")
     if len(names) != count:
         raise StructureError(f"{path}: {len(names)} module names for "
                              f"{count} modules")
@@ -162,7 +166,10 @@ def load_params(path) -> tuple[MlpSpec, ParamSet, str]:
                              f"found {len(tasks)} tasks")
     if "model" not in metadata:
         raise StructureError(f"{path}: container has no model layout")
-    spec = MlpSpec.from_dict(metadata["model"])
+    try:
+        spec = MlpSpec.from_dict(metadata["model"])
+    except StructureError as exc:
+        raise StructureError(f"{path}: {exc}") from None
     task_id, mods = tasks[0]
     names = _module_names(path, metadata, len(mods))
     params = ParamSet([(name, dm.final_values())

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .seeding import rng_for
-from .vectors import ParamSet
+from .vectors import ParamSet, StructureError
 
 ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
 
@@ -64,7 +64,19 @@ class MlpSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
-        return cls(tuple(int(w) for w in d["widths"]), d["activation"])
+        """Parse a stored layout; a bad field raises StructureError naming it."""
+        if not isinstance(d, dict):
+            raise StructureError("model layout is not a JSON object")
+        widths = d.get("widths")
+        if (not isinstance(widths, list) or len(widths) < 2
+                or not all(type(w) is int and w > 0 for w in widths)):
+            raise StructureError("model.widths is not a list of at least two "
+                                 "positive integers")
+        activation = d.get("activation")
+        if not isinstance(activation, str) or activation not in ACTIVATIONS:
+            raise StructureError(f"model.activation is not one of "
+                                 f"{', '.join(ACTIVATIONS)}")
+        return cls(tuple(widths), activation)
 
 
 def init_params(spec: MlpSpec, seed: int) -> ParamSet:

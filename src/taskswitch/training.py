@@ -1,13 +1,19 @@
 """Joint training of the gate logits and bit-width logits for one task.
 
-Each step draws a batch of exemplars, rebuilds the soft-gated mixed-width
+Each step draws a batch of exemplars, builds the soft-gated mixed-width
 task vector on a fresh tape, and minimizes
 
     sparsity term + bit term + lambda * preservation loss
 
-with Adam on ~7 scalars per module. The fine-tuned reference outputs are
-computed once and indexed per batch. Hardening and bit selection happen
-after the last step at the post-run temperature.
+with Adam on 7 scalars per module (three gate logits, four width logits).
+All modules are laid end to end in one graph: the constants (the
+concatenated task and base vectors, the four candidate quantizations and
+the sign-class bounds) are built once per run, and each step stacks the
+per-module leaves and broadcasts them to the elements, so the tape has the
+same number of nodes whatever the module count. The fine-tuned reference
+outputs are computed once and indexed per batch. Hardening and bit
+selection happen after the last step at the post-run temperature, module
+by module through the gating and bit-width functions.
 """
 
 from __future__ import annotations
@@ -18,16 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .bitwidth import (BitLogits, CANDIDATE_WIDTHS, QuantSpec, bit_regularizer,
-                       mixed_quantize, quantize_indices, select_bitwidth)
+from .bitwidth import (BitLogits, CANDIDATE_WIDTHS, QuantSpec, quantize,
+                       quantize_indices, select_bitwidth)
 from .codec import CompressedModule, EncodedModule, choose_format
-from .gating import (GateParams, INIT_SCALE_LOGIT, harden, soft_gate,
-                     sparsity_loss, temperature_schedule)
+from .gating import (EPS_RANGE, GateParams, INIT_SCALE_LOGIT, harden,
+                     soft_gate, squash, temperature_schedule)
 from .losses import DEFAULT_LAMBDA, preservation_loss
 from .model import MlpSpec, check_params, forward
 from .optim import Adam, clip_global_norm
 from .seeding import rng_for
-from .vectors import ParamSet, TaskVector, check_aligned
+from .vectors import ParamSet, TaskVector, check_aligned, signed_bounds
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int, components: dict[str, float]):
@@ -92,12 +98,49 @@ class TrainResult:
     bit_state: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _gate_from_leaf(leaf) -> GateParams:
-    return GateParams(
-        threshold_pos=ad.take(leaf, 0),
-        threshold_neg=ad.take(leaf, 1),
-        scale_logit=ad.take(leaf, 2),
-    )
+@dataclass(frozen=True)
+class _StackedModules:
+    """Per-run constants of the objective: every module laid end to end.
+
+    Row 0 of each (2, ...) array is the positive sign class, row 1 the
+    negative one. A class that is empty in a module is switched off by
+    `live` and its magnitudes set to 0, so it adds exactly nothing, even
+    where the task vector is NaN.
+    """
+
+    names: list[str]
+    sizes: np.ndarray     # (L,) elements per module
+    base: np.ndarray      # (N,) base parameters
+    signed: np.ndarray    # (2, N) tau and -tau
+    live: np.ndarray      # (2, N) 1.0 where the element's class is populated
+    lo: np.ndarray        # (2, L) smallest magnitude of each class
+    width: np.ndarray     # (2, L) magnitude range of each class
+    quant: np.ndarray     # (4, N) tau quantized at each candidate width
+
+    @classmethod
+    def build(cls, base: ParamSet, tv: TaskVector,
+              qspecs: dict[str, list[QuantSpec]]) -> "_StackedModules":
+        base_lookup = dict(base.modules)
+        quant = []
+        for name, tau in tv.modules:
+            if len(qspecs[name]) != len(CANDIDATE_WIDTHS):
+                raise ValueError("one QuantSpec per candidate width required")
+            quant.append([quantize(tau, q) for q in qspecs[name]])
+        bounds = [signed_bounds(tau) for _, tau in tv.modules]
+        sizes = np.array([tau.size for _, tau in tv.modules])
+        has = np.array([[b.has_pos for b in bounds],
+                        [b.has_neg for b in bounds]])
+        live = np.repeat(has, sizes, axis=1)
+        tau = np.concatenate([tau for _, tau in tv.modules])
+        lo = np.array([[b.pos_min for b in bounds],
+                       [b.neg_min for b in bounds]])
+        hi = np.array([[b.pos_max for b in bounds],
+                       [b.neg_max for b in bounds]])
+        return cls(names=tv.names, sizes=sizes,
+                   base=np.concatenate([base_lookup[n] for n in tv.names]),
+                   signed=np.where(live, np.stack([tau, -tau]), 0.0),
+                   live=live.astype(np.float64), lo=lo, width=hi - lo,
+                   quant=np.concatenate(quant, axis=1))
 
 
 def make_objective(spec: MlpSpec, base: ParamSet, tv: TaskVector,
@@ -109,26 +152,48 @@ def make_objective(spec: MlpSpec, base: ParamSet, tv: TaskVector,
     Leaf keys are "<module>.gate" (threshold_pos, threshold_neg, scale
     logit) and "<module>.bits" (four width logits).
     """
-    base_lookup = dict(base.modules)
+    return _stacked_objective(spec, _StackedModules.build(base, tv, qspecs),
+                              ref, batch_x, kind, lam, temp, rho, omega)
+
+
+def _stacked_objective(spec: MlpSpec, sm: _StackedModules, ref: np.ndarray,
+                       batch_x: np.ndarray, kind: str, lam: float,
+                       temp: float, rho: float, omega: float):
+    """make_objective over prebuilt constants: one graph for all modules.
+
+    The gate leaves stack into a (3, L) node and the width logits into an
+    (L, 4) node; per-module values reach the elements through `repeat`, so
+    the tape has the same number of nodes whatever the module count.
+    """
+    denom = np.repeat(rho * np.maximum(sm.width, EPS_RANGE), sm.sizes,
+                      axis=1)
+    widths = np.asarray(CANDIDATE_WIDTHS, dtype=np.float64)
+    bit_norm = float(len(sm.names) * max(CANDIDATE_WIDTHS))
+    ends = np.cumsum(sm.sizes)
+    spans = list(zip(sm.names, ends - sm.sizes, ends))
 
     def objective(leaves, return_parts: bool = False):
-        masks = []
-        logit_sets = []
-        params = {}
-        for name, tau in tv.modules:
-            gp = _gate_from_leaf(leaves[name + ".gate"])
-            gate = soft_gate(tau, gp, rho)
-            masks.append(gate.soft_mask)
-            bl = BitLogits(leaves[name + ".bits"], omega)
-            logit_sets.append(bl)
-            blended = mixed_quantize(tau, bl, qspecs[name])
-            params[name] = ad.add(base_lookup[name],
-                                  ad.mul(gate.scaled_mask, blended))
+        gates = ad.stack([leaves[n + ".gate"] for n in sm.names], axis=1)
+        logits = ad.stack([leaves[n + ".bits"] for n in sm.names])
+        # Learnable gating: one threshold per class and module, a soft
+        # membership per element, a softplus scale per module.
+        thresholds = ad.add(sm.lo, ad.mul(squash(ad.take(gates, slice(0, 2))),
+                                          sm.width))
+        z = ad.div(ad.sub(sm.signed, ad.repeat(thresholds, sm.sizes)), denom)
+        soft = ad.sum_(ad.mul(ad.sigmoid(z), sm.live), axis=0)
+        scale = ad.repeat(ad.softplus(ad.take(gates, 2)), sm.sizes)
+        # Bit-width selection: softmax over the four candidates per module.
+        w = ad.softmax(ad.div(logits, float(omega)))
+        blended = ad.sum_(ad.mul(ad.repeat(ad.transpose(w), sm.sizes),
+                                 sm.quant), axis=0)
+        flat = ad.add(sm.base, ad.mul(ad.mul(scale, soft), blended))
+        params = {n: ad.take(flat, slice(a, b)) for n, a, b in spans}
         out = forward(spec, params, batch_x)
         cmp = out.features if kind == "cka" else out.logits
         l_per = preservation_loss(kind, ref, cmp, temperature=temp)
-        l_sp = sparsity_loss(masks)
-        l_bit = bit_regularizer(logit_sets)
+        l_sp = ad.div(ad.sum_(ad.segment_sum(soft, sm.sizes)),
+                      float(sm.base.size))
+        l_bit = ad.div(ad.sum_(ad.sum_(ad.mul(w, widths), axis=1)), bit_norm)
         total = ad.add(ad.add(l_sp, l_bit), ad.mul(l_per, lam))
         if return_parts:
             parts = {"sparsity": float(ad._np(l_sp)),
@@ -164,6 +229,7 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
     ref_all = reference_outputs(spec, finetuned, exemplars, config.loss_kind)
     qspecs = {name: [QuantSpec.from_values(tau, b) for b in CANDIDATE_WIDTHS]
               for name, tau in tv.modules}
+    stacked = _StackedModules.build(base, tv, qspecs)
 
     leaves: dict[str, np.ndarray] = {}
     for name, _ in tv.modules:
@@ -178,9 +244,9 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         rho = temperature_schedule(step)
         omega = temperature_schedule(step)
         idx = batch_rng.integers(0, n_ex, size=config.batch_size)
-        obj = make_objective(spec, base, tv, qspecs, ref_all[idx],
-                             exemplars[idx], config.loss_kind, config.lam,
-                             config.softmax_temp, rho, omega)
+        obj = _stacked_objective(spec, stacked, ref_all[idx],
+                                 exemplars[idx], config.loss_kind, config.lam,
+                                 config.softmax_temp, rho, omega)
         tape = ad.Tape()
         lvars = {k: tape.var(v) for k, v in leaves.items()}
         total, parts = obj(lvars, return_parts=True)

@@ -130,6 +130,93 @@ class TestMatrixOps:
         _fd_ok(obj, {"x": x})
 
 
+class TestStackAndSegments:
+    COUNTS = np.array([3, 1, 2])
+
+    def test_stack_axis0(self):
+        xs = {f"x{i}": RNG.normal(size=4) for i in range(3)}
+        w = RNG.normal(size=(3, 4))
+
+        def obj(lv):
+            s = ad.stack([lv["x0"], lv["x1"], lv["x2"]])
+            return ad.sum_(ad.mul(ad.square(s), w))
+
+        assert ad.stack(list(xs.values())).shape == (3, 4)
+        _fd_ok(obj, xs)
+
+    def test_stack_axis1_with_constant_part(self):
+        xs = {f"x{i}": RNG.normal(size=3) for i in range(2)}
+        const = RNG.normal(size=3)
+        w = RNG.normal(size=(3, 3))
+
+        def obj(lv):
+            s = ad.stack([lv["x0"], const, lv["x1"]], axis=1)
+            return ad.sum_(ad.mul(ad.square(s), w))
+
+        out = ad.stack([xs["x0"], const, xs["x1"]], axis=1)
+        np.testing.assert_array_equal(out[:, 1], const)
+        _fd_ok(obj, xs)
+
+    def test_repeat_1d(self):
+        x = RNG.normal(size=3)
+        w = RNG.normal(size=int(self.COUNTS.sum()))
+
+        def obj(lv):
+            r = ad.repeat(lv["x"], self.COUNTS)
+            return ad.sum_(ad.mul(ad.square(r), w))
+
+        np.testing.assert_array_equal(ad.repeat(x, self.COUNTS),
+                                      np.repeat(x, self.COUNTS))
+        _fd_ok(obj, {"x": x})
+
+    def test_repeat_along_axis1(self):
+        x = RNG.normal(size=(2, 3))
+        counts = np.array([1, 4, 2])
+        w = RNG.normal(size=(2, 7))
+
+        def obj(lv):
+            r = ad.repeat(lv["x"], counts)
+            return ad.sum_(ad.mul(ad.square(r), w))
+
+        np.testing.assert_array_equal(ad.repeat(x, counts),
+                                      np.repeat(x, counts, axis=1))
+        _fd_ok(obj, {"x": x})
+
+    def test_segment_sum(self):
+        x = RNG.normal(size=(2, 6))
+
+        def obj(lv):
+            s = ad.segment_sum(lv["x"], self.COUNTS)
+            return ad.sum_(ad.mul(ad.square(s), np.array([1.0, -2.0, 0.5])))
+
+        out = ad.segment_sum(x, self.COUNTS)
+        np.testing.assert_allclose(
+            out, np.stack([x[:, :3].sum(1), x[:, 3], x[:, 4:].sum(1)], 1),
+            rtol=1e-15)
+        _fd_ok(obj, {"x": x})
+        _fd_ok(lambda lv: ad.sum_(ad.square(
+            ad.segment_sum(lv["x"], self.COUNTS))), {"x": x[0]})
+
+    def test_empty_segments_sum_to_zero(self):
+        x = RNG.normal(size=5)
+        counts = np.array([0, 2, 0, 3, 0])
+        np.testing.assert_allclose(ad.segment_sum(x, counts),
+                                   [0.0, x[:2].sum(), 0.0, x[2:].sum(), 0.0],
+                                   rtol=1e-15)
+        tape = ad.Tape()
+        v = tape.var(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        tape.backward(ad.sum_(ad.mul(ad.repeat(v, counts), x)))
+        np.testing.assert_allclose(v.grad, [0.0, x[:2].sum(), 0.0,
+                                            x[2:].sum(), 0.0], rtol=1e-15)
+
+    def test_segment_sum_is_adjoint_of_repeat(self):
+        x = RNG.normal(size=(2, 3))
+        y = RNG.normal(size=(2, 6))
+        lhs = np.sum(ad.repeat(x, self.COUNTS) * y)
+        rhs = np.sum(x * ad.segment_sum(y, self.COUNTS))
+        assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
 class TestBroadcasting:
     def test_row_and_scalar_broadcast(self):
         a = RNG.normal(size=(3, 4))

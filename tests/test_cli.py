@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taskswitch import TaskVector, build_switch, save_bundle
+from taskswitch import (MlpSpec, TaskVector, build_switch, init_params,
+                        save_bundle)
 from taskswitch.cli import main
+from taskswitch.container import save_container, streams_from_params
 
 
 def _read_csv(path):
@@ -268,6 +270,34 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: task id is not UTF-8 at byte 9")
         assert "Traceback" not in err
+
+    def test_inspect_module_names_not_a_list_exits_2(self, tmp_path, capsys):
+        sw = build_switch(TaskVector("t", [("a", np.arange(-4.0, 4.0))]),
+                          alpha=0.5)
+        bad = tmp_path / "bad.tswc"
+        save_container(bad, [("t", sw.to_streams())],
+                       metadata={"module_names": 5})
+        assert main(["inspect", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: module_names is not a list")
+        assert "Traceback" not in err
+
+    def test_probe_bad_model_layout_exits_2(self, tmp_path, capsys):
+        spec = MlpSpec((6, 4, 3))
+        ps = init_params(spec, seed=0)
+        base = tmp_path / "base.tswp"
+        for model, field in (({"widths": "abc", "activation": "tanh"},
+                              "model.widths"),
+                             ({"widths": [6, 4, 3]}, "model.activation")):
+            save_container(base, [("base", streams_from_params(ps))],
+                           metadata={"model": model,
+                                     "module_names": ps.names})
+            assert main(["probe", "scale", "--base", str(base),
+                         "--finetuned", str(base),
+                         "--data", str(tmp_path / "none.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {base}: {field} is not")
+            assert "Traceback" not in err
 
     def test_bad_widths_argument(self, tmp_path):
         with pytest.raises(SystemExit):

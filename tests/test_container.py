@@ -283,6 +283,71 @@ class TestModuleNames:
             load_bundle(p)
 
 
+    @pytest.mark.parametrize("names", [5, "ab", ["a", 2], {"a": 1}])
+    def test_names_not_a_list_of_strings_rejected(self, tmp_path, names):
+        _, streams = _switch_streams(0)
+        p = tmp_path / "names.tsw"
+        save_container(p, [("t", streams)], metadata={"module_names": names})
+        with pytest.raises(StructureError, match="names.tsw: module_names is "
+                                                 "not a list of strings"):
+            load_bundle(p)
+        spec = MlpSpec((4, 3, 2))
+        from taskswitch.container import streams_from_params
+        save_container(p, [("m", streams_from_params(init_params(spec, 0)))],
+                       metadata={"model": spec.to_dict(),
+                                 "module_names": names})
+        with pytest.raises(StructureError, match="not a list of strings"):
+            load_params(p)
+
+
+class TestModelLayout:
+    SPEC = MlpSpec((4, 3, 2))
+
+    def _params_file(self, tmp_path, model):
+        from taskswitch.container import streams_from_params
+        ps = init_params(self.SPEC, seed=0)
+        p = tmp_path / "layout.tswp"
+        save_container(p, [("m", streams_from_params(ps))],
+                       metadata={"model": model, "module_names": ps.names})
+        return p
+
+    @pytest.mark.parametrize("widths", ["abc", [4], [], [4, "3", 2],
+                                        [4, 3.0, 2], [4, -3, 2], [4, 0, 2],
+                                        [4, True],
+                                        None])
+    def test_bad_widths_name_the_field(self, tmp_path, widths):
+        model = {"activation": "tanh"}
+        if widths is not None:
+            model["widths"] = widths
+        p = self._params_file(tmp_path, model)
+        with pytest.raises(StructureError,
+                           match="layout.tswp: model.widths is not a list"):
+            load_params(p)
+
+    @pytest.mark.parametrize("activation", [None, "gelu", ["tanh"], 3])
+    def test_bad_activation_names_the_field(self, tmp_path, activation):
+        model = {"widths": [4, 3, 2]}
+        if activation is not None:
+            model["activation"] = activation
+        p = self._params_file(tmp_path, model)
+        with pytest.raises(StructureError,
+                           match="layout.tswp: model.activation is not one "
+                                 "of tanh, relu"):
+            load_params(p)
+
+    def test_layout_not_an_object(self, tmp_path):
+        p = self._params_file(tmp_path, [4, 3, 2])
+        with pytest.raises(StructureError,
+                           match="layout.tswp: model layout is not a JSON "
+                                 "object"):
+            load_params(p)
+
+    def test_stored_layout_round_trips(self, tmp_path):
+        p = self._params_file(tmp_path, self.SPEC.to_dict())
+        spec, _, _ = load_params(p)
+        assert spec == self.SPEC
+
+
 class TestSparseFromDecoded:
     def test_scale_folded_into_values(self, tmp_path):
         # centers of width 2 over +-1: bin 2 is 0.25, bin 0 is -0.75

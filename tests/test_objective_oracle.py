@@ -1,0 +1,147 @@
+"""The compression objective against a per-module reference built from the
+public gating and bit-width functions.
+
+`_reference_objective` composes `soft_gate`, `mixed_quantize`,
+`sparsity_loss` and `bit_regularizer` module by module, one subgraph per
+module. `make_objective` must give the same value and the same leaf
+gradients; only summation order may differ, so the bound is 1e-12 of the
+largest magnitude in each compared array.
+"""
+
+import numpy as np
+import pytest
+
+from taskswitch import autodiff as ad
+from taskswitch.bitwidth import (CANDIDATE_WIDTHS, BitLogits, QuantSpec,
+                                 bit_regularizer, mixed_quantize)
+from taskswitch.gating import (INIT_SCALE_LOGIT, GateParams, soft_gate,
+                               sparsity_loss)
+from taskswitch.losses import DEFAULT_LAMBDA, preservation_loss
+from taskswitch.model import MlpSpec, forward, init_params
+from taskswitch.training import make_objective, reference_outputs
+from taskswitch.vectors import TaskVector, add
+
+REL = 1e-12
+
+SMALL = MlpSpec((4, 6, 3))
+DEEP = MlpSpec((5, 7, 6, 5, 4, 3))          # five layers, ten modules
+
+
+def _reference_objective(spec, base, tv, qspecs, ref, batch_x, kind, lam,
+                         temp, rho, omega):
+    base_lookup = dict(base.modules)
+
+    def objective(leaves):
+        masks, logit_sets, params = [], [], {}
+        for name, tau in tv.modules:
+            leaf = leaves[name + ".gate"]
+            gp = GateParams(ad.take(leaf, 0), ad.take(leaf, 1),
+                            ad.take(leaf, 2))
+            gate = soft_gate(tau, gp, rho)
+            masks.append(gate.soft_mask)
+            bl = BitLogits(leaves[name + ".bits"], omega)
+            logit_sets.append(bl)
+            blended = mixed_quantize(tau, bl, qspecs[name])
+            params[name] = ad.add(base_lookup[name],
+                                  ad.mul(gate.scaled_mask, blended))
+        out = forward(spec, params, batch_x)
+        cmp = out.features if kind == "cka" else out.logits
+        l_per = preservation_loss(kind, ref, cmp, temperature=temp)
+        l_sp = sparsity_loss(masks)
+        l_bit = bit_regularizer(logit_sets)
+        return ad.add(ad.add(l_sp, l_bit), ad.mul(l_per, lam))
+    return objective
+
+
+def _problem(spec, seed, signs=None):
+    """Task vector, base, reference outputs and random leaves.
+
+    signs maps a module index to "+" (all magnitudes positive), "-" (all
+    negative), "0" (all zero) or "nan" (all NaN).
+    """
+    rng = np.random.default_rng(seed)
+    base = init_params(spec, seed=seed)
+    mods = []
+    for i, (n, v) in enumerate(base.modules):
+        tau = 0.5 * rng.standard_normal(v.size)
+        mode = (signs or {}).get(i)
+        if mode == "+":
+            tau = np.abs(tau)
+        elif mode == "-":
+            tau = -np.abs(tau)
+        elif mode == "0":
+            tau = np.zeros_like(tau)
+        elif mode == "nan":
+            tau = np.full_like(tau, np.nan)
+        mods.append((n, tau))
+    tv = TaskVector("t", mods)
+    finetuned = add(base, TaskVector("t", [(n, np.nan_to_num(t))
+                                           for n, t in mods]))
+    qspecs = {n: [QuantSpec.from_values(tau, b) for b in CANDIDATE_WIDTHS]
+              for n, tau in tv.modules}
+    exemplars = rng.standard_normal((12, spec.input_dim))
+    leaves = {}
+    for n, _ in tv.modules:
+        leaves[n + ".gate"] = np.array(
+            [0.7 * rng.standard_normal(), 0.7 * rng.standard_normal(),
+             INIT_SCALE_LOGIT + 0.3 * rng.standard_normal()])
+        leaves[n + ".bits"] = 0.7 * rng.standard_normal(4)
+    return base, tv, finetuned, qspecs, exemplars, leaves
+
+
+def _value_and_grads(objective, leaves):
+    tape = ad.Tape()
+    lvars = {k: tape.var(v) for k, v in leaves.items()}
+    out = objective(lvars)
+    tape.backward(out)
+    grads = {k: (lv.grad if lv.grad is not None else np.zeros_like(leaves[k]))
+             for k, lv in lvars.items()}
+    return float(ad._np(out)), grads
+
+
+def _compare(spec, seed, kind, rho, omega, signs=None):
+    base, tv, finetuned, qspecs, x, leaves = _problem(spec, seed, signs)
+    ref = reference_outputs(spec, finetuned, x, kind)
+    args = (spec, base, tv, qspecs, ref, x, kind, DEFAULT_LAMBDA[kind], 4.0,
+            rho, omega)
+    want_val, want = _value_and_grads(_reference_objective(*args), leaves)
+    obj = make_objective(*args)
+    got_val, got = _value_and_grads(obj, leaves)
+    assert np.isfinite(want_val)
+    assert got_val == pytest.approx(want_val, rel=REL, abs=0.0)
+    # Plain-array evaluation (the finite-difference path) agrees too.
+    assert float(ad._np(obj(leaves))) == pytest.approx(want_val, rel=REL,
+                                                       abs=0.0)
+    assert set(got) == set(want)
+    for key in want:
+        assert np.all(np.isfinite(want[key])), key
+        scale = np.max(np.abs(want[key]))
+        np.testing.assert_allclose(got[key], want[key], rtol=0.0,
+                                   atol=REL * scale, err_msg=key)
+    return tv, got
+
+
+@pytest.mark.parametrize("kind", ["kl", "mse", "cka"])
+@pytest.mark.parametrize("rho, omega", [(1.0, 1.0), (0.9 ** 3, 0.9 ** 7),
+                                        (0.9 ** 12, 0.9 ** 2)])
+def test_matches_reference_on_four_modules(kind, rho, omega):
+    _compare(SMALL, 11, kind, rho, omega)
+
+
+@pytest.mark.parametrize("kind", ["kl", "mse", "cka"])
+def test_matches_reference_on_ten_modules(kind):
+    _compare(DEEP, 12, kind, 0.9 ** 4, 0.9 ** 5)
+
+
+@pytest.mark.parametrize("kind", ["kl", "mse", "cka"])
+def test_matches_reference_with_empty_sign_classes(kind):
+    # Module 0 has no negative class, module 3 no positive class; module
+    # 1 is all zeros and module 2 all NaN, so both of their classes are
+    # empty and contribute exactly nothing.
+    signs = {0: "+", 1: "0", 2: "nan", 3: "-"}
+    tv, got = _compare(SMALL, 13, kind, 0.9 ** 2, 0.9, signs)
+    names = tv.names
+    assert got[names[0] + ".gate"][1] == 0.0
+    assert got[names[3] + ".gate"][0] == 0.0
+    for name in (names[1], names[2]):
+        np.testing.assert_array_equal(got[name + ".gate"][:2], 0.0)
