@@ -1,17 +1,13 @@
 """Compressed task vectors: learnable sparsification, adaptive bit-widths,
 a grouped sparse bitstream, and per-input dynamic merging."""
 
-from .bitwidth import (BitLogits, CANDIDATE_WIDTHS, QuantSpec, bit_regularizer,
-                       bit_weights, mean_bitwidth, mixed_quantize, quantize,
-                       quantize_indices, select_bitwidth)
+from .bitwidth import CANDIDATE_WIDTHS, QuantSpec, quantize, quantize_indices
 from .codec import (CapacityError, CodecError, CompressedModule,
                     CorruptStreamError, EncodedModule, Format, choose_format,
                     decode, encode, encode_dense, encode_indep, expected_bits,
                     optimal_group)
 from .container import (load_bundle, load_container, load_params, save_bundle,
                         save_params, sparse_from_decoded)
-from .gating import (GateOutput, GateParams, harden, soft_gate, sparsity_loss,
-                     temperature_schedule)
 from .harness import (SyntheticTaskSpec, TaskData, base_dataset,
                       baseline_merge, evaluate_tasks, fine_tune, gen_tasks,
                       probe_precision, probe_scale, probe_sparsity,
@@ -24,7 +20,7 @@ from .merging import (ReferenceIndex, build_index, kmeans, knn_weights,
 from .model import MlpSpec, accuracy, features, forward, init_params, predict
 from .switch import build_switch, pulse_mask, switch_scale
 from .training import (CompressedTaskVector, TrainConfig, TrainResult,
-                       TrainingDivergedError, train)
+                       TrainingDivergedError, temperature_schedule, train)
 from .vectors import (ParamSet, SignedBounds, StructureError, TaskVector, add,
                       diff, sign_quantile, signed_bounds)
 

@@ -305,17 +305,6 @@ def mean(x, axis=None, keepdims=False):
     return div(sum_(x, axis=axis, keepdims=keepdims), float(n))
 
 
-def ste(x, forward_values: np.ndarray, pass_mask: np.ndarray):
-    """Straight-through node: fixed forward values, masked identity backward.
-
-    forward_values must be computed from the current value of x by the
-    caller; pass_mask is 1 where the gradient flows through unchanged.
-    """
-    fv = np.asarray(forward_values, dtype=np.float64)
-    pm = np.asarray(pass_mask, dtype=np.float64)
-    return _unary(x, lambda v: fv, lambda g, v, out: g * pm)
-
-
 def softmax(x, axis=-1):
     shift = np.max(_np(x), axis=axis, keepdims=True)  # constant: shift-invariant
     e = exp(sub(x, shift))

@@ -1,9 +1,9 @@
-"""Asymmetric-range quantizers and differentiable bit-width selection.
+"""Uniform asymmetric-range quantizers.
 
-A module is quantized against candidate widths {1, 2, 4, 8}; a softmax over
-four logits blends the candidates during training and the argmax is kept at
-the end. The quantizer ranges come from the raw task vector so bins do not
-move while the gate trains.
+A module is quantized against the candidate widths {1, 2, 4, 8}; training
+blends the four candidates and keeps one width per module (see training).
+The quantizer ranges come from the raw task vector so bins do not move
+while the gate trains.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .vectors import signed_bounds
 
 CANDIDATE_WIDTHS = (1, 2, 4, 8)
@@ -69,73 +68,3 @@ def quantize(v: np.ndarray, spec: QuantSpec) -> np.ndarray:
     if spec.degenerate:
         return np.full(np.asarray(v, dtype=np.float64).shape, -spec.range_neg)
     return spec.centers()[quantize_indices(v, spec)]
-
-
-def quantize_ste(v, spec: QuantSpec):
-    """Quantize with a straight-through gradient w.r.t. the input.
-
-    Backward is the identity inside [-range_neg, range_pos] and zero
-    outside. With a plain array input this is just quantize().
-    """
-    vv = ad._np(v)
-    q = quantize(vv, spec)
-    if not isinstance(v, ad.Var):
-        return q
-    inside = (vv >= -spec.range_neg) & (vv <= spec.range_pos)
-    return ad.ste(v, q, inside)
-
-
-@dataclass
-class BitLogits:
-    """Learnable preference over CANDIDATE_WIDTHS plus its softmax temperature."""
-
-    values: object            # length-4 array or Var
-    temperature: float = 1.0
-
-
-def bit_weights(logits: BitLogits):
-    """softmax(values / temperature) over the four candidates."""
-    return ad.softmax(ad.div(logits.values, float(logits.temperature)))
-
-
-def mixed_quantize(v, logits: BitLogits, specs: list[QuantSpec] | None = None):
-    """Softmax-weighted blend of the four candidate quantizations.
-
-    v may be a tape Var, in which case each candidate passes through the
-    straight-through quantizer; the weight path is smooth either way.
-    """
-    vv = ad._np(v)
-    if specs is None:
-        specs = [QuantSpec.from_values(vv, b) for b in CANDIDATE_WIDTHS]
-    if len(specs) != len(CANDIDATE_WIDTHS):
-        raise ValueError("one QuantSpec per candidate width required")
-    w = bit_weights(logits)
-    out = None
-    for i, spec in enumerate(specs):
-        q = quantize_ste(v, spec) if isinstance(v, ad.Var) else quantize(vv, spec)
-        term = ad.mul(ad.take(w, i), q)
-        out = term if out is None else ad.add(out, term)
-    return out
-
-
-def mean_bitwidth(logits: BitLogits):
-    """Expected width under the softmax weights."""
-    return ad.sum_(ad.mul(bit_weights(logits), np.asarray(CANDIDATE_WIDTHS,
-                                                          dtype=np.float64)))
-
-
-def bit_regularizer(all_logits: list[BitLogits]):
-    """sum_l mean_bitwidth / (L * max width): lives in [1/8, 1]."""
-    n_mod = len(all_logits)
-    acc = None
-    for lg in all_logits:
-        m = mean_bitwidth(lg)
-        acc = m if acc is None else ad.add(acc, m)
-    return ad.div(acc, float(n_mod * max(CANDIDATE_WIDTHS)))
-
-
-def select_bitwidth(logits: BitLogits) -> int:
-    """Final width: argmax logit, ties resolved toward the smaller width."""
-    vals = ad._np(logits.values)
-    return CANDIDATE_WIDTHS[int(np.argmax(vals))]
-

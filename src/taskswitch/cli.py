@@ -36,6 +36,9 @@ def _widths(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad widths {text!r}")
     if len(widths) < 2:
         raise argparse.ArgumentTypeError("widths need at least input,output")
+    if min(widths) < 1:
+        raise argparse.ArgumentTypeError(
+            f"entries must be at least 1, got {text!r}")
     return widths
 
 
@@ -236,6 +239,9 @@ def cmd_gen_tasks(args) -> int:
 def cmd_fine_tune(args) -> int:
     spec, params = _resolve_model(args)
     x, y = read_dataset(args.train)
+    if y.size and y.max() >= spec.n_classes:
+        raise ValueError(f"{args.train}: label {y.max()} is out of range for "
+                         f"the model's {spec.n_classes} classes")
     tuned = fine_tune(spec, params, x, y, steps=args.steps, lr=args.lr,
                       batch_size=args.batch_size, optimizer=args.optimizer,
                       seed=args.seed)
@@ -348,7 +354,7 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _index_inputs(args, spec, base):
+def _index_inputs(args):
     pairs = []
     for name, path in args.task:
         x, _ = read_dataset(path)
@@ -358,7 +364,7 @@ def _index_inputs(args, spec, base):
 
 def cmd_build_index(args) -> int:
     spec, base, _ = load_params(args.base)
-    pairs = _index_inputs(args, spec, base)
+    pairs = _index_inputs(args)
     centers = None if args.centers == 0 else args.centers
     index = merging.build_index(spec, base, pairs, centers_per_task=centers,
                                 seed=args.seed)
@@ -372,7 +378,7 @@ def cmd_build_index(args) -> int:
 def cmd_train_metric(args) -> int:
     index = merging.load_index(args.index)
     spec, base, _ = load_params(args.base)
-    pairs = _index_inputs(args, spec, base)
+    pairs = _index_inputs(args)
     feats = [(name, features(spec, base, x)) for name, x in pairs]
     result = merging.train_metric(index, feats, rank=args.rank,
                                   epochs=args.epochs, lr=args.lr,

@@ -20,10 +20,11 @@ from .model import MlpSpec, accuracy, check_params, cross_entropy, forward
 from .optim import Adam, Sgd
 from .seeding import rng_for
 from .switch import build_switch, pulse_mask
-from .vectors import ParamSet, TaskVector, add, check_aligned
+from .vectors import ParamSet, TaskVector, add
 
 ETA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
 MAX_PLACEMENT_TRIES = 100
+MAX_LABEL = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -162,15 +163,37 @@ def write_dataset(path, x: np.ndarray, y: np.ndarray) -> None:
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of a write_dataset CSV.
+
+    Every row must have the header's width, finite float features and a
+    non-negative integer label; a ValueError names the file and the line.
+    """
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: expected trailing 'label' column")
-        rows = list(r)
-    x = np.array([[float(v) for v in row[:-1]] for row in rows])
-    y = np.array([int(row[-1]) for row in rows], dtype=np.int64)
-    return x, y
+        x, y, lines = [], [], []
+        for row in r:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {r.line_num}: {len(row)} "
+                                 f"fields, the header has {len(header)}")
+            try:
+                x.append([float(v) for v in row[:-1]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {r.line_num}: {exc}") from None
+            label = row[-1].strip()
+            if not label.isdecimal() or int(label) > MAX_LABEL:
+                raise ValueError(f"{path}: line {r.line_num}: label "
+                                 f"{row[-1]!r} is not a non-negative integer")
+            y.append(int(label))
+            lines.append(r.line_num)
+    x = np.array(x, dtype=np.float64).reshape(len(y), len(header) - 1)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: line {lines[int(np.argmax(~finite))]}: "
+                         f"non-finite feature")
+    return x, np.array(y, dtype=np.int64)
 
 
 def write_tasks(out_dir, tasks: list[TaskData]) -> list[Path]:
@@ -237,7 +260,6 @@ class ProbeRow:
 
 def _probe(spec, base, tv, x, y, level, transform):
     """Shared probe loop: rebuild one unit's delta, keep the rest intact."""
-    check_aligned(base, ParamSet(tv.modules))
     finetuned = add(base, tv, 1.0)
     ref_acc = accuracy(spec, finetuned, x, y)
     rows = []

@@ -58,12 +58,12 @@ def centering_matrix(batch: int) -> np.ndarray:
     return np.eye(batch) - np.ones((batch, batch)) / batch
 
 
-def cka_loss_flagged(ref_feats: np.ndarray, cmp_feats):
-    """1 - centered kernel alignment between feature matrices, plus a flag.
+def cka_loss(ref_feats: np.ndarray, cmp_feats):
+    """1 - centered kernel alignment between feature matrices.
 
     Alignment is ||F^T H Fhat||_F^2 / (||F^T H F||_F ||Fhat^T H Fhat||_F)
     with H the centering matrix. A vanishing denominator (constant
-    features) returns loss 1 with the degenerate flag set.
+    features) returns the constant loss 1.0.
     """
     ref = np.asarray(ref_feats, dtype=np.float64)
     if ref.ndim != 2 or ref.shape[0] < 2:
@@ -79,15 +79,10 @@ def cka_loss_flagged(ref_feats: np.ndarray, cmp_feats):
     den_cmp_val = float(np.sqrt(max(float(ad._np(den_cmp_sq)), 0.0)))
     if den_ref * den_cmp_val < CKA_DEGENERATE_TOL:
         # Constant loss, zero gradient: nothing to align against.
-        return 1.0, True
+        return 1.0
     num = ad.sum_(ad.square(cross))
     den = ad.mul(ad.sqrt(den_cmp_sq), den_ref)
-    return ad.sub(1.0, ad.div(num, den)), False
-
-
-def cka_loss(ref_feats: np.ndarray, cmp_feats):
-    loss, _ = cka_loss_flagged(ref_feats, cmp_feats)
-    return loss
+    return ad.sub(1.0, ad.div(num, den))
 
 
 def preservation_loss(kind: str, ref: np.ndarray, cmp,

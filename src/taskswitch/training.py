@@ -11,9 +11,10 @@ concatenated task and base vectors, the four candidate quantizations and
 the sign-class bounds) are built once per run, and each step stacks the
 per-module leaves and broadcasts them to the elements, so the tape has the
 same number of nodes whatever the module count. The fine-tuned reference
-outputs are computed once and indexed per batch. Hardening and bit
-selection happen after the last step at the post-run temperature, module
-by module through the gating and bit-width functions.
+outputs are computed once and indexed per batch. After the last step the
+same gate function runs once more on the final leaves at the post-run
+temperature: an element survives where its soft membership exceeds 1/2,
+and each module keeps the candidate width of its largest width logit.
 """
 
 from __future__ import annotations
@@ -24,16 +25,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .bitwidth import (BitLogits, CANDIDATE_WIDTHS, QuantSpec, quantize,
-                       quantize_indices, select_bitwidth)
+from .bitwidth import CANDIDATE_WIDTHS, QuantSpec, quantize, quantize_indices
 from .codec import CompressedModule, EncodedModule, choose_format
-from .gating import (EPS_RANGE, GateParams, INIT_SCALE_LOGIT, harden,
-                     soft_gate, squash, temperature_schedule)
 from .losses import DEFAULT_LAMBDA, preservation_loss
 from .model import MlpSpec, check_params, forward
 from .optim import Adam, clip_global_norm
 from .seeding import rng_for
 from .vectors import ParamSet, TaskVector, check_aligned, signed_bounds
+
+EPS_RANGE = 1e-12  # guards the sigmoid denominator when a class is degenerate
+
+INIT_SCALE_LOGIT = math.log(math.e - 1.0)  # softplus(.) == 1 at init
+
+
+def squash(s):
+    """arctan(s)/pi + 0.5: monotone map of the real line onto (0, 1)."""
+    return ad.add(ad.div(ad.arctan(s), math.pi), 0.5)
+
+
+def temperature_schedule(step: int, initial: float = 1.0, decay: float = 0.9,
+                         interval: int = 10) -> float:
+    """Annealed gate temperature: initial * decay^(step // interval)."""
+    if step < 0:
+        raise ValueError("step must be non-negative")
+    return initial * decay ** (step // interval)
+
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int, components: dict[str, float]):
@@ -156,6 +172,24 @@ def make_objective(spec: MlpSpec, base: ParamSet, tv: TaskVector,
                               ref, batch_x, kind, lam, temp, rho, omega)
 
 
+def _gate(sm: _StackedModules, gates, rho: float):
+    """Learnable gating over all modules: (soft membership, scale).
+
+    gates is the (3, L) stack of gate leaves, array or Var: two threshold
+    logits place one threshold inside each sign class's magnitude range
+    through `squash`, a temperature-scaled sigmoid per class gives each
+    element's soft membership (N,), and a softplus gives each module's
+    scale (L,).
+    """
+    denom = np.repeat(rho * np.maximum(sm.width, EPS_RANGE), sm.sizes,
+                      axis=1)
+    thresholds = ad.add(sm.lo, ad.mul(squash(ad.take(gates, slice(0, 2))),
+                                      sm.width))
+    z = ad.div(ad.sub(sm.signed, ad.repeat(thresholds, sm.sizes)), denom)
+    soft = ad.sum_(ad.mul(ad.sigmoid(z), sm.live), axis=0)
+    return soft, ad.softplus(ad.take(gates, 2))
+
+
 def _stacked_objective(spec: MlpSpec, sm: _StackedModules, ref: np.ndarray,
                        batch_x: np.ndarray, kind: str, lam: float,
                        temp: float, rho: float, omega: float):
@@ -165,8 +199,6 @@ def _stacked_objective(spec: MlpSpec, sm: _StackedModules, ref: np.ndarray,
     (L, 4) node; per-module values reach the elements through `repeat`, so
     the tape has the same number of nodes whatever the module count.
     """
-    denom = np.repeat(rho * np.maximum(sm.width, EPS_RANGE), sm.sizes,
-                      axis=1)
     widths = np.asarray(CANDIDATE_WIDTHS, dtype=np.float64)
     bit_norm = float(len(sm.names) * max(CANDIDATE_WIDTHS))
     ends = np.cumsum(sm.sizes)
@@ -175,18 +207,13 @@ def _stacked_objective(spec: MlpSpec, sm: _StackedModules, ref: np.ndarray,
     def objective(leaves, return_parts: bool = False):
         gates = ad.stack([leaves[n + ".gate"] for n in sm.names], axis=1)
         logits = ad.stack([leaves[n + ".bits"] for n in sm.names])
-        # Learnable gating: one threshold per class and module, a soft
-        # membership per element, a softplus scale per module.
-        thresholds = ad.add(sm.lo, ad.mul(squash(ad.take(gates, slice(0, 2))),
-                                          sm.width))
-        z = ad.div(ad.sub(sm.signed, ad.repeat(thresholds, sm.sizes)), denom)
-        soft = ad.sum_(ad.mul(ad.sigmoid(z), sm.live), axis=0)
-        scale = ad.repeat(ad.softplus(ad.take(gates, 2)), sm.sizes)
+        soft, scale = _gate(sm, gates, rho)
         # Bit-width selection: softmax over the four candidates per module.
         w = ad.softmax(ad.div(logits, float(omega)))
         blended = ad.sum_(ad.mul(ad.repeat(ad.transpose(w), sm.sizes),
                                  sm.quant), axis=0)
-        flat = ad.add(sm.base, ad.mul(ad.mul(scale, soft), blended))
+        flat = ad.add(sm.base, ad.mul(ad.mul(ad.repeat(scale, sm.sizes),
+                                             soft), blended))
         params = {n: ad.take(flat, slice(a, b)) for n, a, b in spans}
         out = forward(spec, params, batch_x)
         cmp = out.features if kind == "cka" else out.logits
@@ -263,26 +290,25 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
             leaves[key] = opt.update(key, leaves[key], grads[key], lr)
         history.append({"step": step, "rho": rho, "omega": omega, **parts})
 
-    rho_final = temperature_schedule(config.steps)
+    gates = np.stack([leaves[n + ".gate"] for n in stacked.names], axis=1)
+    soft, scales = _gate(stacked, gates, temperature_schedule(config.steps))
+    masks = np.split(soft > 0.5, np.cumsum(stacked.sizes)[:-1])
     modules = []
-    for name, tau in tv.modules:
-        gate_leaf = leaves[name + ".gate"]
-        gp = GateParams(*gate_leaf)
-        mask = harden(soft_gate(tau, gp, rho_final).soft_mask)
-        width = select_bitwidth(BitLogits(leaves[name + ".bits"]))
+    for (name, tau), mask, scale in zip(tv.modules, masks, scales):
+        # Ties between width logits resolve toward the smaller width.
+        width = CANDIDATE_WIDTHS[int(np.argmax(leaves[name + ".bits"]))]
         # Serialization boundary: ranges and scale go to float32 here so the
         # in-memory vector and its encoded stream agree bit for bit.
         raw = qspecs[name][0]
         range_neg = float(np.float32(raw.range_neg))
         range_pos = float(np.float32(raw.range_pos))
-        scale = float(np.float32(ad._np(ad.softplus(gate_leaf[2]))))
         spec32 = QuantSpec(width, range_neg, range_pos)
         support = np.flatnonzero(mask)
-        bins = quantize_indices(tau[support], spec32) if support.size else \
-            np.zeros(0, dtype=np.int64)
+        bins = quantize_indices(tau[support], spec32)
         modules.append((name, CompressedModule(
             length=tau.size, support=support, bins=bins, bit_width=width,
-            range_neg=range_neg, range_pos=range_pos, scale=scale)))
+            range_neg=range_neg, range_pos=range_pos,
+            scale=float(np.float32(scale)))))
 
     compressed = CompressedTaskVector(tv.task_id, modules)
     return TrainResult(

@@ -47,9 +47,6 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         return ParamSet([(n, v.copy()) for n, v in self.modules])
 
-    def map(self, fn) -> "ParamSet":
-        return ParamSet([(n, fn(n, v)) for n, v in self.modules])
-
 
 @dataclass
 class TaskVector:
@@ -64,12 +61,6 @@ class TaskVector:
     @property
     def names(self) -> list[str]:
         return [name for name, _ in self.modules]
-
-    def get(self, name: str) -> np.ndarray:
-        for n, v in self.modules:
-            if n == name:
-                return v
-        raise KeyError(name)
 
     def total_size(self) -> int:
         return sum(v.size for _, v in self.modules)
@@ -91,7 +82,8 @@ class SignedBounds:
     has_neg: bool
 
 
-def check_aligned(a: ParamSet, b: ParamSet) -> None:
+def check_aligned(a: ParamSet | TaskVector, b: ParamSet | TaskVector) -> None:
+    """Same module count, names and sizes, in order (ParamSet or TaskVector)."""
     if len(a.modules) != len(b.modules):
         raise StructureError(
             f"module count mismatch: {len(a.modules)} vs {len(b.modules)}")
@@ -113,17 +105,9 @@ def diff(finetuned: ParamSet, base: ParamSet, task_id: str) -> TaskVector:
 
 def add(base: ParamSet, tv: TaskVector, weight: float = 1.0) -> ParamSet:
     """base + weight * task_vector, checking alignment."""
-    if len(base.modules) != len(tv.modules):
-        raise StructureError(
-            f"module count mismatch: {len(base.modules)} vs {len(tv.modules)}")
-    out = []
-    for (name_b, vb), (name_t, vt) in zip(base.modules, tv.modules):
-        if name_b != name_t:
-            raise StructureError(f"module name mismatch: {name_b!r} vs {name_t!r}")
-        if vb.shape != vt.shape:
-            raise StructureError(f"module {name_b!r}: size {vb.size} vs {vt.size}")
-        out.append((name_b, vb + weight * vt))
-    return ParamSet(out)
+    check_aligned(base, tv)
+    return ParamSet([(name, vb + weight * vt) for (name, vb), (_, vt)
+                     in zip(base.modules, tv.modules)])
 
 
 def signed_bounds(v: np.ndarray) -> SignedBounds:

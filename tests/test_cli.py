@@ -304,6 +304,31 @@ class TestErrorPaths:
             main(["fine-tune", "--train", "x.csv", "--widths", "16",
                   "-o", "m.tswp"])
 
+    @pytest.mark.parametrize("widths", ["16,0,4", "16,-3,4"])
+    def test_widths_below_one_exit_2(self, tmp_path, capsys, widths):
+        with pytest.raises(SystemExit) as exc:
+            main(["fine-tune", "--train", "x.csv", "--widths", widths,
+                  "-o", str(tmp_path / "m.tswp")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --widths: entries must be at least 1, got {widths!r}" \
+            in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rows, what", [
+        ("1,2,0\n1,2\n", "line 3: 2 fields, the header has 3"),
+        ("1,2,0\nnan,2,1\n", "line 3: non-finite feature"),
+        ("1,2,-1\n", "line 2: label '-1' is not a non-negative integer"),
+        ("1,2,1.5\n", "line 2: label '1.5' is not a non-negative integer"),
+        ("1,2,0\n1,2,3\n", "label 3 is out of range for the model's 3 classes"),
+    ], ids=["ragged", "nan", "negative", "fraction", "too-large"])
+    def test_bad_training_csv_exits_2(self, tmp_path, capsys, rows, what):
+        path = tmp_path / "train.csv"
+        path.write_text("x0,x1,label\n" + rows)
+        assert main(["fine-tune", "--train", str(path), "--widths", "2,4,3",
+                     "--steps", "1", "-o", str(tmp_path / "m.tswp")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {what}\n"
+
     def test_bad_named_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["tswitch", "--base", "b.tswp", "--finetuned", "noequals",

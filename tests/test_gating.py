@@ -8,19 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskswitch import autodiff as ad
-from taskswitch import (
-    harden,
-    soft_gate,
-    sparsity_loss,
-    temperature_schedule,
-)
-from taskswitch.gating import (
-    GateParams,
-    INIT_SCALE_LOGIT,
-    map_threshold,
-    squash,
-)
+from taskswitch import temperature_schedule
+from taskswitch.training import INIT_SCALE_LOGIT, squash
 from taskswitch.vectors import signed_bounds
+from lgs_reference import (GateParams, harden, map_threshold, soft_gate,
+                           sparsity_loss)
 
 
 def _sigmoid(x):

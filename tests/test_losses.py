@@ -14,7 +14,6 @@ from taskswitch import (
     mse_loss,
     preservation_loss,
 )
-from taskswitch.losses import cka_loss_flagged
 
 
 class TestKl:
@@ -117,13 +116,11 @@ class TestCka:
         assert float(ad._np(cka_loss(self.F, transformed))) == \
             pytest.approx(0.0, abs=1e-10)
 
-    def test_constant_comparison_features_flagged_degenerate(self):
-        loss, degenerate = cka_loss_flagged(self.F, np.ones((4, 2)))
-        assert degenerate and loss == 1.0
+    def test_constant_comparison_features_give_loss_one(self):
+        assert cka_loss(self.F, np.ones((4, 2))) == 1.0
 
-    def test_constant_reference_features_flagged_degenerate(self):
-        loss, degenerate = cka_loss_flagged(np.ones((4, 2)), self.G)
-        assert degenerate and loss == 1.0
+    def test_constant_reference_features_give_loss_one(self):
+        assert cka_loss(np.ones((4, 2)), self.G) == 1.0
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError):

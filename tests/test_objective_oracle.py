@@ -1,5 +1,5 @@
 """The compression objective against a per-module reference built from the
-public gating and bit-width functions.
+gating and bit-width oracle in `lgs_reference`.
 
 `_reference_objective` composes `soft_gate`, `mixed_quantize`,
 `sparsity_loss` and `bit_regularizer` module by module, one subgraph per
@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 
 from taskswitch import autodiff as ad
-from taskswitch.bitwidth import (CANDIDATE_WIDTHS, BitLogits, QuantSpec,
-                                 bit_regularizer, mixed_quantize)
-from taskswitch.gating import (INIT_SCALE_LOGIT, GateParams, soft_gate,
-                               sparsity_loss)
+from taskswitch.bitwidth import CANDIDATE_WIDTHS, QuantSpec
 from taskswitch.losses import DEFAULT_LAMBDA, preservation_loss
 from taskswitch.model import MlpSpec, forward, init_params
-from taskswitch.training import make_objective, reference_outputs
+from taskswitch.training import (INIT_SCALE_LOGIT, TrainConfig,
+                                 make_objective, reference_outputs,
+                                 temperature_schedule, train)
 from taskswitch.vectors import TaskVector, add
+from lgs_reference import (BitLogits, GateParams, bit_regularizer, harden,
+                           mixed_quantize, select_bitwidth, soft_gate,
+                           sparsity_loss)
 
 REL = 1e-12
 
@@ -123,7 +125,7 @@ def _compare(spec, seed, kind, rho, omega, signs=None):
 
 @pytest.mark.parametrize("kind", ["kl", "mse", "cka"])
 @pytest.mark.parametrize("rho, omega", [(1.0, 1.0), (0.9 ** 3, 0.9 ** 7),
-                                        (0.9 ** 12, 0.9 ** 2)])
+                                        (0.9 ** 12, 0.9 ** 2), (1e-6, 1e-6)])
 def test_matches_reference_on_four_modules(kind, rho, omega):
     _compare(SMALL, 11, kind, rho, omega)
 
@@ -145,3 +147,24 @@ def test_matches_reference_with_empty_sign_classes(kind):
     assert got[names[3] + ".gate"][0] == 0.0
     for name in (names[1], names[2]):
         np.testing.assert_array_equal(got[name + ".gate"][:2], 0.0)
+
+
+@pytest.mark.parametrize("spec, signs", [(SMALL, {0: "+", 2: "0"}),
+                                         (DEEP, {1: "-", 4: "0", 7: "+"})])
+def test_hardening_matches_reference(spec, signs):
+    # train hardens from the stacked gate; each module's support, width and
+    # scale must be what the per-module formulas give on the final leaves.
+    # 60 steps cool the gate to rho = 0.53, far enough from the starting
+    # temperature that hardening at the wrong one moves some supports.
+    base, tv, finetuned, _, x, _ = _problem(spec, 14, signs)
+    res = train(tv, base, finetuned, x, spec,
+                TrainConfig(steps=60, exemplar_count=12, batch_size=8))
+    rho = temperature_schedule(60)
+    for (name, tau), (_, mod) in zip(tv.modules, res.compressed.modules):
+        gate = res.gate_state[name + ".gate"]
+        soft = soft_gate(tau, GateParams(*gate), rho).soft_mask
+        np.testing.assert_array_equal(mod.support,
+                                      np.flatnonzero(harden(soft)))
+        bits = BitLogits(res.bit_state[name + ".bits"])
+        assert mod.bit_width == select_bitwidth(bits)
+        assert mod.scale == float(np.float32(ad._np(ad.softplus(gate[2]))))

@@ -57,7 +57,7 @@ class TestObjective:
         obj = make_objective(SPEC, base, tv, qspecs, ref, exemplars,
                              kind, lam, 4.0, rho=1.0, omega=1.0)
         leaves = {}
-        from taskswitch.gating import INIT_SCALE_LOGIT
+        from taskswitch.training import INIT_SCALE_LOGIT
         for n, _ in tv.modules:
             leaves[n + ".gate"] = np.array([0.0, 0.0, INIT_SCALE_LOGIT])
             leaves[n + ".bits"] = np.zeros(4)
