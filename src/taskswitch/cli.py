@@ -87,6 +87,17 @@ def _resolve_model(args):
     return spec, init_params(spec, seed=args.seed)
 
 
+def _read_inputs(spec, path):
+    """A CSV's features and labels, with rows the model can take."""
+    x, y = read_dataset(path)
+    if x.shape[1] != spec.input_dim:
+        raise ValueError(f"{path}: {x.shape[1]} features per row, the "
+                         f"model's input width is {spec.input_dim}")
+    if not y.size:
+        raise ValueError(f"{path}: no data rows")
+    return x, y
+
+
 def _load_finetuned(base_spec, path):
     spec, params, name = load_params(path)
     if spec.to_dict() != base_spec.to_dict():
@@ -238,17 +249,18 @@ def cmd_gen_tasks(args) -> int:
 
 def cmd_fine_tune(args) -> int:
     spec, params = _resolve_model(args)
-    x, y = read_dataset(args.train)
-    if y.size and y.max() >= spec.n_classes:
+    x, y = _read_inputs(spec, args.train)
+    if y.max() >= spec.n_classes:
         raise ValueError(f"{args.train}: label {y.max()} is out of range for "
                          f"the model's {spec.n_classes} classes")
+    if args.test:
+        tx, ty = _read_inputs(spec, args.test)
     tuned = fine_tune(spec, params, x, y, steps=args.steps, lr=args.lr,
                       batch_size=args.batch_size, optimizer=args.optimizer,
                       seed=args.seed)
     save_params(args.out, spec, tuned, name=args.name)
     print(f"train accuracy {accuracy(spec, tuned, x, y):.4f}")
     if args.test:
-        tx, ty = read_dataset(args.test)
         print(f"test accuracy {accuracy(spec, tuned, tx, ty):.4f}")
     print(args.out)
     return 0
@@ -276,7 +288,7 @@ def cmd_compress(args) -> int:
     spec, base, _ = load_params(args.base)
     tuned, stored_name = _load_finetuned(spec, args.finetuned)
     task_id = args.task or stored_name
-    x, y = read_dataset(args.exemplars)
+    x, y = _read_inputs(spec, args.exemplars)
     config = TrainConfig(
         loss_kind=args.ppl, preserve_weight=args.lam,
         softmax_temp=args.softmax_temp, steps=args.steps,
@@ -334,7 +346,7 @@ def cmd_inspect(args) -> int:
 def cmd_probe(args) -> int:
     spec, base, _ = load_params(args.base)
     tuned, name = _load_finetuned(spec, args.finetuned)
-    x, y = read_dataset(args.data)
+    x, y = _read_inputs(spec, args.data)
     tv = diff(tuned, base, name)
     if args.kind == "scale":
         ref, rows, best = probe_scale(spec, base, tv, x, y, etas=ETA_GRID)
@@ -354,17 +366,17 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _index_inputs(args):
+def _index_inputs(args, spec):
     pairs = []
     for name, path in args.task:
-        x, _ = read_dataset(path)
+        x, _ = _read_inputs(spec, path)
         pairs.append((name, x[:args.exemplar_count]))
     return pairs
 
 
 def cmd_build_index(args) -> int:
     spec, base, _ = load_params(args.base)
-    pairs = _index_inputs(args)
+    pairs = _index_inputs(args, spec)
     centers = None if args.centers == 0 else args.centers
     index = merging.build_index(spec, base, pairs, centers_per_task=centers,
                                 seed=args.seed)
@@ -378,7 +390,7 @@ def cmd_build_index(args) -> int:
 def cmd_train_metric(args) -> int:
     index = merging.load_index(args.index)
     spec, base, _ = load_params(args.base)
-    pairs = _index_inputs(args)
+    pairs = _index_inputs(args, spec)
     feats = [(name, features(spec, base, x)) for name, x in pairs]
     result = merging.train_metric(index, feats, rank=args.rank,
                                   epochs=args.epochs, lr=args.lr,
@@ -419,7 +431,7 @@ def cmd_merge_eval(args) -> int:
     vectors = _load_bundles(args.bundle)
     rows = []
     for name, path in args.task:
-        x, y = read_dataset(path)
+        x, y = _read_inputs(spec, path)
         preds, _ = merging.merged_forward(spec, base, vectors, index, x,
                                           n_neighbors=args.neighbors)
         rows.append((name, float(np.mean(preds == y))))
@@ -436,7 +448,7 @@ def cmd_baseline(args) -> int:
     merged = baseline_merge(base, tvs, mode=args.mode, scale=args.scale)
     rows = []
     for name, path in args.task:
-        x, y = read_dataset(path)
+        x, y = _read_inputs(spec, path)
         rows.append((name, accuracy(spec, merged, x, y)))
     _accuracy_report(rows, args.out)
     return 0

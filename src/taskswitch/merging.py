@@ -4,7 +4,10 @@ Query features come from the base model's penultimate layer. References are
 either K-Means centers of each task's exemplar features or the raw features
 themselves; a learnable low-rank projection shapes the retrieval metric.
 Each input is answered by base + sum_k w_k * tau_k with w_k the fraction of
-that task among the C nearest references.
+that task among the C nearest references. A batch is answered in one pass
+per layer: every row mixes the task vectors' outputs with its own weights,
+so no parameter set is built per weight row; materialize builds one for a
+single weight vector.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import numpy as np
 from . import autodiff as ad
 from .codec import CodecError
 from .container import _read_id, _unpack
-from .model import MlpSpec, features, forward
+# forward is unused here but stays importable: the benchmark traces
+# merging.forward by name
+from .model import ACTIVATIONS, MlpSpec, features, forward  # noqa: F401
 from .optim import Adam
 from .seeding import rng_for
 from .training import CompressedTaskVector
@@ -215,14 +220,30 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     1.0 in float arithmetic.
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
-    if not 1 <= n_neighbors <= index.centers.shape[0]:
-        raise ValueError(f"n_neighbors must be in [1, "
-                         f"{index.centers.shape[0]}], got {n_neighbors}")
-    d = ad._np(projected_distances(index.projection, feats, index.centers))
-    order = np.argsort(d, axis=1, kind="stable")[:, :n_neighbors]
-    picked = index.labels[order]
-    counts = np.stack([np.sum(picked == k, axis=1)
-                       for k in range(index.n_tasks)], axis=1)
+    n_refs = index.centers.shape[0]
+    if not 1 <= n_neighbors <= n_refs:
+        raise ValueError(f"n_neighbors must be in [1, {n_refs}], "
+                         f"got {n_neighbors}")
+    # projected_distances on arrays, operation for operation, so the
+    # distances (and with them every tie) are bit-equal to the trained metric
+    pf = feats @ index.projection.T
+    pc = index.centers @ index.projection.T
+    f2 = np.sum(pf * pf, axis=1, keepdims=True)
+    c2 = np.sum(pc * pc, axis=1, keepdims=True)
+    d = np.sqrt(np.maximum((f2 + c2.T) + (pf @ pc.T) * -2.0, 1e-30))
+    # the C nearest: every reference strictly inside the C-th distance, then
+    # the references at exactly that distance, lowest ordinal first. Only
+    # rows with more than C references at or inside it need the fill.
+    kth = np.partition(d, n_neighbors - 1, axis=1)[:, [n_neighbors - 1]]
+    chosen = d <= kth
+    tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) > n_neighbors)
+    if tied.size:
+        dt, kt = d[tied], kth[tied]
+        at_kth = dt == kt
+        room = n_neighbors - np.count_nonzero(dt < kt, axis=1, keepdims=True)
+        chosen[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room)
+    counts = chosen @ (index.labels[:, None]
+                       == np.arange(index.n_tasks)).astype(np.float64)
     w = counts / float(n_neighbors)
     rows = np.arange(w.shape[0])
     last = w.shape[1] - 1 - np.argmax(counts[:, ::-1] != 0, axis=1)
@@ -232,9 +253,28 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     return w
 
 
+def _check_bundle(base: ParamSet, sv: CompressedTaskVector) -> None:
+    """Raise StructureError unless sv's modules line up with base's."""
+    if len(sv.modules) != len(base.modules):
+        raise StructureError(
+            f"bundle {sv.task_id!r} has {len(sv.modules)} modules, "
+            f"base has {len(base.modules)}")
+    for (name, v), (mname, mod) in zip(base.modules, sv.modules):
+        if mname != name:
+            raise StructureError(f"bundle {sv.task_id!r}: module "
+                                 f"{mname!r} where base has {name!r}")
+        if v.size != mod.length:
+            raise StructureError(
+                f"bundle {sv.task_id!r} module {name!r}: length "
+                f"{mod.length} vs base {v.size}")
+
+
 def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
                 weights) -> ParamSet:
-    """base + sum_k w_k * vector_k touching only the union of supports."""
+    """base + sum_k w_k * vector_k touching only the union of supports.
+
+    A vector with weight 0 is skipped unchecked.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(vectors),):
         raise StructureError("one weight per task vector required")
@@ -242,20 +282,47 @@ def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
     for w, sv in zip(weights, vectors):
         if w == 0.0:
             continue
-        if len(sv.modules) != len(out):
-            raise StructureError(
-                f"bundle {sv.task_id!r} has {len(sv.modules)} modules, "
-                f"base has {len(out)}")
-        for (name, acc), (mname, mod) in zip(out, sv.modules):
-            if mname != name:
-                raise StructureError(f"bundle {sv.task_id!r}: module "
-                                     f"{mname!r} where base has {name!r}")
-            if acc.size != mod.length:
-                raise StructureError(
-                    f"bundle {sv.task_id!r} module {name!r}: length "
-                    f"{mod.length} vs base {acc.size}")
+        _check_bundle(base, sv)
+        for (_, acc), (_, mod) in zip(out, sv.modules):
             acc[mod.support] += w * mod.values
     return ParamSet(out)
+
+
+def _mixed_logits(spec: MlpSpec, base: ParamSet,
+                  vectors: list[CompressedTaskVector], x: np.ndarray,
+                  w: np.ndarray) -> np.ndarray:
+    """Logits of base + sum_k w[i, k] * vectors[k] for every row i of x.
+
+    Each layer is linear in its parameters, so row i's pre-activation is
+    a W^T + b + sum_k w[i, k] (a D_k^T + d_k). The K deltas of a weight
+    module are scattered into one dense (K*out, in) block, multiplied once
+    and reduced over K with the (n, K) weight matrix; no parameter set is
+    built. The vectors must already pass _check_bundle.
+    """
+    n, k = w.shape
+    lookup = dict(base.modules)
+    at = {name: m for m, name in enumerate(base.names)}
+
+    def deltas(name):
+        block = np.zeros((k, lookup[name].size))
+        for t, sv in enumerate(vectors):
+            mod = sv.modules[at[name]][1]
+            block[t, mod.support] = mod.values
+        return block
+
+    act = ACTIVATIONS[spec.activation]
+    a = x
+    for i in range(spec.n_layers):
+        fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
+        wname, bname = f"layer{i}.weight", f"layer{i}.bias"
+        weight = lookup[wname].reshape(fan_out, fan_in)
+        mixed = (a @ deltas(wname).reshape(k * fan_out, fan_in).T) \
+            .reshape(n, k, fan_out)
+        z = (a @ weight.T + lookup[bname]
+             + np.matmul(w[:, None, :], mixed)[:, 0] + w @ deltas(bname))
+        if i < spec.n_layers - 1:
+            a = ad._np(act(z))
+    return z
 
 
 def merged_forward(spec: MlpSpec, base: ParamSet,
@@ -264,8 +331,9 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-input merged predictions. Returns (predictions, weight rows).
 
-    Bundle tasks are matched to index tasks by id; inputs sharing a weight
-    vector share one materialized parameter set.
+    Bundle tasks are matched to index tasks by id and checked against the
+    base like materialize checks them. Each row is answered with its own
+    mix of the task vectors in one pass per layer over the whole batch.
     """
     by_id = {}
     for sv in vectors:
@@ -276,16 +344,12 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
     if missing:
         raise StructureError(f"bundle is missing tasks {missing}")
     ordered = [by_id[t] for t in index.task_ids]
+    for sv in ordered:
+        _check_bundle(base, sv)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    feats = features(spec, base, x)
-    w = knn_weights(index, feats, n_neighbors)
-    preds = np.zeros(x.shape[0], dtype=np.int64)
-    for row in np.unique(w, axis=0):
-        sel = np.all(w == row, axis=1)
-        params = materialize(base, ordered, row)
-        logits = ad._np(forward(spec, params, x[sel]).logits)
-        preds[sel] = np.argmax(logits, axis=1)
-    return preds, w
+    w = knn_weights(index, features(spec, base, x), n_neighbors)
+    logits = _mixed_logits(spec, base, ordered, x, w)
+    return np.argmax(logits, axis=1), w
 
 
 def save_index(path, index: ReferenceIndex) -> None:

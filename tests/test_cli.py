@@ -221,6 +221,46 @@ class TestPipeline:
         assert "train accuracy" in out and "test accuracy" in out
 
 
+# every subcommand that feeds a CSV to a model, with that CSV swapped in
+CSV_COMMANDS = {
+    "fine-tune": lambda root, data, csv, out: [
+        "fine-tune", "--train", str(csv), "--widths", "6,10,3",
+        "--steps", "1", "-o", str(out / "m.tswp")],
+    "fine-tune-test": lambda root, data, csv, out: [
+        "fine-tune", "--train", str(data / "task0_train.csv"),
+        "--test", str(csv), "--widths", "6,10,3", "--steps", "1",
+        "-o", str(out / "m.tswp")],
+    "compress": lambda root, data, csv, out: [
+        "compress", "--base", str(root / "base.tswp"),
+        "--finetuned", str(root / "ft0.tswp"), "--exemplars", str(csv),
+        "--steps", "1", "-o", str(out / "c.tswc")],
+    "probe": lambda root, data, csv, out: [
+        "probe", "scale", "--base", str(root / "base.tswp"),
+        "--finetuned", str(root / "ft0.tswp"), "--data", str(csv)],
+    "build-index": lambda root, data, csv, out: [
+        "build-index", "--base", str(root / "base.tswp"),
+        "--task", f"task0={data / 'task0_train.csv'}",
+        "--task", f"task1={csv}", "-o", str(out / "r.idx")],
+    "train-metric": lambda root, data, csv, out: [
+        "train-metric", "--index", str(root / "refs.idx"),
+        "--base", str(root / "base.tswp"),
+        "--task", f"task0={data / 'task0_train.csv'}",
+        "--task", f"task1={csv}", "--epochs", "1", "-o", str(out / "r.idx")],
+    "merge-eval": lambda root, data, csv, out: [
+        "merge-eval", "--base", str(root / "base.tswp"),
+        "--index", str(root / "refs2.idx"),
+        "--bundle", str(root / "c0.tswc"), "--bundle", str(root / "c1.tswc"),
+        "--task", f"task0={data / 'task0_test.csv'}",
+        "--task", f"task1={csv}"],
+    "baseline": lambda root, data, csv, out: [
+        "baseline", "--base", str(root / "base.tswp"),
+        "--finetuned", f"task0={root / 'ft0.tswp'}",
+        "--finetuned", f"task1={root / 'ft1.tswp'}",
+        "--task", f"task0={data / 'task0_test.csv'}",
+        "--task", f"task1={csv}"],
+}
+
+
 class TestErrorPaths:
     def test_missing_input_file(self, tmp_path):
         assert main(["fine-tune", "--train", str(tmp_path / "no.csv"),
@@ -328,6 +368,21 @@ class TestErrorPaths:
                      "--steps", "1", "-o", str(tmp_path / "m.tswp")]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {path}: {what}\n"
+
+    @pytest.mark.parametrize("csv_text, what", [
+        ("x0,x1,label\n1,2,0\n",
+         "2 features per row, the model's input width is 6"),
+        ("x0,x1,x2,x3,x4,x5,label\n", "no data rows"),
+    ], ids=["width", "header-only"])
+    @pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+    def test_csv_the_model_cannot_take_exits_2(self, pipeline_dir, tmp_path,
+                                               capsys, command, csv_text,
+                                               what):
+        root, data = pipeline_dir
+        path = tmp_path / "bad.csv"
+        path.write_text(csv_text)
+        assert main(CSV_COMMANDS[command](root, data, path, tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {what}\n"
 
     def test_bad_named_argument(self, tmp_path):
         with pytest.raises(SystemExit):

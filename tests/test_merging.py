@@ -1,13 +1,14 @@
 """Dynamic-merging tests: clustering, retrieval weights, metric training."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from taskswitch import autodiff as ad
 from taskswitch.codec import CodecError
-from taskswitch.merging import (ReferenceIndex, build_index,
+from taskswitch.merging import (ReferenceIndex, _mixed_logits, build_index,
                                 init_projection, kmeans, knn_weights,
                                 load_index, materialize, merged_forward,
                                 metric_objective, projected_distances,
@@ -144,6 +145,68 @@ class TestKnnWeights:
                              projection=np.eye(2))
         w = knn_weights(idx, np.array([[0.0, 0.0]]), n_neighbors=1)
         np.testing.assert_array_equal(w, [[0.0, 1.0]])
+
+    # Query (0, 0): refs 1-4 all sit at distance exactly 1 with labels
+    # c, b, a, b; refs 0 and 5 sit at distance exactly 3 with labels a, c.
+    # Sorted by (distance, ordinal) the neighbors are refs 1, 2, 3, 4, 0, 5.
+    RING = ReferenceIndex(task_ids=["a", "b", "c"],
+                          centers=np.array([[3.0, 0], [0, 1.0], [-1.0, 0],
+                                            [0, -1.0], [1.0, 0], [0, 3.0]]),
+                          labels=np.array([0, 2, 1, 0, 1, 2]),
+                          projection=np.eye(2))
+    RING_ROWS = {
+        1: [0.0, 0.0, 1.0],
+        2: [0.0, 0.5, 0.5],
+        3: [1 / 3, 1 / 3, 1.0 - (1 / 3 + 1 / 3)],
+        4: [0.25, 0.5, 0.25],
+        5: [0.4, 0.4, 1.0 - (0.4 + 0.4)],
+        6: [1 / 3, 1 / 3, 1.0 - (1 / 3 + 1 / 3)],
+    }
+
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_equal_distances_straddling_the_cut(self, c):
+        q = np.zeros((1, 2))
+        w = knn_weights(self.RING, q, n_neighbors=c)
+        np.testing.assert_array_equal(w, [self.RING_ROWS[c]])
+        np.testing.assert_array_equal(w, _oracle_weights(self.RING, q, c))
+
+    def test_duplicated_centers_fill_from_the_lowest_ordinal(self):
+        # refs 0-2 coincide with labels b, a, c; ref 3 is farther
+        idx = ReferenceIndex(task_ids=["a", "b", "c"],
+                             centers=np.array([[1.0, 1.0]] * 3
+                                              + [[2.0, 2.0]]),
+                             labels=np.array([1, 0, 2, 0]),
+                             projection=np.eye(2))
+        q = np.zeros((1, 2))
+        want = {1: [0.0, 1.0, 0.0],
+                2: [0.5, 0.5, 0.0],
+                3: [1 / 3, 1 / 3, 1.0 - (1 / 3 + 1 / 3)],
+                4: [0.5, 0.25, 0.25]}
+        for c, row in want.items():
+            w = knn_weights(idx, q, n_neighbors=c)
+            np.testing.assert_array_equal(w, [row])
+            np.testing.assert_array_equal(w, _oracle_weights(idx, q, c))
+
+    def test_duplicated_centers_match_oracle_at_every_count(self):
+        # every center appears two or three times under different labels,
+        # so projected ties are exact whatever the projection
+        for trial in range(10):
+            rng = np.random.default_rng(200 + trial)
+            e, n_tasks = 3, 4
+            distinct = rng.normal(size=(int(rng.integers(2, 6)), e))
+            reps = rng.integers(2, 4, size=distinct.shape[0])
+            centers = np.repeat(distinct, reps, axis=0)
+            idx = ReferenceIndex(
+                task_ids=[f"t{k}" for k in range(n_tasks)],
+                centers=centers,
+                labels=rng.integers(n_tasks, size=centers.shape[0]),
+                projection=rng.normal(size=(2, e)))
+            # queries on top of a center put several refs at distance ~0
+            feats = np.vstack([rng.normal(size=(5, e)), distinct[:2]])
+            for c in range(1, centers.shape[0] + 1):
+                np.testing.assert_array_equal(
+                    knn_weights(idx, feats, n_neighbors=c),
+                    _oracle_weights(idx, feats, c))
 
     def test_remainder_lands_on_last_occupied_task(self):
         # counts (1, 1, 1) over 3 neighbors: naive thirds do not sum to 1
@@ -410,6 +473,89 @@ class TestMergedForward:
         with pytest.raises(StructureError, match="'b'"):
             merged_forward(SPEC, base, vectors + vectors[1:], index,
                            np.zeros((2, 4)))
+
+    def test_empty_input(self):
+        base, vectors, exemplars = _model_setup()
+        index = build_index(SPEC, base, exemplars, centers_per_task=4, seed=0)
+        preds, w = merged_forward(SPEC, base, vectors, index,
+                                  np.zeros((0, 4)), n_neighbors=3)
+        assert preds.shape == (0,) and w.shape == (0, 2)
+
+    @pytest.mark.parametrize("break_it, message", [
+        (lambda mods: mods[:1],
+         "bundle 'b' has 1 modules, base has 4"),
+        (lambda mods: mods[::-1],
+         "bundle 'b': module 'layer1.bias' where base has 'layer0.weight'"),
+        (lambda mods: [("layer0.weight", _quantized(25, [0], [1], 4, 0.05))]
+         + mods[1:],
+         "bundle 'b' module 'layer0.weight': length 25 vs base 24"),
+    ], ids=["short", "renamed", "wrong-length"])
+    def test_misaligned_bundle_raises(self, break_it, message):
+        base, vectors, exemplars = _model_setup()
+        index = build_index(SPEC, base, exemplars, centers_per_task=4, seed=0)
+        bad = CompressedTaskVector("b", break_it(vectors[1].modules))
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            merged_forward(SPEC, base, [vectors[0], bad], index,
+                           np.zeros((2, 4)), n_neighbors=3)
+
+
+def _eight_task_setup(seed=0):
+    """Base, 8 task vectors and an index whose neighbor votes spread over
+    all of them, so most rows of a batch get a weight row of their own."""
+    rng = np.random.default_rng(seed)
+    base = init_params(SPEC, seed=seed)
+    vectors = []
+    for t in range(8):
+        mods = []
+        for m, (name, v) in enumerate(base.modules):
+            # task 3 leaves its first module untouched: an empty support
+            nnz = 0 if (t, m) == (3, 0) else int(rng.integers(1, v.size))
+            support = np.sort(rng.choice(v.size, size=nnz, replace=False))
+            mods.append((name, _quantized(
+                v.size, support, rng.integers(0, 16, nnz), 4, 0.05)))
+        vectors.append(CompressedTaskVector(f"t{t}", mods))
+    x = rng.normal(size=(40, 4))
+    feats = features(SPEC, base, x)
+    index = ReferenceIndex(
+        task_ids=[f"t{t}" for t in range(8)],
+        centers=feats[rng.choice(40, 24, replace=False)]
+        + rng.normal(scale=0.05, size=(24, 6)),
+        labels=np.arange(24) % 8,
+        projection=np.eye(6))
+    return base, vectors, index, x
+
+
+class TestMixedForward:
+    def _oracle_logits(self, base, vectors, x, w):
+        return np.vstack([
+            ad._np(forward(SPEC, materialize(base, vectors, w[i]),
+                           x[i:i + 1]).logits)
+            for i in range(x.shape[0])])
+
+    def test_logits_match_per_row_materialization(self):
+        base, vectors, _, x = _eight_task_setup()
+        rng = np.random.default_rng(50)
+        w = rng.uniform(-1.0, 2.0, size=(x.shape[0], 8))
+        w[rng.random(w.shape) < 0.4] = 0.0
+        w[0] = 0.0                      # the base model alone
+        w[1] = np.eye(8)[5]             # one task alone
+        got = _mixed_logits(SPEC, base, vectors, x, w)
+        assert got.shape == (x.shape[0], 3)
+        np.testing.assert_allclose(got, self._oracle_logits(base, vectors,
+                                                            x, w),
+                                   rtol=0, atol=1e-12)
+
+    def test_predictions_match_per_row_materialization(self):
+        base, vectors, index, x = _eight_task_setup()
+        preds, w = merged_forward(SPEC, base, vectors[::-1], index, x,
+                                  n_neighbors=5)
+        # the setup must really exercise per-row mixing
+        assert len(np.unique(w, axis=0)) > x.shape[0] // 2
+        assert np.any(w == 0.0) and np.all(np.sum(w > 0.0, axis=1) > 1)
+        oracle = self._oracle_logits(base, vectors, x, w)
+        np.testing.assert_array_equal(preds, np.argmax(oracle, axis=1))
+        np.testing.assert_allclose(_mixed_logits(SPEC, base, vectors, x, w),
+                                   oracle, rtol=0, atol=1e-12)
 
 
 class TestBuildIndex:
