@@ -4,10 +4,10 @@ Query features come from the base model's penultimate layer. References are
 either K-Means centers of each task's exemplar features or the raw features
 themselves; a learnable low-rank projection shapes the retrieval metric.
 Each input is answered by base + sum_k w_k * tau_k with w_k the fraction of
-that task among the C nearest references. A batch is answered in one pass
-per layer: every row mixes the task vectors' outputs with its own weights,
-so no parameter set is built per weight row; materialize builds one for a
-single weight vector.
+that task among the C nearest references. A batch is answered in fixed
+blocks of rows, one pass per layer each: every row mixes the task vectors'
+outputs with its own weights, so no parameter set is built per weight row;
+materialize builds one for a single weight vector.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ from .vectors import ParamSet, StructureError
 IDX_MAGIC = b"TSWQ"
 DIST_EPS = 1e-8        # d below this is clamped before inversion
 NUM_FLOOR = 1e-30      # keeps the ratio loss finite with zero correct mass
+# Rows per pass in knn_weights and _mixed_logits. Their temporaries are
+# (rows, references) and (rows, K * width) arrays: in blocks they stay tens
+# of kilobytes and in cache whatever the input's size, instead of growing
+# with it and being mapped afresh on every call.
+_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -226,14 +231,32 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
                          f"got {n_neighbors}")
     # projected_distances on arrays, operation for operation, so the
     # distances (and with them every tie) are bit-equal to the trained metric
-    pf = feats @ index.projection.T
     pc = index.centers @ index.projection.T
-    f2 = np.sum(pf * pf, axis=1, keepdims=True)
-    c2 = np.sum(pc * pc, axis=1, keepdims=True)
-    d = np.sqrt(np.maximum((f2 + c2.T) + (pf @ pc.T) * -2.0, 1e-30))
-    # the C nearest: every reference strictly inside the C-th distance, then
-    # the references at exactly that distance, lowest ordinal first. Only
-    # rows with more than C references at or inside it need the fill.
+    c2 = np.sum(pc * pc, axis=1, keepdims=True).T
+    onehot = (index.labels[:, None]
+              == np.arange(index.n_tasks)).astype(np.float64)
+    counts = np.empty((feats.shape[0], index.n_tasks))
+    for lo in range(0, feats.shape[0], _BLOCK_ROWS):
+        pf = feats[lo:lo + _BLOCK_ROWS] @ index.projection.T
+        f2 = np.sum(pf * pf, axis=1, keepdims=True)
+        d = np.sqrt(np.maximum((f2 + c2) + (pf @ pc.T) * -2.0, 1e-30))
+        counts[lo:lo + _BLOCK_ROWS] = _nearest(d, n_neighbors) @ onehot
+    w = counts / float(n_neighbors)
+    rows = np.arange(w.shape[0])
+    last = w.shape[1] - 1 - np.argmax(counts[:, ::-1] != 0, axis=1)
+    prefix = np.cumsum(w, axis=1)
+    before = np.where(last > 0, prefix[rows, np.maximum(last - 1, 0)], 0.0)
+    w[rows, last] = 1.0 - before
+    return w
+
+
+def _nearest(d: np.ndarray, n_neighbors: int) -> np.ndarray:
+    """Mask of each row's C nearest references in the distances d.
+
+    Every reference strictly inside the C-th distance, then the references
+    at exactly that distance, lowest ordinal first. Only rows with more
+    than C references at or inside it need the fill.
+    """
     kth = np.partition(d, n_neighbors - 1, axis=1)[:, [n_neighbors - 1]]
     chosen = d <= kth
     tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) > n_neighbors)
@@ -242,15 +265,7 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
         at_kth = dt == kt
         room = n_neighbors - np.count_nonzero(dt < kt, axis=1, keepdims=True)
         chosen[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room)
-    counts = chosen @ (index.labels[:, None]
-                       == np.arange(index.n_tasks)).astype(np.float64)
-    w = counts / float(n_neighbors)
-    rows = np.arange(w.shape[0])
-    last = w.shape[1] - 1 - np.argmax(counts[:, ::-1] != 0, axis=1)
-    prefix = np.cumsum(w, axis=1)
-    before = np.where(last > 0, prefix[rows, np.maximum(last - 1, 0)], 0.0)
-    w[rows, last] = 1.0 - before
-    return w
+    return chosen
 
 
 def _check_bundle(base: ParamSet, sv: CompressedTaskVector) -> None:
@@ -295,9 +310,10 @@ def _mixed_logits(spec: MlpSpec, base: ParamSet,
 
     Each layer is linear in its parameters, so row i's pre-activation is
     a W^T + b + sum_k w[i, k] (a D_k^T + d_k). The K deltas of a weight
-    module are scattered into one dense (K*out, in) block, multiplied once
-    and reduced over K with the (n, K) weight matrix; no parameter set is
-    built. The vectors must already pass _check_bundle.
+    module are scattered once into one dense (K*out, in) block; each block
+    of rows multiplies it once and reduces over K with its rows of the
+    (n, K) weight matrix. No parameter set is built. The vectors must
+    already pass _check_bundle.
     """
     n, k = w.shape
     lookup = dict(base.modules)
@@ -310,19 +326,27 @@ def _mixed_logits(spec: MlpSpec, base: ParamSet,
             block[t, mod.support] = mod.values
         return block
 
-    act = ACTIVATIONS[spec.activation]
-    a = x
+    layers = []
     for i in range(spec.n_layers):
         fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
         wname, bname = f"layer{i}.weight", f"layer{i}.bias"
-        weight = lookup[wname].reshape(fan_out, fan_in)
-        mixed = (a @ deltas(wname).reshape(k * fan_out, fan_in).T) \
-            .reshape(n, k, fan_out)
-        z = (a @ weight.T + lookup[bname]
-             + np.matmul(w[:, None, :], mixed)[:, 0] + w @ deltas(bname))
-        if i < spec.n_layers - 1:
-            a = ad._np(act(z))
-    return z
+        layers.append((lookup[wname].reshape(fan_out, fan_in).T,
+                       lookup[bname],
+                       deltas(wname).reshape(k * fan_out, fan_in).T,
+                       deltas(bname), fan_out))
+    act = ACTIVATIONS[spec.activation]
+    logits = np.empty((n, spec.widths[-1]))
+    for lo in range(0, n, _BLOCK_ROWS):
+        a, wb = x[lo:lo + _BLOCK_ROWS], w[lo:lo + _BLOCK_ROWS]
+        for i, (weight_t, bias, delta_t, delta_b, fan_out) in \
+                enumerate(layers):
+            mixed = (a @ delta_t).reshape(len(a), k, fan_out)
+            z = (a @ weight_t + bias
+                 + np.matmul(wb[:, None, :], mixed)[:, 0] + wb @ delta_b)
+            if i < spec.n_layers - 1:
+                a = ad._np(act(z))
+        logits[lo:lo + _BLOCK_ROWS] = z
+    return logits
 
 
 def merged_forward(spec: MlpSpec, base: ParamSet,
@@ -333,7 +357,7 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
 
     Bundle tasks are matched to index tasks by id and checked against the
     base like materialize checks them. Each row is answered with its own
-    mix of the task vectors in one pass per layer over the whole batch.
+    mix of the task vectors in one pass per layer over each block of rows.
     """
     by_id = {}
     for sv in vectors:

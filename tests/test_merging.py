@@ -8,8 +8,8 @@ import pytest
 
 from taskswitch import autodiff as ad
 from taskswitch.codec import CodecError
-from taskswitch.merging import (ReferenceIndex, _mixed_logits, build_index,
-                                init_projection, kmeans, knn_weights,
+from taskswitch.merging import (_BLOCK_ROWS, ReferenceIndex, _mixed_logits,
+                                build_index, init_projection, kmeans, knn_weights,
                                 load_index, materialize, merged_forward,
                                 metric_objective, projected_distances,
                                 save_index, train_metric)
@@ -207,6 +207,26 @@ class TestKnnWeights:
                 np.testing.assert_array_equal(
                     knn_weights(idx, feats, n_neighbors=c),
                     _oracle_weights(idx, feats, c))
+
+    def test_rows_across_blocks_match_oracle(self):
+        # more rows than one block, ending in a partial one; every third
+        # query sits on a duplicated center, so ties straddle the cut in
+        # every block
+        rng = np.random.default_rng(14)
+        distinct = rng.normal(size=(6, 3))
+        idx = ReferenceIndex(task_ids=["a", "b", "c"],
+                             centers=np.repeat(distinct, 3, axis=0),
+                             labels=rng.permutation(np.arange(18) % 3),
+                             projection=rng.normal(size=(2, 3)))
+        n = 2 * _BLOCK_ROWS + 37
+        feats = rng.normal(size=(n, 3))
+        feats[::3] = distinct[rng.integers(0, 6, size=len(feats[::3]))]
+        w = knn_weights(idx, feats, n_neighbors=4)
+        assert len(np.unique(w, axis=0)) > 3
+        np.testing.assert_array_equal(w, _oracle_weights(idx, feats, 4))
+        for i in (0, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1):
+            np.testing.assert_array_equal(
+                knn_weights(idx, feats[i], n_neighbors=4), w[i:i + 1])
 
     def test_remainder_lands_on_last_occupied_task(self):
         # counts (1, 1, 1) over 3 neighbors: naive thirds do not sum to 1
@@ -541,6 +561,19 @@ class TestMixedForward:
         w[1] = np.eye(8)[5]             # one task alone
         got = _mixed_logits(SPEC, base, vectors, x, w)
         assert got.shape == (x.shape[0], 3)
+        np.testing.assert_allclose(got, self._oracle_logits(base, vectors,
+                                                            x, w),
+                                   rtol=0, atol=1e-12)
+
+    def test_rows_across_blocks_match_per_row_materialization(self):
+        base, vectors, _, _ = _eight_task_setup()
+        rng = np.random.default_rng(51)
+        n = 2 * _BLOCK_ROWS + 5
+        x = rng.normal(size=(n, 4))
+        w = rng.uniform(-1.0, 2.0, size=(n, 8))
+        w[rng.random(w.shape) < 0.4] = 0.0
+        got = _mixed_logits(SPEC, base, vectors, x, w)
+        assert got.shape == (n, 3)
         np.testing.assert_allclose(got, self._oracle_logits(base, vectors,
                                                             x, w),
                                    rtol=0, atol=1e-12)
