@@ -36,7 +36,7 @@ NUM_FLOOR = 1e-30      # keeps the ratio loss finite with zero correct mass
 # (rows, references) and (rows, K * width) arrays: in blocks they stay tens
 # of kilobytes and in cache whatever the input's size, instead of growing
 # with it and being mapped afresh on every call.
-_BLOCK_ROWS = 128
+_BLOCK_ROWS = 64
 
 
 @dataclass
