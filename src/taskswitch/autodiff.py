@@ -70,43 +70,8 @@ class Var:
         self.grad: np.ndarray | None = None
         tape._record(self)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"Var(shape={self.value.shape}, leaf={not self.parents})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return powi(self, p)
 
 
 def _tape_of(*args) -> Tape | None:
@@ -120,10 +85,6 @@ def _tape_of(*args) -> Tape | None:
     return tape
 
 
-def _node(tape, value, parents) -> Var:
-    return Var(tape, value, parents)
-
-
 def _binary(a, b, fwd, vjp_a, vjp_b) -> Var | np.ndarray:
     tape = _tape_of(a, b)
     av, bv = _np(a), _np(b)
@@ -135,7 +96,7 @@ def _binary(a, b, fwd, vjp_a, vjp_b) -> Var | np.ndarray:
         parents.append((a, lambda g: _unbroadcast(vjp_a(g, av, bv), av.shape)))
     if isinstance(b, Var):
         parents.append((b, lambda g: _unbroadcast(vjp_b(g, av, bv), bv.shape)))
-    return _node(tape, out, parents)
+    return Var(tape, out, parents)
 
 
 def _unary(x, fwd, vjp) -> Var | np.ndarray:
@@ -144,7 +105,7 @@ def _unary(x, fwd, vjp) -> Var | np.ndarray:
     out = fwd(xv)
     if tape is None:
         return out
-    return _node(tape, out, [(x, lambda g: vjp(g, xv, out))])
+    return Var(tape, out, [(x, lambda g: vjp(g, xv, out))])
 
 
 def add(a, b):
@@ -172,12 +133,8 @@ def matmul(a, b):
                    lambda g, x, y: g @ y.T, lambda g, x, y: x.T @ g)
 
 
-def powi(x, p: int):
-    return _unary(x, lambda v: v ** p, lambda g, v, out: g * p * v ** (p - 1))
-
-
 def square(x):
-    return powi(x, 2)
+    return _unary(x, lambda v: v ** 2, lambda g, v, out: g * 2 * v)
 
 
 def transpose(x):
@@ -207,10 +164,6 @@ def tanh(x):
 
 def arctan(x):
     return _unary(x, np.arctan, lambda g, v, out: g / (1.0 + v * v))
-
-
-def absolute(x):
-    return _unary(x, np.abs, lambda g, v, out: g * np.sign(v))
 
 
 def relu(x):
@@ -270,7 +223,7 @@ def stack(xs, axis=0):
         return out
     parents = [(x, lambda g, i=i: np.take(g, i, axis=axis))
                for i, x in enumerate(xs) if isinstance(x, Var)]
-    return _node(tape, out, parents)
+    return Var(tape, out, parents)
 
 
 def _segment_sums(v: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from . import merging
 from .codec import CodecError, Format, nominal_bits
 from .container import (_module_names, load_bundle, load_container,
                         load_params, save_bundle, save_params)
-from .harness import (ETA_GRID, SyntheticTaskSpec, base_dataset, baseline_merge,
+from .harness import (SyntheticTaskSpec, base_dataset, baseline_merge,
                       fine_tune, gen_tasks, probe_precision, probe_scale,
                       probe_sparsity, read_dataset, write_dataset,
                       write_probe_csv, write_tasks)
@@ -40,6 +40,16 @@ def _widths(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"entries must be at least 1, got {text!r}")
     return widths
+
+
+def _count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return count
 
 
 def _named(text: str) -> tuple:
@@ -69,18 +79,9 @@ def _load_config_tokens(path) -> list[str]:
     return tokens
 
 
-def _model_args(p, init=False):
-    if init:
-        p.add_argument("--init", default="random",
-                       help="'random' or a saved model container")
-    p.add_argument("--widths", type=_widths, default=MlpSpec().widths,
-                   help="comma-separated layer widths (default 16,32,4)")
-    p.add_argument("--activation", choices=("tanh", "relu"), default="tanh")
-
-
 def _resolve_model(args):
     """Initial parameters from --init; a container also fixes the shape."""
-    if getattr(args, "init", "random") != "random":
+    if args.init != "random":
         spec, params, _ = load_params(args.init)
         return spec, params
     spec = MlpSpec(widths=args.widths, activation=args.activation)
@@ -126,7 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fine-tune", help="train a model on one CSV dataset")
     p.add_argument("--train", required=True)
     p.add_argument("--test")
-    _model_args(p, init=True)
+    p.add_argument("--init", default="random",
+                   help="'random' or a saved model container")
+    p.add_argument("--widths", type=_widths, default=MlpSpec().widths,
+                   help="comma-separated layer widths (default 16,32,4)")
+    p.add_argument("--activation", choices=("tanh", "relu"), default="tanh")
     p.add_argument("--steps", type=int, default=800)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--batch-size", type=int, default=32)
@@ -153,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preservation weight (default: per-loss preset)")
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--exemplar-count", type=int, default=100)
+    p.add_argument("--exemplar-count", type=_count, default=100)
     p.add_argument("--softmax-temp", type=float, default=4.0)
     p.add_argument("--log", help="write per-step history CSV here")
     p.add_argument("-o", "--out", required=True)
@@ -176,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--task", type=_named, action="append", required=True,
                    metavar="NAME=TRAIN_CSV")
-    p.add_argument("--exemplar-count", type=int, default=100)
+    p.add_argument("--exemplar-count", type=_count, default=100)
     p.add_argument("--centers", type=int, default=20,
                    help="k-means centers per task; 0 keeps every feature")
     p.add_argument("-o", "--out", required=True)
@@ -186,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--task", type=_named, action="append", required=True,
                    metavar="NAME=TRAIN_CSV")
-    p.add_argument("--exemplar-count", type=int, default=100)
+    p.add_argument("--exemplar-count", type=_count, default=100)
     p.add_argument("--rank", type=int, default=32)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.5)
@@ -349,7 +354,7 @@ def cmd_probe(args) -> int:
     x, y = _read_inputs(spec, args.data)
     tv = diff(tuned, base, name)
     if args.kind == "scale":
-        ref, rows, best = probe_scale(spec, base, tv, x, y, etas=ETA_GRID)
+        ref, rows, best = probe_scale(spec, base, tv, x, y)
         print(f"fine-tuned accuracy {ref:.4f}; best eta {best:.1f}")
         for r in rows:
             print(f"eta {r.eta:.1f}  accuracy {r.accuracy:.4f}  "
@@ -377,6 +382,10 @@ def _index_inputs(args, spec):
 def cmd_build_index(args) -> int:
     spec, base, _ = load_params(args.base)
     pairs = _index_inputs(args, spec)
+    for (_, path), (_, x) in zip(args.task, pairs):
+        if not 0 <= args.centers <= len(x):
+            raise ValueError(f"--centers must be in [0, {len(x)}] for the "
+                             f"rows read from {path}, got {args.centers}")
     centers = None if args.centers == 0 else args.centers
     index = merging.build_index(spec, base, pairs, centers_per_task=centers,
                                 seed=args.seed)

@@ -195,10 +195,6 @@ def indep_bits(n: int, b: int) -> int:
     return (b + 1) * n
 
 
-def dense_bits(n: int) -> int:
-    return 32 * n
-
-
 def _fields(values, nbits: int) -> np.ndarray:
     """(m, nbits) bit matrix of unsigned values, most significant bit first."""
     shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)

@@ -32,6 +32,7 @@ from .vectors import ParamSet, StructureError
 IDX_MAGIC = b"TSWQ"
 DIST_EPS = 1e-8        # d below this is clamped before inversion
 NUM_FLOOR = 1e-30      # keeps the ratio loss finite with zero correct mass
+KMEANS_ITERS = 100     # Lloyd sweeps at most, fewer once assignments settle
 # Rows per pass in knn_weights and _mixed_logits. Their temporaries are
 # (rows, references) and (rows, K * width) arrays: in blocks they stay tens
 # of kilobytes and in cache whatever the input's size, instead of growing
@@ -67,7 +68,7 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(p2 + c2 - 2.0 * points @ centers.T, 0.0)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
+def kmeans(points: np.ndarray, k: int, seed: int,
            ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with seeded farthest-point initialization.
 
@@ -90,7 +91,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100,
     centers = points[chosen].copy()
 
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_ITERS):
         d = _sq_dists(points, centers)
         new_assign = np.argmin(d, axis=1)
         if np.array_equal(new_assign, assign):
@@ -124,8 +125,7 @@ def build_index(spec: MlpSpec, base: ParamSet,
         if centers_per_task is None:
             centers = feats
         else:
-            centers, _ = kmeans(feats, centers_per_task,
-                                seed=seed, max_iter=100)
+            centers, _ = kmeans(feats, centers_per_task, seed=seed)
         all_centers.append(centers)
         all_labels.append(np.full(centers.shape[0], ordinal, dtype=np.int64))
     centers = np.vstack(all_centers)
@@ -151,28 +151,18 @@ def projected_distances(projection, feats, centers):
     return ad.sqrt(ad.maximum(d2, 1e-30))
 
 
-def _neighbor_masks(dists: np.ndarray, labels: np.ndarray,
-                    task_of_row: np.ndarray, n_neighbors: int):
-    """0/1 masks of the C nearest references, ties to the lower ordinal."""
-    order = np.argsort(dists, axis=1, kind="stable")[:, :n_neighbors]
-    n_rows, n_refs = dists.shape
-    mask_all = np.zeros((n_rows, n_refs))
-    mask_all[np.arange(n_rows)[:, None], order] = 1.0
-    mask_correct = mask_all * (labels[None, :] == task_of_row[:, None])
-    return mask_all, mask_correct
-
-
 def metric_objective(projection, feats: np.ndarray, centers: np.ndarray,
                      labels: np.ndarray, task_of_row: np.ndarray,
                      n_neighbors: int):
     """Mean negative log of correct-task inverse-distance mass.
 
-    Neighbor sets are chosen from the current distance values and held
-    fixed inside the objective, so each epoch re-selects them.
+    Neighbor sets are chosen from the current distance values by the rule
+    knn_weights serves with and held fixed inside the objective, so each
+    epoch re-selects them.
     """
     d = projected_distances(projection, feats, centers)
-    mask_all, mask_correct = _neighbor_masks(ad._np(d), labels, task_of_row,
-                                             n_neighbors)
+    mask_all = _nearest(ad._np(d), n_neighbors).astype(np.float64)
+    mask_correct = mask_all * (labels[None, :] == task_of_row[:, None])
     inv = ad.div(1.0, ad.maximum(d, DIST_EPS))
     num = ad.sum_(ad.mul(inv, mask_correct), axis=1)
     den = ad.sum_(ad.mul(inv, mask_all), axis=1)
@@ -193,6 +183,7 @@ def train_metric(index: ReferenceIndex,
     """Learn the low-rank projection by full-batch Adam on the ratio loss."""
     if [t for t, _ in task_features] != index.task_ids:
         raise StructureError("feature tasks do not match the index")
+    _check_neighbors(index, n_neighbors)
     feats = np.vstack([f for _, f in task_features])
     task_of_row = np.concatenate([
         np.full(f.shape[0], i, dtype=np.int64)
@@ -225,10 +216,7 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     1.0 in float arithmetic.
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
-    n_refs = index.centers.shape[0]
-    if not 1 <= n_neighbors <= n_refs:
-        raise ValueError(f"n_neighbors must be in [1, {n_refs}], "
-                         f"got {n_neighbors}")
+    _check_neighbors(index, n_neighbors)
     # projected_distances on arrays, operation for operation, so the
     # distances (and with them every tie) are bit-equal to the trained metric
     pc = index.centers @ index.projection.T
@@ -248,6 +236,14 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     before = np.where(last > 0, prefix[rows, np.maximum(last - 1, 0)], 0.0)
     w[rows, last] = 1.0 - before
     return w
+
+
+def _check_neighbors(index: ReferenceIndex, n_neighbors: int) -> None:
+    """Raise ValueError unless C is between 1 and the reference count."""
+    n_refs = index.centers.shape[0]
+    if not 1 <= n_neighbors <= n_refs:
+        raise ValueError(f"n_neighbors must be in [1, {n_refs}], "
+                         f"got {n_neighbors}")
 
 
 def _nearest(d: np.ndarray, n_neighbors: int) -> np.ndarray:

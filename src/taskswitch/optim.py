@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+# Adam's moment decays and denominator guard: the fixed training recipe
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Standard Adam with bias correction; one slot per named parameter."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
@@ -30,19 +29,16 @@ class Adam:
             m = np.zeros_like(value)
             self._v[key] = np.zeros_like(value)
         v = self._v[key]
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+        m = BETA1 * m + (1.0 - BETA1) * grad
+        v = BETA2 * v + (1.0 - BETA2) * grad * grad
         self._m[key] = m
         self._v[key] = v
-        m_hat = m / (1.0 - self.beta1 ** self._t)
-        v_hat = v / (1.0 - self.beta2 ** self._t)
-        return value - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_hat = m / (1.0 - BETA1 ** self._t)
+        v_hat = v / (1.0 - BETA2 ** self._t)
+        return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class Sgd:
-    def __init__(self):
-        pass
-
     def start_step(self) -> None:
         pass
 

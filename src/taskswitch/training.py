@@ -37,18 +37,22 @@ EPS_RANGE = 1e-12  # guards the sigmoid denominator when a class is degenerate
 
 INIT_SCALE_LOGIT = math.log(math.e - 1.0)  # softplus(.) == 1 at init
 
+# The fixed training recipe: Adam step sizes of the gate and width logits,
+# the global gradient-norm clip, and the temperature decay every interval.
+LR_GATE, LR_BITS, CLIP_NORM = 0.05, 0.1, 10.0
+TEMP_DECAY, TEMP_INTERVAL = 0.9, 10
+
 
 def squash(s):
     """arctan(s)/pi + 0.5: monotone map of the real line onto (0, 1)."""
     return ad.add(ad.div(ad.arctan(s), math.pi), 0.5)
 
 
-def temperature_schedule(step: int, initial: float = 1.0, decay: float = 0.9,
-                         interval: int = 10) -> float:
-    """Annealed gate temperature: initial * decay^(step // interval)."""
+def temperature_schedule(step: int) -> float:
+    """Annealed gate temperature: TEMP_DECAY^(step // TEMP_INTERVAL)."""
     if step < 0:
         raise ValueError("step must be non-negative")
-    return initial * decay ** (step // interval)
+    return TEMP_DECAY ** (step // TEMP_INTERVAL)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -67,9 +71,6 @@ class TrainConfig:
     steps: int = 500
     batch_size: int = 32
     exemplar_count: int = 100
-    lr_gate: float = 0.05
-    lr_bits: float = 0.1
-    clip_norm: float = 10.0
     seed: int = 0
 
     @property
@@ -268,8 +269,7 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
     history: list[dict] = []
 
     for step in range(config.steps):
-        rho = temperature_schedule(step)
-        omega = temperature_schedule(step)
+        rho = omega = temperature_schedule(step)
         idx = batch_rng.integers(0, n_ex, size=config.batch_size)
         obj = _stacked_objective(spec, stacked, ref_all[idx],
                                  exemplars[idx], config.loss_kind, config.lam,
@@ -283,10 +283,10 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         grads = {k: (lv.grad if lv.grad is not None
                      else np.zeros_like(leaves[k]))
                  for k, lv in lvars.items()}
-        grads = clip_global_norm(grads, config.clip_norm)
+        grads = clip_global_norm(grads, CLIP_NORM)
         opt.start_step()
         for key in leaves:
-            lr = config.lr_gate if key.endswith(".gate") else config.lr_bits
+            lr = LR_GATE if key.endswith(".gate") else LR_BITS
             leaves[key] = opt.update(key, leaves[key], grads[key], lr)
         history.append({"step": step, "rho": rho, "omega": omega, **parts})
 

@@ -50,10 +50,16 @@ class TestElementwiseOps:
         _fd_ok(obj, {"x": x})
 
     def test_powi(self):
+        # square is the tape's only power: value v ** 2, gradient 2 v
         x = RNG.normal(size=6)
+        np.testing.assert_array_equal(ad.square(x), x ** 2)
+        tape = ad.Tape()
+        v = tape.var(x)
+        tape.backward(ad.sum_(ad.square(v)))
+        np.testing.assert_array_equal(v.grad, 2 * x)
 
         def obj(lv):
-            return ad.sum_(ad.powi(lv["x"], 3))
+            return ad.sum_(ad.square(lv["x"]))
 
         _fd_ok(obj, {"x": x})
 
@@ -61,7 +67,7 @@ class TestElementwiseOps:
         x = np.array([-2.0, -0.5, 0.5, 2.0])
 
         def obj(lv):
-            return ad.sum_(ad.add(ad.absolute(lv["x"]), ad.relu(lv["x"])))
+            return ad.sum_(ad.relu(lv["x"]))
 
         _fd_ok(obj, {"x": x})
 
@@ -295,23 +301,6 @@ class TestTapeMechanics:
         out = ad.add(ad.mul(x, x), ad.mul(x, 2.0))  # x^2 + 2x
         tape.backward(ad.sum_(out))
         np.testing.assert_allclose(x.grad, [8.0])
-
-    def test_operator_sugar_matches_functions(self):
-        tape = ad.Tape()
-        x = tape.var(np.array([2.0, -1.0]))
-        out = ad.sum_((x * 3.0 + 1.0 - x) / 2.0 + (-x))
-        tape.backward(out)
-        # d/dx of (3x+1-x)/2 - x = 0 per coordinate... checked: 1 - 1 = 0.
-        np.testing.assert_allclose(x.grad, [0.0, 0.0])
-
-    def test_matmul_sugar_on_matrices(self):
-        # The tape's matmul is matrix-matrix; every model and metric use
-        # goes through 2-D operands.
-        tape = ad.Tape()
-        x = tape.var(np.array([[2.0, -1.0]]))
-        w = np.array([[1.0], [3.0]])
-        tape.backward(ad.sum_(x @ w))
-        np.testing.assert_allclose(x.grad, [[1.0, 3.0]])
 
     def test_mixed_plain_and_var_operands(self):
         tape = ad.Tape()

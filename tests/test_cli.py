@@ -384,6 +384,48 @@ class TestErrorPaths:
         assert main(CSV_COMMANDS[command](root, data, path, tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {path}: {what}\n"
 
+    @pytest.mark.parametrize("neighbors", ["0", "500"])
+    def test_train_metric_neighbors_out_of_range_exit_2(
+            self, pipeline_dir, tmp_path, capsys, neighbors):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["train-metric"](root, data,
+                                            data / "task1_train.csv", tmp_path)
+        assert main(argv + ["--neighbors", neighbors]) == 2
+        assert capsys.readouterr().err == (
+            f"error: n_neighbors must be in [1, 10], got {neighbors}\n")
+        assert not (tmp_path / "r.idx").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("command, out",
+                             [("compress", "c.tswc"), ("build-index", "r.idx"),
+                              ("train-metric", "r.idx")])
+    def test_exemplar_count_below_one_exit_2(self, pipeline_dir, tmp_path,
+                                             capsys, command, out, count):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS[command](root, data, data / "task1_train.csv",
+                                     tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--exemplar-count", count])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"taskswitch {command}: error: argument --exemplar-count: "
+            f"must be at least 1, got {count!r}")
+        assert "Traceback" not in err
+        assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("centers", ["200", "-2"])
+    def test_centers_outside_the_rows_read_exit_2(self, pipeline_dir,
+                                                  tmp_path, capsys, centers):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["build-index"](root, data,
+                                           data / "task1_train.csv", tmp_path)
+        assert main(argv + ["--centers", centers]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --centers must be in [0, 60] for the rows read from "
+            f"{data / 'task0_train.csv'}, got {centers}\n")
+        assert not (tmp_path / "r.idx").exists()
+
     def test_bad_named_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["tswitch", "--base", "b.tswp", "--finetuned", "noequals",

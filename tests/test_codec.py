@@ -32,7 +32,6 @@ from taskswitch.codec import (
     _values,
     admissible_groups,
     decode_at,
-    dense_bits,
     indep_bits,
     index_bits,
 )
@@ -84,7 +83,6 @@ class TestSizeFormulas:
 
     def test_baseline_formulas(self):
         assert indep_bits(1024, 4) == 5 * 1024
-        assert dense_bits(1024) == 32 * 1024
 
     def test_optimal_group_argument_validation(self):
         with pytest.raises(CapacityError):

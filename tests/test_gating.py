@@ -162,7 +162,3 @@ class TestTemperatureSchedule:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             temperature_schedule(-1)
-
-    def test_custom_decay(self):
-        assert temperature_schedule(30, initial=2.0, decay=0.5,
-                                    interval=15) == pytest.approx(0.5)

@@ -8,8 +8,9 @@ import pytest
 
 from taskswitch import autodiff as ad
 from taskswitch.codec import CodecError
-from taskswitch.merging import (_BLOCK_ROWS, ReferenceIndex, _mixed_logits,
-                                build_index, init_projection, kmeans, knn_weights,
+from taskswitch.merging import (_BLOCK_ROWS, DIST_EPS, NUM_FLOOR,
+                                ReferenceIndex, _mixed_logits, build_index,
+                                init_projection, kmeans, knn_weights,
                                 load_index, materialize, merged_forward,
                                 metric_objective, projected_distances,
                                 save_index, train_metric)
@@ -308,6 +309,43 @@ class TestMetricObjective:
         val = float(ad._np(loss))
         assert np.isfinite(val) and val > 10.0
 
+    @staticmethod
+    def _hand_loss(d, labels, task_of_row, c, key):
+        """The ratio loss with each row's C neighbors sorted by key(d, j)."""
+        mask_all = np.zeros_like(d)
+        for i in range(d.shape[0]):
+            order = sorted(range(d.shape[1]), key=lambda j: key(d[i, j], j))
+            mask_all[i, order[:c]] = 1.0
+        mask_correct = mask_all * (labels[None, :] == task_of_row[:, None])
+        inv = 1.0 / np.maximum(d, DIST_EPS)
+        ratio = (np.maximum(np.sum(inv * mask_correct, axis=1), NUM_FLOOR)
+                 / np.sum(inv * mask_all, axis=1))
+        return (np.sum(np.log(ratio)) / float(d.shape[0])) * -1.0
+
+    def test_ties_at_the_cut_go_to_the_lower_ordinal(self):
+        # every center appears two or three times under different labels,
+        # so duplicates tie exactly whatever the projection and straddle the
+        # C-th distance for most C; the loss must follow the (d, j) order
+        # knn_weights uses, and the opposite tie rule must give another loss
+        rng = np.random.default_rng(31)
+        e = 3
+        distinct = rng.normal(size=(3, e))
+        centers = np.repeat(distinct, [2, 3, 2], axis=0)
+        labels = np.array([1, 0, 2, 0, 1, 2, 0])
+        feats = np.vstack([rng.normal(size=(6, e)), distinct])
+        task_of_row = np.arange(feats.shape[0]) % 3
+        proj = rng.normal(size=(2, e))
+        d = projected_distances(proj, feats, centers)
+        differs = 0
+        for c in range(1, centers.shape[0] + 1):
+            got = float(ad._np(metric_objective(proj, feats, centers, labels,
+                                                task_of_row, c)))
+            assert got == self._hand_loss(d, labels, task_of_row, c,
+                                          lambda dj, j: (dj, j))
+            differs += got != self._hand_loss(d, labels, task_of_row, c,
+                                              lambda dj, j: (dj, -j))
+        assert differs >= 3
+
 
 def _blob_problem(seed=0):
     # Overlapping blobs: the initial random projection misranks some
@@ -346,17 +384,21 @@ class TestTrainMetric:
 
     def test_deterministic_per_seed(self):
         index, task_features = _blob_problem()
-        r1 = train_metric(index, task_features, rank=2, epochs=5, seed=1)
-        r2 = train_metric(index, task_features, rank=2, epochs=5, seed=1)
+        r1 = train_metric(index, task_features, rank=2, epochs=5,
+                          n_neighbors=3, seed=1)
+        r2 = train_metric(index, task_features, rank=2, epochs=5,
+                          n_neighbors=3, seed=1)
         assert r1.losses == r2.losses
         np.testing.assert_array_equal(r1.index.projection,
                                       r2.index.projection)
-        r3 = train_metric(index, task_features, rank=2, epochs=5, seed=2)
+        r3 = train_metric(index, task_features, rank=2, epochs=5,
+                          n_neighbors=3, seed=2)
         assert not np.array_equal(r1.index.projection, r3.index.projection)
 
     def test_result_keeps_references_and_shapes(self):
         index, task_features = _blob_problem()
-        res = train_metric(index, task_features, rank=3, epochs=2, seed=0)
+        res = train_metric(index, task_features, rank=3, epochs=2,
+                           n_neighbors=3, seed=0)
         assert res.index.task_ids == index.task_ids
         np.testing.assert_array_equal(res.index.centers, index.centers)
         np.testing.assert_array_equal(res.index.labels, index.labels)

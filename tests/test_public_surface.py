@@ -1,5 +1,9 @@
 """The package's public names, pinned: a name that joins or leaves
-`taskswitch.__all__` (say, a test-only helper moved back in) shows up here."""
+`taskswitch.__all__` (say, a test-only helper moved back in) shows up here,
+and so does a tuning argument that comes back to the training recipe."""
+
+import dataclasses
+import inspect
 
 import taskswitch
 
@@ -23,3 +27,20 @@ write_dataset
 
 def test_public_names_are_pinned():
     assert sorted(taskswitch.__all__) == sorted(PUBLIC)
+
+
+def test_train_config_fields_are_the_ones_compress_sets():
+    assert [f.name for f in dataclasses.fields(taskswitch.TrainConfig)] == [
+        "loss_kind", "preserve_weight", "softmax_temp", "steps", "batch_size",
+        "exemplar_count", "seed"]
+
+
+def test_training_recipe_takes_no_tuning_arguments():
+    # Adam's moments, the k-means sweep limit and the temperature schedule
+    # are fixed module constants, not per-call knobs
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(taskswitch.optim.Adam) == []
+    assert params(taskswitch.kmeans) == ["points", "k", "seed"]
+    assert params(taskswitch.temperature_schedule) == ["step"]
