@@ -214,18 +214,6 @@ def take(x, i: int | slice):
     return _unary(x, lambda v: v[i], vjp)
 
 
-def stack(xs, axis=0):
-    """np.stack of arrays or Vars as one node; the gradient splits back."""
-    values = [_np(x) for x in xs]
-    out = np.stack(values, axis=axis)
-    tape = _tape_of(*xs)
-    if tape is None:
-        return out
-    parents = [(x, lambda g, i=i: np.take(g, i, axis=axis))
-               for i, x in enumerate(xs) if isinstance(x, Var)]
-    return Var(tape, out, parents)
-
-
 def _segment_sums(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sums of consecutive runs of counts[k] entries along the last axis."""
     counts = np.asarray(counts)

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activation", choices=("tanh", "relu"), default="tanh")
     p.add_argument("--steps", type=int, default=800)
     p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
     p.add_argument("--name", default="model",
                    help="task id stored with the parameters")
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="preservation weight (default: per-loss preset)")
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--exemplar-count", type=_count, default=100)
     p.add_argument("--softmax-temp", type=float, default=4.0)
     p.add_argument("--log", help="write per-step history CSV here")
@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", type=_named, action="append", required=True,
                    metavar="NAME=TRAIN_CSV")
     p.add_argument("--exemplar-count", type=_count, default=100)
-    p.add_argument("--rank", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--rank", type=_count, default=32)
+    p.add_argument("--epochs", type=_count, default=100)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--neighbors", type=int, default=10)
     p.add_argument("--log", help="write per-epoch loss CSV here")

@@ -23,11 +23,6 @@ LAMBDA_PRESETS = {
 DEFAULT_LAMBDA = {"kl": 0.3, "mse": 0.05, "cka": 3.0}
 
 
-def _softmax_np(x: np.ndarray, axis=-1) -> np.ndarray:
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def kl_loss(ref_logits: np.ndarray, cmp_logits, temperature: float = 4.0):
     """Temperature-softened KL from the reference to the comparison model.
 
@@ -39,7 +34,7 @@ def kl_loss(ref_logits: np.ndarray, cmp_logits, temperature: float = 4.0):
         raise ValueError("expected a (batch, classes) array")
     batch = ref.shape[0]
     t = float(temperature)
-    q = _softmax_np(ref / t)
+    q = ad.softmax(ref / t)
     log_q = np.log(q)
     log_p = ad.log_softmax(ad.div(cmp_logits, t))
     per_elem = ad.mul(q, ad.sub(log_q, log_p))

@@ -5,14 +5,15 @@ task vector on a fresh tape, and minimizes
 
     sparsity term + bit term + lambda * preservation loss
 
-with Adam on 7 scalars per module (three gate logits, four width logits).
-All modules are laid end to end in one graph: the constants (the
-concatenated task and base vectors, the four candidate quantizations and
-the sign-class bounds) are built once per run, and each step stacks the
-per-module leaves and broadcasts them to the elements, so the tape has the
-same number of nodes whatever the module count. The fine-tuned reference
+with Adam on 7 scalars per module: a (3, L) array of gate logits (two
+thresholds and a scale logit per module) and an (L, 4) array of width
+logits, for L modules. All modules are laid end to end in one graph: the
+constants (the concatenated task and base vectors, the four candidate
+quantizations and the sign-class bounds) are built once per run, and each
+step broadcasts the two arrays to the elements, so the tape has the same
+number of nodes whatever the module count. The fine-tuned reference
 outputs are computed once and indexed per batch. After the last step the
-same gate function runs once more on the final leaves at the post-run
+same gate function runs once more on the final gate array at the post-run
 temperature: an element survives where its soft membership exceeds 1/2,
 and each module keeps the candidate width of its largest width logit.
 """
@@ -20,7 +21,7 @@ and each module keeps the candidate width of its largest width logit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,13 +111,13 @@ class CompressedTaskVector:
 @dataclass
 class TrainResult:
     compressed: CompressedTaskVector
-    history: list[dict] = field(default_factory=list)
-    gate_state: dict[str, np.ndarray] = field(default_factory=dict)
-    bit_state: dict[str, np.ndarray] = field(default_factory=dict)
+    history: list[dict]
+    gates: np.ndarray     # (3, L) final gate logits, column m for module m
+    bits: np.ndarray      # (L, 4) final width logits, row m for module m
 
 
 @dataclass(frozen=True)
-class _StackedModules:
+class StackedModules:
     """Per-run constants of the objective: every module laid end to end.
 
     Row 0 of each (2, ...) array is the positive sign class, row 1 the
@@ -131,18 +132,17 @@ class _StackedModules:
     signed: np.ndarray    # (2, N) tau and -tau
     live: np.ndarray      # (2, N) 1.0 where the element's class is populated
     lo: np.ndarray        # (2, L) smallest magnitude of each class
-    width: np.ndarray     # (2, L) magnitude range of each class
+    ranges: np.ndarray    # (2, L) quantizer range of each class
+    width: np.ndarray     # (2, L) ranges - lo, the magnitude span
     quant: np.ndarray     # (4, N) tau quantized at each candidate width
 
     @classmethod
-    def build(cls, base: ParamSet, tv: TaskVector,
-              qspecs: dict[str, list[QuantSpec]]) -> "_StackedModules":
+    def build(cls, base: ParamSet, tv: TaskVector) -> "StackedModules":
         base_lookup = dict(base.modules)
-        quant = []
-        for name, tau in tv.modules:
-            if len(qspecs[name]) != len(CANDIDATE_WIDTHS):
-                raise ValueError("one QuantSpec per candidate width required")
-            quant.append([quantize(tau, q) for q in qspecs[name]])
+        specs = [[QuantSpec.from_values(tau, b) for b in CANDIDATE_WIDTHS]
+                 for _, tau in tv.modules]
+        quant = [[quantize(tau, q) for q in qs]
+                 for (_, tau), qs in zip(tv.modules, specs)]
         bounds = [signed_bounds(tau) for _, tau in tv.modules]
         sizes = np.array([tau.size for _, tau in tv.modules])
         has = np.array([[b.has_pos for b in bounds],
@@ -151,36 +151,22 @@ class _StackedModules:
         tau = np.concatenate([tau for _, tau in tv.modules])
         lo = np.array([[b.pos_min for b in bounds],
                        [b.neg_min for b in bounds]])
-        hi = np.array([[b.pos_max for b in bounds],
-                       [b.neg_max for b in bounds]])
+        ranges = np.array([[qs[0].range_pos for qs in specs],
+                           [qs[0].range_neg for qs in specs]])
         return cls(names=tv.names, sizes=sizes,
                    base=np.concatenate([base_lookup[n] for n in tv.names]),
                    signed=np.where(live, np.stack([tau, -tau]), 0.0),
-                   live=live.astype(np.float64), lo=lo, width=hi - lo,
-                   quant=np.concatenate(quant, axis=1))
+                   live=live.astype(np.float64), lo=lo, ranges=ranges,
+                   width=ranges - lo, quant=np.concatenate(quant, axis=1))
 
 
-def make_objective(spec: MlpSpec, base: ParamSet, tv: TaskVector,
-                   qspecs: dict[str, list[QuantSpec]], ref: np.ndarray,
-                   batch_x: np.ndarray, kind: str, lam: float, temp: float,
-                   rho: float, omega: float):
-    """Build objective(leaves) for one batch; leaves may be arrays or Vars.
-
-    Leaf keys are "<module>.gate" (threshold_pos, threshold_neg, scale
-    logit) and "<module>.bits" (four width logits).
-    """
-    return _stacked_objective(spec, _StackedModules.build(base, tv, qspecs),
-                              ref, batch_x, kind, lam, temp, rho, omega)
-
-
-def _gate(sm: _StackedModules, gates, rho: float):
+def _gate(sm: StackedModules, gates, rho: float):
     """Learnable gating over all modules: (soft membership, scale).
 
-    gates is the (3, L) stack of gate leaves, array or Var: two threshold
-    logits place one threshold inside each sign class's magnitude range
-    through `squash`, a temperature-scaled sigmoid per class gives each
-    element's soft membership (N,), and a softplus gives each module's
-    scale (L,).
+    gates is the (3, L) gate-logit array or Var: two threshold logits
+    place one threshold inside each sign class's magnitude range through
+    `squash`, a temperature-scaled sigmoid per class gives each element's
+    soft membership (N,), and a softplus gives each module's scale (L,).
     """
     denom = np.repeat(rho * np.maximum(sm.width, EPS_RANGE), sm.sizes,
                       axis=1)
@@ -191,14 +177,16 @@ def _gate(sm: _StackedModules, gates, rho: float):
     return soft, ad.softplus(ad.take(gates, 2))
 
 
-def _stacked_objective(spec: MlpSpec, sm: _StackedModules, ref: np.ndarray,
-                       batch_x: np.ndarray, kind: str, lam: float,
-                       temp: float, rho: float, omega: float):
-    """make_objective over prebuilt constants: one graph for all modules.
+def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
+                   batch_x: np.ndarray, kind: str, lam: float, temp: float,
+                   rho: float, omega: float):
+    """Build objective(leaves) for one batch: one graph for all modules.
 
-    The gate leaves stack into a (3, L) node and the width logits into an
-    (L, 4) node; per-module values reach the elements through `repeat`, so
-    the tape has the same number of nodes whatever the module count.
+    leaves maps "gates" to the (3, L) gate logits (threshold_pos,
+    threshold_neg and scale logit per module) and "bits" to the (L, 4)
+    width logits, arrays or Vars. Per-module values reach the elements
+    through `repeat`, so the tape has the same number of nodes whatever the
+    module count.
     """
     widths = np.asarray(CANDIDATE_WIDTHS, dtype=np.float64)
     bit_norm = float(len(sm.names) * max(CANDIDATE_WIDTHS))
@@ -206,11 +194,9 @@ def _stacked_objective(spec: MlpSpec, sm: _StackedModules, ref: np.ndarray,
     spans = list(zip(sm.names, ends - sm.sizes, ends))
 
     def objective(leaves, return_parts: bool = False):
-        gates = ad.stack([leaves[n + ".gate"] for n in sm.names], axis=1)
-        logits = ad.stack([leaves[n + ".bits"] for n in sm.names])
-        soft, scale = _gate(sm, gates, rho)
+        soft, scale = _gate(sm, leaves["gates"], rho)
         # Bit-width selection: softmax over the four candidates per module.
-        w = ad.softmax(ad.div(logits, float(omega)))
+        w = ad.softmax(ad.div(leaves["bits"], float(omega)))
         blended = ad.sum_(ad.mul(ad.repeat(ad.transpose(w), sm.sizes),
                                  sm.quant), axis=0)
         flat = ad.add(sm.base, ad.mul(ad.mul(ad.repeat(scale, sm.sizes),
@@ -255,15 +241,11 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         raise ValueError("need a positive batch size and exemplar count")
 
     ref_all = reference_outputs(spec, finetuned, exemplars, config.loss_kind)
-    qspecs = {name: [QuantSpec.from_values(tau, b) for b in CANDIDATE_WIDTHS]
-              for name, tau in tv.modules}
-    stacked = _StackedModules.build(base, tv, qspecs)
+    stacked = StackedModules.build(base, tv)
 
-    leaves: dict[str, np.ndarray] = {}
-    for name, _ in tv.modules:
-        leaves[name + ".gate"] = np.array([0.0, 0.0, INIT_SCALE_LOGIT])
-        leaves[name + ".bits"] = np.zeros(len(CANDIDATE_WIDTHS))
-
+    leaves = {"gates": np.tile([[0.0], [0.0], [INIT_SCALE_LOGIT]],
+                               len(stacked.names)),
+              "bits": np.zeros((len(stacked.names), len(CANDIDATE_WIDTHS)))}
     opt = Adam()
     batch_rng = rng_for(config.seed, "batches", tv.task_id)
     history: list[dict] = []
@@ -271,50 +253,40 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
     for step in range(config.steps):
         rho = omega = temperature_schedule(step)
         idx = batch_rng.integers(0, n_ex, size=config.batch_size)
-        obj = _stacked_objective(spec, stacked, ref_all[idx],
-                                 exemplars[idx], config.loss_kind, config.lam,
-                                 config.softmax_temp, rho, omega)
+        obj = make_objective(spec, stacked, ref_all[idx], exemplars[idx],
+                             config.loss_kind, config.lam,
+                             config.softmax_temp, rho, omega)
         tape = ad.Tape()
         lvars = {k: tape.var(v) for k, v in leaves.items()}
         total, parts = obj(lvars, return_parts=True)
         if not math.isfinite(parts["total"]):
             raise TrainingDivergedError(step, parts)
         tape.backward(total)
-        grads = {k: (lv.grad if lv.grad is not None
-                     else np.zeros_like(leaves[k]))
-                 for k, lv in lvars.items()}
-        grads = clip_global_norm(grads, CLIP_NORM)
+        grads = clip_global_norm({k: lv.grad for k, lv in lvars.items()},
+                                 CLIP_NORM)
         opt.start_step()
-        for key in leaves:
-            lr = LR_GATE if key.endswith(".gate") else LR_BITS
+        for key, lr in (("gates", LR_GATE), ("bits", LR_BITS)):
             leaves[key] = opt.update(key, leaves[key], grads[key], lr)
         history.append({"step": step, "rho": rho, "omega": omega, **parts})
 
-    gates = np.stack([leaves[n + ".gate"] for n in stacked.names], axis=1)
+    gates, bits = leaves["gates"], leaves["bits"]
     soft, scales = _gate(stacked, gates, temperature_schedule(config.steps))
     masks = np.split(soft > 0.5, np.cumsum(stacked.sizes)[:-1])
     modules = []
-    for (name, tau), mask, scale in zip(tv.modules, masks, scales):
+    for m, ((name, tau), mask) in enumerate(zip(tv.modules, masks)):
         # Ties between width logits resolve toward the smaller width.
-        width = CANDIDATE_WIDTHS[int(np.argmax(leaves[name + ".bits"]))]
+        width = CANDIDATE_WIDTHS[int(np.argmax(bits[m]))]
         # Serialization boundary: ranges and scale go to float32 here so the
         # in-memory vector and its encoded stream agree bit for bit.
-        raw = qspecs[name][0]
-        range_neg = float(np.float32(raw.range_neg))
-        range_pos = float(np.float32(raw.range_pos))
+        range_pos, range_neg = (float(np.float32(r))
+                                for r in stacked.ranges[:, m])
         spec32 = QuantSpec(width, range_neg, range_pos)
         support = np.flatnonzero(mask)
         bins = quantize_indices(tau[support], spec32)
         modules.append((name, CompressedModule(
             length=tau.size, support=support, bins=bins, bit_width=width,
             range_neg=range_neg, range_pos=range_pos,
-            scale=float(np.float32(scale)))))
+            scale=float(np.float32(scales[m])))))
 
     compressed = CompressedTaskVector(tv.task_id, modules)
-    return TrainResult(
-        compressed=compressed,
-        history=history,
-        gate_state={n + ".gate": leaves[n + ".gate"].copy() for n, _ in tv.modules},
-        bit_state={n + ".bits": leaves[n + ".bits"].copy() for n, _ in tv.modules},
-    )
-
+    return TrainResult(compressed, history, gates, bits)

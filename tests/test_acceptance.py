@@ -22,8 +22,9 @@ from taskswitch.losses import DEFAULT_LAMBDA
 from taskswitch.merging import ReferenceIndex, knn_weights, materialize
 from taskswitch.model import MlpSpec, accuracy, features, init_params
 from taskswitch.switch import build_switch
-from taskswitch.training import (INIT_SCALE_LOGIT, TrainConfig,
-                                 make_objective, reference_outputs, train)
+from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
+                                 TrainConfig, make_objective,
+                                 reference_outputs, train)
 from taskswitch.vectors import TaskVector, add, signed_bounds
 from lgs_reference import (BitLogits, GateParams, map_threshold,
                            mixed_quantize, select_bitwidth, soft_gate)
@@ -255,18 +256,18 @@ def test_06_gradient_check(capsys):
         kind = ("kl", "mse", "cka")[cfg % 3]
         exemplars = rng.standard_normal((8, 3))
         ref = reference_outputs(mspec, finetuned, exemplars, kind)
-        qspecs = {n: [QuantSpec.from_values(tau, b)
-                      for b in CANDIDATE_WIDTHS] for n, tau in tv.modules}
         rho = 0.9 ** int(rng.integers(0, 6))
         omega = 0.9 ** int(rng.integers(0, 6))
-        obj = make_objective(mspec, base, tv, qspecs, ref, exemplars, kind,
-                             DEFAULT_LAMBDA[kind], 4.0, rho, omega)
-        leaves = {}
-        for name, _ in tv.modules:
-            leaves[name + ".gate"] = np.array(
-                [0.5 * rng.standard_normal(), 0.5 * rng.standard_normal(),
-                 INIT_SCALE_LOGIT + 0.3 * rng.standard_normal()])
-            leaves[name + ".bits"] = 0.5 * rng.standard_normal(4)
+        obj = make_objective(mspec, StackedModules.build(base, tv), ref,
+                             exemplars, kind, DEFAULT_LAMBDA[kind], 4.0, rho,
+                             omega)
+        n_mod = len(tv.modules)
+        leaves = {"gates": np.empty((3, n_mod)), "bits": np.empty((n_mod, 4))}
+        for m in range(n_mod):
+            leaves["gates"][:, m] = [
+                0.5 * rng.standard_normal(), 0.5 * rng.standard_normal(),
+                INIT_SCALE_LOGIT + 0.3 * rng.standard_normal()]
+            leaves["bits"][m] = 0.5 * rng.standard_normal(4)
         # The straight-through estimator sits on the value path only; the
         # trained leaves are gate and width logits, whose gradients flow
         # through sigmoid and softmax terms. No coordinate needs excluding.

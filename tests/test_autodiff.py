@@ -140,30 +140,6 @@ class TestMatrixOps:
 class TestStackAndSegments:
     COUNTS = np.array([3, 1, 2])
 
-    def test_stack_axis0(self):
-        xs = {f"x{i}": RNG.normal(size=4) for i in range(3)}
-        w = RNG.normal(size=(3, 4))
-
-        def obj(lv):
-            s = ad.stack([lv["x0"], lv["x1"], lv["x2"]])
-            return ad.sum_(ad.mul(ad.square(s), w))
-
-        assert ad.stack(list(xs.values())).shape == (3, 4)
-        _fd_ok(obj, xs)
-
-    def test_stack_axis1_with_constant_part(self):
-        xs = {f"x{i}": RNG.normal(size=3) for i in range(2)}
-        const = RNG.normal(size=3)
-        w = RNG.normal(size=(3, 3))
-
-        def obj(lv):
-            s = ad.stack([lv["x0"], const, lv["x1"]], axis=1)
-            return ad.sum_(ad.mul(ad.square(s), w))
-
-        out = ad.stack([xs["x0"], const, xs["x1"]], axis=1)
-        np.testing.assert_array_equal(out[:, 1], const)
-        _fd_ok(obj, xs)
-
     def test_repeat_1d(self):
         x = RNG.normal(size=3)
         w = RNG.normal(size=int(self.COUNTS.sum()))

@@ -396,20 +396,30 @@ class TestErrorPaths:
         assert not (tmp_path / "r.idx").exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
-    @pytest.mark.parametrize("command, out",
-                             [("compress", "c.tswc"), ("build-index", "r.idx"),
-                              ("train-metric", "r.idx")])
+    @pytest.mark.parametrize("command, flag, out", [
+        ("compress", "--exemplar-count", "c.tswc"),
+        ("build-index", "--exemplar-count", "r.idx"),
+        ("train-metric", "--exemplar-count", "r.idx"),
+        ("compress", "--batch-size", "c.tswc"),
+        ("fine-tune", "--batch-size", "m.tswp"),
+        ("train-metric", "--rank", "r.idx"),
+        ("train-metric", "--epochs", "r.idx"),
+    ], ids=["compress-c.tswc", "build-index-r.idx", "train-metric-r.idx",
+            "compress-batch-size", "fine-tune-batch-size",
+            "train-metric-rank", "train-metric-epochs"])
     def test_exemplar_count_below_one_exit_2(self, pipeline_dir, tmp_path,
-                                             capsys, command, out, count):
+                                             capsys, command, flag, out,
+                                             count):
+        # Every count flag goes through cli._count, not only --exemplar-count
         root, data = pipeline_dir
         argv = CSV_COMMANDS[command](root, data, data / "task1_train.csv",
                                      tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--exemplar-count", count])
+            main(argv + [flag, count])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == (
-            f"taskswitch {command}: error: argument --exemplar-count: "
+            f"taskswitch {command}: error: argument {flag}: "
             f"must be at least 1, got {count!r}")
         assert "Traceback" not in err
         assert not (tmp_path / out).exists()

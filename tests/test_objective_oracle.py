@@ -5,7 +5,7 @@ gating and bit-width oracle in `lgs_reference`.
 `sparsity_loss` and `bit_regularizer` module by module, one subgraph per
 module. `make_objective` must give the same value and the same leaf
 gradients; only summation order may differ, so the bound is 1e-12 of the
-largest magnitude in each compared array.
+largest magnitude in each module's gate column and width row.
 """
 
 import numpy as np
@@ -15,10 +15,11 @@ from taskswitch import autodiff as ad
 from taskswitch.bitwidth import CANDIDATE_WIDTHS, QuantSpec
 from taskswitch.losses import DEFAULT_LAMBDA, preservation_loss
 from taskswitch.model import MlpSpec, forward, init_params
-from taskswitch.training import (INIT_SCALE_LOGIT, TrainConfig,
-                                 make_objective, reference_outputs,
-                                 temperature_schedule, train)
-from taskswitch.vectors import TaskVector, add
+from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
+                                 TrainConfig, make_objective,
+                                 reference_outputs, temperature_schedule,
+                                 train)
+from taskswitch.vectors import TaskVector, add, signed_bounds
 from lgs_reference import (BitLogits, GateParams, bit_regularizer, harden,
                            mixed_quantize, select_bitwidth, soft_gate,
                            sparsity_loss)
@@ -29,19 +30,21 @@ SMALL = MlpSpec((4, 6, 3))
 DEEP = MlpSpec((5, 7, 6, 5, 4, 3))          # five layers, ten modules
 
 
-def _reference_objective(spec, base, tv, qspecs, ref, batch_x, kind, lam,
-                         temp, rho, omega):
+def _reference_objective(spec, base, tv, ref, batch_x, kind, lam, temp,
+                         rho, omega):
     base_lookup = dict(base.modules)
+    qspecs = {n: [QuantSpec.from_values(tau, b) for b in CANDIDATE_WIDTHS]
+              for n, tau in tv.modules}
 
     def objective(leaves):
         masks, logit_sets, params = [], [], {}
-        for name, tau in tv.modules:
-            leaf = leaves[name + ".gate"]
+        for m, (name, tau) in enumerate(tv.modules):
+            leaf = ad.take(ad.transpose(leaves["gates"]), m)
             gp = GateParams(ad.take(leaf, 0), ad.take(leaf, 1),
                             ad.take(leaf, 2))
             gate = soft_gate(tau, gp, rho)
             masks.append(gate.soft_mask)
-            bl = BitLogits(leaves[name + ".bits"], omega)
+            bl = BitLogits(ad.take(leaves["bits"], m), omega)
             logit_sets.append(bl)
             blended = mixed_quantize(tau, bl, qspecs[name])
             params[name] = ad.add(base_lookup[name],
@@ -56,7 +59,7 @@ def _reference_objective(spec, base, tv, qspecs, ref, batch_x, kind, lam,
 
 
 def _problem(spec, seed, signs=None):
-    """Task vector, base, reference outputs and random leaves.
+    """Task vector, base, fine-tuned parameters, exemplars and random leaves.
 
     signs maps a module index to "+" (all magnitudes positive), "-" (all
     negative), "0" (all zero) or "nan" (all NaN).
@@ -79,16 +82,15 @@ def _problem(spec, seed, signs=None):
     tv = TaskVector("t", mods)
     finetuned = add(base, TaskVector("t", [(n, np.nan_to_num(t))
                                            for n, t in mods]))
-    qspecs = {n: [QuantSpec.from_values(tau, b) for b in CANDIDATE_WIDTHS]
-              for n, tau in tv.modules}
     exemplars = rng.standard_normal((12, spec.input_dim))
-    leaves = {}
-    for n, _ in tv.modules:
-        leaves[n + ".gate"] = np.array(
-            [0.7 * rng.standard_normal(), 0.7 * rng.standard_normal(),
-             INIT_SCALE_LOGIT + 0.3 * rng.standard_normal()])
-        leaves[n + ".bits"] = 0.7 * rng.standard_normal(4)
-    return base, tv, finetuned, qspecs, exemplars, leaves
+    leaves = {"gates": np.empty((3, len(mods))),
+              "bits": np.empty((len(mods), 4))}
+    for m in range(len(mods)):
+        leaves["gates"][:, m] = [
+            0.7 * rng.standard_normal(), 0.7 * rng.standard_normal(),
+            INIT_SCALE_LOGIT + 0.3 * rng.standard_normal()]
+        leaves["bits"][m] = 0.7 * rng.standard_normal(4)
+    return base, tv, finetuned, exemplars, leaves
 
 
 def _value_and_grads(objective, leaves):
@@ -102,12 +104,12 @@ def _value_and_grads(objective, leaves):
 
 
 def _compare(spec, seed, kind, rho, omega, signs=None):
-    base, tv, finetuned, qspecs, x, leaves = _problem(spec, seed, signs)
+    base, tv, finetuned, x, leaves = _problem(spec, seed, signs)
     ref = reference_outputs(spec, finetuned, x, kind)
-    args = (spec, base, tv, qspecs, ref, x, kind, DEFAULT_LAMBDA[kind], 4.0,
-            rho, omega)
-    want_val, want = _value_and_grads(_reference_objective(*args), leaves)
-    obj = make_objective(*args)
+    args = (ref, x, kind, DEFAULT_LAMBDA[kind], 4.0, rho, omega)
+    want_val, want = _value_and_grads(
+        _reference_objective(spec, base, tv, *args), leaves)
+    obj = make_objective(spec, StackedModules.build(base, tv), *args)
     got_val, got = _value_and_grads(obj, leaves)
     assert np.isfinite(want_val)
     assert got_val == pytest.approx(want_val, rel=REL, abs=0.0)
@@ -115,12 +117,16 @@ def _compare(spec, seed, kind, rho, omega, signs=None):
     assert float(ad._np(obj(leaves))) == pytest.approx(want_val, rel=REL,
                                                        abs=0.0)
     assert set(got) == set(want)
-    for key in want:
-        assert np.all(np.isfinite(want[key])), key
-        scale = np.max(np.abs(want[key]))
-        np.testing.assert_allclose(got[key], want[key], rtol=0.0,
-                                   atol=REL * scale, err_msg=key)
-    return tv, got
+    # One module's leaves at a time: gate column m and width row m.
+    for key, rows_got, rows_want in (
+            ("gates", got["gates"].T, want["gates"].T),
+            ("bits", got["bits"], want["bits"])):
+        for m, (g, w) in enumerate(zip(rows_got, rows_want)):
+            assert np.all(np.isfinite(w)), (key, m)
+            np.testing.assert_allclose(g, w, rtol=0.0,
+                                       atol=REL * np.max(np.abs(w)),
+                                       err_msg=f"{key}[{m}]")
+    return got
 
 
 @pytest.mark.parametrize("kind", ["kl", "mse", "cka"])
@@ -141,30 +147,34 @@ def test_matches_reference_with_empty_sign_classes(kind):
     # 1 is all zeros and module 2 all NaN, so both of their classes are
     # empty and contribute exactly nothing.
     signs = {0: "+", 1: "0", 2: "nan", 3: "-"}
-    tv, got = _compare(SMALL, 13, kind, 0.9 ** 2, 0.9, signs)
-    names = tv.names
-    assert got[names[0] + ".gate"][1] == 0.0
-    assert got[names[3] + ".gate"][0] == 0.0
-    for name in (names[1], names[2]):
-        np.testing.assert_array_equal(got[name + ".gate"][:2], 0.0)
+    gates = _compare(SMALL, 13, kind, 0.9 ** 2, 0.9, signs)["gates"]
+    assert gates[1, 0] == 0.0
+    assert gates[0, 3] == 0.0
+    for m in (1, 2):
+        np.testing.assert_array_equal(gates[:2, m], 0.0)
 
 
 @pytest.mark.parametrize("spec, signs", [(SMALL, {0: "+", 2: "0"}),
                                          (DEEP, {1: "-", 4: "0", 7: "+"})])
 def test_hardening_matches_reference(spec, signs):
-    # train hardens from the stacked gate; each module's support, width and
-    # scale must be what the per-module formulas give on the final leaves.
+    # train hardens from the stacked gate; each module's support, width,
+    # scale and ranges must be what the per-module formulas give on the
+    # final leaves.
     # 60 steps cool the gate to rho = 0.53, far enough from the starting
     # temperature that hardening at the wrong one moves some supports.
-    base, tv, finetuned, _, x, _ = _problem(spec, 14, signs)
+    base, tv, finetuned, x, _ = _problem(spec, 14, signs)
     res = train(tv, base, finetuned, x, spec,
                 TrainConfig(steps=60, exemplar_count=12, batch_size=8))
     rho = temperature_schedule(60)
-    for (name, tau), (_, mod) in zip(tv.modules, res.compressed.modules):
-        gate = res.gate_state[name + ".gate"]
+    for m, ((_, tau), (_, mod)) in enumerate(zip(tv.modules,
+                                                 res.compressed.modules)):
+        gate = res.gates[:, m]
         soft = soft_gate(tau, GateParams(*gate), rho).soft_mask
         np.testing.assert_array_equal(mod.support,
                                       np.flatnonzero(harden(soft)))
-        bits = BitLogits(res.bit_state[name + ".bits"])
+        bits = BitLogits(res.bits[m])
         assert mod.bit_width == select_bitwidth(bits)
         assert mod.scale == float(np.float32(ad._np(ad.softplus(gate[2]))))
+        b = signed_bounds(tau)
+        assert (mod.range_neg, mod.range_pos) == (
+            float(np.float32(b.neg_max)), float(np.float32(b.pos_max)))

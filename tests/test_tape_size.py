@@ -1,7 +1,7 @@
 """Tape-size guard: one compression step records a graph of fixed size.
 
-The objective stacks every module into one graph, so adding modules adds
-only their leaves and the forward pass through the extra layers. A return
+The objective lays every module into one graph over two leaf arrays, so
+adding modules adds only the forward pass through the extra layers. A return
 to one subgraph per module grows the tape by dozens of nodes per module and
 fails here.
 """
@@ -12,7 +12,7 @@ from taskswitch import autodiff as ad
 from taskswitch import MlpSpec, TaskVector, TrainConfig, add, init_params, train
 
 MAX_NODES_DESK = 90          # widths 16,32,4: four modules
-MAX_GROWTH_4_TO_10 = 40      # six more leaf pairs and three more layers
+MAX_GROWTH_4_TO_10 = 40      # three more layers; still two leaf arrays
 
 
 def _nodes_per_step(monkeypatch, widths) -> int:

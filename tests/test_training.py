@@ -7,7 +7,6 @@ from taskswitch import autodiff as ad
 from taskswitch import (
     CANDIDATE_WIDTHS,
     MlpSpec,
-    QuantSpec,
     TaskVector,
     TrainConfig,
     TrainingDivergedError,
@@ -18,7 +17,8 @@ from taskswitch import (
     materialize,
     train,
 )
-from taskswitch.training import make_objective, reference_outputs
+from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
+                                 make_objective, reference_outputs)
 
 
 SPEC = MlpSpec((4, 6, 3))
@@ -51,16 +51,12 @@ class TestConfig:
 class TestObjective:
     def _objective(self, kind="kl", lam=0.3):
         base, tv, finetuned, exemplars = _setup()
-        qspecs = {n: [QuantSpec.from_values(tau, b)
-                      for b in CANDIDATE_WIDTHS] for n, tau in tv.modules}
         ref = reference_outputs(SPEC, finetuned, exemplars, kind)
-        obj = make_objective(SPEC, base, tv, qspecs, ref, exemplars,
-                             kind, lam, 4.0, rho=1.0, omega=1.0)
-        leaves = {}
-        from taskswitch.training import INIT_SCALE_LOGIT
-        for n, _ in tv.modules:
-            leaves[n + ".gate"] = np.array([0.0, 0.0, INIT_SCALE_LOGIT])
-            leaves[n + ".bits"] = np.zeros(4)
+        obj = make_objective(SPEC, StackedModules.build(base, tv), ref,
+                             exemplars, kind, lam, 4.0, rho=1.0, omega=1.0)
+        n_mod = len(tv.modules)
+        leaves = {"gates": np.tile([[0.0], [0.0], [INIT_SCALE_LOGIT]], n_mod),
+                  "bits": np.zeros((n_mod, 4))}
         return obj, leaves
 
     def test_parts_are_finite_and_composed(self):
@@ -82,7 +78,9 @@ class TestObjective:
         for key, lv in lvars.items():
             assert lv.grad is not None, key
             assert np.all(np.isfinite(lv.grad)), key
-            assert np.any(lv.grad != 0.0), key
+        # Every module's gate column and width row gets a gradient.
+        assert np.all(np.any(lvars["gates"].grad != 0.0, axis=0))
+        assert np.all(np.any(lvars["bits"].grad != 0.0, axis=1))
 
     def test_all_three_loss_kinds_run(self):
         for kind, lam in (("kl", 0.3), ("mse", 0.05), ("cka", 3.0)):
