@@ -258,6 +258,22 @@ def log_softmax(x, axis=-1):
     return sub(z, log(sum_(exp(z), axis=axis, keepdims=True)))
 
 
+def value_and_grad(fn, leaves: dict[str, np.ndarray]):
+    """fn's result on leaves as Vars of a fresh tape, and each leaf's gradient.
+
+    fn returns the scalar objective or a (scalar, extra) pair; either is
+    handed back as fn returned it. A leaf the objective does not reach gets
+    a zero gradient.
+    """
+    tape = Tape()
+    lvars = {k: tape.var(v) for k, v in leaves.items()}
+    result = fn(lvars)
+    tape.backward(result[0] if isinstance(result, tuple) else result)
+    grads = {k: v.grad if v.grad is not None else np.zeros_like(v.value)
+             for k, v in lvars.items()}
+    return result, grads
+
+
 @dataclass
 class FdReport:
     """Central finite-difference cross-check of tape gradients."""
@@ -281,13 +297,7 @@ def fd_check(objective, leaves: dict[str, np.ndarray], h: float = 1e-5,
     (e.g. straight-through quantizer inputs) left out of the pass fraction.
     """
     leaves = {k: np.asarray(v, dtype=np.float64) for k, v in leaves.items()}
-    tape = Tape()
-    lvars = {k: tape.var(v) for k, v in leaves.items()}
-    out = objective(lvars)
-    tape.backward(out)
-    analytic = {k: (lvars[k].grad if lvars[k].grad is not None
-                    else np.zeros_like(leaves[k]))
-                for k in leaves}
+    _, analytic = value_and_grad(objective, leaves)
 
     def eval_at(vals: dict[str, np.ndarray]) -> float:
         return float(np.asarray(_np(objective(vals))))

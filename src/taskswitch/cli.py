@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .harness import (SyntheticTaskSpec, base_dataset, baseline_merge,
 from .merging import materialize as apply_compressed
 from .model import MlpSpec, accuracy, features, init_params
 from .switch import build_switch
-from .training import TrainConfig, train
+from .training import TrainConfig, TrainingDivergedError, train
 from .vectors import StructureError, diff
 
 
@@ -50,6 +51,17 @@ def _count(text: str) -> int:
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return count
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _named(text: str) -> tuple:
@@ -132,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", type=_widths, default=MlpSpec().widths,
                    help="comma-separated layer widths (default 16,32,4)")
     p.add_argument("--activation", choices=("tanh", "relu"), default="tanh")
-    p.add_argument("--steps", type=int, default=800)
+    p.add_argument("--steps", type=_count, default=800)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
@@ -156,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppl", choices=("kl", "mse", "cka"), default="kl")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="preservation weight (default: per-loss preset)")
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--steps", type=_count, default=500)
     p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--exemplar-count", type=_count, default=100)
-    p.add_argument("--softmax-temp", type=float, default=4.0)
+    p.add_argument("--softmax-temp", type=_positive, default=4.0)
     p.add_argument("--log", help="write per-step history CSV here")
     p.add_argument("-o", "--out", required=True)
 
@@ -497,7 +509,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (StructureError, CodecError, OSError, ValueError) as exc:
+    except (StructureError, CodecError, OSError, ValueError,
+            TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -172,6 +172,11 @@ def load_params(path) -> tuple[MlpSpec, ParamSet, str]:
         raise StructureError(f"{path}: {exc}") from None
     task_id, mods = tasks[0]
     names = _module_names(path, metadata, len(mods))
+    for name, dm in zip(names, mods):
+        if dm.module is not None:
+            raise StructureError(f"{path}: module {name!r} is a "
+                                 f"{dm.header.fmt.name} stream, not a dense "
+                                 "parameter stream")
     params = ParamSet([(name, dm.final_values())
                        for name, dm in zip(names, mods)])
     return spec, params, task_id

@@ -216,27 +216,20 @@ def fine_tune(spec: MlpSpec, params: ParamSet, x: np.ndarray, y: np.ndarray,
     check_params(spec, params)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    if optimizer == "adam":
-        opt = Adam()
-    elif optimizer == "sgd":
-        opt = Sgd()
-    else:
+    optimizers = {"adam": Adam, "sgd": Sgd}
+    if optimizer not in optimizers:
         raise ValueError(f"unknown optimizer {optimizer!r}")
+    opts = {name: optimizers[optimizer]() for name in params.names}
     rng = rng_for(seed, "fine-tune")
-    current = params.copy()
+    values = dict(params.copy().modules)
     for _ in range(steps):
         idx = rng.integers(0, x.shape[0], size=batch_size)
-        tape = ad.Tape()
-        leaves = {name: tape.var(v) for name, v in current.modules}
-        loss = cross_entropy(forward(spec, leaves, x[idx]).logits, y[idx])
-        tape.backward(loss)
-        opt.start_step()
-        current = ParamSet([
-            (name, opt.update(name, v,
-                              leaves[name].grad if leaves[name].grad
-                              is not None else np.zeros_like(v), lr))
-            for name, v in current.modules])
-    return current
+        _, grads = ad.value_and_grad(
+            lambda leaves: cross_entropy(
+                forward(spec, leaves, x[idx]).logits, y[idx]), values)
+        values = {name: opts[name].step(v, grads[name], lr)
+                  for name, v in values.items()}
+    return ParamSet(list(values.items()))
 
 
 def unit_groups(names: list[str], level: str) -> list[tuple[str, list[str]]]:

@@ -192,14 +192,12 @@ def train_metric(index: ReferenceIndex,
     opt = Adam()
     losses = []
     for _ in range(epochs):
-        tape = ad.Tape()
-        pvar = tape.var(proj)
-        loss = metric_objective(pvar, feats, index.centers, index.labels,
-                                task_of_row, n_neighbors)
+        loss, grads = ad.value_and_grad(
+            lambda leaves: metric_objective(
+                leaves["projection"], feats, index.centers, index.labels,
+                task_of_row, n_neighbors), {"projection": proj})
         losses.append(float(ad._np(loss)))
-        tape.backward(loss)
-        opt.start_step()
-        proj = opt.update("projection", proj, pvar.grad, lr)
+        proj = opt.step(proj, grads["projection"], lr)
     return MetricTrainResult(
         index=ReferenceIndex(index.task_ids, index.centers, index.labels,
                              proj),

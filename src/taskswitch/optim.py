@@ -1,4 +1,4 @@
-"""Plain-numpy optimizers for the handful of learnables in this package."""
+"""Plain-numpy optimizers, one instance per parameter array."""
 
 from __future__ import annotations
 
@@ -9,41 +9,26 @@ BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction; one slot per named parameter."""
+    """Standard Adam with bias correction over one parameter array."""
 
     def __init__(self):
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = self._v = 0.0
         self._t = 0
 
-    def start_step(self) -> None:
+    def step(self, value: np.ndarray, grad: np.ndarray,
+             lr: float) -> np.ndarray:
+        """Return the updated value; each call is one optimization step."""
         self._t += 1
-
-    def update(self, key: str, value: np.ndarray, grad: np.ndarray,
-               lr: float) -> np.ndarray:
-        """Return the updated value; call start_step() once per optimization step."""
-        if self._t < 1:
-            raise RuntimeError("start_step() must be called before update()")
-        m = self._m.get(key)
-        if m is None:
-            m = np.zeros_like(value)
-            self._v[key] = np.zeros_like(value)
-        v = self._v[key]
-        m = BETA1 * m + (1.0 - BETA1) * grad
-        v = BETA2 * v + (1.0 - BETA2) * grad * grad
-        self._m[key] = m
-        self._v[key] = v
-        m_hat = m / (1.0 - BETA1 ** self._t)
-        v_hat = v / (1.0 - BETA2 ** self._t)
+        self._m = BETA1 * self._m + (1.0 - BETA1) * grad
+        self._v = BETA2 * self._v + (1.0 - BETA2) * grad * grad
+        m_hat = self._m / (1.0 - BETA1 ** self._t)
+        v_hat = self._v / (1.0 - BETA2 ** self._t)
         return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class Sgd:
-    def start_step(self) -> None:
-        pass
-
-    def update(self, key: str, value: np.ndarray, grad: np.ndarray,
-               lr: float) -> np.ndarray:
+    def step(self, value: np.ndarray, grad: np.ndarray,
+             lr: float) -> np.ndarray:
         return value - lr * grad
 
 

@@ -232,8 +232,7 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
     """Compress one task vector; deterministic for a fixed config and seed."""
     check_params(spec, base)
     check_aligned(base, finetuned)
-    if tv.names != base.names:
-        raise ValueError("task vector does not align with the base modules")
+    check_aligned(base, tv)
     exemplars = np.asarray(exemplars, dtype=np.float64)
     exemplars = exemplars[:config.exemplar_count]
     n_ex = exemplars.shape[0]
@@ -246,7 +245,7 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
     leaves = {"gates": np.tile([[0.0], [0.0], [INIT_SCALE_LOGIT]],
                                len(stacked.names)),
               "bits": np.zeros((len(stacked.names), len(CANDIDATE_WIDTHS)))}
-    opt = Adam()
+    opts = {"gates": Adam(), "bits": Adam()}
     batch_rng = rng_for(config.seed, "batches", tv.task_id)
     history: list[dict] = []
 
@@ -256,17 +255,13 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         obj = make_objective(spec, stacked, ref_all[idx], exemplars[idx],
                              config.loss_kind, config.lam,
                              config.softmax_temp, rho, omega)
-        tape = ad.Tape()
-        lvars = {k: tape.var(v) for k, v in leaves.items()}
-        total, parts = obj(lvars, return_parts=True)
+        (_, parts), grads = ad.value_and_grad(
+            lambda lv: obj(lv, return_parts=True), leaves)
         if not math.isfinite(parts["total"]):
             raise TrainingDivergedError(step, parts)
-        tape.backward(total)
-        grads = clip_global_norm({k: lv.grad for k, lv in lvars.items()},
-                                 CLIP_NORM)
-        opt.start_step()
-        for key, lr in (("gates", LR_GATE), ("bits", LR_BITS)):
-            leaves[key] = opt.update(key, leaves[key], grads[key], lr)
+        grads = clip_global_norm(grads, CLIP_NORM)
+        leaves = {key: opts[key].step(leaves[key], grads[key], lr)
+                  for key, lr in (("gates", LR_GATE), ("bits", LR_BITS))}
         history.append({"step": step, "rho": rho, "omega": omega, **parts})
 
     gates, bits = leaves["gates"], leaves["bits"]

@@ -284,3 +284,38 @@ class TestTapeMechanics:
         out = ad.sum_(ad.mul(np.array([4.0, 5.0]), x))
         tape.backward(out)
         np.testing.assert_allclose(x.grad, [4.0, 5.0])
+
+
+class TestValueAndGrad:
+    @staticmethod
+    def _obj(lv):
+        return ad.sum_(ad.square(ad.matmul(lv["w"], lv["x"])))
+
+    def test_gradients_equal_a_hand_driven_tape(self):
+        rng = np.random.default_rng(7)
+        leaves = {"w": rng.normal(size=(3, 4)), "x": rng.normal(size=(4, 2))}
+        tape = ad.Tape()
+        lvars = {k: tape.var(v) for k, v in leaves.items()}
+        out = self._obj(lvars)
+        tape.backward(out)
+        value, grads = ad.value_and_grad(self._obj, leaves)
+        assert ad._np(value).tobytes() == out.value.tobytes()
+        for k in leaves:
+            assert grads[k].tobytes() == lvars[k].grad.tobytes()
+
+    def test_unreached_leaf_gets_zeros(self):
+        _, grads = ad.value_and_grad(lambda lv: ad.sum_(lv["x"]),
+                                     {"x": np.ones(2), "y": np.ones((2, 3))})
+        np.testing.assert_array_equal(grads["x"], [1.0, 1.0])
+        np.testing.assert_array_equal(grads["y"], np.zeros((2, 3)))
+
+    def test_scalar_and_extra_pair_passed_through(self):
+        extra = {"note": 1}
+
+        def obj(lv):
+            return ad.sum_(ad.mul(lv["x"], 3.0)), extra
+
+        (value, got), grads = ad.value_and_grad(obj, {"x": np.ones(2)})
+        assert float(ad._np(value)) == 6.0
+        assert got is extra
+        np.testing.assert_array_equal(grads["x"], [3.0, 3.0])

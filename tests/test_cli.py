@@ -322,6 +322,27 @@ class TestErrorPaths:
         assert err.startswith(f"error: {bad}: module_names is not a list")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        lambda root, data, out: [
+            "fine-tune", "--train", str(data / "task0_train.csv"),
+            "--init", str(root / "c0.tswc"), "--steps", "1",
+            "-o", str(out / "written")],
+        lambda root, data, out: [
+            "probe", "scale", "--base", str(root / "c0.tswc"),
+            "--finetuned", str(root / "ft0.tswp"),
+            "--data", str(data / "task0_test.csv"),
+            "-o", str(out / "written")],
+    ], ids=["fine-tune-init", "probe-base"])
+    def test_compress_bundle_as_model_exits_2(self, pipeline_dir, tmp_path,
+                                              capsys, argv):
+        root, data = pipeline_dir
+        assert main(argv(root, data, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {root / 'c0.tswc'}: module ")
+        assert "not a dense parameter stream" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "written").exists()
+
     def test_probe_bad_model_layout_exits_2(self, tmp_path, capsys):
         spec = MlpSpec((6, 4, 3))
         ps = init_params(spec, seed=0)
@@ -404,9 +425,12 @@ class TestErrorPaths:
         ("fine-tune", "--batch-size", "m.tswp"),
         ("train-metric", "--rank", "r.idx"),
         ("train-metric", "--epochs", "r.idx"),
+        ("compress", "--steps", "c.tswc"),
+        ("fine-tune", "--steps", "m.tswp"),
     ], ids=["compress-c.tswc", "build-index-r.idx", "train-metric-r.idx",
             "compress-batch-size", "fine-tune-batch-size",
-            "train-metric-rank", "train-metric-epochs"])
+            "train-metric-rank", "train-metric-epochs", "compress-steps",
+            "fine-tune-steps"])
     def test_exemplar_count_below_one_exit_2(self, pipeline_dir, tmp_path,
                                              capsys, command, flag, out,
                                              count):
@@ -423,6 +447,31 @@ class TestErrorPaths:
             f"must be at least 1, got {count!r}")
         assert "Traceback" not in err
         assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("temp", ["0", "-1", "inf", "nan"])
+    def test_softmax_temp_not_positive_exit_2(self, pipeline_dir, tmp_path,
+                                              capsys, temp):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",
+                                        tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--softmax-temp", temp])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "taskswitch compress: error: argument --softmax-temp: "
+            f"must be positive and finite, got {temp!r}")
+        assert not (tmp_path / "c.tswc").exists()
+
+    def test_diverged_compress_exits_2(self, pipeline_dir, tmp_path, capsys):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",
+                                        tmp_path)
+        assert main(argv + ["--lambda", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective became non-finite at step 0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.tswc").exists()
 
     @pytest.mark.parametrize("centers", ["200", "-2"])
     def test_centers_outside_the_rows_read_exit_2(self, pipeline_dir,

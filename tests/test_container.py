@@ -263,6 +263,18 @@ class TestParamsFile:
         with pytest.raises(StructureError, match="one parameter set"):
             load_params(p)
 
+    def test_compressed_bundle_rejected(self, tmp_path):
+        # a compress bundle also holds one task and a model layout
+        _, streams = _switch_streams(0)
+        p = tmp_path / "task0.tswc"
+        save_bundle(p, [("task0", streams)], ["a", "b"],
+                    {"model": MlpSpec((4, 3, 2)).to_dict()})
+        with pytest.raises(StructureError,
+                           match=r"module 'a' is a (GROUPED|INDEP) stream, "
+                                 "not a dense parameter stream") as exc:
+            load_params(p)
+        assert str(exc.value).startswith(f"{p}: ")
+
 
 class TestModuleNames:
     def test_too_few_names_rejected(self, tmp_path):

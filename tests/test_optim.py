@@ -10,11 +10,9 @@ class TestAdam:
     def test_first_step_moves_by_nearly_lr_signs(self):
         # With bias correction, m_hat = g and v_hat = g*g on step one, so
         # the update is lr * g/(|g| + eps) ~= lr * sign(g).
-        opt = Adam()
-        opt.start_step()
         value = np.array([1.0, -2.0, 3.0])
         grad = np.array([0.5, -0.1, 2.0])
-        out = opt.update("p", value, grad, lr=0.1)
+        out = Adam().step(value, grad, lr=0.1)
         np.testing.assert_allclose(out, value - 0.1 * np.sign(grad),
                                    rtol=1e-6)
 
@@ -24,8 +22,7 @@ class TestAdam:
         m = v = np.zeros(1)
         cur = value
         for t, g in enumerate((np.array([0.3]), np.array([-0.2])), start=1):
-            opt.start_step()
-            cur = opt.update("p", cur, g, lr=0.05)
+            cur = opt.step(cur, g, lr=0.05)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             m_hat = m / (1 - 0.9 ** t)
@@ -33,31 +30,21 @@ class TestAdam:
             value = value - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
         np.testing.assert_allclose(cur, value, rtol=1e-12)
 
-    def test_separate_slots_per_key(self):
-        opt = Adam()
-        opt.start_step()
-        a1 = opt.update("a", np.zeros(1), np.array([1.0]), lr=1.0)
-        b1 = opt.update("b", np.zeros(1), np.array([-1.0]), lr=1.0)
+    def test_separate_moments_per_instance(self):
+        a, b = Adam(), Adam()
+        a1 = a.step(np.zeros(1), np.array([1.0]), lr=1.0)
+        b1 = b.step(np.zeros(1), np.array([-1.0]), lr=1.0)
         assert a1[0] == pytest.approx(-1.0, rel=1e-6)
         assert b1[0] == pytest.approx(1.0, rel=1e-6)
 
-    def test_update_before_start_step_rejected(self):
-        with pytest.raises(RuntimeError):
-            Adam().update("p", np.zeros(1), np.ones(1), lr=0.1)
-
     def test_zero_gradient_is_a_fixed_point(self):
-        opt = Adam()
-        opt.start_step()
-        out = opt.update("p", np.array([5.0]), np.zeros(1), lr=0.1)
+        out = Adam().step(np.array([5.0]), np.zeros(1), lr=0.1)
         np.testing.assert_allclose(out, [5.0])
 
 
 class TestSgd:
     def test_plain_step(self):
-        opt = Sgd()
-        opt.start_step()
-        out = opt.update("p", np.array([1.0, 2.0]), np.array([0.5, -1.0]),
-                         lr=0.1)
+        out = Sgd().step(np.array([1.0, 2.0]), np.array([0.5, -1.0]), lr=0.1)
         np.testing.assert_allclose(out, [0.95, 2.1])
 
 

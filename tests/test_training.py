@@ -7,6 +7,7 @@ from taskswitch import autodiff as ad
 from taskswitch import (
     CANDIDATE_WIDTHS,
     MlpSpec,
+    StructureError,
     TaskVector,
     TrainConfig,
     TrainingDivergedError,
@@ -178,6 +179,13 @@ class TestTrainLoop:
                                     for n, v in tv.modules])
         with pytest.raises(ValueError):
             train(renamed, base, finetuned, exemplars, SPEC, self.CFG)
+        # one element short: the size check names the module
+        last, tau = tv.modules[-1]
+        short = TaskVector("t0", tv.modules[:-1] + [(last, tau[:-1])])
+        with pytest.raises(StructureError) as exc:
+            train(short, base, finetuned, exemplars, SPEC, self.CFG)
+        assert str(exc.value) == (f"module {last!r}: size {tau.size} vs "
+                                  f"{tau.size - 1}")
 
 
 class TestStreamTransparency:
