@@ -43,25 +43,22 @@ def _widths(text: str) -> tuple:
     return widths
 
 
-def _count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return count
+def _number(parse, valid, rule: str):
+    """An argparse type: text that parse reads and valid accepts."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad number {text!r}")
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return convert
 
 
-def _positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}")
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text!r}")
-    return value
+_count = _number(int, lambda v: v >= 1, "at least 1")
+_positive = _number(float, lambda v: math.isfinite(v) and v > 0.0,
+                    "positive and finite")
 
 
 def _named(text: str) -> tuple:
@@ -118,6 +115,14 @@ def _load_finetuned(base_spec, path):
     return params, name
 
 
+def _load_index(path, spec):
+    index = merging.load_index(path)
+    if index.feature_dim != spec.feature_dim:
+        raise StructureError(f"{path}: features of width {index.feature_dim}"
+                             f", the model's have {spec.feature_dim}")
+    return index
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taskswitch",
@@ -145,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated layer widths (default 16,32,4)")
     p.add_argument("--activation", choices=("tanh", "relu"), default="tanh")
     p.add_argument("--steps", type=_count, default=800)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--lr", type=_positive, default=0.1)
     p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
     p.add_argument("--name", default="model",
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exemplar-count", type=_count, default=100)
     p.add_argument("--rank", type=_count, default=32)
     p.add_argument("--epochs", type=_count, default=100)
-    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--lr", type=_positive, default=0.5)
     p.add_argument("--neighbors", type=int, default=10)
     p.add_argument("--log", help="write per-epoch loss CSV here")
     p.add_argument("-o", "--out", required=True)
@@ -409,8 +414,8 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_train_metric(args) -> int:
-    index = merging.load_index(args.index)
     spec, base, _ = load_params(args.base)
+    index = _load_index(args.index, spec)
     pairs = _index_inputs(args, spec)
     feats = [(name, features(spec, base, x)) for name, x in pairs]
     result = merging.train_metric(index, feats, rank=args.rank,
@@ -424,14 +429,6 @@ def cmd_train_metric(args) -> int:
                     [[i, f"{v:.10g}"] for i, v in enumerate(result.losses)])
     print(args.out)
     return 0
-
-
-def _load_bundles(paths):
-    vectors = []
-    for path in paths:
-        svs, _ = load_bundle(path)
-        vectors.extend(svs)
-    return vectors
 
 
 def _accuracy_report(rows, out):
@@ -448,8 +445,8 @@ def _accuracy_report(rows, out):
 
 def cmd_merge_eval(args) -> int:
     spec, base, _ = load_params(args.base)
-    index = merging.load_index(args.index)
-    vectors = _load_bundles(args.bundle)
+    index = _load_index(args.index, spec)
+    vectors = [sv for path in args.bundle for sv in load_bundle(path)[0]]
     rows = []
     for name, path in args.task:
         x, y = _read_inputs(spec, path)

@@ -108,6 +108,10 @@ class CompressedModule:
         return int(self.support.size)
 
     @property
+    def size(self) -> int:   # the element count, as on a flat array
+        return self.length
+
+    @property
     def sparsity(self) -> float:
         return 1.0 - self.nnz / self.length
 
@@ -229,6 +233,28 @@ class BitReader:
         return bits[skip:skip + count]
 
 
+def _check_header(h: ModuleHeader, at: int | None = None) -> None:
+    """The one header rule of encoders (CodecError, CapacityError for the
+    count) and the decoder (CorruptStreamError at the header's offset)."""
+    def fail(message, error=CodecError):
+        raise error(message) if at is None else CorruptStreamError(message, at)
+
+    n, b, c = h.count, h.bit_width, h.group_size
+    if not 1 <= n < MAX_COUNT:
+        fail(f"element count {n} outside [1, {MAX_COUNT})", CapacityError)
+    for name in ("scale", "range_neg", "range_pos"):
+        if not math.isfinite(getattr(h, name)):
+            fail(f"non-finite header field {name}")
+    if h.fmt == Format.DENSE:
+        if b or h.range_neg or h.range_pos:
+            fail("dense header carries quantizer fields")
+    elif not 1 <= b <= 15 or min(h.range_neg, h.range_pos) < 0.0:
+        fail(f"no quantizer of width {b}, ranges {h.range_neg}, "
+             f"{h.range_pos}")
+    if not 1 <= c <= MAX_GROUP or n % c or c > 1 and h.fmt != Format.GROUPED:
+        fail(f"group size {c} must divide {n}, in a grouped stream only")
+
+
 def _pack(header: ModuleHeader, nnz: int,
           *payload: np.ndarray) -> EncodedModule:
     """Header then payload bits, zero-padded to a byte boundary.
@@ -236,16 +262,8 @@ def _pack(header: ModuleHeader, nnz: int,
     The header is one integer: format tag (2), bit width (4), group size
     minus 1 (8) and count (27), then the three float32 fields.
     """
-    if not 1 <= header.count < MAX_COUNT:
-        raise CapacityError(
-            f"element count {header.count} outside [1, {MAX_COUNT})")
-    # mirror the decoder: a stream with non-finite fields is never valid
-    for name in ("scale", "range_neg", "range_pos"):
-        if not math.isfinite(getattr(header, name)):
-            raise CodecError(f"non-finite header field {name}")
-    cfield = header.group_size - 1 if header.fmt == Format.GROUPED else 0
-    ints = ((header.fmt << 4 | header.bit_width) << 8 | cfield) << COUNT_BITS \
-        | header.count
+    ints = ((header.fmt << 4 | header.bit_width) << 8
+            | header.group_size - 1) << COUNT_BITS | header.count
     floats = struct.pack(">3f", header.scale, header.range_neg,
                          header.range_pos)
     word = (ints << 96 | int.from_bytes(floats, "big")) << 7
@@ -266,51 +284,23 @@ def _read_header(r: BitReader) -> ModuleHeader:
     ints = word >> 96
     tag, b = ints >> 39, ints >> 35 & 0xF
     cfield, n = ints >> COUNT_BITS & 0xFF, ints & (MAX_COUNT - 1)
-    scale, range_neg, range_pos = struct.unpack(
-        ">3f", (word & ((1 << 96) - 1)).to_bytes(12, "big"))
     if tag not in (0, 1, 2):
         raise CorruptStreamError(f"unknown format tag {tag}", start)
-    fmt = Format(tag)
-    if n < 1:
-        raise CorruptStreamError("zero element count", start)
-    if fmt == Format.DENSE:
-        if b != 0 or cfield != 0:
-            raise CorruptStreamError("dense header carries quantizer fields",
-                                     start)
-    else:
-        if b < 1:
-            raise CorruptStreamError("quantized stream with zero bit width",
-                                     start)
-        if fmt == Format.INDEP and cfield != 0:
-            raise CorruptStreamError("independent format with group field",
-                                     start)
-    c = cfield + 1 if fmt == Format.GROUPED else 1
-    if fmt == Format.GROUPED and n % c != 0:
-        raise CorruptStreamError(f"group size {c} does not divide {n}", start)
-    for name, val in (("scale", scale), ("range_neg", range_neg),
-                      ("range_pos", range_pos)):
-        if not math.isfinite(val):
-            raise CorruptStreamError(f"non-finite header field {name}", start)
-    if fmt == Format.DENSE:
-        if range_neg != 0.0 or range_pos != 0.0:
-            raise CorruptStreamError("dense header carries quantizer ranges",
-                                     start)
-    elif range_neg < 0.0 or range_pos < 0.0:
-        raise CorruptStreamError("negative quantizer range", start)
-    return ModuleHeader(fmt, b, c, n, scale, range_neg, range_pos)
+    header = ModuleHeader(Format(tag), b, cfield + 1, n, *struct.unpack(
+        ">3f", (word & ((1 << 96) - 1)).to_bytes(12, "big")))
+    _check_header(header, start)
+    return header
 
 
 def _module_header(module: CompressedModule, fmt: Format) -> ModuleHeader:
-    """The stream header of a module, once its fields are known sound."""
+    """The stream header of a module whose support and bins are sound."""
     n, b, support, bins = (module.length, module.bit_width, module.support,
                            module.bins)
-    if not 1 <= n < MAX_COUNT:
-        raise CapacityError(f"element count {n} outside [1, {MAX_COUNT})")
     rn, rp = (float(np.float32(r)) for r in (module.range_neg,
                                              module.range_pos))
-    # a finite negative range here; non-finite fields fail in _pack
-    if not 1 <= b <= 15 or -math.inf < min(rn, rp) < 0.0:
-        raise CodecError(f"no quantizer of width {b}, ranges {rn}, {rp}")
+    header = ModuleHeader(fmt, b, 1, n,
+                          float(np.float32(module.scale)), rn, rp)
+    _check_header(header)
     if support.ndim != 1 or bins.shape != support.shape:
         raise CodecError(f"{bins.size} bins for {support.size} positions")
     if support.size:
@@ -321,7 +311,7 @@ def _module_header(module: CompressedModule, fmt: Format) -> ModuleHeader:
             raise CodecError(f"support not strictly increasing in [0, {n})")
         if bins.min() < 0 or bins.max() >= 1 << b:
             raise CodecError(f"bin index outside [0, {1 << b})")
-    return ModuleHeader(fmt, b, 1, n, float(np.float32(module.scale)), rn, rp)
+    return header
 
 
 def encode(module: CompressedModule,
@@ -331,9 +321,8 @@ def encode(module: CompressedModule,
     n, nnz, support = module.length, module.nnz, module.support
     c = optimal_group(n, 1.0 - nnz / n) if group_size is None \
         else int(group_size)
-    if not 1 <= c <= MAX_GROUP or n % c != 0:
-        raise CodecError(f"group size {c} inadmissible for n={n}")
     header = replace(header, group_size=c)
+    _check_header(header)
     group_id = support // c
     group_any = np.zeros(n // c, dtype=np.uint8)
     group_any[group_id] = 1
@@ -358,15 +347,15 @@ def encode_indep(module: CompressedModule) -> EncodedModule:
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
     """Raw float32 storage; rounds the input to float32 precision."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = values.size
-    if not 1 <= n < MAX_COUNT:
-        raise CapacityError(f"element count {n} outside [1, {MAX_COUNT})")
-    if not np.all(np.isfinite(values)):
-        raise CodecError("dense values must be finite")
-    header = ModuleHeader(Format.DENSE, 0, 1, n, float(np.float32(scale)),
-                          0.0, 0.0)
+    header = ModuleHeader(Format.DENSE, 0, 1, values.size,
+                          float(np.float32(scale)), 0.0, 0.0)
+    _check_header(header)
+    with np.errstate(over="ignore"):   # tested as decode_at tests them
+        stored = values.astype(">f4")
+    if not np.all(np.isfinite(stored)):
+        raise CodecError("dense values must be finite in float32")
     return _pack(header, int(np.count_nonzero(values)),
-                 np.unpackbits(values.astype(">f4").view(np.uint8)))
+                 np.unpackbits(stored.view(np.uint8)))
 
 
 def choose_format(module: CompressedModule) -> EncodedModule:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .codec import (BitReader, CodecError, DecodedModule, EncodedModule,
                     decode_at, encode_dense)
-from .model import MlpSpec
+from .model import MlpSpec, check_params
 from .training import CompressedTaskVector
 from .vectors import ParamSet, StructureError
 
@@ -35,14 +35,14 @@ def streams_from_params(params: ParamSet) -> list[EncodedModule]:
 
 def save_container(path, tasks: list[tuple[str, list[EncodedModule]]],
                    metadata: dict | None = None) -> None:
+    if max([len(tasks)] + [len(mods) for _, mods in tasks]) > 0xFFFF:
+        raise CodecError(f"{path}: over 65535 tasks, or modules in a task")
     buf = bytearray()
     buf += MAGIC
     buf.append(VERSION)
     buf += struct.pack("<H", len(tasks))
     for task_id, mods in tasks:
-        ident = task_id.encode("utf-8")
-        buf += struct.pack("<H", len(ident))
-        buf += ident
+        _write_id(buf, task_id, path)
         buf += struct.pack("<H", len(mods))
         for em in mods:
             buf += em.data
@@ -56,6 +56,16 @@ def _unpack(fmt: str, data: bytes, cursor: int, path, what: str):
     if cursor + struct.calcsize(fmt) > len(data):
         raise CodecError(f"{path}: {what} cut short at byte {cursor}")
     return struct.unpack_from(fmt, data, cursor)
+
+
+def _write_id(buf: bytearray, task_id: str, path) -> None:
+    """Append the u16-length-prefixed UTF-8 task id _read_id reads back."""
+    ident = task_id.encode("utf-8")
+    if len(ident) > 0xFFFF:
+        raise CodecError(f"{path}: task id of {len(ident)} bytes is over "
+                         "the 65535 a file can hold")
+    buf += struct.pack("<H", len(ident))
+    buf += ident
 
 
 def _read_id(data: bytes, cursor: int, path) -> tuple[str, int]:
@@ -85,8 +95,12 @@ def load_container(path) -> tuple[list[tuple[str, list[DecodedModule]]], dict]:
         (n_mods,) = _unpack("<H", data, cursor, path, "module count")
         cursor += 2
         mods = []
-        for _ in range(n_mods):
-            dm = decode_at(BitReader(data, cursor * 8))
+        for i in range(n_mods):
+            try:
+                dm = decode_at(BitReader(data, cursor * 8))
+            except CodecError as exc:   # the type and bit_offset stay
+                exc.args = (f"{path}: task {task_id!r} module {i}: {exc}",)
+                raise
             mods.append(dm)
             cursor += dm.bits_consumed // 8
         tasks.append((task_id, mods))
@@ -138,9 +152,9 @@ def sparse_from_decoded(task_id: str, decoded: list[DecodedModule],
 def save_bundle(path, entries: list[tuple[str, list[EncodedModule]]],
                 module_names: list[str],
                 extra_metadata: dict | None = None) -> None:
-    metadata = {"module_names": list(module_names)}
-    if extra_metadata:
-        metadata.update(extra_metadata)
+    metadata = {"module_names": list(module_names), **(extra_metadata or {})}
+    for _, mods in entries:   # the names load_bundle will read back
+        _module_names(path, metadata, len(mods))
     save_container(path, entries, metadata)
 
 
@@ -156,7 +170,13 @@ def save_params(path, spec: MlpSpec, params: ParamSet,
                 name: str = "model") -> None:
     """Store a parameter set densely (float32 at rest) with its layout."""
     metadata = {"model": spec.to_dict(), "module_names": params.names}
-    save_container(path, [(name, streams_from_params(params))], metadata)
+    try:
+        check_params(spec, params)
+        streams = streams_from_params(params)
+    except ValueError as exc:   # a CodecError or StructureError as it was
+        exc.args = (f"{path}: {exc}",)
+        raise
+    save_container(path, [(name, streams)], metadata)
 
 
 def load_params(path) -> tuple[MlpSpec, ParamSet, str]:
@@ -166,10 +186,6 @@ def load_params(path) -> tuple[MlpSpec, ParamSet, str]:
                              f"found {len(tasks)} tasks")
     if "model" not in metadata:
         raise StructureError(f"{path}: container has no model layout")
-    try:
-        spec = MlpSpec.from_dict(metadata["model"])
-    except StructureError as exc:
-        raise StructureError(f"{path}: {exc}") from None
     task_id, mods = tasks[0]
     names = _module_names(path, metadata, len(mods))
     for name, dm in zip(names, mods):
@@ -179,4 +195,9 @@ def load_params(path) -> tuple[MlpSpec, ParamSet, str]:
                                  "parameter stream")
     params = ParamSet([(name, dm.final_values())
                        for name, dm in zip(names, mods)])
+    try:
+        spec = MlpSpec.from_dict(metadata["model"])
+        check_params(spec, params)
+    except StructureError as exc:
+        raise StructureError(f"{path}: {exc}") from None
     return spec, params, task_id

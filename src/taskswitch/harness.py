@@ -48,6 +48,10 @@ class SyntheticTaskSpec:
         if self.classes_per_task > self.input_dim:
             raise ValueError("orthonormal class layout needs "
                              "classes_per_task <= input_dim")
+        for name in ("task_separation", "class_separation", "noise",
+                     "min_task_gap"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.min_task_gap > 2.0 * self.task_separation:
             raise ValueError("min_task_gap is unreachable at this separation")
 
@@ -82,9 +86,9 @@ def task_geometry(spec: SyntheticTaskSpec,
             centers = cand
             break
     if centers is None:
-        raise RuntimeError(
-            f"could not place {spec.num_tasks} task centers with gap "
-            f">= {spec.min_task_gap} in {MAX_PLACEMENT_TRIES} tries")
+        raise ValueError(f"could not place --tasks {spec.num_tasks} centers "
+                         f"--min-task-gap {spec.min_task_gap} apart in "
+                         f"{MAX_PLACEMENT_TRIES} tries")
     q, _ = np.linalg.qr(rng.normal(size=(d, spec.classes_per_task)))
     offsets = spec.class_separation * q.T
     return centers, offsets
@@ -153,13 +157,26 @@ def base_dataset(spec: SyntheticTaskSpec,
 
 
 def write_dataset(path, x: np.ndarray, y: np.ndarray) -> None:
-    """CSV with columns x0..x{d-1},label; floats at full precision."""
-    x = np.asarray(x, dtype=np.float64)
+    """CSV x0..x{d-1},label at full precision, of rows read_dataset takes."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
+    if x.ndim != 2 or y.shape != x.shape[:1] or y.dtype.kind not in "iu" \
+            or y.size and not 0 <= y.min() <= y.max() <= MAX_LABEL:
+        raise ValueError(f"{path}: need (n, d) features and n integer "
+                         f"labels in [0, {MAX_LABEL}]")
+    _check_finite_rows(path, x, range(2, len(y) + 2))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"x{i}" for i in range(x.shape[1])] + ["label"])
         for row, lab in zip(x, y):
             w.writerow([f"{v:.17g}" for v in row] + [int(lab)])
+
+
+def _check_finite_rows(path, x: np.ndarray, lines) -> None:
+    """ValueError at lines[i] for the first row i with a non-finite feature."""
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: line {lines[int(np.argmax(~finite))]}: "
+                         f"non-finite feature")
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +206,7 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:
             y.append(int(label))
             lines.append(r.line_num)
     x = np.array(x, dtype=np.float64).reshape(len(y), len(header) - 1)
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}: line {lines[int(np.argmax(~finite))]}: "
-                         f"non-finite feature")
+    _check_finite_rows(path, x, lines)
     return x, np.array(y, dtype=np.int64)
 
 

@@ -20,14 +20,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .codec import CodecError
-from .container import _read_id, _unpack
+from .container import _read_id, _unpack, _write_id
 # forward is unused here but stays importable: the benchmark traces
 # merging.forward by name
 from .model import ACTIVATIONS, MlpSpec, features, forward  # noqa: F401
 from .optim import Adam
 from .seeding import rng_for
 from .training import CompressedTaskVector
-from .vectors import ParamSet, StructureError
+from .vectors import ParamSet, StructureError, check_aligned
 
 IDX_MAGIC = b"TSWQ"
 DIST_EPS = 1e-8        # d below this is clamped before inversion
@@ -262,22 +262,6 @@ def _nearest(d: np.ndarray, n_neighbors: int) -> np.ndarray:
     return chosen
 
 
-def _check_bundle(base: ParamSet, sv: CompressedTaskVector) -> None:
-    """Raise StructureError unless sv's modules line up with base's."""
-    if len(sv.modules) != len(base.modules):
-        raise StructureError(
-            f"bundle {sv.task_id!r} has {len(sv.modules)} modules, "
-            f"base has {len(base.modules)}")
-    for (name, v), (mname, mod) in zip(base.modules, sv.modules):
-        if mname != name:
-            raise StructureError(f"bundle {sv.task_id!r}: module "
-                                 f"{mname!r} where base has {name!r}")
-        if v.size != mod.length:
-            raise StructureError(
-                f"bundle {sv.task_id!r} module {name!r}: length "
-                f"{mod.length} vs base {v.size}")
-
-
 def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
                 weights) -> ParamSet:
     """base + sum_k w_k * vector_k touching only the union of supports.
@@ -291,7 +275,10 @@ def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
     for w, sv in zip(weights, vectors):
         if w == 0.0:
             continue
-        _check_bundle(base, sv)
+        try:
+            check_aligned(base, sv)
+        except StructureError as exc:
+            raise StructureError(f"bundle {sv.task_id!r}: {exc}") from None
         for (_, acc), (_, mod) in zip(out, sv.modules):
             acc[mod.support] += w * mod.values
     return ParamSet(out)
@@ -307,7 +294,7 @@ def _mixed_logits(spec: MlpSpec, base: ParamSet,
     module are scattered once into one dense (K*out, in) block; each block
     of rows multiplies it once and reduces over K with its rows of the
     (n, K) weight matrix. No parameter set is built. The vectors must
-    already pass _check_bundle.
+    already line up with base.
     """
     n, k = w.shape
     lookup = dict(base.modules)
@@ -363,7 +350,10 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
         raise StructureError(f"bundle is missing tasks {missing}")
     ordered = [by_id[t] for t in index.task_ids]
     for sv in ordered:
-        _check_bundle(base, sv)
+        try:
+            check_aligned(base, sv)
+        except StructureError as exc:
+            raise StructureError(f"bundle {sv.task_id!r}: {exc}") from None
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     w = knn_weights(index, features(spec, base, x), n_neighbors)
     logits = _mixed_logits(spec, base, ordered, x, w)
@@ -371,18 +361,24 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
 
 
 def save_index(path, index: ReferenceIndex) -> None:
-    """Little-endian .idx: ids, center counts, dims, then float32 matrices."""
+    """Little-endian .idx: ids, center counts, dims, float32 matrices; the
+    bytes pass load_index's parser before they are written."""
+    counts = [int(np.sum(index.labels == t)) for t in range(index.n_tasks)]
+    if index.projection.shape[1] != index.feature_dim or not np.array_equal(
+            index.labels, np.repeat(np.arange(index.n_tasks), counts)):
+        raise StructureError(f"{path}: each task's references must be one "
+                             "run, in order, of the projection's width")
     buf = bytearray()
     buf += IDX_MAGIC
     buf += struct.pack("<I", index.n_tasks)
-    for ordinal, task_id in enumerate(index.task_ids):
-        ident = task_id.encode("utf-8")
-        buf += struct.pack("<H", len(ident))
-        buf += ident
-        buf += struct.pack("<I", int(np.sum(index.labels == ordinal)))
+    for task_id, count in zip(index.task_ids, counts):
+        _write_id(buf, task_id, path)
+        buf += struct.pack("<I", count)
     buf += struct.pack("<II", index.feature_dim, index.rank)
-    buf += index.centers.astype("<f4").tobytes()
-    buf += index.projection.astype("<f4").tobytes()
+    with np.errstate(over="ignore"):   # past float32's range: refused below
+        buf += index.centers.astype("<f4").tobytes()
+        buf += index.projection.astype("<f4").tobytes()
+    _parse_index(bytes(buf), path)
     Path(path).write_bytes(bytes(buf))
 
 
@@ -392,7 +388,10 @@ def load_index(path) -> ReferenceIndex:
     A short field, an index with no tasks, float blocks that do not end the
     file exactly or a non-finite float raise CodecError naming the byte.
     """
-    data = Path(path).read_bytes()
+    return _parse_index(Path(path).read_bytes(), path)
+
+
+def _parse_index(data: bytes, path) -> ReferenceIndex:
     if data[:4] != IDX_MAGIC:
         raise StructureError(f"{path}: not a reference index")
     (n_tasks,) = _unpack("<I", data, 4, path, "task count")

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .seeding import rng_for
-from .vectors import ParamSet, StructureError
+from .vectors import ParamSet, StructureError, check_aligned
 
 ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
 
@@ -26,10 +26,16 @@ class MlpSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if len(self.widths) < 2:
-            raise ValueError("need at least input and output widths")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        """The one layout rule, for layouts made in code or read by
+        from_dict; a bad field raises StructureError naming it."""
+        if (not isinstance(self.widths, tuple) or len(self.widths) < 2
+                or not all(type(w) is int and w > 0 for w in self.widths)):
+            raise StructureError("model.widths is not a list of at least two "
+                                 "positive integers")
+        if not isinstance(self.activation, str) \
+                or self.activation not in ACTIVATIONS:
+            raise StructureError(f"model.activation is not one of "
+                                 f"{', '.join(ACTIVATIONS)}")
 
     @property
     def n_layers(self) -> int:
@@ -64,19 +70,12 @@ class MlpSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
-        """Parse a stored layout; a bad field raises StructureError naming it."""
+        """Parse a stored layout."""
         if not isinstance(d, dict):
             raise StructureError("model layout is not a JSON object")
         widths = d.get("widths")
-        if (not isinstance(widths, list) or len(widths) < 2
-                or not all(type(w) is int and w > 0 for w in widths)):
-            raise StructureError("model.widths is not a list of at least two "
-                                 "positive integers")
-        activation = d.get("activation")
-        if not isinstance(activation, str) or activation not in ACTIVATIONS:
-            raise StructureError(f"model.activation is not one of "
-                                 f"{', '.join(ACTIVATIONS)}")
-        return cls(tuple(widths), activation)
+        return cls(tuple(widths) if isinstance(widths, list) else widths,
+                   d.get("activation"))
 
 
 def init_params(spec: MlpSpec, seed: int) -> ParamSet:
@@ -94,14 +93,9 @@ def init_params(spec: MlpSpec, seed: int) -> ParamSet:
 
 
 def check_params(spec: MlpSpec, params: ParamSet) -> None:
-    expected = spec.module_shapes()
-    if params.names != [n for n, _ in expected]:
-        raise ValueError(
-            f"parameter set does not match spec: {params.names} vs "
-            f"{[n for n, _ in expected]}")
-    for (name, shape), (_, v) in zip(expected, params.modules):
-        if ad._np(v).size != int(np.prod(shape)):
-            raise ValueError(f"module {name!r}: wrong size")
+    """Raise StructureError unless params has spec's modules, in order."""
+    check_aligned(ParamSet([(name, np.empty(shape)) for name, shape
+                            in spec.module_shapes()]), params)
 
 
 @dataclass

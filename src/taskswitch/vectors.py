@@ -17,11 +17,6 @@ class StructureError(ValueError):
     """Two parameter sets (or a set and a companion object) do not line up."""
 
 
-def _as_flat_f64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr.reshape(-1)
-
-
 @dataclass
 class ParamSet:
     """Ordered mapping of module name -> flat float64 vector."""
@@ -29,7 +24,8 @@ class ParamSet:
     modules: list[tuple[str, np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
-        self.modules = [(name, _as_flat_f64(v)) for name, v in self.modules]
+        self.modules = [(name, np.asarray(v, dtype=np.float64).reshape(-1))
+                        for name, v in self.modules]
 
     @property
     def names(self) -> list[str]:
@@ -48,22 +44,12 @@ class ParamSet:
         return ParamSet([(n, v.copy()) for n, v in self.modules])
 
 
-@dataclass
-class TaskVector:
+class TaskVector(ParamSet):
     """Per-module incremental weights of one task, aligned with its base."""
 
-    task_id: str
-    modules: list[tuple[str, np.ndarray]]
-
-    def __post_init__(self):
-        self.modules = [(name, _as_flat_f64(v)) for name, v in self.modules]
-
-    @property
-    def names(self) -> list[str]:
-        return [name for name, _ in self.modules]
-
-    def total_size(self) -> int:
-        return sum(v.size for _, v in self.modules)
+    def __init__(self, task_id: str, modules: list[tuple[str, np.ndarray]]):
+        self.task_id = task_id
+        super().__init__(modules)
 
 
 @dataclass(frozen=True)
@@ -82,15 +68,15 @@ class SignedBounds:
     has_neg: bool
 
 
-def check_aligned(a: ParamSet | TaskVector, b: ParamSet | TaskVector) -> None:
-    """Same module count, names and sizes, in order (ParamSet or TaskVector)."""
+def check_aligned(a, b) -> None:
+    """Same module count, names and sizes, in order, whatever the modules."""
     if len(a.modules) != len(b.modules):
         raise StructureError(
             f"module count mismatch: {len(a.modules)} vs {len(b.modules)}")
     for (name_a, va), (name_b, vb) in zip(a.modules, b.modules):
         if name_a != name_b:
             raise StructureError(f"module name mismatch: {name_a!r} vs {name_b!r}")
-        if va.shape != vb.shape:
+        if va.size != vb.size:
             raise StructureError(
                 f"module {name_a!r}: size {va.size} vs {vb.size}")
 

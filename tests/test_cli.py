@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from taskswitch import (MlpSpec, TaskVector, build_switch, init_params,
-                        save_bundle)
+                        load_params, save_bundle)
 from taskswitch.cli import main
 from taskswitch.container import save_container, streams_from_params
 
@@ -48,6 +48,23 @@ class TestGenTasks:
     def test_invalid_geometry_exits_2(self, tmp_path):
         assert main(["gen-tasks", "--out", str(tmp_path), "--dim", "2",
                      "--classes", "4"]) == 2
+
+    def test_unplaceable_task_centers_exit_2(self, tmp_path, capsys):
+        assert main(["gen-tasks", "--out", str(tmp_path / "d"),
+                     "--tasks", "40", "--min-task-gap", "11"]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not place --tasks 40 centers --min-task-gap 11.0 "
+            "apart in 100 tries\n")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flag", ["--noise", "--task-separation",
+                                      "--class-separation", "--min-task-gap"])
+    def test_non_finite_geometry_exits_2(self, tmp_path, capsys, flag):
+        # such a draw would write CSVs that read_dataset refuses
+        assert _gen(tmp_path / "d", extra=(flag, "nan")) == 2
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be finite\n"
+        assert not (tmp_path / "d").exists()
 
 
 class TestConfigFile:
@@ -462,6 +479,80 @@ class TestErrorPaths:
             "taskswitch compress: error: argument --softmax-temp: "
             f"must be positive and finite, got {temp!r}")
         assert not (tmp_path / "c.tswc").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("command, out", [("fine-tune", "m.tswp"),
+                                              ("train-metric", "r.idx")])
+    def test_lr_not_positive_exit_2(self, pipeline_dir, tmp_path, capsys,
+                                    command, out, lr):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS[command](root, data, data / "task1_train.csv",
+                                     tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--lr", lr])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"taskswitch {command}: error: argument --lr: "
+            f"must be positive and finite, got {lr!r}")
+        assert not (tmp_path / out).exists()
+
+    def test_parameters_past_float32_exit_2(self, pipeline_dir, tmp_path,
+                                            capsys):
+        # a huge step leaves finite float64 values that float32 cannot hold;
+        # the file is refused before it is written, not when it is read
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["fine-tune"](root, data, data / "task0_train.csv",
+                                         tmp_path)
+        assert main(argv + ["--lr", "1e300", "--steps", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'm.tswp'}: dense values must be finite in "
+            "float32\n")
+        assert not (tmp_path / "m.tswp").exists()
+
+    def test_over_long_task_id_exits_2(self, pipeline_dir, tmp_path, capsys):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",
+                                        tmp_path)
+        assert main(argv + ["--task", "t" * 70000]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'c.tswc'}: task id of 70000 bytes is over "
+            "the 65535 a file can hold\n")
+        assert not (tmp_path / "c.tswc").exists()
+
+    def test_model_file_contradicting_its_layout_exits_2(
+            self, pipeline_dir, tmp_path, capsys):
+        # modules of a 6,10,3 model stored under a 6,20,3 layout
+        root, data = pipeline_dir
+        _, params, _ = load_params(root / "base.tswp")
+        liar = tmp_path / "liar.tswp"
+        save_container(liar, [("base", streams_from_params(params))],
+                       metadata={"model": MlpSpec((6, 20, 3)).to_dict(),
+                                 "module_names": params.names})
+        argv = CSV_COMMANDS["build-index"](root, data,
+                                           data / "task1_train.csv", tmp_path)
+        argv[argv.index("--base") + 1] = str(liar)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {liar}: module 'layer0.weight': size 120 vs 60\n")
+        assert not (tmp_path / "r.idx").exists()
+
+    @pytest.mark.parametrize("command", ["train-metric", "merge-eval"])
+    def test_index_of_another_feature_width_exits_2(
+            self, pipeline_dir, tmp_path, capsys, command):
+        root, data = pipeline_dir
+        other = tmp_path / "other.tswp"
+        assert main(["fine-tune", "--train", str(data / "base_train.csv"),
+                     "--widths", "6,7,3", "--steps", "1",
+                     "-o", str(other)]) == 0
+        capsys.readouterr()
+        argv = CSV_COMMANDS[command](root, data, data / "task1_train.csv",
+                                     tmp_path)
+        argv[argv.index("--base") + 1] = str(other)
+        index = argv[argv.index("--index") + 1]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {index}: features of width 10, the model's have 7\n")
+        assert not (tmp_path / "r.idx").exists()
 
     def test_diverged_compress_exits_2(self, pipeline_dir, tmp_path, capsys):
         root, data = pipeline_dir

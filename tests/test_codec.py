@@ -348,6 +348,15 @@ class TestEncodeValidation:
             with pytest.raises(CodecError, match="non-finite"):
                 encode(mod)
 
+    @pytest.mark.parametrize("value", [3.5e38, -1e300])
+    def test_dense_values_past_float32_rejected(self, value):
+        # finite in float64, inf once stored: refused like decode_at would
+        with pytest.raises(CodecError, match="finite in float32"):
+            encode_dense(np.array([1.0, value]))
+        edge = np.array([np.finfo(np.float32).max, 1e-46])
+        np.testing.assert_array_equal(
+            decode(encode_dense(edge).data).values, [edge[0], 0.0])
+
     def test_non_finite_dense_values_rejected(self):
         v = np.ones(8)
         v[2] = np.inf
@@ -392,6 +401,13 @@ class TestCorruption:
     def test_non_finite_header_field(self):
         bits = _header(0, 2, 0, 8, float("nan"), 1.0, 1.0)
         with pytest.raises(CorruptStreamError, match="non-finite"):
+            decode(_stream(bits))
+
+    @pytest.mark.parametrize("tag, b, cfield", [(1, 2, 1), (2, 0, 3)],
+                             ids=["indep", "dense"])
+    def test_group_field_outside_grouped_format(self, tag, b, cfield):
+        bits = _header(tag, b, cfield, 8, 1.0, 0.0, 0.0)
+        with pytest.raises(CorruptStreamError, match="grouped stream only"):
             decode(_stream(bits))
 
     def test_dense_header_with_quantizer_fields(self):

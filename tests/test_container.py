@@ -9,6 +9,7 @@ from taskswitch import (
     CodecError,
     CompressedModule,
     CompressedTaskVector,
+    CorruptStreamError,
     MlpSpec,
     ParamSet,
     StructureError,
@@ -128,6 +129,34 @@ class TestBundleRoundTrip:
 
 
 class TestCorruptContainers:
+    def test_stream_error_names_file_task_and_module(self, tmp_path):
+        sw, streams = _switch_streams(0)
+        p = tmp_path / "s.tsw"
+        save_bundle(p, [(sw.task_id, streams)], ["a", "b"])
+        data = bytearray(p.read_bytes())
+        second = 5 + 2 + 2 + len(sw.task_id) + 2 + len(streams[0].data)
+        data[second] |= 0b1100_0000          # format tag 3
+        p.write_bytes(bytes(data))
+        with pytest.raises(CorruptStreamError) as exc:
+            load_container(p)
+        assert str(exc.value) == (f"{p}: task 'task0' module 1: unknown "
+                                  f"format tag 3 (bit offset {8 * second})")
+        assert exc.value.bit_offset == 8 * second
+
+    def test_over_long_task_id_refused(self, tmp_path):
+        sw, streams = _switch_streams(0)
+        p = tmp_path / "long.tsw"
+        with pytest.raises(CodecError, match=f"^{p}: task id of 65536 bytes"):
+            save_bundle(p, [("é" * 32768, streams)], ["a", "b"])
+        save_bundle(p, [("é" * 32767 + "x", streams)], ["a", "b"])
+        assert load_bundle(p)[0][0].task_id == "é" * 32767 + "x"
+
+    def test_task_count_past_the_framing_refused(self, tmp_path):
+        p = tmp_path / "many.tsw"
+        with pytest.raises(CodecError, match="over 65535 tasks"):
+            save_container(p, [("t", [])] * 65536)
+        assert not p.exists()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.tsw"
         p.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -289,8 +318,12 @@ class TestModuleNames:
                            match=f"short.tsw: 1 module names for "
                                  f"{len(ps.names)} modules"):
             load_params(p)
+        # save_bundle runs the same rule, so such a bundle is written only
+        # by hand
         _, streams = _switch_streams(0)
-        save_bundle(p, [("t", streams)], ["a"])
+        with pytest.raises(StructureError, match="1 module names for 2"):
+            save_bundle(p, [("t", streams)], ["a"])
+        save_container(p, [("t", streams)], metadata={"module_names": ["a"]})
         with pytest.raises(StructureError, match="1 module names for 2"):
             load_bundle(p)
 

@@ -470,7 +470,8 @@ class TestMaterialize:
             materialize(self.BASE, [wrong_len], np.array([1.0]))
         renamed = _sparse("a", [(3, [0], [1.0]), (2, [0], [1.0])])
         renamed.modules.reverse()
-        with pytest.raises(StructureError, match="module 'm1' where base"):
+        with pytest.raises(StructureError, match="^bundle 'a': module name "
+                           "mismatch: 'm0' vs 'm1'$"):
             materialize(self.BASE, [renamed], np.array([1.0]))
 
 
@@ -545,12 +546,12 @@ class TestMergedForward:
 
     @pytest.mark.parametrize("break_it, message", [
         (lambda mods: mods[:1],
-         "bundle 'b' has 1 modules, base has 4"),
+         "bundle 'b': module count mismatch: 4 vs 1"),
         (lambda mods: mods[::-1],
-         "bundle 'b': module 'layer1.bias' where base has 'layer0.weight'"),
+         "bundle 'b': module name mismatch: 'layer0.weight' vs 'layer1.bias'"),
         (lambda mods: [("layer0.weight", _quantized(25, [0], [1], 4, 0.05))]
          + mods[1:],
-         "bundle 'b' module 'layer0.weight': length 25 vs base 24"),
+         "bundle 'b': module 'layer0.weight': size 24 vs 25"),
     ], ids=["short", "renamed", "wrong-length"])
     def test_misaligned_bundle_raises(self, break_it, message):
         base, vectors, exemplars = _model_setup()
@@ -716,19 +717,44 @@ class TestIndexFile:
             load_index(path)
 
     def test_non_finite_float_rejected(self, tmp_path):
+        # a file patched to hold a non-finite float is refused on load, and
+        # save_index runs the same test, naming the same byte
+        for block, pos, back in (("projection", (1, 3), 8),
+                                 ("centers", (0, 0), 180)):
+            index = self._index()
+            path = tmp_path / "refs.idx"
+            save_index(path, index)
+            data = bytearray(path.read_bytes())
+            at = len(data) - back
+            data[at:at + 4] = np.array(np.nan, "<f4").tobytes()
+            path.write_bytes(bytes(data))
+            with pytest.raises(CodecError,
+                               match=f"non-finite float at byte {at}$"):
+                load_index(path)
+            getattr(index, block)[pos] = -np.inf
+            with pytest.raises(CodecError,
+                               match=f"non-finite float at byte {at}$"):
+                save_index(tmp_path / "other.idx", index)
+            assert not (tmp_path / "other.idx").exists()
+
+    @pytest.mark.parametrize("change", [
+        lambda index: index.labels.__setitem__(slice(2, 4), [1, 0]),
+        lambda index: index.labels.__setitem__(-1, 2),
+        lambda index: setattr(index, "projection", index.projection[:, :4]),
+    ], ids=["interleaved", "unknown-task", "projection-width"])
+    def test_index_load_index_would_misread_refused(self, tmp_path, change):
         index = self._index()
-        index.projection[1, 3] = np.nan
-        path = tmp_path / "refs.idx"
-        save_index(path, index)
-        size = len(path.read_bytes())
-        with pytest.raises(CodecError, match=f"non-finite float at byte "
-                                             f"{size - 8}"):
-            load_index(path)
-        index.projection[1, 3] = 0.0
-        index.centers[0, 0] = -np.inf
-        save_index(path, index)
-        with pytest.raises(CodecError, match=f"at byte {size - 180}"):
-            load_index(path)
+        change(index)
+        with pytest.raises(StructureError, match="each task's references"):
+            save_index(tmp_path / "refs.idx", index)
+        assert not (tmp_path / "refs.idx").exists()
+
+    def test_index_without_tasks_refused(self, tmp_path):
+        index = ReferenceIndex([], np.zeros((0, 5)), np.zeros(0, np.int64),
+                               np.eye(5))
+        with pytest.raises(CodecError, match="task count at byte 4 is zero"):
+            save_index(tmp_path / "refs.idx", index)
+        assert not (tmp_path / "refs.idx").exists()
 
     def test_non_utf8_task_id_names_the_byte(self, tmp_path):
         path = tmp_path / "refs.idx"
