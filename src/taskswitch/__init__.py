@@ -9,9 +9,9 @@ from .codec import (CapacityError, CodecError, CompressedModule,
 from .container import (load_bundle, load_container, load_params, save_bundle,
                         save_params, sparse_from_decoded)
 from .harness import (SyntheticTaskSpec, TaskData, base_dataset,
-                      baseline_merge, evaluate_tasks, fine_tune, gen_tasks,
-                      probe_precision, probe_scale, probe_sparsity,
-                      read_dataset, write_dataset)
+                      baseline_merge, fine_tune, gen_tasks, probe_precision,
+                      probe_scale, probe_sparsity, read_dataset,
+                      write_dataset)
 from .losses import (DEFAULT_LAMBDA, LAMBDA_PRESETS, cka_loss, kl_loss,
                      mse_loss, preservation_loss)
 from .merging import (ReferenceIndex, build_index, kmeans, knn_weights,

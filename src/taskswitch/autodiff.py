@@ -4,13 +4,19 @@ The op functions below dispatch on argument type: with plain arrays they are
 ordinary numpy, with Var arguments they record a node on the owning tape.
 Formula code written against these functions therefore runs identically as a
 pure evaluation (used by finite differences) or as a differentiable graph.
-The tape records nodes in creation order, which is already a topological
-order, so backward is a single reversed sweep.
+
+A node stores its parents and one vector-Jacobian product that returns a
+gradient per parent. A composite op (`softmax` here; the dense layer, the
+cross-entropy, the preservation losses and the compression objective's
+pieces beside their callers) records a single node through `record`. Its
+hand-written VJP runs the numpy operations of the chain of small ops it
+replaces, in the same order, so values and gradients are bit-equal to that
+chain, which the tests keep as the oracle. The tape records nodes in
+creation order, which is already a topological order, so backward is a
+single reversed sweep.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +27,8 @@ def _np(x) -> np.ndarray:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient back down to the shape it was broadcast from."""
-    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -38,10 +45,7 @@ class Tape:
 
     def var(self, value) -> "Var":
         """New leaf variable that accumulates gradient."""
-        return Var(self, np.asarray(value, dtype=np.float64), parents=())
-
-    def _record(self, node: "Var") -> None:
-        self._nodes.append(node)
+        return Var(self, np.asarray(value, dtype=np.float64), (), None)
 
     def backward(self, out: "Var") -> None:
         if out.tape is not self:
@@ -50,31 +54,41 @@ class Tape:
             raise ValueError("backward expects a scalar output")
         out.grad = np.ones_like(out.value)
         for node in reversed(self._nodes):
-            if node.grad is None:
+            if node.grad is None or node.vjp is None:
                 continue
-            for parent, vjp in node.parents:
-                g = vjp(node.grad)
-                if parent.grad is None:
-                    parent.grad = np.asarray(g, dtype=np.float64).copy()
-                else:
-                    parent.grad = parent.grad + g
+            # Gradients are never written in place, so a parent may hold
+            # the very array its child passed down.
+            for parent, g in zip(node.parents, node.vjp(node.grad)):
+                if parent is not None:
+                    parent.grad = g if parent.grad is None \
+                        else parent.grad + g
 
 
 class Var:
-    __slots__ = ("tape", "value", "parents", "grad")
+    """A value on a tape: its parents (None for a constant operand) and the
+    VJP that maps its gradient to one gradient per parent."""
 
-    def __init__(self, tape: Tape, value: np.ndarray, parents):
+    __slots__ = ("tape", "value", "parents", "vjp", "grad")
+
+    def __init__(self, tape: Tape, value, parents: tuple, vjp):
         self.tape = tape
-        self.value = np.asarray(value, dtype=np.float64)
-        self.parents = tuple(parents)
-        self.grad: np.ndarray | None = None
-        tape._record(self)
+        self.value = value
+        self.parents = parents
+        self.vjp = vjp
+        self.grad = None
+        tape._nodes.append(self)
 
     def __repr__(self):
-        return f"Var(shape={self.value.shape}, leaf={not self.parents})"
+        return f"Var(shape={np.shape(self.value)}, leaf={self.vjp is None})"
 
 
-def _tape_of(*args) -> Tape | None:
+def record(args: tuple, value, vjp):
+    """value, computed from args, as one node when any arg is a Var.
+
+    vjp(g) returns one gradient per arg, in order and shaped like it; the
+    entries of args that are not Vars are never read (None will do). With
+    no Var among args, value comes back as it is: the forward alone.
+    """
     tape = None
     for a in args:
         if isinstance(a, Var):
@@ -82,30 +96,43 @@ def _tape_of(*args) -> Tape | None:
                 tape = a.tape
             elif a.tape is not tape:
                 raise ValueError("operands live on different tapes")
-    return tape
+    if tape is None:
+        return value
+    return Var(tape, value,
+               tuple(a if isinstance(a, Var) else None for a in args), vjp)
 
 
 def _binary(a, b, fwd, vjp_a, vjp_b) -> Var | np.ndarray:
-    tape = _tape_of(a, b)
     av, bv = _np(a), _np(b)
     out = fwd(av, bv)
-    if tape is None:
+    need_a, need_b = isinstance(a, Var), isinstance(b, Var)
+    if not (need_a or need_b):
         return out
-    parents = []
-    if isinstance(a, Var):
-        parents.append((a, lambda g: _unbroadcast(vjp_a(g, av, bv), av.shape)))
-    if isinstance(b, Var):
-        parents.append((b, lambda g: _unbroadcast(vjp_b(g, av, bv), bv.shape)))
-    return Var(tape, out, parents)
+    if need_a and need_b and a.tape is not b.tape:
+        raise ValueError("operands live on different tapes")
+
+    def vjp(g):
+        return (_unbroadcast(vjp_a(g, av, bv), av.shape) if need_a else None,
+                _unbroadcast(vjp_b(g, av, bv), bv.shape) if need_b else None)
+    return Var((a if need_a else b).tape, out,
+               (a if need_a else None, b if need_b else None), vjp)
 
 
 def _unary(x, fwd, vjp) -> Var | np.ndarray:
-    tape = _tape_of(x)
-    xv = _np(x)
+    if not isinstance(x, Var):
+        return fwd(np.asarray(x, dtype=np.float64))
+    xv = x.value
     out = fwd(xv)
-    if tape is None:
-        return out
-    return Var(tape, out, [(x, lambda g: vjp(g, xv, out))])
+    return Var(x.tape, out, (x,), lambda g: (vjp(g, xv, out),))
+
+
+def _elementwise(fwd, vjp):
+    """A one-argument op; op.fwd and op.vjp(g, x, out) stay reachable, so
+    a fused node runs the same formulas."""
+    def op(x):
+        return _unary(x, fwd, vjp)
+    op.fwd, op.vjp = fwd, vjp
+    return op
 
 
 def add(a, b):
@@ -133,42 +160,19 @@ def matmul(a, b):
                    lambda g, x, y: g @ y.T, lambda g, x, y: x.T @ g)
 
 
-def square(x):
-    return _unary(x, lambda v: v ** 2, lambda g, v, out: g * 2 * v)
+square = _elementwise(lambda v: v ** 2, lambda g, v, out: g * 2 * v)
 
 
 def transpose(x):
-    return _unary(x, lambda v: v.T, lambda g, v, out: np.asarray(g).T)
+    return _unary(x, lambda v: v.T, lambda g, v, out: g.T)
 
 
-def reshape(x, shape):
-    return _unary(x, lambda v: v.reshape(shape),
-                  lambda g, v, out: np.asarray(g).reshape(v.shape))
-
-
-def exp(x):
-    return _unary(x, np.exp, lambda g, v, out: g * out)
-
-
-def log(x):
-    return _unary(x, np.log, lambda g, v, out: g / v)
-
-
-def sqrt(x):
-    return _unary(x, np.sqrt, lambda g, v, out: g / (2.0 * out))
-
-
-def tanh(x):
-    return _unary(x, np.tanh, lambda g, v, out: g * (1.0 - out * out))
-
-
-def arctan(x):
-    return _unary(x, np.arctan, lambda g, v, out: g / (1.0 + v * v))
-
-
-def relu(x):
-    return _unary(x, lambda v: np.maximum(v, 0.0),
-                  lambda g, v, out: g * (v > 0.0))
+log = _elementwise(np.log, lambda g, v, out: g / v)
+sqrt = _elementwise(np.sqrt, lambda g, v, out: g / (2.0 * out))
+tanh = _elementwise(np.tanh, lambda g, v, out: g * (1.0 - out * out))
+arctan = _elementwise(np.arctan, lambda g, v, out: g / (1.0 + v * v))
+relu = _elementwise(lambda v: np.maximum(v, 0.0),
+                    lambda g, v, out: g * (v > 0.0))
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -177,17 +181,13 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def sigmoid(x):
-    return _unary(x, _sigmoid_np, lambda g, v, out: g * out * (1.0 - out))
-
-
 def _softplus_np(x: np.ndarray) -> np.ndarray:
     # log1p(exp(x)) below the linear regime, x itself above it.
     return np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
 
 
-def softplus(x):
-    return _unary(x, _softplus_np, lambda g, v, out: g * _sigmoid_np(v))
+sigmoid = _elementwise(_sigmoid_np, lambda g, v, out: g * out * (1.0 - out))
+softplus = _elementwise(_softplus_np, lambda g, v, out: g * _sigmoid_np(v))
 
 
 def maximum(x, floor: float):
@@ -196,9 +196,14 @@ def maximum(x, floor: float):
                   lambda g, v, out: g * (v > floor))
 
 
+def minimum(x, ceiling: float):
+    """Elementwise min with a constant; gradient passes at and below it."""
+    return _unary(x, lambda v: np.minimum(v, ceiling),
+                  lambda g, v, out: g * (v <= ceiling))
+
+
 def sum_(x, axis=None, keepdims=False):
     def vjp(g, v, out):
-        g = np.asarray(g, dtype=np.float64)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, v.shape).copy()
@@ -217,8 +222,8 @@ def take(x, i: int | slice):
 def _segment_sums(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sums of consecutive runs of counts[k] entries along the last axis."""
     counts = np.asarray(counts)
-    starts = np.cumsum(counts) - counts
-    if np.all(counts > 0):
+    starts = counts.cumsum() - counts
+    if counts.all():
         return np.add.reduceat(v, starts, axis=-1)
     # reduceat over the non-empty starts alone ends each run where the next
     # non-empty one begins; the empty runs stay zero.
@@ -228,18 +233,6 @@ def _segment_sums(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def repeat(x, counts):
-    """Last-axis entry k repeated counts[k] times (np.repeat), one node."""
-    return _unary(x, lambda v: np.repeat(v, counts, axis=-1),
-                  lambda g, v, out: _segment_sums(g, counts))
-
-
-def segment_sum(x, counts):
-    """Sums of consecutive last-axis runs of counts[k]; adjoint of repeat."""
-    return _unary(x, lambda v: _segment_sums(v, counts),
-                  lambda g, v, out: np.repeat(g, counts, axis=-1))
-
-
 def mean(x, axis=None, keepdims=False):
     xv = _np(x)
     n = xv.size if axis is None else xv.shape[axis]
@@ -247,15 +240,32 @@ def mean(x, axis=None, keepdims=False):
 
 
 def softmax(x, axis=-1):
-    shift = np.max(_np(x), axis=axis, keepdims=True)  # constant: shift-invariant
-    e = exp(sub(x, shift))
-    return div(e, sum_(e, axis=axis, keepdims=True))
+    """e / sum(e) along axis with e = exp(x - max(x)), one node. Its
+    backward is that of the subtract, exp, sum and divide as separate
+    nodes, operation for operation."""
+    xv = _np(x)
+    e = np.exp(xv - xv.max(axis=axis, keepdims=True))
+    s = e.sum(axis=axis, keepdims=True)
+    return record((x,), e / s, lambda g: (
+        (g / s + _unbroadcast(-g * e / (s * s), s.shape)) * e,))
 
 
-def log_softmax(x, axis=-1):
-    shift = np.max(_np(x), axis=axis, keepdims=True)
-    z = sub(x, shift)
-    return sub(z, log(sum_(exp(z), axis=axis, keepdims=True)))
+def log_softmax_parts(v: np.ndarray):
+    """log_softmax(v) over the last axis and the (e, s) its backward takes:
+    e = exp(v - max(v)) and its sum s."""
+    z = v - v.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    return z - np.log(s), e, s
+
+
+def log_softmax_vjp(g: np.ndarray, e: np.ndarray, s: np.ndarray,
+                    ) -> np.ndarray:
+    """log_softmax's input gradient from its output gradient g: the
+    backward of the subtract, exp, sum and log as separate nodes,
+    operation for operation. Fused nodes that end in a log-softmax call
+    it."""
+    return g + _unbroadcast(-g, s.shape) / s * e
 
 
 def value_and_grad(fn, leaves: dict[str, np.ndarray]):
@@ -271,69 +281,8 @@ def value_and_grad(fn, leaves: dict[str, np.ndarray]):
     tape.backward(result[0] if isinstance(result, tuple) else result)
     grads = {k: v.grad if v.grad is not None else np.zeros_like(v.value)
              for k, v in lvars.items()}
+    # Every Var refers to its tape and the tape to every Var: emptied, the
+    # graph is freed by reference counting now instead of by a later
+    # cyclic collection.
+    tape._nodes.clear()
     return result, grads
-
-
-@dataclass
-class FdReport:
-    """Central finite-difference cross-check of tape gradients."""
-
-    analytic: dict[str, np.ndarray]
-    numeric: dict[str, np.ndarray]
-    rel_err: dict[str, np.ndarray]
-    frac_within_tol: float
-    max_rel_err: float
-    tol: float
-    excluded: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def fd_check(objective, leaves: dict[str, np.ndarray], h: float = 1e-5,
-             tol: float = 1e-4, exclude: dict[str, np.ndarray] | None = None,
-             ) -> FdReport:
-    """Compare tape gradients of objective(leaves) against central differences.
-
-    objective must accept a mapping name -> Var (tape mode) or name -> array
-    (plain mode) and return the scalar objective. `exclude` marks coordinates
-    (e.g. straight-through quantizer inputs) left out of the pass fraction.
-    """
-    leaves = {k: np.asarray(v, dtype=np.float64) for k, v in leaves.items()}
-    _, analytic = value_and_grad(objective, leaves)
-
-    def eval_at(vals: dict[str, np.ndarray]) -> float:
-        return float(np.asarray(_np(objective(vals))))
-
-    numeric = {}
-    for name, base in leaves.items():
-        g = np.zeros_like(base)
-        flat = base.reshape(-1)
-        for i in range(flat.size):
-            bumped = dict(leaves)
-            up = base.copy().reshape(-1)
-            up[i] += h
-            bumped[name] = up.reshape(base.shape)
-            f_up = eval_at(bumped)
-            down = base.copy().reshape(-1)
-            down[i] -= h
-            bumped[name] = down.reshape(base.shape)
-            f_down = eval_at(bumped)
-            g.reshape(-1)[i] = (f_up - f_down) / (2.0 * h)
-        numeric[name] = g
-
-    rel_err = {}
-    n_ok = 0
-    n_all = 0
-    worst = 0.0
-    excluded = dict(exclude or {})
-    for name in leaves:
-        ga, gn = analytic[name], numeric[name]
-        denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
-        err = np.abs(ga - gn) / denom
-        rel_err[name] = err
-        keep = ~excluded[name].astype(bool) if name in excluded \
-            else np.ones_like(err, dtype=bool)
-        if np.any(keep):
-            n_ok += int(np.sum(err[keep] <= tol))
-            n_all += int(np.sum(keep))
-            worst = max(worst, float(err[keep].max()))
-    frac = n_ok / n_all if n_all else 1.0
-    return FdReport(analytic, numeric, rel_err, frac, worst, tol, excluded)

@@ -27,7 +27,7 @@ from .merging import materialize as apply_compressed
 from .model import MlpSpec, accuracy, features, init_params
 from .switch import build_switch
 from .training import TrainConfig, TrainingDivergedError, train
-from .vectors import StructureError, diff
+from .vectors import StructureError, check_aligned, diff
 
 
 def _widths(text: str) -> tuple:
@@ -446,7 +446,16 @@ def _accuracy_report(rows, out):
 def cmd_merge_eval(args) -> int:
     spec, base, _ = load_params(args.base)
     index = _load_index(args.index, spec)
-    vectors = [sv for path in args.bundle for sv in load_bundle(path)[0]]
+    vectors = []
+    for path in args.bundle:
+        for sv in load_bundle(path)[0]:
+            try:
+                check_aligned(base, sv)
+            except StructureError as exc:
+                raise StructureError(f"{path}: bundle {sv.task_id!r} does "
+                                     f"not fit --base {args.base}: {exc}"
+                                     ) from None
+            vectors.append(sv)
     rows = []
     for name, path in args.task:
         x, y = _read_inputs(spec, path)

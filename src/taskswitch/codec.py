@@ -296,10 +296,10 @@ def _module_header(module: CompressedModule, fmt: Format) -> ModuleHeader:
     """The stream header of a module whose support and bins are sound."""
     n, b, support, bins = (module.length, module.bit_width, module.support,
                            module.bins)
-    rn, rp = (float(np.float32(r)) for r in (module.range_neg,
-                                             module.range_pos))
-    header = ModuleHeader(fmt, b, 1, n,
-                          float(np.float32(module.scale)), rn, rp)
+    with np.errstate(over="ignore"):   # past float32's range: refused below
+        scale, rn, rp = (float(np.float32(v)) for v in (
+            module.scale, module.range_neg, module.range_pos))
+    header = ModuleHeader(fmt, b, 1, n, scale, rn, rp)
     _check_header(header)
     if support.ndim != 1 or bins.shape != support.shape:
         raise CodecError(f"{bins.size} bins for {support.size} positions")

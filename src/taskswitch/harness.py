@@ -359,9 +359,3 @@ def baseline_merge(base: ParamSet, vectors: list[TaskVector],
     for tv in vectors:
         merged = add(merged, tv, w)
     return merged
-
-
-def evaluate_tasks(spec: MlpSpec, params: ParamSet,
-                   tasks: list[TaskData]) -> list[float]:
-    """Test accuracy of one parameter set on every task."""
-    return [accuracy(spec, params, t.test_x, t.test_y) for t in tasks]

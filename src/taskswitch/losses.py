@@ -27,26 +27,32 @@ def kl_loss(ref_logits: np.ndarray, cmp_logits, temperature: float = 4.0):
     """Temperature-softened KL from the reference to the comparison model.
 
     (T^2 / B) * sum_i KL(softmax(ref_i/T) || softmax(cmp_i/T)). The T^2
-    factor keeps gradient magnitudes comparable across temperatures.
+    factor keeps gradient magnitudes comparable across temperatures. One
+    tape node; its backward is that of the divide, log-softmax, subtract,
+    product and sum as separate nodes, operation for operation.
     """
     ref = np.asarray(ref_logits, dtype=np.float64)
     if ref.ndim != 2:
         raise ValueError("expected a (batch, classes) array")
-    batch = ref.shape[0]
-    t = float(temperature)
+    t = np.asarray(float(temperature))
+    factor = np.asarray(t * t / ref.shape[0])
     q = ad.softmax(ref / t)
-    log_q = np.log(q)
-    log_p = ad.log_softmax(ad.div(cmp_logits, t))
-    per_elem = ad.mul(q, ad.sub(log_q, log_p))
-    return ad.mul(ad.sum_(per_elem), t * t / batch)
+    log_p, e, s = ad.log_softmax_parts(ad._np(cmp_logits) / t)
+
+    def vjp(g):
+        return (ad.log_softmax_vjp(-(g * factor * q), e, s) / t,)
+    return ad.record((cmp_logits,), (q * (np.log(q) - log_p)).sum() * factor,
+                     vjp)
 
 
 def mse_loss(ref: np.ndarray, cmp):
-    """Mean (over the batch) squared l2 distance between output rows."""
+    """Mean (over the batch) squared l2 distance between output rows, one
+    tape node."""
     ref = np.asarray(ref, dtype=np.float64)
-    batch = ref.shape[0]
-    d = ad.sub(cmp, ref)
-    return ad.div(ad.sum_(ad.square(d)), float(batch))
+    batch = np.asarray(float(ref.shape[0]))
+    d = ad._np(cmp) - ref
+    return ad.record((cmp,), (d ** 2).sum() / batch,
+                     lambda g: (ad.square.vjp(g / batch, d, None),))
 
 
 def centering_matrix(batch: int) -> np.ndarray:
@@ -58,7 +64,9 @@ def cka_loss(ref_feats: np.ndarray, cmp_feats):
 
     Alignment is ||F^T H Fhat||_F^2 / (||F^T H F||_F ||Fhat^T H Fhat||_F)
     with H the centering matrix. A vanishing denominator (constant
-    features) returns the constant loss 1.0.
+    features) returns the constant loss 1.0. One tape node; its backward is
+    that of the products, squares, sums and quotient as separate nodes,
+    operation for operation.
     """
     ref = np.asarray(ref_feats, dtype=np.float64)
     if ref.ndim != 2 or ref.shape[0] < 2:
@@ -67,17 +75,27 @@ def cka_loss(ref_feats: np.ndarray, cmp_feats):
     h = centering_matrix(batch)
     ref_th = ref.T @ h                       # constant (features x batch)
     den_ref = float(np.linalg.norm(ref_th @ ref))
-    cross = ad.matmul(ref_th, cmp_feats)
-    cmp_t = ad.transpose(cmp_feats)
-    gram_cmp = ad.matmul(ad.matmul(cmp_t, h), cmp_feats)
-    den_cmp_sq = ad.sum_(ad.square(gram_cmp))
-    den_cmp_val = float(np.sqrt(max(float(ad._np(den_cmp_sq)), 0.0)))
-    if den_ref * den_cmp_val < CKA_DEGENERATE_TOL:
+    f = ad._np(cmp_feats)
+    cross = ref_th @ f
+    f_th = f.T @ h
+    gram = f_th @ f
+    den_sq = (gram ** 2).sum()
+    if den_ref * float(np.sqrt(max(float(den_sq), 0.0))) < CKA_DEGENERATE_TOL:
         # Constant loss, zero gradient: nothing to align against.
         return 1.0
-    num = ad.sum_(ad.square(cross))
-    den = ad.mul(ad.sqrt(den_cmp_sq), den_ref)
-    return ad.sub(1.0, ad.div(num, den))
+    num = (cross ** 2).sum()
+    root = np.sqrt(den_sq)
+    den = root * np.asarray(den_ref)
+
+    def vjp(g):
+        g_ratio = -g
+        g_den = -g_ratio * num / (den * den)
+        g_gram = ad.square.vjp(ad.sqrt.vjp(g_den * den_ref, den_sq, root),
+                               gram, None)
+        g_cross = ad.square.vjp(g_ratio / den, cross, None)
+        return ((f_th.T @ g_gram + ((g_gram @ f.T) @ h.T).T)
+                + ref_th.T @ g_cross,)
+    return ad.record((cmp_feats,), np.asarray(1.0) - num / den, vjp)
 
 
 def preservation_loss(kind: str, ref: np.ndarray, cmp,

@@ -166,7 +166,9 @@ def metric_objective(projection, feats: np.ndarray, centers: np.ndarray,
     inv = ad.div(1.0, ad.maximum(d, DIST_EPS))
     num = ad.sum_(ad.mul(inv, mask_correct), axis=1)
     den = ad.sum_(ad.mul(inv, mask_all), axis=1)
-    ratio = ad.div(ad.maximum(num, NUM_FLOOR), den)
+    # Capped at 1: past distances of about 1e30 a row's mass den falls
+    # below NUM_FLOOR, and the floored ratio would exceed it.
+    ratio = ad.minimum(ad.div(ad.maximum(num, NUM_FLOOR), den), 1.0)
     return ad.mul(ad.mean(ad.log(ratio)), -1.0)
 
 

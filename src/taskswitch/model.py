@@ -104,6 +104,25 @@ class ForwardResult:
     features: object   # penultimate activation, (batch, feature_dim)
 
 
+def dense(a, w, b, fan_out: int, act=None):
+    """act(a @ w.reshape(fan_out, -1).T + b) as one tape node.
+
+    act is an ACTIVATIONS op or None (the output layer). The backward is
+    that of the reshape, transpose, matmul, bias add and activation as
+    separate nodes, operation for operation.
+    """
+    av, wv, bv = ad._np(a), ad._np(w), ad._np(b)
+    w2 = wv.reshape(fan_out, -1)
+    z = av @ w2.T + bv
+    out = z if act is None else act.fwd(z)
+
+    def vjp(g):
+        gz = g if act is None else act.vjp(g, z, out)
+        return (gz @ w2 if isinstance(a, ad.Var) else None,
+                (av.T @ gz).T.reshape(wv.shape), ad._unbroadcast(gz, bv.shape))
+    return ad.record((a, w, b), out, vjp)
+
+
 def forward(spec: MlpSpec, params, x: np.ndarray) -> ForwardResult:
     """Run the network. params is a ParamSet or a name -> Var/array mapping."""
     if isinstance(params, ParamSet):
@@ -116,26 +135,28 @@ def forward(spec: MlpSpec, params, x: np.ndarray) -> ForwardResult:
     act = ACTIVATIONS[spec.activation]
     a = x
     for i in range(spec.n_layers):
-        fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
-        w = ad.reshape(lookup[f"layer{i}.weight"], (fan_out, fan_in))
-        b = lookup[f"layer{i}.bias"]
-        z = ad.add(ad.matmul(a, ad.transpose(w)), b)
+        w, b = lookup[f"layer{i}.weight"], lookup[f"layer{i}.bias"]
         if i < spec.n_layers - 1:
-            a = act(z)
+            a = dense(a, w, b, spec.widths[i + 1], act)
         else:
-            return ForwardResult(logits=z, features=a)
+            return ForwardResult(logits=dense(a, w, b, spec.widths[i + 1]),
+                                 features=a)
     raise AssertionError("unreachable")
 
 
 def cross_entropy(logits, labels: np.ndarray):
-    """Mean negative log-likelihood of the integer labels."""
+    """Mean negative log-likelihood of the integer labels, one tape node."""
     labels = np.asarray(labels, dtype=np.int64)
     batch = labels.shape[0]
-    n_classes = ad._np(logits).shape[1]
-    onehot = np.zeros((batch, n_classes))
+    lv = ad._np(logits)
+    onehot = np.zeros((batch, lv.shape[1]))
     onehot[np.arange(batch), labels] = 1.0
-    log_p = ad.log_softmax(logits, axis=-1)
-    return ad.mul(ad.sum_(ad.mul(log_p, onehot)), -1.0 / batch)
+    log_p, e, s = ad.log_softmax_parts(lv)
+    factor = np.asarray(-1.0 / batch)
+
+    def vjp(g):
+        return (ad.log_softmax_vjp(g * factor * onehot, e, s),)
+    return ad.record((logits,), (log_p * onehot).sum() * factor, vjp)
 
 
 def predict(spec: MlpSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:

@@ -167,14 +167,66 @@ def _gate(sm: StackedModules, gates, rho: float):
     place one threshold inside each sign class's magnitude range through
     `squash`, a temperature-scaled sigmoid per class gives each element's
     soft membership (N,), and a softplus gives each module's scale (L,).
+    On a tape each result is one node over gates; their backward is that
+    of the chain of small ops they replace, operation for operation.
     """
+    gv = ad._np(gates)
     denom = np.repeat(rho * np.maximum(sm.width, EPS_RANGE), sm.sizes,
                       axis=1)
-    thresholds = ad.add(sm.lo, ad.mul(squash(ad.take(gates, slice(0, 2))),
-                                      sm.width))
-    z = ad.div(ad.sub(sm.signed, ad.repeat(thresholds, sm.sizes)), denom)
-    soft = ad.sum_(ad.mul(ad.sigmoid(z), sm.live), axis=0)
-    return soft, ad.softplus(ad.take(gates, 2))
+    thresholds = sm.lo + squash(gv[:2]) * sm.width
+    z = (sm.signed - np.repeat(thresholds, sm.sizes, axis=-1)) / denom
+    member = ad.sigmoid(z)
+    scale = ad.softplus(gv[2])
+
+    def soft_vjp(g):
+        g_z = ad.sigmoid.vjp(g * sm.live, z, member) / denom
+        g_thr = ad._segment_sums(-g_z, sm.sizes)
+        grad = np.zeros_like(gv)
+        grad[:2] = ad.arctan.vjp(g_thr * sm.width / math.pi, gv[:2], None)
+        return (grad,)
+
+    def scale_vjp(g):
+        grad = np.zeros_like(gv)
+        grad[2] = ad.softplus.vjp(g, gv[2], scale)
+        return (grad,)
+    return (ad.record((gates,), (member * sm.live).sum(axis=0), soft_vjp),
+            ad.record((gates,), scale, scale_vjp))
+
+
+def _mix(sm: StackedModules, scale, soft, w):
+    """base + scale * soft * blend over all elements, one node.
+
+    The blend weighs the four candidate quantizations in sm.quant by each
+    module's (L, 4) width weights w. The backward is that of the repeats,
+    products and sums as separate nodes, operation for operation.
+    """
+    sv, mv, wv = ad._np(scale), ad._np(soft), ad._np(w)
+    rep = np.repeat(sv, sm.sizes, axis=-1)
+    gated = rep * mv
+    blended = (np.repeat(wv.T, sm.sizes, axis=-1) * sm.quant).sum(axis=0)
+
+    def vjp(g):
+        g_gated = g * blended
+        return (ad._segment_sums(g_gated * mv, sm.sizes), g_gated * rep,
+                ad._segment_sums(g * gated * sm.quant, sm.sizes).T)
+    return ad.record((scale, soft, w), sm.base + gated * blended, vjp)
+
+
+def _sparsity_term(sm: StackedModules, soft):
+    """Mean soft membership, summed module by module first; one node."""
+    n = np.asarray(float(sm.base.size))
+    value = ad._segment_sums(ad._np(soft), sm.sizes).sum() / n
+    return ad.record((soft,), value,
+                     lambda g: (np.full(sm.base.shape, g / n),))
+
+
+def _width_term(w, norm: float):
+    """Expected candidate width summed over modules, over norm; one node."""
+    wv, norm = ad._np(w), np.asarray(norm)
+    widths = np.asarray(CANDIDATE_WIDTHS, dtype=np.float64)
+    value = (wv * widths).sum(axis=1).sum() / norm
+    return ad.record((w,), value,
+                     lambda g: (np.full(wv.shape, g / norm) * widths,))
 
 
 def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
@@ -185,10 +237,9 @@ def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
     leaves maps "gates" to the (3, L) gate logits (threshold_pos,
     threshold_neg and scale logit per module) and "bits" to the (L, 4)
     width logits, arrays or Vars. Per-module values reach the elements
-    through `repeat`, so the tape has the same number of nodes whatever the
-    module count.
+    inside the fused gate and mix nodes, so the tape has the same number of
+    nodes whatever the module count, apart from the forward pass.
     """
-    widths = np.asarray(CANDIDATE_WIDTHS, dtype=np.float64)
     bit_norm = float(len(sm.names) * max(CANDIDATE_WIDTHS))
     ends = np.cumsum(sm.sizes)
     spans = list(zip(sm.names, ends - sm.sizes, ends))
@@ -197,17 +248,13 @@ def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
         soft, scale = _gate(sm, leaves["gates"], rho)
         # Bit-width selection: softmax over the four candidates per module.
         w = ad.softmax(ad.div(leaves["bits"], float(omega)))
-        blended = ad.sum_(ad.mul(ad.repeat(ad.transpose(w), sm.sizes),
-                                 sm.quant), axis=0)
-        flat = ad.add(sm.base, ad.mul(ad.mul(ad.repeat(scale, sm.sizes),
-                                             soft), blended))
+        flat = _mix(sm, scale, soft, w)
         params = {n: ad.take(flat, slice(a, b)) for n, a, b in spans}
         out = forward(spec, params, batch_x)
         cmp = out.features if kind == "cka" else out.logits
         l_per = preservation_loss(kind, ref, cmp, temperature=temp)
-        l_sp = ad.div(ad.sum_(ad.segment_sum(soft, sm.sizes)),
-                      float(sm.base.size))
-        l_bit = ad.div(ad.sum_(ad.sum_(ad.mul(w, widths), axis=1)), bit_norm)
+        l_sp = _sparsity_term(sm, soft)
+        l_bit = _width_term(w, bit_norm)
         total = ad.add(ad.add(l_sp, l_bit), ad.mul(l_per, lam))
         if return_parts:
             parts = {"sparsity": float(ad._np(l_sp)),

@@ -29,7 +29,6 @@ from taskswitch import (
     baseline_merge,
     build_index,
     diff,
-    evaluate_tasks,
     features,
     fine_tune,
     gen_tasks,
@@ -50,6 +49,12 @@ FT_STEPS = 800
 FT_LR = 0.1
 BASE_SEED = 1
 TASK_SEED = 0
+
+
+def evaluate_tasks(spec: MlpSpec, params: ParamSet,
+                   tasks: list[TaskData]) -> list[float]:
+    """Test accuracy of one parameter set on every task."""
+    return [accuracy(spec, params, t.test_x, t.test_y) for t in tasks]
 
 
 @dataclass

@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from taskswitch import autodiff as ad
-from taskswitch.autodiff import fd_check
 from taskswitch.bitwidth import CANDIDATE_WIDTHS, QuantSpec, quantize
 from taskswitch.codec import (NOMINAL_HEADER_BITS, CompressedModule,
                               CorruptStreamError, choose_format, decode, encode, encode_dense,
@@ -26,6 +25,7 @@ from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
                                  TrainConfig, make_objective,
                                  reference_outputs, train)
 from taskswitch.vectors import TaskVector, add, signed_bounds
+from gradcheck import fd_check
 from lgs_reference import (BitLogits, GateParams, map_threshold,
                            mixed_quantize, select_bitwidth, soft_gate)
 

@@ -554,6 +554,30 @@ class TestErrorPaths:
             f"error: {index}: features of width 10, the model's have 7\n")
         assert not (tmp_path / "r.idx").exists()
 
+    def test_merge_eval_bundle_of_another_base_exits_2(
+            self, pipeline_dir, tmp_path, capsys):
+        # the bundles were compressed against a 6,10,3 base
+        root, data = pipeline_dir
+        other = tmp_path / "other.tswp"
+        assert main(["fine-tune", "--train", str(data / "base_train.csv"),
+                     "--widths", "6,7,3", "--steps", "1",
+                     "-o", str(other)]) == 0
+        tasks = ["--task", f"task0={data / 'task0_test.csv'}",
+                 "--task", f"task1={data / 'task1_test.csv'}"]
+        assert main(["build-index", "--base", str(other), *tasks,
+                     "--centers", "5", "-o", str(tmp_path / "r.idx")]) == 0
+        capsys.readouterr()
+        assert main(["merge-eval", "--base", str(other),
+                     "--index", str(tmp_path / "r.idx"),
+                     "--bundle", str(root / "c0.tswc"),
+                     "--bundle", str(root / "c1.tswc"), *tasks,
+                     "--neighbors", "3", "-o", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {root / 'c0.tswc'}: bundle 'task0' does not "
+                       f"fit --base {other}: module 'layer0.weight': size 42 "
+                       f"vs 60\n")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_diverged_compress_exits_2(self, pipeline_dir, tmp_path, capsys):
         root, data = pipeline_dir
         argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",

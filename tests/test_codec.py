@@ -348,6 +348,20 @@ class TestEncodeValidation:
             with pytest.raises(CodecError, match="non-finite"):
                 encode(mod)
 
+    @pytest.mark.parametrize("fn", ENCODERS)
+    @pytest.mark.parametrize("field, value", [
+        ("scale", 1e300), ("range_neg", 3.5e38), ("range_pos", 1e39)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_header_field_past_float32_rejected_quietly(self, fn, field,
+                                                         value):
+        # finite in float64, inf once stored: refused with no overflow
+        # warning printed on the way
+        mod = _small_module([1], [0])
+        setattr(mod, field, value)
+        with pytest.raises(CodecError, match=f"non-finite header field "
+                                             f"{field}"):
+            fn(mod)
+
     @pytest.mark.parametrize("value", [3.5e38, -1e300])
     def test_dense_values_past_float32_rejected(self, value):
         # finite in float64, inf once stored: refused like decode_at would

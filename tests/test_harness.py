@@ -7,11 +7,11 @@ import pytest
 
 from taskswitch.harness import (ETA_GRID, ProbeRow, ScaleRow,
                                 SyntheticTaskSpec, base_dataset,
-                                baseline_merge, evaluate_tasks, fine_tune,
-                                gen_tasks, probe_precision, probe_scale,
-                                probe_sparsity, read_dataset, task_geometry,
-                                task_permutation, unit_groups, write_dataset,
-                                write_probe_csv, write_tasks)
+                                baseline_merge, fine_tune, gen_tasks,
+                                probe_precision, probe_scale, probe_sparsity,
+                                read_dataset, task_geometry, task_permutation,
+                                unit_groups, write_dataset, write_probe_csv,
+                                write_tasks)
 from taskswitch.model import MlpSpec, accuracy, init_params
 from taskswitch.vectors import ParamSet, TaskVector, add
 
@@ -340,12 +340,3 @@ class TestBaselineMerge:
             baseline_merge(base, [], mode="weight-average")
         with pytest.raises(ValueError):
             baseline_merge(base, tvs, mode="fisher")
-
-
-def test_evaluate_tasks_matches_accuracy():
-    spec = SyntheticTaskSpec(num_tasks=2, train_size=40, test_size=20)
-    tasks = gen_tasks(spec)
-    params = init_params(MlpSpec((16, 8, 4)), seed=0)
-    accs = evaluate_tasks(MlpSpec((16, 8, 4)), params, tasks)
-    assert accs == [accuracy(MlpSpec((16, 8, 4)), params, t.test_x, t.test_y)
-                    for t in tasks]

@@ -309,6 +309,19 @@ class TestMetricObjective:
         val = float(ad._np(loss))
         assert np.isfinite(val) and val > 10.0
 
+    def test_ratio_capped_where_the_mass_falls_below_the_floor(self):
+        # Both references 1e31 away: the inverse-distance mass 2e-31 is
+        # below NUM_FLOOR, so the floored ratio would be 5 and the loss
+        # negative. Capped, the row adds nothing and passes no gradient.
+        def obj(lv):
+            return metric_objective(lv["p"], np.array([[0.0, 0.0]]),
+                                    np.array([[1e31, 0.0], [-1e31, 0.0]]),
+                                    labels=np.array([0, 1]),
+                                    task_of_row=np.array([0]), n_neighbors=2)
+        loss, grads = ad.value_and_grad(obj, {"p": np.eye(2)})
+        assert float(ad._np(loss)) == 0.0
+        np.testing.assert_array_equal(grads["p"], 0.0)
+
     @staticmethod
     def _hand_loss(d, labels, task_of_row, c, key):
         """The ratio loss with each row's C neighbors sorted by key(d, j)."""
@@ -370,6 +383,14 @@ class TestTrainMetric:
         assert len(res.losses) == 20
         assert res.losses[-1] < res.losses[0]
         assert all(np.isfinite(v) for v in res.losses)
+
+    def test_no_negative_loss_after_a_blown_up_step(self):
+        # lr 1e30 throws the projection far out; rows whose distances pass
+        # about 1e30 must not log a loss below zero
+        index, task_features = _blob_problem()
+        res = train_metric(index, task_features, rank=2, epochs=3, lr=1e30,
+                           n_neighbors=3, seed=0)
+        assert all(v >= 0.0 for v in res.losses), res.losses
 
     def test_first_loss_is_pre_update(self):
         index, task_features = _blob_problem()

@@ -14,7 +14,7 @@ ParamSet QuantSpec ReferenceIndex SignedBounds StructureError SyntheticTaskSpec
 TaskData TaskVector TrainConfig TrainResult TrainingDivergedError accuracy add
 autodiff base_dataset baseline_merge bitwidth build_index build_switch
 choose_format cka_loss codec container decode diff encode encode_dense
-encode_indep evaluate_tasks expected_bits features fine_tune forward gen_tasks
+encode_indep expected_bits features fine_tune forward gen_tasks
 harness init_params kl_loss kmeans knn_weights load_bundle load_container
 load_index load_params losses materialize merged_forward merging model mse_loss
 optim optimal_group predict preservation_loss probe_precision probe_scale

@@ -1,18 +1,34 @@
-"""Tape-size guard: one compression step records a graph of fixed size.
+"""Tape-size guard: one training step records a graph of fixed, small size.
 
-The objective lays every module into one graph over two leaf arrays, so
-adding modules adds only the forward pass through the extra layers. A return
-to one subgraph per module grows the tape by dozens of nodes per module and
-fails here.
+The compression objective lays every module into one graph over two leaf
+arrays, and the dense layers, the losses and the objective's pieces are
+fused nodes, so adding modules adds only one dense node and two slices per
+layer. A return to one subgraph per module, or to the chains of small ops
+the fused nodes replace (62 nodes per desk compression step, 21 per desk
+fine-tune step), fails here.
 """
 
 import numpy as np
 
 from taskswitch import autodiff as ad
-from taskswitch import MlpSpec, TaskVector, TrainConfig, add, init_params, train
+from taskswitch import (MlpSpec, TaskVector, TrainConfig, add, fine_tune,
+                        init_params, train)
 
-MAX_NODES_DESK = 90          # widths 16,32,4: four modules
-MAX_GROWTH_4_TO_10 = 40      # three more layers; still two leaf arrays
+MAX_NODES_DESK = 22          # widths 16,32,4: four modules; 19 recorded
+MAX_GROWTH_4_TO_10 = 12      # three more layers; 9 recorded
+MAX_NODES_FINE_TUNE = 8      # widths 16,32,4: 4 leaves, 2 layers, the loss
+
+
+def _counting(monkeypatch) -> list:
+    seen = []
+    backward = ad.Tape.backward
+
+    def counting_backward(tape, out):
+        seen.append(len(tape._nodes))
+        return backward(tape, out)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting_backward)
+    return seen
 
 
 def _nodes_per_step(monkeypatch, widths) -> int:
@@ -22,14 +38,7 @@ def _nodes_per_step(monkeypatch, widths) -> int:
     tv = TaskVector("t", [(n, 0.1 * rng.standard_normal(v.size))
                           for n, v in base.modules])
     exemplars = rng.standard_normal((16, spec.input_dim))
-    seen = []
-    backward = ad.Tape.backward
-
-    def counting_backward(tape, out):
-        seen.append(len(tape._nodes))
-        return backward(tape, out)
-
-    monkeypatch.setattr(ad.Tape, "backward", counting_backward)
+    seen = _counting(monkeypatch)
     train(tv, base, add(base, tv), exemplars, spec,
           TrainConfig(steps=1, exemplar_count=16, batch_size=8))
     monkeypatch.undo()
@@ -45,3 +54,14 @@ def test_step_size_flat_in_module_count(monkeypatch):
     four = _nodes_per_step(monkeypatch, (16, 32, 4))
     ten = _nodes_per_step(monkeypatch, (16, 32, 32, 32, 32, 4))
     assert ten - four <= MAX_GROWTH_4_TO_10, (four, ten)
+
+
+def test_desk_fine_tune_step_is_small(monkeypatch):
+    spec = MlpSpec((16, 32, 4))
+    rng = np.random.default_rng(1)
+    seen = _counting(monkeypatch)
+    fine_tune(spec, init_params(spec, seed=1), rng.standard_normal((16, 16)),
+              rng.integers(0, 4, size=16), steps=2, batch_size=8)
+    monkeypatch.undo()
+    assert len(seen) == 2
+    assert max(seen) <= MAX_NODES_FINE_TUNE

@@ -79,7 +79,7 @@ def modules(draw):
                 max_size=3),
        st.lists(st.text(max_size=5), min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_save_bundle_round_trips_or_refuses(tasks, names):
     def write(path):
         save_bundle(path, [(tid, [choose_format(m) for m in mods])
