@@ -1,22 +1,26 @@
 """Minimal reverse-mode gradient tape over numpy arrays.
 
-The op functions below dispatch on argument type: with plain arrays they are
-ordinary numpy, with Var arguments they record a node on the owning tape.
-Formula code written against these functions therefore runs identically as a
-pure evaluation (used by finite differences) or as a differentiable graph.
+A graph has one kind of node. `Tape.var` makes a leaf; every other node is
+recorded by `record`, which takes the node's value, computed on plain
+arrays by its caller, and one vector-Jacobian product that returns a
+gradient per parent. Called with no Var among its arguments, `record`
+hands the value back as it is, so the same formula code runs as a plain
+forward (as finite differences need) or as a node on a tape.
 
-A node stores its parents and one vector-Jacobian product that returns a
-gradient per parent. A composite op (`softmax` here; the dense layer, the
-cross-entropy, the preservation losses and the compression objective's
-pieces beside their callers) records a single node through `record`. Its
-hand-written VJP runs the numpy operations of the chain of small ops it
-replaces, in the same order, so values and gradients are bit-equal to that
-chain, which the tests keep as the oracle. The tape records nodes in
-creation order, which is already a topological order, so backward is a
-single reversed sweep.
+Each node is a whole composite: `softmax` here, and the dense layer, the
+cross-entropy, the preservation losses, the compression objective's pieces
+and the metric objective beside their callers. A hand-written VJP runs the
+numpy operations of the chain of small ops the node replaces, in the same
+order, so values and gradients are bit-equal to that chain, which the
+tests keep as the oracle. The elementwise formula pairs below (`square`,
+`sqrt`, the activations, the gate's squashing functions) are what those
+VJPs call. The tape records nodes in creation order, which is already a
+topological order, so backward is a single reversed sweep.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,77 +106,12 @@ def record(args: tuple, value, vjp):
                tuple(a if isinstance(a, Var) else None for a in args), vjp)
 
 
-def _binary(a, b, fwd, vjp_a, vjp_b) -> Var | np.ndarray:
-    av, bv = _np(a), _np(b)
-    out = fwd(av, bv)
-    need_a, need_b = isinstance(a, Var), isinstance(b, Var)
-    if not (need_a or need_b):
-        return out
-    if need_a and need_b and a.tape is not b.tape:
-        raise ValueError("operands live on different tapes")
+class Elementwise(NamedTuple):
+    """An elementwise function and its VJP vjp(g, x, out), g the gradient
+    of out = fwd(x): the formulas fused nodes and ACTIVATIONS call."""
 
-    def vjp(g):
-        return (_unbroadcast(vjp_a(g, av, bv), av.shape) if need_a else None,
-                _unbroadcast(vjp_b(g, av, bv), bv.shape) if need_b else None)
-    return Var((a if need_a else b).tape, out,
-               (a if need_a else None, b if need_b else None), vjp)
-
-
-def _unary(x, fwd, vjp) -> Var | np.ndarray:
-    if not isinstance(x, Var):
-        return fwd(np.asarray(x, dtype=np.float64))
-    xv = x.value
-    out = fwd(xv)
-    return Var(x.tape, out, (x,), lambda g: (vjp(g, xv, out),))
-
-
-def _elementwise(fwd, vjp):
-    """A one-argument op; op.fwd and op.vjp(g, x, out) stay reachable, so
-    a fused node runs the same formulas."""
-    def op(x):
-        return _unary(x, fwd, vjp)
-    op.fwd, op.vjp = fwd, vjp
-    return op
-
-
-def add(a, b):
-    return _binary(a, b, lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g)
-
-
-def sub(a, b):
-    return _binary(a, b, lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
-
-
-def mul(a, b):
-    return _binary(a, b, lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def div(a, b):
-    return _binary(a, b, lambda x, y: x / y,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
-
-
-def matmul(a, b):
-    return _binary(a, b, lambda x, y: x @ y,
-                   lambda g, x, y: g @ y.T, lambda g, x, y: x.T @ g)
-
-
-square = _elementwise(lambda v: v ** 2, lambda g, v, out: g * 2 * v)
-
-
-def transpose(x):
-    return _unary(x, lambda v: v.T, lambda g, v, out: g.T)
-
-
-log = _elementwise(np.log, lambda g, v, out: g / v)
-sqrt = _elementwise(np.sqrt, lambda g, v, out: g / (2.0 * out))
-tanh = _elementwise(np.tanh, lambda g, v, out: g * (1.0 - out * out))
-arctan = _elementwise(np.arctan, lambda g, v, out: g / (1.0 + v * v))
-relu = _elementwise(lambda v: np.maximum(v, 0.0),
-                    lambda g, v, out: g * (v > 0.0))
+    fwd: Callable[[np.ndarray], np.ndarray]
+    vjp: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -186,37 +125,15 @@ def _softplus_np(x: np.ndarray) -> np.ndarray:
     return np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
 
 
-sigmoid = _elementwise(_sigmoid_np, lambda g, v, out: g * out * (1.0 - out))
-softplus = _elementwise(_softplus_np, lambda g, v, out: g * _sigmoid_np(v))
-
-
-def maximum(x, floor: float):
-    """Elementwise max with a constant; gradient passes only above it."""
-    return _unary(x, lambda v: np.maximum(v, floor),
-                  lambda g, v, out: g * (v > floor))
-
-
-def minimum(x, ceiling: float):
-    """Elementwise min with a constant; gradient passes at and below it."""
-    return _unary(x, lambda v: np.minimum(v, ceiling),
-                  lambda g, v, out: g * (v <= ceiling))
-
-
-def sum_(x, axis=None, keepdims=False):
-    def vjp(g, v, out):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, v.shape).copy()
-    return _unary(x, lambda v: np.sum(v, axis=axis, keepdims=keepdims), vjp)
-
-
-def take(x, i: int | slice):
-    """x[i] along the first axis; the gradient scatters back to i."""
-    def vjp(g, v, out):
-        grad = np.zeros_like(v)
-        grad[i] = g
-        return grad
-    return _unary(x, lambda v: v[i], vjp)
+square = Elementwise(lambda v: v ** 2, lambda g, v, out: g * 2 * v)
+sqrt = Elementwise(np.sqrt, lambda g, v, out: g / (2.0 * out))
+tanh = Elementwise(np.tanh, lambda g, v, out: g * (1.0 - out * out))
+arctan = Elementwise(np.arctan, lambda g, v, out: g / (1.0 + v * v))
+relu = Elementwise(lambda v: np.maximum(v, 0.0),
+                   lambda g, v, out: g * (v > 0.0))
+sigmoid = Elementwise(_sigmoid_np,
+                      lambda g, v, out: g * out * (1.0 - out))
+softplus = Elementwise(_softplus_np, lambda g, v, out: g * _sigmoid_np(v))
 
 
 def _segment_sums(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -231,12 +148,6 @@ def _segment_sums(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = np.zeros(v.shape[:-1] + counts.shape)
     out[..., live] = np.add.reduceat(v, starts[live], axis=-1)
     return out
-
-
-def mean(x, axis=None, keepdims=False):
-    xv = _np(x)
-    n = xv.size if axis is None else xv.shape[axis]
-    return div(sum_(x, axis=axis, keepdims=keepdims), float(n))
 
 
 def softmax(x, axis=-1):

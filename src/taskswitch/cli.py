@@ -59,6 +59,7 @@ def _number(parse, valid, rule: str):
 _count = _number(int, lambda v: v >= 1, "at least 1")
 _positive = _number(float, lambda v: math.isfinite(v) and v > 0.0,
                     "positive and finite")
+_finite = _number(float, math.isfinite, "finite")
 
 
 def _named(text: str) -> tuple:
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="NAME=PATH")
     p.add_argument("--mode", choices=("weight-average", "task-arithmetic"),
                    default="weight-average")
-    p.add_argument("--scale", type=float, default=0.3,
+    p.add_argument("--scale", type=_finite, default=0.3,
                    help="task-arithmetic coefficient")
     p.add_argument("--task", type=_named, action="append", required=True,
                    metavar="NAME=TEST_CSV")

@@ -10,7 +10,7 @@ deltas of different tasks genuinely conflict under a static merge.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -32,6 +32,7 @@ from .vectors import ParamSet, StructureError, check_aligned
 IDX_MAGIC = b"TSWQ"
 DIST_EPS = 1e-8        # d below this is clamped before inversion
 NUM_FLOOR = 1e-30      # keeps the ratio loss finite with zero correct mass
+D2_FLOOR = 1e-30       # squared distances are floored here before the root
 KMEANS_ITERS = 100     # Lloyd sweeps at most, fewer once assignments settle
 # Rows per pass in knn_weights and _mixed_logits. Their temporaries are
 # (rows, references) and (rows, K * width) arrays: in blocks they stay tens
@@ -140,36 +141,71 @@ def init_projection(rank: int, feature_dim: int, seed: int) -> np.ndarray:
     return rng.normal(size=(rank, feature_dim)) / np.sqrt(feature_dim)
 
 
-def projected_distances(projection, feats, centers):
-    """Pairwise distances in projection space; works on arrays or Vars."""
-    pf = ad.matmul(feats, ad.transpose(projection))
-    pc = ad.matmul(centers, ad.transpose(projection))
-    f2 = ad.sum_(ad.square(pf), axis=1, keepdims=True)
-    c2 = ad.sum_(ad.square(pc), axis=1, keepdims=True)
-    d2 = ad.add(ad.add(f2, ad.transpose(c2)),
-                ad.mul(ad.matmul(pf, ad.transpose(pc)), -2.0))
-    return ad.sqrt(ad.maximum(d2, 1e-30))
+def _projected_refs(centers: np.ndarray, projection: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The references in projection space and their squared norms as a
+    (1, refs) row: the per-call half of _distances."""
+    pc = centers @ projection.T
+    return pc, np.sum(pc * pc, axis=1, keepdims=True).T
+
+
+def _distances(feats: np.ndarray, projection: np.ndarray, pc: np.ndarray,
+               c2: np.ndarray):
+    """(pf, d2, d): the rows in projection space, their squared distances
+    to the references pc (expanded, so slightly negative at coincident
+    points) and the distances, with d2 floored at D2_FLOOR first."""
+    pf = feats @ projection.T
+    f2 = np.sum(pf * pf, axis=1, keepdims=True)
+    d2 = (f2 + c2) + (pf @ pc.T) * -2.0
+    return pf, d2, np.sqrt(np.maximum(d2, D2_FLOOR))
 
 
 def metric_objective(projection, feats: np.ndarray, centers: np.ndarray,
                      labels: np.ndarray, task_of_row: np.ndarray,
                      n_neighbors: int):
-    """Mean negative log of correct-task inverse-distance mass.
+    """Mean negative log of correct-task inverse-distance mass, one node.
 
     Neighbor sets are chosen from the current distance values by the rule
     knn_weights serves with and held fixed inside the objective, so each
-    epoch re-selects them.
+    epoch re-selects them. The backward is that of the projections,
+    distances, inverse-distance sums, capped ratio, log and mean as
+    separate nodes, operation for operation.
     """
-    d = projected_distances(projection, feats, centers)
-    mask_all = _nearest(ad._np(d), n_neighbors).astype(np.float64)
+    pv = ad._np(projection)
+    feats = np.asarray(feats, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    pc, c2 = _projected_refs(centers, pv)
+    pf, d2, d = _distances(feats, pv, pc, c2)
+    mask_all = _nearest(d, n_neighbors).astype(np.float64)
     mask_correct = mask_all * (labels[None, :] == task_of_row[:, None])
-    inv = ad.div(1.0, ad.maximum(d, DIST_EPS))
-    num = ad.sum_(ad.mul(inv, mask_correct), axis=1)
-    den = ad.sum_(ad.mul(inv, mask_all), axis=1)
+    dm = np.maximum(d, DIST_EPS)
+    inv = 1.0 / dm
+    num = np.sum(inv * mask_correct, axis=1)
+    den = np.sum(inv * mask_all, axis=1)
+    floored = np.maximum(num, NUM_FLOOR)
+    q = floored / den
     # Capped at 1: past distances of about 1e30 a row's mass den falls
     # below NUM_FLOOR, and the floored ratio would exceed it.
-    ratio = ad.minimum(ad.div(ad.maximum(num, NUM_FLOOR), den), 1.0)
-    return ad.mul(ad.mean(ad.log(ratio)), -1.0)
+    ratio = np.minimum(q, 1.0)
+    n = float(ratio.size)
+    # 0.0 - mean, not mean * -1.0: a zero loss is +0.0
+    loss = 0.0 - np.sum(np.log(ratio)) / n
+
+    def vjp(g):
+        g_ratio = np.broadcast_to(-g / n, ratio.shape) / ratio
+        g_q = g_ratio * (q <= 1.0)
+        g_num = g_q / den * (num > NUM_FLOOR)
+        g_den = -g_q * floored / (den * den)
+        g_inv = g_den[:, None] * mask_all + g_num[:, None] * mask_correct
+        g_d = -g_inv / (dm * dm) * (d > DIST_EPS)
+        g_d2 = ad.sqrt.vjp(g_d, None, d) * (d2 > D2_FLOOR)
+        g_cross = g_d2 * -2.0
+        g_pf = g_cross @ pc.T.T + ad.square.vjp(
+            ad._unbroadcast(g_d2, (pf.shape[0], 1)), pf, None)
+        g_pc = (pf.T @ g_cross).T + ad.square.vjp(
+            ad._unbroadcast(g_d2, c2.shape).T, pc, None)
+        return ((centers.T @ g_pc).T + (feats.T @ g_pf).T,)
+    return ad.record((projection,), loss, vjp)
 
 
 @dataclass
@@ -217,17 +253,13 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     _check_neighbors(index, n_neighbors)
-    # projected_distances on arrays, operation for operation, so the
-    # distances (and with them every tie) are bit-equal to the trained metric
-    pc = index.centers @ index.projection.T
-    c2 = np.sum(pc * pc, axis=1, keepdims=True).T
+    pc, c2 = _projected_refs(index.centers, index.projection)
     onehot = (index.labels[:, None]
               == np.arange(index.n_tasks)).astype(np.float64)
     counts = np.empty((feats.shape[0], index.n_tasks))
     for lo in range(0, feats.shape[0], _BLOCK_ROWS):
-        pf = feats[lo:lo + _BLOCK_ROWS] @ index.projection.T
-        f2 = np.sum(pf * pf, axis=1, keepdims=True)
-        d = np.sqrt(np.maximum((f2 + c2) + (pf @ pc.T) * -2.0, 1e-30))
+        d = _distances(feats[lo:lo + _BLOCK_ROWS], index.projection,
+                       pc, c2)[2]
         counts[lo:lo + _BLOCK_ROWS] = _nearest(d, n_neighbors) @ onehot
     w = counts / float(n_neighbors)
     rows = np.arange(w.shape[0])
@@ -327,7 +359,7 @@ def _mixed_logits(spec: MlpSpec, base: ParamSet,
             z = (a @ weight_t + bias
                  + np.matmul(wb[:, None, :], mixed)[:, 0] + wb @ delta_b)
             if i < spec.n_layers - 1:
-                a = ad._np(act(z))
+                a = act.fwd(z)
         logits[lo:lo + _BLOCK_ROWS] = z
     return logits
 

@@ -7,7 +7,7 @@ feature extractor for query building.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class ForwardResult:
 def dense(a, w, b, fan_out: int, act=None):
     """act(a @ w.reshape(fan_out, -1).T + b) as one tape node.
 
-    act is an ACTIVATIONS op or None (the output layer). The backward is
+    act is an ACTIVATIONS pair or None (the output layer). The backward is
     that of the reshape, transpose, matmul, bias add and activation as
     separate nodes, operation for operation.
     """

@@ -46,7 +46,7 @@ TEMP_DECAY, TEMP_INTERVAL = 0.9, 10
 
 def squash(s):
     """arctan(s)/pi + 0.5: monotone map of the real line onto (0, 1)."""
-    return ad.add(ad.div(ad.arctan(s), math.pi), 0.5)
+    return np.arctan(s) / math.pi + 0.5
 
 
 def temperature_schedule(step: int) -> float:
@@ -175,8 +175,8 @@ def _gate(sm: StackedModules, gates, rho: float):
                       axis=1)
     thresholds = sm.lo + squash(gv[:2]) * sm.width
     z = (sm.signed - np.repeat(thresholds, sm.sizes, axis=-1)) / denom
-    member = ad.sigmoid(z)
-    scale = ad.softplus(gv[2])
+    member = ad.sigmoid.fwd(z)
+    scale = ad.softplus.fwd(gv[2])
 
     def soft_vjp(g):
         g_z = ad.sigmoid.vjp(g * sm.live, z, member) / denom
@@ -229,6 +229,17 @@ def _width_term(w, norm: float):
                      lambda g: (np.full(wv.shape, g / norm) * widths,))
 
 
+def _slice(flat, start: int, stop: int):
+    """flat[start:stop], one node; the gradient scatters back to the span."""
+    fv = ad._np(flat)
+
+    def vjp(g):
+        grad = np.zeros_like(fv)
+        grad[start:stop] = g
+        return (grad,)
+    return ad.record((flat,), fv[start:stop], vjp)
+
+
 def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
                    batch_x: np.ndarray, kind: str, lam: float, temp: float,
                    rho: float, omega: float):
@@ -247,15 +258,20 @@ def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
     def objective(leaves, return_parts: bool = False):
         soft, scale = _gate(sm, leaves["gates"], rho)
         # Bit-width selection: softmax over the four candidates per module.
-        w = ad.softmax(ad.div(leaves["bits"], float(omega)))
+        bits = leaves["bits"]
+        w = ad.softmax(ad.record((bits,), ad._np(bits) / omega,
+                                 lambda g: (g / omega,)))
         flat = _mix(sm, scale, soft, w)
-        params = {n: ad.take(flat, slice(a, b)) for n, a, b in spans}
+        params = {n: _slice(flat, a, b) for n, a, b in spans}
         out = forward(spec, params, batch_x)
         cmp = out.features if kind == "cka" else out.logits
         l_per = preservation_loss(kind, ref, cmp, temperature=temp)
         l_sp = _sparsity_term(sm, soft)
         l_bit = _width_term(w, bit_norm)
-        total = ad.add(ad.add(l_sp, l_bit), ad.mul(l_per, lam))
+        total = ad.record(
+            (l_sp, l_bit, l_per),
+            (ad._np(l_sp) + ad._np(l_bit)) + ad._np(l_per) * lam,
+            lambda g: (g, g, g * lam))
         if return_parts:
             parts = {"sparsity": float(ad._np(l_sp)),
                      "bits": float(ad._np(l_bit)),

@@ -10,8 +10,10 @@ import numpy as np
 
 from taskswitch import autodiff as ad
 from taskswitch.bitwidth import CANDIDATE_WIDTHS, QuantSpec, quantize
-from taskswitch.training import EPS_RANGE, INIT_SCALE_LOGIT, squash
+from taskswitch.training import EPS_RANGE, INIT_SCALE_LOGIT
 from taskswitch.vectors import SignedBounds, signed_bounds
+import composed_reference as cr
+from composed_reference import squash
 
 
 @dataclass
@@ -48,7 +50,7 @@ def map_threshold(logit, bounds: SignedBounds, sign: str):
     else:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     width = hi - lo
-    return ad.add(lo, ad.mul(squash(logit), width)), width
+    return cr.add(lo, cr.mul(squash(logit), width)), width
 
 
 def soft_gate(v: np.ndarray, params, temperature: float,
@@ -67,18 +69,18 @@ def soft_gate(v: np.ndarray, params, temperature: float,
     if bounds.has_pos:
         t_pos, r_pos = map_threshold(params.threshold_pos, bounds, "+")
         denom = rho * max(r_pos, EPS_RANGE)
-        terms.append(ad.sigmoid(ad.div(ad.sub(v, t_pos), denom)))
+        terms.append(cr.sigmoid(cr.div(cr.sub(v, t_pos), denom)))
     if bounds.has_neg:
         t_neg, r_neg = map_threshold(params.threshold_neg, bounds, "-")
         denom = rho * max(r_neg, EPS_RANGE)
-        terms.append(ad.sigmoid(ad.div(ad.sub(ad.mul(t_neg, -1.0), v), denom)))
+        terms.append(cr.sigmoid(cr.div(cr.sub(cr.mul(t_neg, -1.0), v), denom)))
     if not terms:
         soft = np.zeros_like(v)
     elif len(terms) == 1:
         soft = terms[0]
     else:
-        soft = ad.add(terms[0], terms[1])
-    scaled = ad.mul(ad.softplus(params.scale_logit), soft)
+        soft = cr.add(terms[0], terms[1])
+    scaled = cr.mul(cr.softplus(params.scale_logit), soft)
     return GateOutput(soft_mask=soft, scaled_mask=scaled, temperature=rho)
 
 
@@ -90,9 +92,9 @@ def sparsity_loss(soft_masks: list) -> object:
     total_n = sum(ad._np(m).size for m in soft_masks)
     acc = None
     for m in soft_masks:
-        s = ad.sum_(m)
-        acc = s if acc is None else ad.add(acc, s)
-    return ad.div(acc, float(total_n))
+        s = cr.sum_(m)
+        acc = s if acc is None else cr.add(acc, s)
+    return cr.div(acc, float(total_n))
 
 
 def harden(soft_mask) -> np.ndarray:
@@ -108,7 +110,7 @@ def ste(x, forward_values: np.ndarray, pass_mask: np.ndarray):
     """
     fv = np.asarray(forward_values, dtype=np.float64)
     pm = np.asarray(pass_mask, dtype=np.float64)
-    return ad._unary(x, lambda v: fv, lambda g, v, out: g * pm)
+    return cr._unary(x, lambda v: fv, lambda g, v, out: g * pm)
 
 
 def quantize_ste(v, spec: QuantSpec):
@@ -135,7 +137,7 @@ class BitLogits:
 
 def bit_weights(logits: BitLogits):
     """softmax(values / temperature) over the four candidates."""
-    return ad.softmax(ad.div(logits.values, float(logits.temperature)))
+    return ad.softmax(cr.div(logits.values, float(logits.temperature)))
 
 
 def mixed_quantize(v, logits: BitLogits, specs: list[QuantSpec] | None = None):
@@ -153,14 +155,14 @@ def mixed_quantize(v, logits: BitLogits, specs: list[QuantSpec] | None = None):
     out = None
     for i, spec in enumerate(specs):
         q = quantize_ste(v, spec) if isinstance(v, ad.Var) else quantize(vv, spec)
-        term = ad.mul(ad.take(w, i), q)
-        out = term if out is None else ad.add(out, term)
+        term = cr.mul(cr.take(w, i), q)
+        out = term if out is None else cr.add(out, term)
     return out
 
 
 def mean_bitwidth(logits: BitLogits):
     """Expected width under the softmax weights."""
-    return ad.sum_(ad.mul(bit_weights(logits), np.asarray(CANDIDATE_WIDTHS,
+    return cr.sum_(cr.mul(bit_weights(logits), np.asarray(CANDIDATE_WIDTHS,
                                                           dtype=np.float64)))
 
 
@@ -170,8 +172,8 @@ def bit_regularizer(all_logits: list[BitLogits]):
     acc = None
     for lg in all_logits:
         m = mean_bitwidth(lg)
-        acc = m if acc is None else ad.add(acc, m)
-    return ad.div(acc, float(n_mod * max(CANDIDATE_WIDTHS)))
+        acc = m if acc is None else cr.add(acc, m)
+    return cr.div(acc, float(n_mod * max(CANDIDATE_WIDTHS)))
 
 
 def select_bitwidth(logits: BitLogits) -> int:

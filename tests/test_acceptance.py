@@ -18,8 +18,8 @@ from taskswitch.codec import (NOMINAL_HEADER_BITS, CompressedModule,
                               encode_indep, expected_bits, indep_bits,
                               index_bits, optimal_group)
 from taskswitch.losses import DEFAULT_LAMBDA
-from taskswitch.merging import ReferenceIndex, knn_weights, materialize
-from taskswitch.model import MlpSpec, accuracy, features, init_params
+from taskswitch.merging import ReferenceIndex, knn_weights
+from taskswitch.model import MlpSpec, features, init_params
 from taskswitch.switch import build_switch
 from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
                                  TrainConfig, make_objective,

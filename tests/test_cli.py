@@ -2,7 +2,6 @@
 
 import csv
 import filecmp
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,6 +494,24 @@ class TestErrorPaths:
             f"taskswitch {command}: error: argument --lr: "
             f"must be positive and finite, got {lr!r}")
         assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_scale_not_finite_exit_2(self, pipeline_dir, tmp_path, capsys,
+                                     scale):
+        # a negative coefficient subtracts the task vectors and stays allowed
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["baseline"](root, data, data / "task1_test.csv",
+                                        tmp_path) + [
+            "--mode", "task-arithmetic", "-o", str(tmp_path / "bl.csv")]
+        assert main(argv + ["--scale=-0.5"]) == 0
+        (tmp_path / "bl.csv").unlink()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--scale={scale}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "taskswitch baseline: error: argument --scale: "
+            f"must be finite, got {scale!r}")
+        assert not (tmp_path / "bl.csv").exists()
 
     def test_parameters_past_float32_exit_2(self, pipeline_dir, tmp_path,
                                             capsys):

@@ -11,7 +11,6 @@ from taskswitch import (
     CompressedTaskVector,
     CorruptStreamError,
     MlpSpec,
-    ParamSet,
     StructureError,
     TaskVector,
     build_switch,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from taskswitch import autodiff as ad
-from taskswitch import harness, training
+from taskswitch import harness, merging, training
 from taskswitch.losses import cka_loss, kl_loss, mse_loss
 from taskswitch.model import (ACTIVATIONS, MlpSpec, cross_entropy, dense,
                               init_params)
@@ -41,9 +41,9 @@ def _same(fused, composed, leaves):
     weight; the plain forward of either equals the value on the tape."""
     for outer in OUTER:
         value, grads = ad.value_and_grad(
-            lambda lv: ad.mul(fused(lv), outer), leaves)
+            lambda lv: cr.mul(fused(lv), outer), leaves)
         want_value, want = ad.value_and_grad(
-            lambda lv: ad.mul(composed(lv), outer), leaves)
+            lambda lv: cr.mul(composed(lv), outer), leaves)
         assert _bits(value) == _bits(want_value)
         for key in leaves:
             assert np.all(np.isfinite(want[key])), key
@@ -59,7 +59,7 @@ def _fd(fn, leaves):
 
 def _probe(out, weights):
     """A scalar that weighs every entry of out differently."""
-    return ad.sum_(ad.mul(out, weights))
+    return cr.sum_(cr.mul(out, weights))
 
 
 class TestSoftmax:
@@ -140,8 +140,8 @@ class TestLosses:
         ref = RNG.normal(size=(6, 3))
         flat = {"c": np.zeros((6, 3))}
         for loss in (cka_loss, cr.cka_loss):
-            assert ad.value_and_grad(lambda lv: ad.add(
-                loss(ref, lv["c"]), ad.sum_(ad.mul(lv["c"], 0.0))), flat)[
+            assert ad.value_and_grad(lambda lv: cr.add(
+                loss(ref, lv["c"]), cr.sum_(cr.mul(lv["c"], 0.0))), flat)[
                 0].value == 1.0
 
 
@@ -185,7 +185,7 @@ class TestObjectivePieces:
         def pick(gate):
             def fn(lv):
                 soft, scale = gate(sm, lv["gates"], rho)
-                return ad.add(_probe(soft, r_soft), _probe(scale, r_scale))
+                return cr.add(_probe(soft, r_soft), _probe(scale, r_scale))
             return fn
         leaves = {"gates": _gates(len(sm.names))}
         _same(pick(training._gate), pick(cr.gate), leaves)
@@ -212,7 +212,7 @@ class TestObjectivePieces:
                   "w": RNG.dirichlet(np.ones(4), len(sm.names))}
 
         def pick(sparsity, width):
-            return lambda lv: ad.add(ad.mul(sparsity(sm, lv["soft"]), 0.7),
+            return lambda lv: cr.add(cr.mul(sparsity(sm, lv["soft"]), 0.7),
                                      width(lv["w"], 40.0))
         fused = pick(training._sparsity_term, training._width_term)
         _same(fused, pick(cr.sparsity_term, cr.width_term), leaves)
@@ -279,6 +279,94 @@ def test_fine_tune_matches_chain(monkeypatch, optimizer, activation):
         assert _bits(g) == _bits(w), name
 
 
+def _metric_case(seed):
+    """(feats, centers, labels, task_of_row, projection): 12 rows, 9
+    references of 3 tasks, 5 features, rank 3."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(12, 5)), rng.normal(size=(9, 5)),
+            rng.integers(0, 3, size=9), rng.integers(0, 3, size=12),
+            rng.normal(size=(3, 5)))
+
+
+class TestMetricObjective:
+    @staticmethod
+    def _pick(feats, centers, labels, task_of_row, c):
+        return lambda objective: lambda lv: objective(
+            lv["p"], feats, centers, labels, task_of_row, c)
+
+    @pytest.mark.parametrize("seed, c", [(0, 1), (1, 4), (2, 9)])
+    def test_matches_chain(self, seed, c):
+        feats, centers, labels, task_of_row, proj = _metric_case(seed)
+        pick = self._pick(feats, centers, labels, task_of_row, c)
+        _same(pick(merging.metric_objective), pick(cr.metric_objective),
+              {"p": proj})
+        _fd(pick(merging.metric_objective), {"p": proj})
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 7])
+    def test_matches_chain_on_tied_distances(self, c):
+        # duplicated centers under other labels tie exactly at every C
+        feats, centers, labels, task_of_row, proj = _metric_case(3)
+        centers = np.repeat(centers[:3], [2, 3, 2], axis=0)
+        labels = np.array([1, 0, 2, 0, 1, 2, 0])
+        pick = self._pick(feats, centers, labels, task_of_row, c)
+        _same(pick(merging.metric_objective), pick(cr.metric_objective),
+              {"p": proj})
+
+    def test_matches_chain_where_the_ratio_is_capped(self):
+        # the second row is 1e32 from both references: its mass is below
+        # NUM_FLOOR and its capped ratio passes no gradient; the first row
+        # keeps the loss and the gradient nonzero
+        feats = np.array([[0.0, 0.5], [0.0, 1e32]])
+        pick = self._pick(feats, np.array([[1.0, 0.0], [-1.0, 0.2]]),
+                          np.array([0, 1]), np.array([0, 0]), 2)
+        leaves = {"p": np.array([[1.0, 0.3], [0.2, 1.5]])}
+        _same(pick(merging.metric_objective), pick(cr.metric_objective),
+              leaves)
+        assert float(ad._np(pick(merging.metric_objective)(leaves))) > 0.0
+
+    def test_zero_loss_differs_only_in_sign(self):
+        pick = self._pick(np.array([[0.0, 0.0]]),
+                          np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                          np.array([0, 0]), np.array([0]), 2)
+        leaves = {"p": np.eye(2)}
+        value, grads = ad.value_and_grad(pick(merging.metric_objective),
+                                         leaves)
+        want_value, want = ad.value_and_grad(pick(cr.metric_objective),
+                                             leaves)
+        assert _bits(value) == _bits(np.float64(0.0))
+        assert _bits(want_value) == _bits(np.float64(-0.0))
+        assert _bits(grads["p"]) == _bits(want["p"])
+
+
+def test_train_metric_matches_chain_epoch_by_epoch(monkeypatch):
+    # The projection every epoch starts from, every epoch's loss and the
+    # trained projection come out bit-equal with the chain patched in.
+    rng = np.random.default_rng(9)
+    task_features = [(f"t{k}", rng.normal(size=(15, 6)) + 2.0 * rng.normal(
+        size=6)) for k in range(3)]
+    index = merging.ReferenceIndex(
+        [t for t, _ in task_features],
+        np.vstack([f[:4] for _, f in task_features]), np.repeat(
+            np.arange(3), 4), np.eye(6))
+
+    def run(objective):
+        seen = []
+
+        def recording(projection, *args):
+            seen.append(ad._np(projection).tobytes())
+            return objective(projection, *args)
+        monkeypatch.setattr(merging, "metric_objective", recording)
+        res = merging.train_metric(index, task_features, rank=3, epochs=100,
+                                   n_neighbors=4)
+        monkeypatch.undo()
+        return res, seen
+    got, got_seen = run(merging.metric_objective)
+    want, want_seen = run(cr.metric_objective)
+    assert len(got_seen) == 100 and got_seen == want_seen
+    assert got.losses == want.losses
+    assert _bits(got.index.projection) == _bits(want.index.projection)
+
+
 class TestRecord:
     def test_plain_arguments_give_the_value_alone(self):
         value = np.arange(3.0)
@@ -290,7 +378,7 @@ class TestRecord:
         out = ad.record((3.0, x), ad._np(x) * 3.0,
                         lambda g: (None, g * 3.0))
         assert out.parents == (None, x)
-        tape.backward(ad.sum_(out))
+        tape.backward(cr.sum_(out))
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
     def test_operands_on_two_tapes_rejected(self):

@@ -13,7 +13,7 @@ from taskswitch.harness import (ETA_GRID, ProbeRow, ScaleRow,
                                 unit_groups, write_dataset, write_probe_csv,
                                 write_tasks)
 from taskswitch.model import MlpSpec, accuracy, init_params
-from taskswitch.vectors import ParamSet, TaskVector, add
+from taskswitch.vectors import TaskVector, add
 
 
 class TestSpecValidation:

@@ -12,11 +12,11 @@ from taskswitch.merging import (_BLOCK_ROWS, DIST_EPS, NUM_FLOOR,
                                 ReferenceIndex, _mixed_logits, build_index,
                                 init_projection, kmeans, knn_weights,
                                 load_index, materialize, merged_forward,
-                                metric_objective, projected_distances,
-                                save_index, train_metric)
+                                metric_objective, save_index, train_metric)
 from taskswitch.model import MlpSpec, features, forward, init_params
 from taskswitch.training import CompressedModule, CompressedTaskVector
 from taskswitch.vectors import ParamSet, StructureError
+from composed_reference import projected_distances
 
 
 class TestKmeans:
@@ -289,6 +289,7 @@ class TestMetricObjective:
                                 task_of_row=np.array([0] * 4 + [1] * 4),
                                 n_neighbors=3)
         assert float(ad._np(loss)) == 0.0
+        assert math.copysign(1.0, loss) == 1.0
 
     def test_even_split_is_log_two(self):
         # Both neighbors equidistant, one correct: ratio is exactly 1/2.

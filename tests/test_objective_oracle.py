@@ -20,6 +20,7 @@ from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
                                  reference_outputs, temperature_schedule,
                                  train)
 from taskswitch.vectors import TaskVector, add, signed_bounds
+import composed_reference as cr
 from lgs_reference import (BitLogits, GateParams, bit_regularizer, harden,
                            mixed_quantize, select_bitwidth, soft_gate,
                            sparsity_loss)
@@ -39,22 +40,22 @@ def _reference_objective(spec, base, tv, ref, batch_x, kind, lam, temp,
     def objective(leaves):
         masks, logit_sets, params = [], [], {}
         for m, (name, tau) in enumerate(tv.modules):
-            leaf = ad.take(ad.transpose(leaves["gates"]), m)
-            gp = GateParams(ad.take(leaf, 0), ad.take(leaf, 1),
-                            ad.take(leaf, 2))
+            leaf = cr.take(cr.transpose(leaves["gates"]), m)
+            gp = GateParams(cr.take(leaf, 0), cr.take(leaf, 1),
+                            cr.take(leaf, 2))
             gate = soft_gate(tau, gp, rho)
             masks.append(gate.soft_mask)
-            bl = BitLogits(ad.take(leaves["bits"], m), omega)
+            bl = BitLogits(cr.take(leaves["bits"], m), omega)
             logit_sets.append(bl)
             blended = mixed_quantize(tau, bl, qspecs[name])
-            params[name] = ad.add(base_lookup[name],
-                                  ad.mul(gate.scaled_mask, blended))
+            params[name] = cr.add(base_lookup[name],
+                                  cr.mul(gate.scaled_mask, blended))
         out = forward(spec, params, batch_x)
         cmp = out.features if kind == "cka" else out.logits
         l_per = preservation_loss(kind, ref, cmp, temperature=temp)
         l_sp = sparsity_loss(masks)
         l_bit = bit_regularizer(logit_sets)
-        return ad.add(ad.add(l_sp, l_bit), ad.mul(l_per, lam))
+        return cr.add(cr.add(l_sp, l_bit), cr.mul(l_per, lam))
     return objective
 
 
@@ -174,7 +175,7 @@ def test_hardening_matches_reference(spec, signs):
                                       np.flatnonzero(harden(soft)))
         bits = BitLogits(res.bits[m])
         assert mod.bit_width == select_bitwidth(bits)
-        assert mod.scale == float(np.float32(ad._np(ad.softplus(gate[2]))))
+        assert mod.scale == float(np.float32(ad._np(cr.softplus(gate[2]))))
         b = signed_bounds(tau)
         assert (mod.range_neg, mod.range_pos) == (
             float(np.float32(b.neg_max)), float(np.float32(b.pos_max)))

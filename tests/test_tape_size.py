@@ -3,20 +3,22 @@
 The compression objective lays every module into one graph over two leaf
 arrays, and the dense layers, the losses and the objective's pieces are
 fused nodes, so adding modules adds only one dense node and two slices per
-layer. A return to one subgraph per module, or to the chains of small ops
-the fused nodes replace (62 nodes per desk compression step, 21 per desk
-fine-tune step), fails here.
+layer. The metric objective is one node over the projection. A return to
+one subgraph per module, or to the chains of small ops the fused nodes
+replace (62 nodes per desk compression step, 21 per desk fine-tune step,
+30 per metric epoch), fails here.
 """
 
 import numpy as np
 
 from taskswitch import autodiff as ad
-from taskswitch import (MlpSpec, TaskVector, TrainConfig, add, fine_tune,
-                        init_params, train)
+from taskswitch import (MlpSpec, ReferenceIndex, TaskVector, TrainConfig, add,
+                        fine_tune, init_params, train, train_metric)
 
-MAX_NODES_DESK = 22          # widths 16,32,4: four modules; 19 recorded
+MAX_NODES_DESK = 20          # widths 16,32,4: four modules; 17 recorded
 MAX_GROWTH_4_TO_10 = 12      # three more layers; 9 recorded
 MAX_NODES_FINE_TUNE = 8      # widths 16,32,4: 4 leaves, 2 layers, the loss
+MAX_NODES_METRIC_EPOCH = 2   # the projection leaf and the objective
 
 
 def _counting(monkeypatch) -> list:
@@ -65,3 +67,16 @@ def test_desk_fine_tune_step_is_small(monkeypatch):
     monkeypatch.undo()
     assert len(seen) == 2
     assert max(seen) <= MAX_NODES_FINE_TUNE
+
+
+def test_metric_epoch_is_one_node(monkeypatch):
+    rng = np.random.default_rng(2)
+    index = ReferenceIndex(["a", "b"], rng.normal(size=(6, 4)),
+                           np.repeat([0, 1], 3), np.eye(4))
+    seen = _counting(monkeypatch)
+    train_metric(index, [("a", rng.normal(size=(5, 4))),
+                         ("b", rng.normal(size=(5, 4)))],
+                 rank=2, epochs=2, n_neighbors=3)
+    monkeypatch.undo()
+    assert len(seen) == 2
+    assert max(seen) <= MAX_NODES_METRIC_EPOCH

@@ -13,7 +13,6 @@ from taskswitch import (
     TrainingDivergedError,
     add,
     decode,
-    diff,
     init_params,
     materialize,
     train,
