@@ -70,6 +70,17 @@ def _named(text: str) -> tuple:
     return name, path
 
 
+class _AppendNamed(argparse.Action):
+    """Collects NAME=PATH pairs in order, refusing a name given twice."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        pairs = getattr(namespace, self.dest) or []
+        if any(name == value[0] for name, _ in pairs):
+            raise argparse.ArgumentError(self, f"name {value[0]!r} given "
+                                         "twice")
+        setattr(namespace, self.dest, pairs + [value])
+
+
 def _load_config_tokens(path) -> list[str]:
     """key=value lines become --key value tokens; false drops a flag."""
     tokens = []
@@ -160,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tswitch", help="binary switch compression per task")
     p.add_argument("--base", required=True)
-    p.add_argument("--finetuned", type=_named, action="append", required=True,
-                   metavar="NAME=PATH")
+    p.add_argument("--finetuned", type=_named, action=_AppendNamed,
+                   required=True, metavar="NAME=PATH")
     p.add_argument("--alpha", type=float, default=0.9)
     p.add_argument("-o", "--out", required=True)
 
@@ -197,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-index", help="cluster exemplar features")
     p.add_argument("--base", required=True)
-    p.add_argument("--task", type=_named, action="append", required=True,
+    p.add_argument("--task", type=_named, action=_AppendNamed, required=True,
                    metavar="NAME=TRAIN_CSV")
     p.add_argument("--exemplar-count", type=_count, default=100)
     p.add_argument("--centers", type=int, default=20,
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-metric", help="learn the retrieval projection")
     p.add_argument("--index", required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--task", type=_named, action="append", required=True,
+    p.add_argument("--task", type=_named, action=_AppendNamed, required=True,
                    metavar="NAME=TRAIN_CSV")
     p.add_argument("--exemplar-count", type=_count, default=100)
     p.add_argument("--rank", type=_count, default=32)
@@ -221,20 +232,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--bundle", action="append", required=True)
-    p.add_argument("--task", type=_named, action="append", required=True,
+    p.add_argument("--task", type=_named, action=_AppendNamed, required=True,
                    metavar="NAME=TEST_CSV")
     p.add_argument("--neighbors", type=int, default=10)
     p.add_argument("-o", "--out", help="write per-task accuracy CSV here")
 
     p = sub.add_parser("baseline", help="static merges for comparison")
     p.add_argument("--base", required=True)
-    p.add_argument("--finetuned", type=_named, action="append", required=True,
-                   metavar="NAME=PATH")
+    p.add_argument("--finetuned", type=_named, action=_AppendNamed,
+                   required=True, metavar="NAME=PATH")
     p.add_argument("--mode", choices=("weight-average", "task-arithmetic"),
                    default="weight-average")
     p.add_argument("--scale", type=_finite, default=0.3,
                    help="task-arithmetic coefficient")
-    p.add_argument("--task", type=_named, action="append", required=True,
+    p.add_argument("--task", type=_named, action=_AppendNamed, required=True,
                    metavar="NAME=TEST_CSV")
     p.add_argument("-o", "--out", help="write per-task accuracy CSV here")
 

@@ -14,11 +14,15 @@ as one integer. Payloads:
   dense     32-bit float32 per element, no quantization.
 
 Bits are most-significant-first within each field (_fields and _values
-are the one place that order is coded), fields concatenated in declaration
+are the one place that order is coded, through big-endian 16-bit words:
+no field is wider than 15 bits), fields concatenated in declaration
 order, streams zero-padded to a byte boundary. Every padding bit is
 validated on decode so a single flipped bit can never pass silently.
 Decoding reads the stream's bytes in place: a BitReader over a whole file
-unpacks only the bytes each read covers.
+unpacks only the bytes each read covers into bits, and reads a dense
+payload as 32-bit words, each shifted back by the one bit the header
+leaves over a byte boundary, the way encode_dense writes it; no dense
+payload is ever spread out one byte per bit.
 """
 
 from __future__ import annotations
@@ -200,16 +204,19 @@ def indep_bits(n: int, b: int) -> int:
 
 
 def _fields(values, nbits: int) -> np.ndarray:
-    """(m, nbits) bit matrix of unsigned values, most significant bit first."""
-    shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-    values = np.asarray(values, dtype=np.uint64)
-    return ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    """(m, nbits) bit matrix of values below 2**15, most significant bit
+    first: the tail of each value's big-endian 16-bit word, unpacked."""
+    words = np.asarray(values).astype(">u2")
+    return np.unpackbits(words.view(np.uint8)).reshape(-1, 16)[:, 16 - nbits:]
 
 
 def _values(bits: np.ndarray) -> np.ndarray:
-    """Inverse of _fields: one value per row of an (m, nbits) bit matrix."""
-    shifts = np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint64)
-    return bits.astype(np.uint64).dot(np.uint64(1) << shifts).astype(np.int64)
+    """Inverse of _fields: one value per row of an (m, nbits) bit matrix,
+    packed as the row left-padded to a big-endian 16-bit word."""
+    m, nbits = bits.shape
+    padded = np.zeros((m, 16), dtype=np.uint8)
+    padded[:, 16 - nbits:] = bits
+    return np.packbits(padded).view(">u2").astype(np.int64)
 
 
 class BitReader:
@@ -231,6 +238,22 @@ class BitReader:
         bits = np.unpackbits(np.frombuffer(self.data, np.uint8, nbytes, lo))
         self.pos += count
         return bits[skip:skip + count]
+
+    def read_words(self, count: int) -> np.ndarray:
+        """count big-endian 32-bit words as uint32, from any bit offset."""
+        if 32 * count > self.remaining:
+            raise CorruptStreamError("truncated stream", self.pos)
+        lo, skip = divmod(self.pos, 8)
+        words = np.frombuffer(self.data, ">u4", count, lo).astype(np.uint32)
+        self.pos += 32 * count
+        if skip and count:
+            # each word takes its low bits from the top of the next one;
+            # the last word's come from the byte after the words
+            low = words[1:] >> (32 - skip)
+            words <<= skip
+            words[:-1] |= low
+            words[-1] |= self.data[lo + 4 * count] >> (8 - skip)
+        return words
 
 
 def _check_header(h: ModuleHeader, at: int | None = None) -> None:
@@ -255,9 +278,8 @@ def _check_header(h: ModuleHeader, at: int | None = None) -> None:
         fail(f"group size {c} must divide {n}, in a grouped stream only")
 
 
-def _pack(header: ModuleHeader, nnz: int,
-          *payload: np.ndarray) -> EncodedModule:
-    """Header then payload bits, zero-padded to a byte boundary.
+def _header_bytes(header: ModuleHeader) -> bytes:
+    """The header as the top 137 bits of 18 bytes, the last 7 bits zero.
 
     The header is one integer: format tag (2), bit width (4), group size
     minus 1 (8) and count (27), then the three float32 fields.
@@ -267,7 +289,13 @@ def _pack(header: ModuleHeader, nnz: int,
     floats = struct.pack(">3f", header.scale, header.range_neg,
                          header.range_pos)
     word = (ints << 96 | int.from_bytes(floats, "big")) << 7
-    head = np.unpackbits(np.frombuffer(word.to_bytes(18, "big"), np.uint8))
+    return word.to_bytes(18, "big")
+
+
+def _pack(header: ModuleHeader, nnz: int,
+          *payload: np.ndarray) -> EncodedModule:
+    """Header then payload bits, zero-padded to a byte boundary."""
+    head = np.unpackbits(np.frombuffer(_header_bytes(header), np.uint8))
     bits = [p.reshape(-1) for p in payload]
     data = np.packbits(np.concatenate([head[:HEADER_BITS], *bits]))
     return EncodedModule(data.tobytes(), header, sum(b.size for b in bits),
@@ -345,17 +373,31 @@ def encode_indep(module: CompressedModule) -> EncodedModule:
 
 
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
-    """Raw float32 storage; rounds the input to float32 precision."""
+    """Raw float32 storage; rounds the input to float32 precision.
+
+    The payload is the float32 words shifted right by the one bit the
+    header leaves in its last byte (137 = 17 * 8 + 1): each word keeps
+    its top 31 bits and lends its lowest to the top of the next, the last
+    one's to the padding byte.
+    """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     header = ModuleHeader(Format.DENSE, 0, 1, values.size,
                           float(np.float32(scale)), 0.0, 0.0)
     _check_header(header)
     with np.errstate(over="ignore"):   # tested as decode_at tests them
-        stored = values.astype(">f4")
+        stored = values.astype(np.float32)
     if not np.all(np.isfinite(stored)):
         raise CodecError("dense values must be finite in float32")
-    return _pack(header, int(np.count_nonzero(values)),
-                 np.unpackbits(stored.view(np.uint8)))
+    words = stored.view(np.uint32)
+    head = _header_bytes(header)
+    shifted = np.empty(words.size + 1, dtype=">u4")
+    shifted[0] = head[17] >> 7 << 31   # the header's last bit
+    np.left_shift(words, 31, out=shifted[1:])
+    words >>= 1
+    shifted[:-1] |= words
+    payload = shifted.view(np.uint8)[:4 * words.size + 1]
+    return EncodedModule(b"".join((head[:17], payload)), header,
+                         32 * words.size, int(np.count_nonzero(values)))
 
 
 def choose_format(module: CompressedModule) -> EncodedModule:
@@ -379,9 +421,9 @@ def decode_at(reader: BitReader) -> DecodedModule:
     payload_start = reader.pos
     n = header.count
     if header.fmt == Format.DENSE:
-        raw = np.packbits(reader.read_bits(32 * n)).tobytes()
+        words = reader.read_words(n)
         with np.errstate(invalid="ignore"):  # corrupt bits may form sNaN
-            values = np.frombuffer(raw, dtype=">f4").astype(np.float64)
+            values = words.view(np.float32).astype(np.float64)
         if not np.all(np.isfinite(values)):
             raise CorruptStreamError("non-finite dense payload",
                                      payload_start)

@@ -50,6 +50,14 @@ class ReferenceIndex:
     labels: np.ndarray       # (n_refs,) ordinal into task_ids
     projection: np.ndarray   # (r, e)
 
+    def __post_init__(self):
+        seen = set()
+        for task_id in self.task_ids:
+            if task_id in seen:
+                raise StructureError(f"task id {task_id!r} is repeated in "
+                                     "the index")
+            seen.add(task_id)
+
     @property
     def n_tasks(self) -> int:
         return len(self.task_ids)
@@ -452,6 +460,10 @@ def _parse_index(data: bytes, path) -> ReferenceIndex:
         bad = int(np.flatnonzero(~np.isfinite(floats))[0])
         raise CodecError(f"{path}: non-finite float at byte "
                          f"{cursor + 4 * bad}")
-    return ReferenceIndex(task_ids, floats[:total * e].reshape(total, e),
-                          np.repeat(np.arange(n_tasks), counts),
-                          floats[total * e:].reshape(r, e))
+    try:
+        return ReferenceIndex(task_ids,
+                              floats[:total * e].reshape(total, e),
+                              np.repeat(np.arange(n_tasks), counts),
+                              floats[total * e:].reshape(r, e))
+    except StructureError as exc:
+        raise StructureError(f"{path}: {exc}") from None

@@ -617,6 +617,46 @@ class TestErrorPaths:
             f"{data / 'task0_train.csv'}, got {centers}\n")
         assert not (tmp_path / "r.idx").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("tswitch", "--finetuned"), ("build-index", "--task"),
+        ("train-metric", "--task"), ("merge-eval", "--task"),
+        ("baseline", "--task"), ("baseline", "--finetuned")])
+    def test_repeated_name_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                   command, flag):
+        root, data = pipeline_dir
+        if command == "tswitch":
+            argv = ["tswitch", "--base", str(root / "base.tswp"),
+                    "--finetuned", f"task0={root / 'ft0.tswp'}",
+                    "--finetuned", f"task1={root / 'ft1.tswp'}"]
+        else:
+            argv = CSV_COMMANDS[command](root, data, data / "task1_test.csv",
+                                         tmp_path)
+        at = len(argv) - 1 - argv[::-1].index(flag)   # the task1 entry
+        argv[at + 1] = "task0=" + argv[at + 1].split("=", 1)[1]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-o", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"taskswitch {command}: error: argument {flag}: name 'task0' "
+            "given twice")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_index_with_repeated_task_ids_exits_2(self, pipeline_dir,
+                                                  tmp_path, capsys):
+        # a hand-made index naming task0 twice would route task1's rows to
+        # task0's bundle
+        root, data = pipeline_dir
+        index = tmp_path / "twice.idx"
+        index.write_bytes((root / "refs2.idx").read_bytes()
+                          .replace(b"task1", b"task0"))
+        argv = CSV_COMMANDS["merge-eval"](root, data, data / "task1_test.csv",
+                                          tmp_path)
+        argv[argv.index("--index") + 1] = str(index)
+        assert main(argv + ["-o", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {index}: task id 'task0' is repeated in the index\n")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_bad_named_argument(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["tswitch", "--base", "b.tswp", "--finetuned", "noequals",

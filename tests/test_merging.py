@@ -675,6 +675,16 @@ class TestBuildIndex:
         assert i1.feature_dim == 6 and i1.rank == 6 and i1.n_tasks == 2
         np.testing.assert_array_equal(i1.centers, i2.centers)
 
+    def test_repeated_task_id_refused(self):
+        base, _, exemplars = _model_setup()
+        with pytest.raises(StructureError, match="task id 'a' is repeated "
+                                                 "in the index"):
+            build_index(SPEC, base, exemplars + exemplars[:1],
+                        centers_per_task=None)
+        with pytest.raises(StructureError, match="task id 'b' is repeated"):
+            ReferenceIndex(["a", "b", "c", "b"], np.zeros((4, 2)),
+                           np.arange(4), np.eye(2))
+
 
 class TestIndexFile:
     def _index(self):
@@ -770,6 +780,23 @@ class TestIndexFile:
         with pytest.raises(StructureError, match="each task's references"):
             save_index(tmp_path / "refs.idx", index)
         assert not (tmp_path / "refs.idx").exists()
+
+    def test_repeated_task_id_refused(self, tmp_path):
+        # save_index refuses through the parser it runs; load_index names
+        # the file
+        index = self._index()
+        index.task_ids[1] = "alpha"
+        with pytest.raises(StructureError, match="other.idx: task id 'alpha' "
+                                                 "is repeated in the index"):
+            save_index(tmp_path / "other.idx", index)
+        assert not (tmp_path / "other.idx").exists()
+        index.task_ids[1] = "omega"
+        path = tmp_path / "refs.idx"
+        save_index(path, index)
+        path.write_bytes(path.read_bytes().replace(b"omega", b"alpha"))
+        with pytest.raises(StructureError, match="refs.idx: task id 'alpha' "
+                                                 "is repeated in the index"):
+            load_index(path)
 
     def test_index_without_tasks_refused(self, tmp_path):
         index = ReferenceIndex([], np.zeros((0, 5)), np.zeros(0, np.int64),

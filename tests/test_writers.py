@@ -133,15 +133,19 @@ def test_save_index_round_trips_or_refuses(task_ids, dim, data):
     width = dim + data.draw(st.sampled_from([0, 0, 0, 1]))
     centers = data.draw(floats(labels.size * dim))
     proj = data.draw(floats(2 * width))
-    index = ReferenceIndex(task_ids, centers.reshape(labels.size, dim),
-                           labels, proj.reshape(2, width))
-    loaded = _round_trip(lambda path: save_index(path, index), load_index)
+
+    def write(path):   # an index of repeated ids is refused as it is built
+        save_index(path, ReferenceIndex(
+            task_ids, centers.reshape(labels.size, dim), labels,
+            proj.reshape(2, width)))
+
+    loaded = _round_trip(write, load_index)
     if loaded is None:
         return
     assert loaded.task_ids == task_ids
     np.testing.assert_array_equal(loaded.labels, labels)
-    assert loaded.centers.tobytes() == _f32(index.centers).tobytes()
-    assert loaded.projection.tobytes() == _f32(index.projection).tobytes()
+    assert loaded.centers.tobytes() == _f32(centers).tobytes()
+    assert loaded.projection.tobytes() == _f32(proj).tobytes()
 
 
 @given(st.integers(0, 6), st.integers(0, 3), st.data())
