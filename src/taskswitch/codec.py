@@ -9,13 +9,14 @@ as one integer. Payloads:
 
   grouped   group-presence bitmap (n/c bits), then one record per nonzero in
             position order: intra-group index (ceil(log2 c) bits), bin index
-            (b bits), end-of-group flag (1 bit);
+            (b bits), end-of-group flag (1 bit), written and read as one
+            field of at most 8 + 15 + 1 = 24 bits;
   indep     n mask bits followed by b bits per element, zeros included;
   dense     32-bit float32 per element, no quantization.
 
 Bits are most-significant-first within each field (_fields and _values
-are the one place that order is coded, through big-endian 16-bit words:
-no field is wider than 15 bits), fields concatenated in declaration
+are the one place that order is coded, through big-endian words of 16
+bits, or 32 for a field wider than 16), fields concatenated in declaration
 order, streams zero-padded to a byte boundary. Every padding bit is
 validated on decode so a single flipped bit can never pass silently.
 Decoding reads the stream's bytes in place: a BitReader over a whole file
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -175,9 +176,14 @@ def expected_bits(n: int, c: int, alpha: float, b: int) -> float:
     return NOMINAL_HEADER_BITS + n / c + n * (1.0 - alpha) * (index_bits(c) + b + 1)
 
 
+@lru_cache(maxsize=1024)
+def _divisors(n: int) -> tuple[int, ...]:
+    return tuple(c for c in range(1, min(n, MAX_GROUP) + 1) if n % c == 0)
+
+
 def admissible_groups(n: int) -> list[int]:
     """Divisors of n not exceeding the group cap, ascending."""
-    return [c for c in range(1, min(n, MAX_GROUP) + 1) if n % c == 0]
+    return list(_divisors(n))
 
 
 def optimal_group(n: int, alpha: float) -> int:
@@ -192,7 +198,7 @@ def optimal_group(n: int, alpha: float) -> int:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     best_c, best_cost = None, math.inf
-    for c in admissible_groups(n):
+    for c in _divisors(n):
         cost = expected_bits(n, c, alpha, 1)
         if cost < best_cost:
             best_c, best_cost = c, cost
@@ -203,20 +209,27 @@ def indep_bits(n: int, b: int) -> int:
     return (b + 1) * n
 
 
+def _word(nbits: int) -> int:
+    """Bits in the big-endian word a field of nbits (at most 32) sits in."""
+    return 16 if nbits <= 16 else 32
+
+
 def _fields(values, nbits: int) -> np.ndarray:
-    """(m, nbits) bit matrix of values below 2**15, most significant bit
-    first: the tail of each value's big-endian 16-bit word, unpacked."""
-    words = np.asarray(values).astype(">u2")
-    return np.unpackbits(words.view(np.uint8)).reshape(-1, 16)[:, 16 - nbits:]
+    """(m, nbits) bit matrix of values below 2**nbits, most significant bit
+    first: the tail of each value's big-endian word, unpacked."""
+    w = _word(nbits)
+    words = np.asarray(values).astype(f">u{w // 8}")
+    return np.unpackbits(words.view(np.uint8)).reshape(-1, w)[:, w - nbits:]
 
 
 def _values(bits: np.ndarray) -> np.ndarray:
     """Inverse of _fields: one value per row of an (m, nbits) bit matrix,
-    packed as the row left-padded to a big-endian 16-bit word."""
+    packed as the row left-padded to a big-endian word."""
     m, nbits = bits.shape
-    padded = np.zeros((m, 16), dtype=np.uint8)
-    padded[:, 16 - nbits:] = bits
-    return np.packbits(padded).view(">u2").astype(np.int64)
+    w = _word(nbits)
+    padded = np.zeros((m, w), dtype=np.uint8)
+    padded[:, w - nbits:] = bits
+    return np.packbits(padded).view(f">u{w // 8}").astype(np.int64)
 
 
 class BitReader:
@@ -320,22 +333,31 @@ def _read_header(r: BitReader) -> ModuleHeader:
     return header
 
 
-def _module_header(module: CompressedModule, fmt: Format) -> ModuleHeader:
+def _float32(v: float) -> float:
+    """v rounded to float32; inf past float32's range, refused as a header
+    field by _check_header (struct rounds as numpy does, with no warning)."""
+    try:
+        return struct.unpack("f", struct.pack("f", v))[0]
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _module_header(module: CompressedModule, fmt: Format,
+                   group_size: int = 1) -> ModuleHeader:
     """The stream header of a module whose support and bins are sound."""
     n, b, support, bins = (module.length, module.bit_width, module.support,
                            module.bins)
-    with np.errstate(over="ignore"):   # past float32's range: refused below
-        scale, rn, rp = (float(np.float32(v)) for v in (
-            module.scale, module.range_neg, module.range_pos))
-    header = ModuleHeader(fmt, b, 1, n, scale, rn, rp)
+    header = ModuleHeader(fmt, b, group_size, n, _float32(module.scale),
+                          _float32(module.range_neg),
+                          _float32(module.range_pos))
     _check_header(header)
     if support.ndim != 1 or bins.shape != support.shape:
         raise CodecError(f"{bins.size} bins for {support.size} positions")
     if support.size:
-        if rn + rp == 0.0:
+        if header.range_neg + header.range_pos == 0.0:
             raise CodecError("degenerate quantizer cannot carry survivors")
         if (support[0] < 0 or support[-1] >= n
-                or np.any(support[1:] <= support[:-1])):
+                or (support[1:] <= support[:-1]).any()):
             raise CodecError(f"support not strictly increasing in [0, {n})")
         if bins.min() < 0 or bins.max() >= 1 << b:
             raise CodecError(f"bin index outside [0, {1 << b})")
@@ -344,21 +366,28 @@ def _module_header(module: CompressedModule, fmt: Format) -> ModuleHeader:
 
 def encode(module: CompressedModule,
            group_size: int | None = None) -> EncodedModule:
-    """Grouped-format encoding of a module's support and bins."""
-    header = _module_header(module, Format.GROUPED)
+    """Grouped-format encoding of a module's support and bins.
+
+    Each record is one field, intra-group index, bin and end-of-group flag
+    packed into one integer.
+    """
     n, nnz, support = module.length, module.nnz, module.support
-    c = optimal_group(n, 1.0 - nnz / n) if group_size is None \
-        else int(group_size)
-    header = replace(header, group_size=c)
-    _check_header(header)
+    if group_size is not None:
+        c = int(group_size)
+    elif 1 <= n and nnz <= n:
+        c = optimal_group(n, 1.0 - nnz / n)
+    else:
+        c = 1                          # refused by _module_header
+    header = _module_header(module, Format.GROUPED, c)
+    b = header.bit_width
     group_id = support // c
     group_any = np.zeros(n // c, dtype=np.uint8)
     group_any[group_id] = 1
-    flags = np.ones((nnz, 1), dtype=np.uint8)
-    flags[:-1, 0] = group_id[1:] != group_id[:-1]
-    rec = np.hstack([_fields(support % c, index_bits(c)),
-                     _fields(module.bins, header.bit_width), flags])
-    return _pack(header, nnz, group_any, rec)
+    intra = (support % c).astype(np.int64, copy=False)
+    rec = (intra << b | module.bins) << 1
+    rec[:-1] |= group_id[1:] != group_id[:-1]    # end-of-group flags
+    rec[-1:] |= 1
+    return _pack(header, nnz, group_any, _fields(rec, index_bits(c) + b + 1))
 
 
 def encode_indep(module: CompressedModule) -> EncodedModule:
@@ -381,13 +410,14 @@ def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
     one's to the padding byte.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    header = ModuleHeader(Format.DENSE, 0, 1, values.size,
-                          float(np.float32(scale)), 0.0, 0.0)
+    header = ModuleHeader(Format.DENSE, 0, 1, values.size, _float32(scale),
+                          0.0, 0.0)
     _check_header(header)
     with np.errstate(over="ignore"):   # tested as decode_at tests them
         stored = values.astype(np.float32)
-    if not np.all(np.isfinite(stored)):
+    if not np.isfinite(stored).all():
         raise CodecError("dense values must be finite in float32")
+    nnz = int(np.count_nonzero(stored))   # what decode counts
     words = stored.view(np.uint32)
     head = _header_bytes(header)
     shifted = np.empty(words.size + 1, dtype=">u4")
@@ -397,7 +427,7 @@ def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
     shifted[:-1] |= words
     payload = shifted.view(np.uint8)[:4 * words.size + 1]
     return EncodedModule(b"".join((head[:17], payload)), header,
-                         32 * words.size, int(np.count_nonzero(values)))
+                         32 * words.size, nnz)
 
 
 def choose_format(module: CompressedModule) -> EncodedModule:
@@ -424,16 +454,15 @@ def decode_at(reader: BitReader) -> DecodedModule:
         words = reader.read_words(n)
         with np.errstate(invalid="ignore"):  # corrupt bits may form sNaN
             values = words.view(np.float32).astype(np.float64)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise CorruptStreamError("non-finite dense payload",
                                      payload_start)
         module = None
     else:
         if header.fmt == Format.INDEP:
-            mask = reader.read_bits(n).astype(bool)
-            support = np.flatnonzero(mask)
+            support = reader.read_bits(n).nonzero()[0]
             b = header.bit_width
-            bins = _values(reader.read_bits(n * b).reshape(n, b))[mask]
+            bins = _values(reader.read_bits(n * b).reshape(n, b)[support])
         else:
             support, bins = _decode_grouped(reader, header)
         module = CompressedModule(n, support, bins, header.bit_width,
@@ -442,8 +471,7 @@ def decode_at(reader: BitReader) -> DecodedModule:
         values = None
     payload_bits = reader.pos - payload_start
     pad = (-(reader.pos - start)) % 8
-    pad_bits = reader.read_bits(pad)
-    if np.any(pad_bits):
+    if pad and reader.read_bits(pad).any():
         raise CorruptStreamError("nonzero padding bits", reader.pos - pad)
     return DecodedModule(header, module, values, payload_bits,
                          reader.pos - start)
@@ -451,44 +479,53 @@ def decode_at(reader: BitReader) -> DecodedModule:
 
 def _decode_grouped(reader: BitReader, header: ModuleHeader):
     n, c, b = header.count, header.group_size, header.bit_width
-    flagged = np.flatnonzero(reader.read_bits(n // c))
+    flagged = reader.read_bits(n // c).nonzero()[0]
     if flagged.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    k = index_bits(c)
-    rec_w = k + b + 1
+    rec_w = index_bits(c) + b + 1
     records_start = reader.pos
     max_records = reader.remaining // rec_w
     # Records are flag-terminated; scan in growing chunks until every
-    # flagged group has closed.
-    chunk, parsed, closed, chunks = max(64, 2 * flagged.size), 0, 0, []
+    # flagged group has closed. Each record is read as one field.
+    recs, ends = [], []            # per chunk: records, flagged rows
+    chunk, parsed, closed = max(64, 2 * flagged.size), 0, 0
     while closed < flagged.size:
         take = min(chunk, max_records - parsed)
         if take <= 0:
             raise CorruptStreamError("records exhausted before all groups "
                                      "closed", 8 * len(reader.data))
-        chunks.append(reader.read_bits(take * rec_w).reshape(take, rec_w))
-        closed += int(np.count_nonzero(chunks[-1][:, -1]))
+        recs.append(_values(reader.read_bits(take * rec_w)
+                            .reshape(take, rec_w)))
+        ends.append((recs[-1] & 1).nonzero()[0] + parsed)
+        closed += ends[-1].size
         parsed += take
         chunk *= 2
-    rec = np.concatenate(chunks)
-    n_records = int(np.flatnonzero(rec[:, -1])[flagged.size - 1]) + 1
+    rec, ends = ((recs[0], ends[0]) if len(recs) == 1
+                 else (np.concatenate(recs), np.concatenate(ends)))
+    ends = ends[:flagged.size]     # the record closing each group
+    n_records = int(ends[-1]) + 1
     rec = rec[:n_records]
     reader.pos = records_start + n_records * rec_w
-    intra, bins, flags = _values(rec[:, :k]), _values(rec[:, k:-1]), rec[:, -1]
-
-    seg = np.zeros(n_records, dtype=np.int64)
-    seg[1:] = np.cumsum(flags[:-1])
-    if np.any(intra >= c):
-        bad = int(np.flatnonzero(intra >= c)[0])
-        raise CorruptStreamError(f"intra-group index {int(intra[bad])} >= "
-                                 f"group size {c}",
-                                 records_start + bad * rec_w)
-    same_seg = seg[1:] == seg[:-1]
-    if np.any(same_seg & (intra[1:] <= intra[:-1])):
-        bad = int(np.flatnonzero(same_seg & (intra[1:] <= intra[:-1]))[0]) + 1
+    intra, bins = rec >> b + 1, rec >> 1 & (1 << b) - 1
+    if c & c - 1:                  # index bits can hold c and more
+        over = intra >= c
+        if over.any():
+            bad = int(over.argmax())
+            raise CorruptStreamError(f"intra-group index {int(intra[bad])} "
+                                     f">= group size {c}",
+                                     records_start + bad * rec_w)
+    per_group = ends.copy()        # records in each group
+    per_group[1:] -= ends[:-1]
+    per_group[0] += 1
+    support = (flagged * c).repeat(per_group) + intra
+    # each group starts past every position of the one before, so the
+    # positions can fall back only between indices of one group
+    back = support[1:] <= support[:-1]
+    if back.any():
         raise CorruptStreamError("intra-group indices not strictly increasing",
-                                 records_start + bad * rec_w)
-    return flagged[seg] * c + intra, bins
+                                 records_start + (int(back.argmax()) + 1)
+                                 * rec_w)
+    return support, bins
 
 
 def decode(data: bytes) -> DecodedModule:

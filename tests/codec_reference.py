@@ -1,26 +1,38 @@
-"""The codec's per-element path as it was before it worked in words: the
-oracle that `tests/test_codec_oracle.py` checks the package's codec against.
+"""The codec's per-element and per-module paths as they were before they
+worked in words and read and wrote each grouped record as one field: the
+oracle that `tests/test_codec_oracle.py` checks the package's codec
+against.
 
 Here every field goes through a bit matrix of one uint8 per bit, built and
 read back through uint64 shifts (`_fields`, `_values`), and a dense payload
 is unpacked to 32 bits per element, concatenated after the header's bits
-and packed again (`_pack`, `encode_dense`); `decode_at` reads a dense
-payload back by unpacking and repacking its bits. The grouped and
-independent encoders and the grouped decoder are the package's own: patch
-`_fields`, `_values` and `_pack` below into `taskswitch.codec` to run them
-the old way.
+and packed again (`_pack`, `encode_dense`). The per-module path is kept as
+it was when a record was three fields: `encode` stacks the intra index,
+bin and flag columns and builds its header twice, `_module_header` rounds
+to float32 under `np.errstate`, `admissible_groups` scans for divisors on
+every call, `_decode_grouped` reads the intra index and the bin as two
+fields and finds groups by a cumulative sum, and `decode_at` turns every
+INDEP row into a value before masking and reads zero padding bits. Only
+`decode_at`'s DENSE branch is older still: it unpacks and repacks the
+payload's bits. Every function here calls this module's own field and
+packing code, never the package's.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 
 from taskswitch.codec import (
     COUNT_BITS,
     HEADER_BITS,
+    MAX_GROUP,
+    NOMINAL_HEADER_BITS,
     BitReader,
+    CapacityError,
     CodecError,
     CompressedModule,
     CorruptStreamError,
@@ -29,8 +41,10 @@ from taskswitch.codec import (
     Format,
     ModuleHeader,
     _check_header,
-    _decode_grouped,
     _read_header,
+    expected_bits,
+    indep_bits,
+    index_bits,
 )
 
 
@@ -64,6 +78,78 @@ def _pack(header: ModuleHeader, nnz: int,
     data = np.packbits(np.concatenate([head[:HEADER_BITS], *bits]))
     return EncodedModule(data.tobytes(), header, sum(b.size for b in bits),
                          nnz)
+
+
+def admissible_groups(n: int) -> list[int]:
+    """Divisors of n not exceeding the group cap, ascending."""
+    return [c for c in range(1, min(n, MAX_GROUP) + 1) if n % c == 0]
+
+def optimal_group(n: int, alpha: float) -> int:
+    """Group size minimizing expected_bits over the admissible divisors.
+
+    Ties go to the smaller size. The b term is constant across candidates
+    so the choice is bit-width independent. alpha = 1 degenerates to the
+    largest admissible divisor (the bitmap is all that remains).
+    """
+    if n < 1:
+        raise CapacityError(f"element count must be positive, got {n}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    best_c, best_cost = None, math.inf
+    for c in admissible_groups(n):
+        cost = expected_bits(n, c, alpha, 1)
+        if cost < best_cost:
+            best_c, best_cost = c, cost
+    return best_c
+
+def _module_header(module: CompressedModule, fmt: Format) -> ModuleHeader:
+    """The stream header of a module whose support and bins are sound."""
+    n, b, support, bins = (module.length, module.bit_width, module.support,
+                           module.bins)
+    with np.errstate(over="ignore"):   # past float32's range: refused below
+        scale, rn, rp = (float(np.float32(v)) for v in (
+            module.scale, module.range_neg, module.range_pos))
+    header = ModuleHeader(fmt, b, 1, n, scale, rn, rp)
+    _check_header(header)
+    if support.ndim != 1 or bins.shape != support.shape:
+        raise CodecError(f"{bins.size} bins for {support.size} positions")
+    if support.size:
+        if rn + rp == 0.0:
+            raise CodecError("degenerate quantizer cannot carry survivors")
+        if (support[0] < 0 or support[-1] >= n
+                or np.any(support[1:] <= support[:-1])):
+            raise CodecError(f"support not strictly increasing in [0, {n})")
+        if bins.min() < 0 or bins.max() >= 1 << b:
+            raise CodecError(f"bin index outside [0, {1 << b})")
+    return header
+
+def encode(module: CompressedModule,
+           group_size: int | None = None) -> EncodedModule:
+    """Grouped-format encoding of a module's support and bins."""
+    header = _module_header(module, Format.GROUPED)
+    n, nnz, support = module.length, module.nnz, module.support
+    c = optimal_group(n, 1.0 - nnz / n) if group_size is None \
+        else int(group_size)
+    header = replace(header, group_size=c)
+    _check_header(header)
+    group_id = support // c
+    group_any = np.zeros(n // c, dtype=np.uint8)
+    group_any[group_id] = 1
+    flags = np.ones((nnz, 1), dtype=np.uint8)
+    flags[:-1, 0] = group_id[1:] != group_id[:-1]
+    rec = np.hstack([_fields(support % c, index_bits(c)),
+                     _fields(module.bins, header.bit_width), flags])
+    return _pack(header, nnz, group_any, rec)
+
+def encode_indep(module: CompressedModule) -> EncodedModule:
+    """Mask-plus-fixed-width encoding: exactly (b+1)*n payload bits."""
+    header = _module_header(module, Format.INDEP)
+    mask = np.zeros(header.count, dtype=np.uint8)
+    mask[module.support] = 1
+    all_bins = np.zeros(header.count, dtype=np.int64)
+    all_bins[module.support] = module.bins
+    return _pack(header, module.nnz, mask,
+                 _fields(all_bins, header.bit_width))
 
 
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
@@ -115,3 +201,57 @@ def decode_at(reader: BitReader) -> DecodedModule:
         raise CorruptStreamError("nonzero padding bits", reader.pos - pad)
     return DecodedModule(header, module, values, payload_bits,
                          reader.pos - start)
+
+
+def _decode_grouped(reader: BitReader, header: ModuleHeader):
+    n, c, b = header.count, header.group_size, header.bit_width
+    flagged = np.flatnonzero(reader.read_bits(n // c))
+    if flagged.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    k = index_bits(c)
+    rec_w = k + b + 1
+    records_start = reader.pos
+    max_records = reader.remaining // rec_w
+    # Records are flag-terminated; scan in growing chunks until every
+    # flagged group has closed.
+    chunk, parsed, closed, chunks = max(64, 2 * flagged.size), 0, 0, []
+    while closed < flagged.size:
+        take = min(chunk, max_records - parsed)
+        if take <= 0:
+            raise CorruptStreamError("records exhausted before all groups "
+                                     "closed", 8 * len(reader.data))
+        chunks.append(reader.read_bits(take * rec_w).reshape(take, rec_w))
+        closed += int(np.count_nonzero(chunks[-1][:, -1]))
+        parsed += take
+        chunk *= 2
+    rec = np.concatenate(chunks)
+    n_records = int(np.flatnonzero(rec[:, -1])[flagged.size - 1]) + 1
+    rec = rec[:n_records]
+    reader.pos = records_start + n_records * rec_w
+    intra, bins, flags = _values(rec[:, :k]), _values(rec[:, k:-1]), rec[:, -1]
+
+    seg = np.zeros(n_records, dtype=np.int64)
+    seg[1:] = np.cumsum(flags[:-1])
+    if np.any(intra >= c):
+        bad = int(np.flatnonzero(intra >= c)[0])
+        raise CorruptStreamError(f"intra-group index {int(intra[bad])} >= "
+                                 f"group size {c}",
+                                 records_start + bad * rec_w)
+    same_seg = seg[1:] == seg[:-1]
+    if np.any(same_seg & (intra[1:] <= intra[:-1])):
+        bad = int(np.flatnonzero(same_seg & (intra[1:] <= intra[:-1]))[0]) + 1
+        raise CorruptStreamError("intra-group indices not strictly increasing",
+                                 records_start + bad * rec_w)
+    return flagged[seg] * c + intra, bins
+
+
+def choose_format(module: CompressedModule) -> EncodedModule:
+    """Grouped or independent encoding, whichever is smaller by nominal
+    size (ties go to grouped). Dense never wins: (b+1)*n < 32*n for b <= 15.
+    """
+    n, nnz, b = module.length, module.nnz, module.bit_width
+    c = optimal_group(n, 1.0 - nnz / max(n, 1))   # n < 1: CapacityError
+    grouped_cost = NOMINAL_HEADER_BITS + n // c + nnz * (index_bits(c) + b + 1)
+    if grouped_cost <= indep_bits(n, b):
+        return encode(module, group_size=c)
+    return encode_indep(module)

@@ -214,6 +214,14 @@ class TestRoundTrips:
         np.testing.assert_array_equal(
             dec.values, v.astype(np.float32).astype(np.float64))
 
+    def test_dense_nnz_counts_stored_words(self):
+        # 1e-50 and -0.0 are stored as float32 zeros: the encoder counts
+        # what the decoder will count
+        for values in ([1e-50, 2.0], [-0.0, 2.0], [1e-46, -1e-300, 0.0]):
+            enc = encode_dense(np.array(values))
+            assert enc.nnz == decode(enc.data).nnz
+        assert encode_dense(np.array([1e-50, 2.0])).nnz == 1
+
     def test_empty_mask_stream(self):
         enc = encode(_module(64, 1.0, 4, 0))
         dec = decode(enc.data)

@@ -1,9 +1,6 @@
-"""The codec against its old per-element path (`tests/codec_reference.py`):
-byte-identical streams, the same decoded modules and the same errors, with
-the same messages and bit offsets, on every format."""
-
-import contextlib
-from unittest import mock
+"""The codec against its old paths (`tests/codec_reference.py`): byte-identical
+streams, the same decoded modules and the same errors, with the same messages
+and bit offsets, on every format."""
 
 import numpy as np
 import pytest
@@ -14,6 +11,8 @@ from taskswitch.codec import (
     BitReader,
     CodecError,
     CompressedModule,
+    Format,
+    choose_format,
     decode_at,
     encode,
     encode_dense,
@@ -25,26 +24,27 @@ SPECIALS = [0.0, -0.0, float(F32.smallest_subnormal),
             -float(F32.smallest_subnormal), float(F32.tiny) / 3.0,
             -float(F32.tiny) * 0.75, float(F32.max), -float(F32.max)]
 GROUP_SIZES = [1, 2, 3, 5, 8, 13, 64, 255, 256]
-
-
-@contextlib.contextmanager
-def _old_path():
-    """The package's encoders and grouped decoder on the old field path."""
-    with mock.patch.multiple(codec, _fields=ref._fields,
-                             _values=ref._values, _pack=ref._pack):
-        yield
+DENSITIES = [0.0, "one", 0.3, 1.0]
+ENCODERS = [(encode, ref.encode), (encode_indep, ref.encode_indep),
+            (choose_format, ref.choose_format)]
 
 
 def _same_stream(got, want):
+    """Equal streams and fields. A dense stream's nnz is the count of its
+    stored float32 words that are not zero, which decoding counts too; the
+    old encoder counted the float64 inputs."""
     assert got.data == want.data
+    nnz = want.nnz
+    if want.header.fmt == Format.DENSE:
+        nnz = ref.decode_at(BitReader(want.data)).nnz
     assert (got.header, got.payload_bits, got.nnz) == \
-        (want.header, want.payload_bits, want.nnz)
+        (want.header, want.payload_bits, nnz)
 
 
 def _same_decoded(got, want):
     assert got.header == want.header
-    assert (got.payload_bits, got.bits_consumed) == \
-        (want.payload_bits, want.bits_consumed)
+    assert (got.payload_bits, got.bits_consumed, got.nnz) == \
+        (want.payload_bits, want.bits_consumed, want.nnz)
     if want.module is None:
         assert got.module is None
         assert got.values.dtype == want.values.dtype
@@ -67,13 +67,41 @@ def _outcome(decoder, data: bytes, pos: int = 0):
 
 def _same_outcome(data: bytes, pos: int = 0):
     got = _outcome(decode_at, data, pos)
-    with _old_path():
-        want = _outcome(ref.decode_at, data, pos)
+    want = _outcome(ref.decode_at, data, pos)
     if isinstance(want, tuple):
         assert got == want
     else:
         assert not isinstance(got, tuple), got
         _same_decoded(got, want)
+
+
+def _every_cut_and_bit_flip(data: bytes, step: int = 1):
+    for cut in range(0, len(data), step):
+        _same_outcome(data[:cut])
+    for bit in range(0, 8 * len(data), step):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 0x80 >> bit % 8
+        _same_outcome(bytes(flipped))
+
+
+def _encoded(encoder, *args):
+    """The stream, or the refusal as (type, message): a CodecError, or the
+    ValueError of choose_format's group search."""
+    try:
+        return encoder(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _same_encoding(new, old, *args):
+    """Equal streams that decode alike, or equal refusals."""
+    got, want = _encoded(new, *args), _encoded(old, *args)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        _same_stream(got, want)
+        _same_outcome(got.data)
 
 
 def _dense_values(n: int, seed: int) -> np.ndarray:
@@ -87,16 +115,20 @@ def _dense_values(n: int, seed: int) -> np.ndarray:
     return values
 
 
-def _module(n: int, b: int, density: float, seed: int) -> CompressedModule:
+def _module(n: int, b: int, density, seed: int) -> CompressedModule:
+    """A random module; density "one" keeps a single random position."""
     rng = np.random.default_rng(seed)
-    support = np.flatnonzero(rng.random(n) < density)
+    if density == "one":
+        support = rng.integers(0, n, 1)
+    else:
+        support = np.flatnonzero(rng.random(n) < density)
     bins = rng.integers(0, 1 << b, support.size)
     bins[:2] = (1 << b) - 1            # every bit of the widest bin set
     return CompressedModule(n, support, bins, b, 0.5, 0.25, 1.5)
 
 
 class TestFieldPacking:
-    @pytest.mark.parametrize("nbits", range(16))
+    @pytest.mark.parametrize("nbits", range(33))
     def test_fields_and_values_match_the_old_path(self, nbits):
         rng = np.random.default_rng(nbits)
         vals = rng.integers(0, 1 << nbits, 999)
@@ -109,11 +141,32 @@ class TestFieldPacking:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, ref._values(want))
 
-    @pytest.mark.parametrize("nbits", [0, 1, 15])
+    @pytest.mark.parametrize("nbits", [0, 1, 15, 16, 17, 24])
     def test_no_rows(self, nbits):
         assert codec._fields(np.zeros(0, np.int64), nbits).shape == \
             (0, nbits)
         assert codec._values(np.zeros((0, nbits), np.uint8)).size == 0
+
+
+class TestFloat32:
+    def test_header_rounding_matches_numpy(self):
+        # float32's largest value and the halfway point past it, where
+        # rounding to even meets the overflow, then subnormals and zeros
+        top = float(F32.max)
+        half_ulp = 2.0 ** 103
+        edges = [top, np.nextafter(top + half_ulp, 0.0), top + half_ulp,
+                 np.nextafter(top + half_ulp, np.inf), 1e39, 1e300, np.inf,
+                 *SPECIALS, 2.0 ** -150, np.nextafter(2.0 ** -150, 1.0),
+                 2.0 ** -149 * 1.5, 0.1, 1.0 / 3.0]
+        rng = np.random.default_rng(0)
+        draws = rng.standard_normal(2000) * 10.0 ** rng.integers(-50, 45, 2000)
+        for v in [*edges, *draws]:
+            for x in (float(v), -float(v)):
+                with np.errstate(over="ignore"):
+                    want = float(np.float32(x))
+                got = codec._float32(x)
+                assert np.float64(got).tobytes() == \
+                    np.float64(want).tobytes(), x
 
 
 class TestReadWords:
@@ -160,46 +213,84 @@ class TestDense:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_every_cut_and_bit_flip_fails_the_same_way(self, n):
-        data = encode_dense(_dense_values(n, 1), 0.7).data
-        for cut in range(len(data)):
-            _same_outcome(data[:cut])
-        for bit in range(8 * len(data)):
-            flipped = bytearray(data)
-            flipped[bit // 8] ^= 0x80 >> bit % 8
-            _same_outcome(bytes(flipped))
+        _every_cut_and_bit_flip(encode_dense(_dense_values(n, 1), 0.7).data)
 
 
 class TestQuantized:
     @pytest.mark.parametrize("b", range(1, 16))
     def test_grouped_streams_and_decodes_match(self, b):
         for c in GROUP_SIZES:
-            for density in (0.0, 0.3, 1.0):
+            for density in DENSITIES:
                 mod = _module(7 * c, b, density, seed=b * c)
-                enc = encode(mod, group_size=c)
-                with _old_path():
-                    want = encode(mod, group_size=c)
-                _same_stream(enc, want)
-                _same_outcome(enc.data)
+                _same_encoding(encode, ref.encode, mod, c)
+                _same_encoding(encode, ref.encode, mod)
+                _same_encoding(choose_format, ref.choose_format, mod)
 
     @pytest.mark.parametrize("b", range(1, 16))
     def test_indep_streams_and_decodes_match(self, b):
         for n in (1, 7, 300):
-            for density in (0.0, 0.3, 1.0):
+            for density in DENSITIES:
                 mod = _module(n, b, density, seed=b * n)
-                enc = encode_indep(mod)
-                with _old_path():
-                    want = encode_indep(mod)
-                _same_stream(enc, want)
-                _same_outcome(enc.data)
+                _same_encoding(encode_indep, ref.encode_indep, mod)
+                _same_encoding(choose_format, ref.choose_format, mod)
+
+    @pytest.mark.parametrize("b", [1, 4, 15])
+    def test_large_indep_module(self, b):
+        mod = _module(1 << 16, b, 0.05, seed=b)
+        _same_encoding(encode_indep, ref.encode_indep, mod)
+
+    @pytest.mark.parametrize("b", [3, 15])
+    def test_records_past_one_scan_chunk(self, b):
+        # the decoder scans max(64, 2 * flagged groups) records first and
+        # doubles the scan until every group has closed
+        mod = _module(4 * 256, b, 1.0, seed=b)
+        assert mod.nnz > 2 * max(64, 2 * 4)
+        _same_encoding(encode, ref.encode, mod, 256)
+        _every_cut_and_bit_flip(encode(mod, 256).data, step=37)
 
     @pytest.mark.parametrize("fmt", ["grouped", "indep"])
     def test_every_cut_and_bit_flip_fails_the_same_way(self, fmt):
         mod = _module(12, 3, 0.5, seed=4)
         data = (encode(mod, group_size=4) if fmt == "grouped"
                 else encode_indep(mod)).data
-        for cut in range(len(data)):
-            _same_outcome(data[:cut])
-        for bit in range(8 * len(data)):
-            flipped = bytearray(data)
-            flipped[bit // 8] ^= 0x80 >> bit % 8
-            _same_outcome(bytes(flipped))
+        _every_cut_and_bit_flip(data)
+
+    @pytest.mark.parametrize("n, c, b", [(12, 3, 3), (12, 1, 3),
+                                         (512, 256, 15)])
+    def test_every_cut_and_bit_flip_at_other_record_widths(self, n, c, b):
+        # group size 3 leaves room for an intra index past the group, 1
+        # has no index bits, and 256 at width 15 makes 24-bit records
+        mod = _module(n, b, 0.5 if n < 100 else 3 / n, seed=4)
+        _every_cut_and_bit_flip(encode(mod, group_size=c).data)
+
+
+def _bad(support=(1, 2), bins=(0, 1), bit_width=2, range_neg=1.0,
+         range_pos=1.0, length=8, scale=1.0):
+    return CompressedModule(length, np.array(support, dtype=np.int64),
+                            np.array(bins, dtype=np.int64), bit_width,
+                            range_neg, range_pos, scale)
+
+
+BAD_MODULES = [
+    _bad(support=[3, 3]), _bad(support=[5, 2]), _bad(support=[-1, 2]),
+    _bad(support=[2, 8]), _bad(support=[1, 2, 3]), _bad(bins=[0, 4]),
+    _bad(bins=[-1, 0]), _bad([], [], bit_width=0), _bad([], [], bit_width=16),
+    _bad([], [], range_neg=-1.0), _bad(range_neg=0.0, range_pos=0.0),
+    _bad([], [], length=0), _bad(length=1 << 27), _bad(scale=float("nan")),
+    _bad(range_neg=float("inf")), _bad(range_pos=float("-inf")),
+    _bad(scale=1e300), _bad(range_neg=3.5e38), _bad(range_pos=1e39),
+    _bad(support=[0, 1, 2], bins=[0, 1, 2], length=2),
+]
+
+
+class TestRefusals:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mod", BAD_MODULES)
+    def test_every_encoder_refuses_as_before(self, mod):
+        for new, old in ENCODERS:
+            _same_encoding(new, old, mod)
+
+    @pytest.mark.parametrize("length, c", [(10, 3), (10, 20), (10, 0),
+                                           (514, 257), (8, -2)])
+    def test_inadmissible_group_refused_as_before(self, length, c):
+        _same_encoding(encode, ref.encode, _bad([], [], length=length), c)
