@@ -334,10 +334,11 @@ def _read_header(r: BitReader) -> ModuleHeader:
 
 
 def _float32(v: float) -> float:
-    """v rounded to float32; inf past float32's range, refused as a header
-    field by _check_header (struct rounds as numpy does, with no warning)."""
+    """v rounded to float32 as numpy rounds it, but with no warning: past
+    float32's range struct refuses it, and it becomes the inf that
+    _check_header refuses as a header field."""
     try:
-        return struct.unpack("f", struct.pack("f", v))[0]
+        return struct.unpack(">f", struct.pack(">f", v))[0]
     except OverflowError:
         return math.copysign(math.inf, v)
 

@@ -279,7 +279,7 @@ BAD_MODULES = [
     _bad([], [], length=0), _bad(length=1 << 27), _bad(scale=float("nan")),
     _bad(range_neg=float("inf")), _bad(range_pos=float("-inf")),
     _bad(scale=1e300), _bad(range_neg=3.5e38), _bad(range_pos=1e39),
-    _bad(support=[0, 1, 2], bins=[0, 1, 2], length=2),
+    _bad(support=[0, 1, 2, 3], bins=[0, 1, 2, 3], length=3),
 ]
 
 
