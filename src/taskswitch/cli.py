@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import merging
-from .codec import CodecError, Format, nominal_bits
+from .codec import MAX_COUNT, CodecError, Format, nominal_bits
 from .container import (_module_names, load_bundle, load_container,
                         load_params, save_bundle, save_params)
 from .harness import (SyntheticTaskSpec, base_dataset, baseline_merge,
                       fine_tune, gen_tasks, probe_precision, probe_scale,
-                      probe_sparsity, read_dataset, write_dataset,
+                      probe_sparsity, read_dataset, read_text, write_dataset,
                       write_probe_csv, write_tasks)
 # named apply_compressed because perfbench/spans.py traces cli.apply_compressed
 from .merging import materialize as apply_compressed
@@ -40,6 +40,11 @@ def _widths(text: str) -> tuple:
     if min(widths) < 1:
         raise argparse.ArgumentTypeError(
             f"entries must be at least 1, got {text!r}")
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        if fan_in * fan_out >= MAX_COUNT:
+            raise argparse.ArgumentTypeError(
+                f"layer {i} would have {fan_in * fan_out} weights, a stored "
+                f"module holds at most {MAX_COUNT - 1}")
     return widths
 
 
@@ -84,7 +89,7 @@ class _AppendNamed(argparse.Action):
 def _load_config_tokens(path) -> list[str]:
     """key=value lines become --key value tokens; false drops a flag."""
     tokens = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -183,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exemplars", required=True,
                    help="CSV whose inputs drive the preservation loss")
     p.add_argument("--ppl", choices=("kl", "mse", "cka"), default="kl")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=_finite, default=None,
                    help="preservation weight (default: per-loss preset)")
     p.add_argument("--steps", type=_count, default=500)
     p.add_argument("--batch-size", type=_count, default=32)

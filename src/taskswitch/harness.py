@@ -164,11 +164,11 @@ def write_dataset(path, x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"{path}: need (n, d) features and n integer "
                          f"labels in [0, {MAX_LABEL}]")
     _check_finite_rows(path, x, range(2, len(y) + 2))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i}" for i in range(x.shape[1])] + ["label"])
-        for row, lab in zip(x, y):
-            w.writerow([f"{v:.17g}" for v in row] + [int(lab)])
+    row_format = "%.17g," * x.shape[1] + "%d\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(f"x{i}," for i in range(x.shape[1])) + "label\r\n")
+        for row, label in zip(x, y):
+            fh.write(row_format % (*row.tolist(), int(label)))
 
 
 def _check_finite_rows(path, x: np.ndarray, lines) -> None:
@@ -179,32 +179,54 @@ def _check_finite_rows(path, x: np.ndarray, lines) -> None:
                          f"non-finite feature")
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text; a ValueError names the file and the line of
+    the first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b".").splitlines())
+        raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason}"
+                         f" at byte {exc.start})") from None
+
+
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     """Features and labels of a write_dataset CSV.
 
-    Every row must have the header's width, finite float features and a
-    non-negative integer label; a ValueError names the file and the line.
+    The file must be UTF-8, and every row must have the header's width,
+    finite float features and a non-negative integer label; a ValueError
+    names the file and the line.
     """
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if not header or header[-1] != "label":
-            raise ValueError(f"{path}: expected trailing 'label' column")
-        x, y, lines = [], [], []
-        for row in r:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {r.line_num}: {len(row)} "
-                                 f"fields, the header has {len(header)}")
-            try:
-                x.append([float(v) for v in row[:-1]])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {r.line_num}: {exc}") from None
-            label = row[-1].strip()
-            if not label.isdecimal() or int(label) > MAX_LABEL:
-                raise ValueError(f"{path}: line {r.line_num}: label "
-                                 f"{row[-1]!r} is not a non-negative integer")
-            y.append(int(label))
-            lines.append(r.line_num)
+    x, y, lines = [], [], []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            r = csv.reader(fh)
+            header = next(r, None)
+            if not header or header[-1] != "label":
+                raise ValueError(f"{path}: expected trailing 'label' column")
+            for row in r:
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: line {r.line_num}: {len(row)}"
+                                     f" fields, the header has {len(header)}")
+                try:
+                    x.append([float(v) for v in row[:-1]])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {r.line_num}: "
+                                     f"{exc}") from None
+                label = row[-1].strip()
+                if not label.isdecimal() or int(label) > MAX_LABEL:
+                    raise ValueError(f"{path}: line {r.line_num}: label "
+                                     f"{row[-1]!r} is not a non-negative "
+                                     "integer")
+                y.append(int(label))
+                lines.append(r.line_num)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {r.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # the file is decoded a block at a time, so the line is found anew
+        read_text(path)
+        raise
     x = np.array(x, dtype=np.float64).reshape(len(y), len(header) - 1)
     _check_finite_rows(path, x, lines)
     return x, np.array(y, dtype=np.int64)

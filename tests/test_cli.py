@@ -8,7 +8,7 @@ import pytest
 
 from taskswitch import (MlpSpec, TaskVector, build_switch, init_params,
                         load_params, save_bundle)
-from taskswitch.cli import main
+from taskswitch.cli import build_parser, main
 from taskswitch.container import save_container, streams_from_params
 
 
@@ -107,6 +107,16 @@ class TestConfigFile:
 
     def test_config_without_value_exits_2(self):
         assert main(["gen-tasks", "--out", "x", "--config"]) == 2
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_bytes(b"tasks = 2\n# caf\xe9\n")
+        assert main(["gen-tasks", "--out", str(tmp_path / "a"),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 2: not UTF-8 text (invalid continuation "
+            "byte at byte 15)\n")
+        assert not (tmp_path / "a").exists()
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +401,30 @@ class TestErrorPaths:
         assert f"argument --widths: entries must be at least 1, got {widths!r}" \
             in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("widths, layer, weights", [
+        ("16,100000000,4", 0, 1600000000),
+        ("4,8,67108864", 1, 536870912),
+        ("2,67108864", 0, 134217728),
+    ])
+    def test_widths_past_a_module_exit_2(self, capsys, widths, layer,
+                                         weights):
+        # parsed only: such a model would not fit in memory
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fine-tune", "--train", "x.csv",
+                                       "--widths", widths, "-o", "m.tswp"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"taskswitch fine-tune: error: argument --widths: layer {layer} "
+            f"would have {weights} weights, a stored module holds at most "
+            "134217727")
+
+    def test_widths_of_the_largest_module_parse(self):
+        args = build_parser().parse_args(["fine-tune", "--train", "x.csv",
+                                          "--widths", "1,134217727,1",
+                                          "-o", "m.tswp"])
+        assert args.widths == (1, 134217727, 1)
+
     @pytest.mark.parametrize("rows, what", [
         ("1,2,0\n1,2\n", "line 3: 2 fields, the header has 3"),
         ("1,2,0\nnan,2,1\n", "line 3: non-finite feature"),
@@ -418,6 +452,23 @@ class TestErrorPaths:
         root, data = pipeline_dir
         path = tmp_path / "bad.csv"
         path.write_text(csv_text)
+        assert main(CSV_COMMANDS[command](root, data, path, tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {what}\n"
+
+    @pytest.mark.parametrize("csv_bytes, what", [
+        (b"x0,x1,x2,x3,x4,x5,label\r\n1,2,3,4,5,6,0\r\n1,2,3,\xff,5,6,1\r\n",
+         "line 3: not UTF-8 text (invalid start byte at byte 46)"),
+        (b"x0,x1,x2,x3,x4,x5,label\r\n1,2,3,4,5,6,0\r\n"
+         + b"1" * 131073 + b",2,3,4,5,6,0\r\n",
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["not-utf8", "field-over-limit"])
+    @pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+    def test_csv_the_reader_cannot_parse_exits_2(self, pipeline_dir, tmp_path,
+                                                 capsys, command, csv_bytes,
+                                                 what):
+        root, data = pipeline_dir
+        path = tmp_path / "bad.csv"
+        path.write_bytes(csv_bytes)
         assert main(CSV_COMMANDS[command](root, data, path, tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {path}: {what}\n"
 
@@ -513,6 +564,20 @@ class TestErrorPaths:
             f"must be finite, got {scale!r}")
         assert not (tmp_path / "bl.csv").exists()
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_lambda_not_finite_exit_2(self, pipeline_dir, tmp_path, capsys,
+                                      lam):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",
+                                        tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--lambda={lam}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "taskswitch compress: error: argument --lambda: "
+            f"must be finite, got {lam!r}")
+        assert not (tmp_path / "c.tswc").exists()
+
     def test_parameters_past_float32_exit_2(self, pipeline_dir, tmp_path,
                                             capsys):
         # a huge step leaves finite float64 values that float32 cannot hold;
@@ -595,11 +660,13 @@ class TestErrorPaths:
                        f"vs 60\n")
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_compress_exits_2(self, pipeline_dir, tmp_path, capsys):
         root, data = pipeline_dir
         argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",
                                         tmp_path)
-        assert main(argv + ["--lambda", "nan"]) == 2
+        # a temperature this small overflows the logits on the first step
+        assert main(argv + ["--softmax-temp", "1e-320"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: objective became non-finite at step 0")
         assert "Traceback" not in err

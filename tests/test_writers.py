@@ -1,7 +1,8 @@
 """Every writer either refuses its input and leaves no file, or writes a
 file its reader loads back exactly: save_bundle, save_params, save_index
 and write_dataset, over values past float32's range, NaN, infinities and
-task ids too long for the framing."""
+task ids too long for the framing. write_dataset also writes the bytes
+of the csv.writer loop it replaced, kept in tests/dataset_reference.py."""
 
 import tempfile
 from pathlib import Path
@@ -11,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dataset_reference as reference
 from taskswitch import (CodecError, CompressedModule, MlpSpec, ParamSet,
-                        ReferenceIndex, StructureError, choose_format,
-                        load_bundle, load_index, load_params,
+                        ReferenceIndex, StructureError, choose_format, cli,
+                        harness, load_bundle, load_index, load_params,
                         read_dataset, save_bundle, save_index, save_params,
                         write_dataset)
+from taskswitch.cli import main
+from taskswitch.harness import MAX_LABEL
 
 REFUSALS = (CodecError, StructureError, ValueError)
 
@@ -28,10 +32,10 @@ IDS = st.one_of(st.text(max_size=8),
                 st.integers(32766, 32769).map(lambda n: "é" * n))
 
 
-def floats(size):
-    """size plain floats, at most one of them replaced by a wild one."""
+def floats(size, values=PLAIN):
+    """size values, at most one of them replaced by a wild one."""
     return st.tuples(
-        st.lists(PLAIN, min_size=size, max_size=size),
+        st.lists(values, min_size=size, max_size=size),
         st.lists(st.tuples(st.integers(0, max(size - 1, 0)), WILD),
                  max_size=min(size, 1)),
     ).map(lambda drawn: _poisoned(*drawn))
@@ -148,17 +152,63 @@ def test_save_index_round_trips_or_refuses(task_ids, dim, data):
     assert loaded.projection.tobytes() == _f32(proj).tobytes()
 
 
+# every finite float64, and the ones whose shortest text is unusual
+DATASET_VALUES = st.one_of(
+    PLAIN, st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                     np.finfo(np.float64).max, np.finfo(np.float64).min]))
+# labels of either integer dtype, out of range, and at MAX_LABEL's edge
+LABELS = {
+    np.int64: st.one_of(st.integers(-2, 9), st.integers(-2**63, 2**63 - 1),
+                        st.just(MAX_LABEL)),
+    np.uint64: st.one_of(st.integers(0, 9), st.integers(0, 2**64 - 1),
+                         st.sampled_from([MAX_LABEL, MAX_LABEL + 1])),
+}
+
+
+def _written(write, path):
+    """The bytes write(path) leaves, or the type and message of its
+    refusal after which no file is left."""
+    try:
+        write(path)
+    except REFUSALS as exc:
+        assert not path.exists()
+        return type(exc), str(exc)
+    out = path.read_bytes()
+    path.unlink()
+    return out
+
+
 @given(st.integers(0, 6), st.integers(0, 3), st.data())
 @settings(max_examples=60, deadline=None)
 def test_write_dataset_round_trips_or_refuses(rows, cols, data):
-    x = data.draw(floats(rows * cols)).reshape(rows, cols)
-    labels = st.one_of(st.integers(-2, 9), st.integers(0, 2**63 - 1))
-    y = np.array(data.draw(st.lists(labels, min_size=rows, max_size=rows)),
-                 dtype=np.int64)
+    x = data.draw(floats(rows * cols, DATASET_VALUES)).reshape(rows, cols)
+    dtype = data.draw(st.sampled_from([np.int64, np.uint64]))
+    y = np.array(data.draw(st.lists(LABELS[dtype], min_size=rows,
+                                    max_size=rows)), dtype=dtype)
     if not data.draw(st.integers(0, 9)):
         y = y + 0.5     # labels the CSV cannot carry
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        assert _written(lambda p: write_dataset(p, x, y), path) == \
+            _written(lambda p: reference.write_dataset(p, x, y), path)
     loaded = _round_trip(lambda path: write_dataset(path, x, y), read_dataset)
     if loaded is None:
         return
     assert loaded[0].tobytes() == x.tobytes()
     np.testing.assert_array_equal(loaded[1], y)
+
+
+def test_gen_tasks_matches_the_csv_writer_oracle(tmp_path, monkeypatch):
+    argv = ["gen-tasks", "--tasks", "5", "--dim", "7", "--train-size", "333",
+            "--test-size", "41", "--out"]
+    assert main(argv + [str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(harness, "write_dataset", reference.write_dataset)
+    monkeypatch.setattr(cli, "write_dataset", reference.write_dataset)
+    assert main(argv + [str(tmp_path / "old")]) == 0
+    names = sorted(p.name for p in (tmp_path / "old").iterdir())
+    assert len(names) == 12
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == \
+            (tmp_path / "old" / name).read_bytes(), name
