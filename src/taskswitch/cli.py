@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -140,8 +141,24 @@ def _load_index(path, spec):
     return index
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative float literal as a value.
+
+    argparse takes a token for an option unless it matches its negative
+    number pattern, which has no exponent, so "--lambda -1e308" failed with
+    "expected one argument" where "--lambda=-1e308" parsed. Subparsers are
+    made of the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taskswitch",
         description="Compress task vectors and merge them dynamically.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,16 +4,17 @@ Query features come from the base model's penultimate layer. References are
 either K-Means centers of each task's exemplar features or the raw features
 themselves; a learnable low-rank projection shapes the retrieval metric.
 Each input is answered by base + sum_k w_k * tau_k with w_k the fraction of
-that task among the C nearest references. A batch is answered in fixed
-blocks of rows, one pass per layer each: every row mixes the task vectors'
-outputs with its own weights, so no parameter set is built per weight row;
-materialize builds one for a single weight vector.
+that task among the C nearest references; the reference side of that
+search is computed once, when the index is built. A batch is answered in
+fixed blocks of rows, one pass per layer each: every row mixes the task
+vectors' outputs with its own weights, so no parameter set is built per
+weight row; materialize builds one for a single weight vector.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,22 +42,62 @@ KMEANS_ITERS = 100     # Lloyd sweeps at most, fewer once assignments settle
 _BLOCK_ROWS = 64
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReferenceIndex:
-    """Task-labeled reference points plus the metric projection."""
+    """Task-labeled reference points plus the metric projection.
 
-    task_ids: list[str]
+    An index is a value prepared once. The arrays are read-only copies, so
+    later writes to the caller's arrays do not reach it, and construction
+    computes what every query reads: the references in projection space
+    (pc), their squared norms as a (1, refs) row (c2) and the (refs, K)
+    label one-hot. A repeated task id, a projection of another width than
+    the references or a label outside [0, K) raises StructureError.
+    """
+
+    task_ids: tuple[str, ...]
     centers: np.ndarray      # (n_refs, e)
     labels: np.ndarray       # (n_refs,) ordinal into task_ids
     projection: np.ndarray   # (r, e)
+    pc: np.ndarray = field(init=False, repr=False)
+    c2: np.ndarray = field(init=False, repr=False)
+    onehot: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        task_ids = tuple(self.task_ids)
         seen = set()
-        for task_id in self.task_ids:
+        for task_id in task_ids:
             if task_id in seen:
                 raise StructureError(f"task id {task_id!r} is repeated in "
                                      "the index")
             seen.add(task_id)
+        # copies in the caller's memory layout, so pc is the product the
+        # caller's own arrays give
+        centers = np.array(self.centers, dtype=np.float64, order="K")
+        labels = np.array(self.labels, dtype=np.int64, order="K")
+        projection = np.array(self.projection, dtype=np.float64, order="K")
+        if centers.ndim != 2 or labels.shape != centers.shape[:1]:
+            raise StructureError(f"{labels.size} labels for references of "
+                                 f"shape {centers.shape}")
+        if projection.ndim != 2 or projection.shape[1] != centers.shape[1]:
+            raise StructureError(f"a projection of shape {projection.shape} "
+                                 f"for references of width "
+                                 f"{centers.shape[1]}")
+        hit = labels[:, None] == np.arange(len(task_ids))
+        if np.count_nonzero(hit) != labels.size:   # a label with no task
+            outside = labels[~hit.any(axis=1)][0]
+            raise StructureError(f"reference label {outside} is outside "
+                                 f"the index's {len(task_ids)} tasks")
+        onehot = hit.astype(np.float64)
+        # values past float64's range warn where the index is queried and
+        # are refused where it is saved, not while it is prepared
+        with np.errstate(all="ignore"):
+            pc, c2 = _projected_refs(centers, projection)
+        for name, value in (("task_ids", task_ids), ("centers", centers),
+                            ("labels", labels), ("projection", projection),
+                            ("pc", pc), ("c2", c2), ("onehot", onehot)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_tasks(self) -> int:
@@ -152,7 +193,8 @@ def init_projection(rank: int, feature_dim: int, seed: int) -> np.ndarray:
 def _projected_refs(centers: np.ndarray, projection: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The references in projection space and their squared norms as a
-    (1, refs) row: the per-call half of _distances."""
+    (1, refs) row: the reference half of _distances, computed once per
+    ReferenceIndex and once per metric_objective call."""
     pc = centers @ projection.T
     return pc, np.sum(pc * pc, axis=1, keepdims=True).T
 
@@ -227,7 +269,7 @@ def train_metric(index: ReferenceIndex,
                  rank: int = 32, epochs: int = 100, lr: float = 0.5,
                  n_neighbors: int = 10, seed: int = 0) -> MetricTrainResult:
     """Learn the low-rank projection by full-batch Adam on the ratio loss."""
-    if [t for t, _ in task_features] != index.task_ids:
+    if tuple(t for t, _ in task_features) != index.task_ids:
         raise StructureError("feature tasks do not match the index")
     _check_neighbors(index, n_neighbors)
     feats = np.vstack([f for _, f in task_features])
@@ -244,10 +286,8 @@ def train_metric(index: ReferenceIndex,
                 task_of_row, n_neighbors), {"projection": proj})
         losses.append(float(ad._np(loss)))
         proj = opt.step(proj, grads["projection"], lr)
-    return MetricTrainResult(
-        index=ReferenceIndex(index.task_ids, index.centers, index.labels,
-                             proj),
-        losses=losses)
+    return MetricTrainResult(index=replace(index, projection=proj),
+                             losses=losses)
 
 
 def knn_weights(index: ReferenceIndex, feats: np.ndarray,
@@ -261,14 +301,12 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     """
     feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
     _check_neighbors(index, n_neighbors)
-    pc, c2 = _projected_refs(index.centers, index.projection)
-    onehot = (index.labels[:, None]
-              == np.arange(index.n_tasks)).astype(np.float64)
     counts = np.empty((feats.shape[0], index.n_tasks))
     for lo in range(0, feats.shape[0], _BLOCK_ROWS):
         d = _distances(feats[lo:lo + _BLOCK_ROWS], index.projection,
-                       pc, c2)[2]
-        counts[lo:lo + _BLOCK_ROWS] = _nearest(d, n_neighbors) @ onehot
+                       index.pc, index.c2)[2]
+        counts[lo:lo + _BLOCK_ROWS] = \
+            _nearest(d, n_neighbors) @ index.onehot
     w = counts / float(n_neighbors)
     rows = np.arange(w.shape[0])
     last = w.shape[1] - 1 - np.argmax(counts[:, ::-1] != 0, axis=1)
@@ -406,10 +444,10 @@ def save_index(path, index: ReferenceIndex) -> None:
     """Little-endian .idx: ids, center counts, dims, float32 matrices; the
     bytes pass load_index's parser before they are written."""
     counts = [int(np.sum(index.labels == t)) for t in range(index.n_tasks)]
-    if index.projection.shape[1] != index.feature_dim or not np.array_equal(
-            index.labels, np.repeat(np.arange(index.n_tasks), counts)):
+    if not np.array_equal(index.labels,
+                          np.repeat(np.arange(index.n_tasks), counts)):
         raise StructureError(f"{path}: each task's references must be one "
-                             "run, in order, of the projection's width")
+                             "run, in task order")
     buf = bytearray()
     buf += IDX_MAGIC
     buf += struct.pack("<I", index.n_tasks)

@@ -123,17 +123,17 @@ def dense(a, w, b, fan_out: int, act=None):
     return ad.record((a, w, b), out, vjp)
 
 
+def _inputs(params, x: np.ndarray) -> tuple[dict, np.ndarray]:
+    """params as a name -> value mapping and x as a float64 batch."""
+    lookup = dict(params.modules if isinstance(params, ParamSet) else params)
+    x = np.asarray(x, dtype=np.float64)
+    return lookup, x[None, :] if x.ndim == 1 else x
+
+
 def forward(spec: MlpSpec, params, x: np.ndarray) -> ForwardResult:
     """Run the network. params is a ParamSet or a name -> Var/array mapping."""
-    if isinstance(params, ParamSet):
-        lookup = dict(params.modules)
-    else:
-        lookup = dict(params)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    lookup, a = _inputs(params, x)
     act = ACTIVATIONS[spec.activation]
-    a = x
     for i in range(spec.n_layers):
         w, b = lookup[f"layer{i}.weight"], lookup[f"layer{i}.bias"]
         if i < spec.n_layers - 1:
@@ -170,5 +170,14 @@ def accuracy(spec: MlpSpec, params: ParamSet, x: np.ndarray,
 
 
 def features(spec: MlpSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Penultimate activations as plain arrays (the query features)."""
-    return ad._np(forward(spec, params, x).features)
+    """Penultimate activations as plain arrays (the query features).
+
+    A plain pass over the hidden layers: the operations dense runs, with no
+    tape node recorded and no output layer.
+    """
+    lookup, a = _inputs(params, x)
+    act = ACTIVATIONS[spec.activation]
+    for i in range(spec.n_layers - 1):
+        w, b = lookup[f"layer{i}.weight"], lookup[f"layer{i}.bias"]
+        a = act.fwd(a @ w.reshape(spec.widths[i + 1], -1).T + b)
+    return a

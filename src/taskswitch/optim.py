@@ -34,8 +34,15 @@ class Sgd:
 
 def clip_global_norm(grads: dict[str, np.ndarray],
                      max_norm: float) -> dict[str, np.ndarray]:
-    """Rescale all gradients together if their joint l2 norm exceeds max_norm."""
+    """Rescale all gradients together if their joint l2 norm exceeds max_norm.
+
+    A norm that is not finite, from a non-finite gradient or from squares
+    past float64's range, raises FloatingPointError: max_norm / inf would
+    zero the step instead.
+    """
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if not np.isfinite(total):
+        raise FloatingPointError(f"gradient norm is {total}")
     if total <= max_norm or total == 0.0:
         return grads
     factor = max_norm / total

@@ -57,8 +57,9 @@ def temperature_schedule(step: int) -> float:
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, step: int, components: dict[str, float]):
-        super().__init__(f"objective became non-finite at step {step}: "
+    def __init__(self, step: int, components: dict[str, float],
+                 quantity: str = "objective"):
+        super().__init__(f"{quantity} became non-finite at step {step}: "
                          f"{components}")
         self.step = step
         self.components = components
@@ -289,6 +290,10 @@ def reference_outputs(spec: MlpSpec, finetuned: ParamSet,
     return ad._np(out.features if kind == "cka" else out.logits)
 
 
+# A step whose objective or gradient norm is not finite raises
+# TrainingDivergedError naming it; numpy's floating-point warnings on the
+# way there would only repeat that, as source lines on stderr.
+@np.errstate(all="ignore")
 def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
           exemplars: np.ndarray, spec: MlpSpec,
           config: TrainConfig = TrainConfig()) -> TrainResult:
@@ -322,7 +327,11 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
             lambda lv: obj(lv, return_parts=True), leaves)
         if not math.isfinite(parts["total"]):
             raise TrainingDivergedError(step, parts)
-        grads = clip_global_norm(grads, CLIP_NORM)
+        try:
+            grads = clip_global_norm(grads, CLIP_NORM)
+        except FloatingPointError:
+            raise TrainingDivergedError(step, parts, "gradient norm") \
+                from None
         leaves = {key: opts[key].step(leaves[key], grads[key], lr)
                   for key, lr in (("gates", LR_GATE), ("bits", LR_BITS))}
         history.append({"step": step, "rho": rho, "omega": omega, **parts})

@@ -1,5 +1,6 @@
 """Command-line tests: determinism, config handling, the full pipeline."""
 
+import argparse
 import csv
 import filecmp
 
@@ -64,6 +65,54 @@ class TestGenTasks:
         field = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == f"error: {field} must be finite\n"
         assert not (tmp_path / "d").exists()
+
+
+# the arguments each command requires, around its float flags
+REQUIRED = {
+    "gen-tasks": ["--out", "d"],
+    "fine-tune": ["--train", "t.csv", "-o", "m.tswp"],
+    "tswitch": ["--base", "b.tswp", "--finetuned", "a=f.tswp", "-o", "o"],
+    "compress": ["--base", "b.tswp", "--finetuned", "f.tswp",
+                 "--exemplars", "e.csv", "-o", "c.tswc"],
+    "probe": ["sparsity", "--base", "b.tswp", "--finetuned", "f.tswp",
+              "--data", "d.csv"],
+    "train-metric": ["--index", "r.idx", "--base", "b.tswp",
+                     "--task", "a=t.csv", "-o", "r2.idx"],
+    "baseline": ["--base", "b.tswp", "--finetuned", "a=f.tswp",
+                 "--task", "a=t.csv"],
+}
+
+
+def _float_flags():
+    """(command, flag) for every option whose type reads '0.5' as a float."""
+    sub = next(a for a in build_parser()._actions if a.choices)
+    flags = []
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            try:
+                value = action.type("0.5") if action.type else None
+            except (ValueError, argparse.ArgumentTypeError):
+                continue
+            if isinstance(value, float):
+                flags.append((command, action.option_strings[-1]))
+    return flags
+
+
+@pytest.mark.parametrize("command, flag", _float_flags(),
+                         ids=lambda v: v)
+def test_negative_exponent_parses_as_its_equals_form(capsys, command, flag):
+    # argparse took "-1e308" for an option ("expected one argument"); every
+    # float flag now reads it as "--flag=-1e308" does, value or refusal
+    for value in ("-1e308", "-2.5E-3", "-1e+2", "-.5e1", "-inf"):
+        outcomes = []
+        for tail in ([flag, value], [f"{flag}={value}"]):
+            try:
+                outcomes.append(build_parser().parse_args(
+                    [command, *REQUIRED[command], *tail]))
+            except SystemExit as exc:
+                outcomes.append((exc.code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert "expected one argument" not in str(outcomes[0])
 
 
 class TestConfigFile:
@@ -660,7 +709,7 @@ class TestErrorPaths:
                        f"vs 60\n")
         assert not (tmp_path / "m.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_compress_exits_2(self, pipeline_dir, tmp_path, capsys):
         root, data = pipeline_dir
         argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",
@@ -669,7 +718,23 @@ class TestErrorPaths:
         assert main(argv + ["--softmax-temp", "1e-320"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: objective became non-finite at step 0")
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "c.tswc").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_overflow_compress_exits_2(self, pipeline_dir, tmp_path,
+                                                capsys):
+        # the objective stays finite but its gradients square past
+        # float64's range: the run used to exit 0 having learned nothing
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",
+                                        tmp_path)
+        assert main(argv[:-4] + ["--lambda", "1e300", "--steps", "50",
+                                 *argv[-2:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gradient norm became non-finite at "
+                              "step 0: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "c.tswc").exists()
 
     @pytest.mark.parametrize("centers", ["200", "-2"])

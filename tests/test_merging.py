@@ -1,5 +1,6 @@
 """Dynamic-merging tests: clustering, retrieval weights, metric training."""
 
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from taskswitch import autodiff as ad
+from taskswitch import merging
 from taskswitch.codec import CodecError
 from taskswitch.merging import (_BLOCK_ROWS, DIST_EPS, NUM_FLOOR,
                                 ReferenceIndex, _mixed_logits, build_index,
@@ -665,7 +667,7 @@ class TestBuildIndex:
         np.testing.assert_array_equal(index.centers, want)
         np.testing.assert_array_equal(index.projection, np.eye(6))
         np.testing.assert_array_equal(index.labels, [0] * 10 + [1] * 10)
-        assert index.task_ids == ["a", "b"]
+        assert index.task_ids == ("a", "b")
 
     def test_clustered_shapes_and_determinism(self):
         base, _, exemplars = _model_setup()
@@ -684,6 +686,71 @@ class TestBuildIndex:
         with pytest.raises(StructureError, match="task id 'b' is repeated"):
             ReferenceIndex(["a", "b", "c", "b"], np.zeros((4, 2)),
                            np.arange(4), np.eye(2))
+
+
+class TestPreparedIndex:
+    FIELDS = ("task_ids", "centers", "labels", "projection", "pc", "c2",
+              "onehot")
+
+    def test_fields_cannot_be_assigned(self):
+        index = _eight_task_setup()[2]
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(index, name, getattr(index, name))
+
+    def test_arrays_cannot_be_written(self):
+        index = _eight_task_setup()[2]
+        for name in self.FIELDS[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(index, name)[0] = 0
+        with pytest.raises(TypeError):
+            index.task_ids[0] = "t9"
+        assert index.task_ids == tuple(f"t{t}" for t in range(8))
+
+    def test_caller_writes_do_not_reach_the_index(self):
+        rng = np.random.default_rng(60)
+        task_ids = ["a", "b", "c"]
+        centers = rng.normal(size=(12, 5))
+        labels = np.arange(12) % 3
+        projection = rng.normal(size=(3, 5))
+        feats = rng.normal(size=(30, 5))
+        index = ReferenceIndex(task_ids, centers, labels, projection)
+        kept = [a.copy() for a in (centers, labels, projection)]
+        before = knn_weights(index, feats, 4)
+        task_ids[0] = "b"
+        centers[:] = 0.0
+        labels[:] = 0
+        projection[:] = 1.0
+        assert index.task_ids == ("a", "b", "c")
+        for got, want in zip((index.centers, index.labels, index.projection),
+                             kept):
+            np.testing.assert_array_equal(got, want)
+        assert knn_weights(index, feats, 4).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("labels, projection, refusal", [
+        (np.arange(5) % 2, np.eye(3), "5 labels for references of shape "
+                                      r"\(6, 3\)"),
+        (np.array([0, 1, 0, 1, 0, -1]), np.eye(3), "reference label -1 is "
+                                                   "outside the index's 2"),
+        (np.arange(6) % 2, np.ones(3), r"a projection of shape \(3,\)"),
+    ], ids=["label-count", "negative-label", "projection-not-2d"])
+    def test_construction_refuses(self, labels, projection, refusal):
+        with pytest.raises(StructureError, match=refusal):
+            ReferenceIndex(["a", "b"], np.zeros((6, 3)), labels, projection)
+
+    def test_queries_never_recompute_the_references(self, monkeypatch):
+        # the state built once is the only copy: knn_weights and
+        # merged_forward read it and never redo the set-up
+        base, vectors, index, x = _eight_task_setup()
+        want = knn_weights(index, features(SPEC, base, x), 5)
+
+        def refuse(*args):
+            raise AssertionError("_projected_refs called after construction")
+        monkeypatch.setattr(merging, "_projected_refs", refuse)
+        got = knn_weights(index, features(SPEC, base, x), 5)
+        assert got.tobytes() == want.tobytes()
+        _, w = merged_forward(SPEC, base, vectors, index, x, n_neighbors=5)
+        assert w.tobytes() == want.tobytes()
 
 
 class TestIndexFile:
@@ -708,7 +775,9 @@ class TestIndexFile:
 
     def test_storage_rounds_to_float32(self, tmp_path):
         index = self._index()
-        index.centers[0, 0] = 0.1  # not representable in float32
+        centers = index.centers.copy()
+        centers[0, 0] = 0.1  # not representable in float32
+        index = dataclasses.replace(index, centers=centers)
         path = tmp_path / "refs.idx"
         save_index(path, index)
         back = load_index(path)
@@ -763,34 +832,41 @@ class TestIndexFile:
             with pytest.raises(CodecError,
                                match=f"non-finite float at byte {at}$"):
                 load_index(path)
-            getattr(index, block)[pos] = -np.inf
+            poisoned = getattr(index, block).copy()
+            poisoned[pos] = -np.inf
+            index = dataclasses.replace(index, **{block: poisoned})
             with pytest.raises(CodecError,
                                match=f"non-finite float at byte {at}$"):
                 save_index(tmp_path / "other.idx", index)
             assert not (tmp_path / "other.idx").exists()
 
-    @pytest.mark.parametrize("change", [
-        lambda index: index.labels.__setitem__(slice(2, 4), [1, 0]),
-        lambda index: index.labels.__setitem__(-1, 2),
-        lambda index: setattr(index, "projection", index.projection[:, :4]),
+    @pytest.mark.parametrize("change, refusal", [
+        (dict(labels=[0, 0, 1, 0, 1, 1, 1]), "each task's references must "
+                                             "be one run, in task order"),
+        (dict(labels=[0, 0, 0, 1, 1, 1, 2]), "reference label 2 is outside "
+                                             "the index's 2 tasks"),
+        (dict(projection=np.ones((2, 4))), r"a projection of shape \(2, 4\) "
+                                           "for references of width 5"),
     ], ids=["interleaved", "unknown-task", "projection-width"])
-    def test_index_load_index_would_misread_refused(self, tmp_path, change):
-        index = self._index()
-        change(index)
-        with pytest.raises(StructureError, match="each task's references"):
-            save_index(tmp_path / "refs.idx", index)
+    def test_index_load_index_would_misread_refused(self, tmp_path, change,
+                                                    refusal):
+        # an index of unknown labels or the wrong projection width is
+        # refused as it is built, interleaved labels by save_index
+        with pytest.raises(StructureError, match=refusal):
+            save_index(tmp_path / "refs.idx",
+                       dataclasses.replace(self._index(), **change))
         assert not (tmp_path / "refs.idx").exists()
 
     def test_repeated_task_id_refused(self, tmp_path):
-        # save_index refuses through the parser it runs; load_index names
-        # the file
+        # a built index cannot come to repeat an id; load_index names the
+        # file that does
         index = self._index()
-        index.task_ids[1] = "alpha"
-        with pytest.raises(StructureError, match="other.idx: task id 'alpha' "
-                                                 "is repeated in the index"):
-            save_index(tmp_path / "other.idx", index)
-        assert not (tmp_path / "other.idx").exists()
-        index.task_ids[1] = "omega"
+        with pytest.raises(TypeError):
+            index.task_ids[1] = "alpha"
+        with pytest.raises(StructureError, match="task id 'alpha' is "
+                                                 "repeated in the index"):
+            dataclasses.replace(index, task_ids=["alpha", "alpha"])
+        index = dataclasses.replace(index, task_ids=["alpha", "omega"])
         path = tmp_path / "refs.idx"
         save_index(path, index)
         path.write_bytes(path.read_bytes().replace(b"omega", b"alpha"))

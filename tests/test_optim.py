@@ -62,6 +62,14 @@ class TestClip:
         np.testing.assert_allclose(out["a"], [0.6])
         np.testing.assert_allclose(out["b"], [0.8])
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e200],
+                             ids=["inf", "nan", "square-overflows"])
+    def test_non_finite_norm_raises(self, value):
+        grads = {"a": np.array([3.0]), "b": np.array([value])}
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="gradient norm is "):
+            clip_global_norm(grads, 1.0)
+
     def test_zero_gradients_pass_through(self):
         grads = {"a": np.zeros(3)}
         out = clip_global_norm(grads, 1.0)

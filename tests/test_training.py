@@ -1,5 +1,8 @@
 """Compression training: config, objective, loop, finalization, transparency."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,19 @@ class TestTrainLoop:
             train(tv, base, poisoned, exemplars, SPEC, self.CFG)
         assert err.value.step == 0
         assert not np.isfinite(err.value.components["total"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_overflow_raises_with_step(self):
+        # a finite objective whose gradients square past float64's range;
+        # the clip used to scale them by max_norm / inf, a zero step
+        base, tv, finetuned, exemplars = _setup()
+        cfg = dataclasses.replace(self.CFG, preserve_weight=1e300)
+        with pytest.raises(TrainingDivergedError,
+                           match="^gradient norm became non-finite at step "
+                                 "0: ") as err:
+            train(tv, base, finetuned, exemplars, SPEC, cfg)
+        assert err.value.step == 0
+        assert math.isfinite(err.value.components["total"])
 
     def test_misaligned_task_vector_rejected(self):
         base, tv, finetuned, exemplars = _setup()

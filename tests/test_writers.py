@@ -126,6 +126,7 @@ def test_save_params_round_trips_or_refuses(name, flat, misfit):
 
 @given(st.lists(IDS, max_size=3), st.integers(1, 5), st.data())
 @settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_save_index_round_trips_or_refuses(task_ids, dim, data):
     labels = np.array(data.draw(st.lists(
         st.integers(0, max(len(task_ids) - 1, 0)),
@@ -138,7 +139,8 @@ def test_save_index_round_trips_or_refuses(task_ids, dim, data):
     centers = data.draw(floats(labels.size * dim))
     proj = data.draw(floats(2 * width))
 
-    def write(path):   # an index of repeated ids is refused as it is built
+    def write(path):   # repeated ids, unknown labels and another projection
+        # width are refused as the index is built
         save_index(path, ReferenceIndex(
             task_ids, centers.reshape(labels.size, dim), labels,
             proj.reshape(2, width)))
@@ -146,7 +148,7 @@ def test_save_index_round_trips_or_refuses(task_ids, dim, data):
     loaded = _round_trip(write, load_index)
     if loaded is None:
         return
-    assert loaded.task_ids == task_ids
+    assert loaded.task_ids == tuple(task_ids)
     np.testing.assert_array_equal(loaded.labels, labels)
     assert loaded.centers.tobytes() == _f32(centers).tobytes()
     assert loaded.projection.tobytes() == _f32(proj).tobytes()
