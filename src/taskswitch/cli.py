@@ -22,7 +22,7 @@ from .container import (_module_names, load_bundle, load_container,
 from .harness import (SyntheticTaskSpec, base_dataset, baseline_merge,
                       fine_tune, gen_tasks, probe_precision, probe_scale,
                       probe_sparsity, read_dataset, read_text, write_dataset,
-                      write_probe_csv, write_tasks)
+                      write_tasks)
 # named apply_compressed because perfbench/spans.py traces cli.apply_compressed
 from .merging import materialize as apply_compressed
 from .model import MlpSpec, accuracy, features, init_params
@@ -410,6 +410,7 @@ def cmd_probe(args) -> int:
         for r in rows:
             print(f"eta {r.eta:.1f}  accuracy {r.accuracy:.4f}  "
                   f"drop {r.drop:+.4f}")
+        header, units = "eta", [f"{r.eta:.1f}" for r in rows]
     else:
         probe = probe_sparsity if args.kind == "sparsity" else probe_precision
         kwargs = {"alpha": args.alpha} if args.kind == "sparsity" else {}
@@ -417,8 +418,11 @@ def cmd_probe(args) -> int:
         print(f"fine-tuned accuracy {ref:.4f}")
         for r in rows:
             print(f"{r.unit}  accuracy {r.accuracy:.4f}  drop {r.drop:+.4f}")
+        header, units = "unit", [r.unit for r in rows]
     if args.out:
-        write_probe_csv(args.out, rows)
+        _write_rows(args.out, [header, "accuracy", "drop"],
+                    [[u, f"{r.accuracy:.6f}", f"{r.drop:.6f}"]
+                     for u, r in zip(units, rows)])
     return 0
 
 

@@ -70,7 +70,7 @@ def _write_id(buf: bytearray, task_id: str, path) -> None:
 
 def _read_id(data: bytes, cursor: int, path) -> tuple[str, int]:
     """The u16-length-prefixed UTF-8 task id at cursor, and the cursor after
-    it (containers and reference indexes share this framing)."""
+    it."""
     (id_len,) = _unpack("<H", data, cursor, path, "task id length")
     (ident,) = _unpack(f"{id_len}s", data, cursor + 2, path, "task id")
     try:

@@ -350,21 +350,6 @@ def probe_scale(spec: MlpSpec, base: ParamSet, tv: TaskVector,
     return ref_acc, rows, best.eta
 
 
-def write_probe_csv(path, rows) -> None:
-    """Schema-stable probe report: unit rows or eta rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if rows and isinstance(rows[0], ScaleRow):
-            w.writerow(["eta", "accuracy", "drop"])
-            for r in rows:
-                w.writerow([f"{r.eta:.1f}", f"{r.accuracy:.6f}",
-                            f"{r.drop:.6f}"])
-        else:
-            w.writerow(["unit", "accuracy", "drop"])
-            for r in rows:
-                w.writerow([r.unit, f"{r.accuracy:.6f}", f"{r.drop:.6f}"])
-
-
 def baseline_merge(base: ParamSet, vectors: list[TaskVector],
                    mode: str = "weight-average",
                    scale: float = 0.3) -> ParamSet:

@@ -13,24 +13,21 @@ weight row; materialize builds one for a single weight vector.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .codec import CodecError
-from .container import _read_id, _unpack, _write_id
+from .codec import CodecError, encode_dense
+from .container import load_container, save_container
 # forward is unused here but stays importable: the benchmark traces
 # merging.forward by name
 from .model import ACTIVATIONS, MlpSpec, features, forward  # noqa: F401
 from .optim import Adam
 from .seeding import rng_for
-from .training import CompressedTaskVector
+from .training import CompressedTaskVector, TrainingDivergedError
 from .vectors import ParamSet, StructureError, check_aligned
 
-IDX_MAGIC = b"TSWQ"
 DIST_EPS = 1e-8        # d below this is clamped before inversion
 NUM_FLOOR = 1e-30      # keeps the ratio loss finite with zero correct mass
 D2_FLOOR = 1e-30       # squared distances are floored here before the root
@@ -112,12 +109,6 @@ class ReferenceIndex:
         return self.projection.shape[0]
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    p2 = np.sum(points * points, axis=1, keepdims=True)
-    c2 = np.sum(centers * centers, axis=1)
-    return np.maximum(p2 + c2 - 2.0 * points @ centers.T, 0.0)
-
-
 def kmeans(points: np.ndarray, k: int, seed: int,
            ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with seeded farthest-point initialization.
@@ -133,16 +124,16 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     rng = rng_for(seed, "kmeans")
     first = int(rng.integers(n))
     chosen = [first]
-    d_near = _sq_dists(points, points[[first]])[:, 0]
+    d_near = _floored_d2(points, points[[first]])[:, 0]
     for _ in range(1, k):
         nxt = int(np.argmax(d_near))
         chosen.append(nxt)
-        d_near = np.minimum(d_near, _sq_dists(points, points[[nxt]])[:, 0])
+        d_near = np.minimum(d_near, _floored_d2(points, points[[nxt]])[:, 0])
     centers = points[chosen].copy()
 
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(KMEANS_ITERS):
-        d = _sq_dists(points, centers)
+        d = _floored_d2(points, centers)
         new_assign = np.argmin(d, axis=1)
         if np.array_equal(new_assign, assign):
             break
@@ -199,14 +190,26 @@ def _projected_refs(centers: np.ndarray, projection: np.ndarray,
     return pc, np.sum(pc * pc, axis=1, keepdims=True).T
 
 
+def _expanded_d2(pf: np.ndarray, pc: np.ndarray, c2: np.ndarray):
+    """|f|^2 + |c|^2 - 2 f.c from the rows of pf to those of pc (squared
+    norms c2, a (1, refs) row): slightly negative at coincident points."""
+    f2 = np.sum(pf * pf, axis=1, keepdims=True)
+    return (f2 + c2) + (pf @ pc.T) * -2.0
+
+
+def _floored_d2(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """kmeans' squared distances: _expanded_d2, floored at 0."""
+    c2 = np.sum(refs * refs, axis=1, keepdims=True).T
+    return np.maximum(_expanded_d2(points, refs, c2), 0.0)
+
+
 def _distances(feats: np.ndarray, projection: np.ndarray, pc: np.ndarray,
                c2: np.ndarray):
     """(pf, d2, d): the rows in projection space, their squared distances
-    to the references pc (expanded, so slightly negative at coincident
-    points) and the distances, with d2 floored at D2_FLOOR first."""
+    to the references pc and the distances, with d2 floored at D2_FLOOR
+    first."""
     pf = feats @ projection.T
-    f2 = np.sum(pf * pf, axis=1, keepdims=True)
-    d2 = (f2 + c2) + (pf @ pc.T) * -2.0
+    d2 = _expanded_d2(pf, pc, c2)
     return pf, d2, np.sqrt(np.maximum(d2, D2_FLOOR))
 
 
@@ -264,6 +267,9 @@ class MetricTrainResult:
     losses: list[float] = field(default_factory=list)
 
 
+# An epoch whose loss or updated projection is not finite raises
+# TrainingDivergedError naming it, as training.train does for its steps.
+@np.errstate(all="ignore")
 def train_metric(index: ReferenceIndex,
                  task_features: list[tuple[str, np.ndarray]],
                  rank: int = 32, epochs: int = 100, lr: float = 0.5,
@@ -279,13 +285,19 @@ def train_metric(index: ReferenceIndex,
     proj = init_projection(rank, index.feature_dim, seed)
     opt = Adam()
     losses = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
         loss, grads = ad.value_and_grad(
             lambda leaves: metric_objective(
                 leaves["projection"], feats, index.centers, index.labels,
                 task_of_row, n_neighbors), {"projection": proj})
         losses.append(float(ad._np(loss)))
+        if not np.isfinite(losses[-1]):
+            raise TrainingDivergedError(epoch, {"loss": losses[-1]}, "loss",
+                                        "epoch")
         proj = opt.step(proj, grads["projection"], lr)
+        if not np.isfinite(proj).all():
+            raise TrainingDivergedError(epoch, {"loss": losses[-1]},
+                                        "projection", "epoch")
     return MetricTrainResult(index=replace(index, projection=proj),
                              losses=losses)
 
@@ -440,68 +452,66 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
     return np.argmax(logits, axis=1), w
 
 
+def _index_layout(path, metadata: dict, size: int):
+    """(task ids, references per task, feature width, rank) of an index
+    file, or StructureError naming it: the rule of save_index and
+    load_index for the metadata and the size of the stream of floats."""
+    task_ids, counts, dim = (metadata.get(key) for key in
+                             ("task_ids", "counts", "feature_dim"))
+    if not isinstance(task_ids, list) or not task_ids or \
+            not all(isinstance(t, str) for t in task_ids):
+        raise StructureError(f"{path}: task_ids is not a non-empty list of "
+                             "strings")
+    if not isinstance(counts, list) or len(counts) != len(task_ids) or \
+            not all(type(c) is int and c >= 0 for c in counts):
+        raise StructureError(f"{path}: counts is not one non-negative int "
+                             f"per task, for {len(task_ids)} tasks")
+    if type(dim) is not int or dim < 1:
+        raise StructureError(f"{path}: feature_dim is not a positive int")
+    rows, rest = divmod(size, dim)
+    if rest or rows <= sum(counts):
+        raise StructureError(f"{path}: a stream of {size} floats is not "
+                             f"{sum(counts)} references and a projection "
+                             f"of rows of {dim}")
+    return task_ids, counts, dim, rows - sum(counts)
+
+
 def save_index(path, index: ReferenceIndex) -> None:
-    """Little-endian .idx: ids, center counts, dims, float32 matrices; the
-    bytes pass load_index's parser before they are written."""
-    counts = [int(np.sum(index.labels == t)) for t in range(index.n_tasks)]
+    """A task container of one dense float32 stream, the references task
+    by task and then the projection rows, with task_ids, counts and
+    feature_dim as metadata; what load_index refuses is not written."""
+    counts = np.bincount(index.labels, minlength=index.n_tasks).tolist()
     if not np.array_equal(index.labels,
                           np.repeat(np.arange(index.n_tasks), counts)):
         raise StructureError(f"{path}: each task's references must be one "
                              "run, in task order")
-    buf = bytearray()
-    buf += IDX_MAGIC
-    buf += struct.pack("<I", index.n_tasks)
-    for task_id, count in zip(index.task_ids, counts):
-        _write_id(buf, task_id, path)
-        buf += struct.pack("<I", count)
-    buf += struct.pack("<II", index.feature_dim, index.rank)
-    with np.errstate(over="ignore"):   # past float32's range: refused below
-        buf += index.centers.astype("<f4").tobytes()
-        buf += index.projection.astype("<f4").tobytes()
-    _parse_index(bytes(buf), path)
-    Path(path).write_bytes(bytes(buf))
+    metadata = {"task_ids": list(index.task_ids), "counts": counts,
+                "feature_dim": index.feature_dim}
+    _index_layout(path, metadata, index.centers.size + index.projection.size)
+    try:   # a non-finite float32, or 2^27 floats or more
+        stream = encode_dense(np.concatenate([index.centers.ravel(),
+                                              index.projection.ravel()]))
+    except CodecError as exc:   # the type stays
+        exc.args = (f"{path}: {exc}",)
+        raise
+    save_container(path, [("index", [stream])], metadata)
 
 
 def load_index(path) -> ReferenceIndex:
-    """Read an .idx written by save_index.
-
-    A short field, an index with no tasks, float blocks that do not end the
-    file exactly or a non-finite float raise CodecError naming the byte.
-    """
-    return _parse_index(Path(path).read_bytes(), path)
-
-
-def _parse_index(data: bytes, path) -> ReferenceIndex:
-    if data[:4] != IDX_MAGIC:
-        raise StructureError(f"{path}: not a reference index")
-    (n_tasks,) = _unpack("<I", data, 4, path, "task count")
-    if n_tasks == 0:
-        raise CodecError(f"{path}: task count at byte 4 is zero")
-    cursor = 8
-    task_ids, counts = [], []
-    for _ in range(n_tasks):
-        task_id, cursor = _read_id(data, cursor, path)
-        (cnt,) = _unpack("<I", data, cursor, path, "center count")
-        cursor += 4
-        task_ids.append(task_id)
-        counts.append(cnt)
-    e, r = _unpack("<II", data, cursor, path, "dimensions")
-    cursor += 8
-    total = sum(counts)
-    if cursor + 4 * e * (total + r) != len(data):
-        raise CodecError(f"{path}: {total + r} rows of {e} floats at byte "
-                         f"{cursor} need {4 * e * (total + r)} bytes, the "
-                         f"file has {len(data) - cursor}")
-    floats = np.frombuffer(data, dtype="<f4", offset=cursor) \
-        .astype(np.float64)
-    if not np.all(np.isfinite(floats)):
-        bad = int(np.flatnonzero(~np.isfinite(floats))[0])
-        raise CodecError(f"{path}: non-finite float at byte "
-                         f"{cursor + 4 * bad}")
+    """Read an index save_index wrote: what load_container refuses raises
+    CodecError, and any other file StructureError, naming the file."""
+    tasks, metadata = load_container(path)
+    mods = tasks[0][1] if len(tasks) == 1 else []
+    if len(mods) != 1 or mods[0].values is None or \
+            mods[0].header.scale != 1.0:
+        raise StructureError(f"{path}: not a reference index: expected one "
+                             "task holding one dense stream of scale 1")
+    floats = mods[0].values
+    task_ids, counts, dim, rank = _index_layout(path, metadata, floats.size)
+    refs = sum(counts)
     try:
-        return ReferenceIndex(task_ids,
-                              floats[:total * e].reshape(total, e),
-                              np.repeat(np.arange(n_tasks), counts),
-                              floats[total * e:].reshape(r, e))
+        return ReferenceIndex(task_ids, floats[:refs * dim].reshape(refs, dim),
+                              np.repeat(np.arange(len(counts)), counts),
+                              floats[refs * dim:].reshape(rank, dim))
     except StructureError as exc:
         raise StructureError(f"{path}: {exc}") from None

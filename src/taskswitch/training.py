@@ -58,8 +58,8 @@ def temperature_schedule(step: int) -> float:
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int, components: dict[str, float],
-                 quantity: str = "objective"):
-        super().__init__(f"{quantity} became non-finite at step {step}: "
+                 quantity: str = "objective", unit: str = "step"):
+        super().__init__(f"{quantity} became non-finite at {unit} {step}: "
                          f"{components}")
         self.step = step
         self.components = components

@@ -3,14 +3,17 @@
 import argparse
 import csv
 import filecmp
+import struct
 
 import numpy as np
 import pytest
 
-from taskswitch import (MlpSpec, TaskVector, build_switch, init_params,
+from taskswitch import (MlpSpec, TaskVector, build_switch, diff, init_params,
                         load_params, save_bundle)
 from taskswitch.cli import build_parser, main
 from taskswitch.container import save_container, streams_from_params
+from taskswitch.harness import (probe_precision, probe_scale, probe_sparsity,
+                                read_dataset)
 
 
 def _read_csv(path):
@@ -258,6 +261,40 @@ class TestPipeline:
         assert "best eta" in out
         rows = _read_csv(root / "pe.csv")
         assert rows[0] == ["eta", "accuracy", "drop"] and len(rows) == 21
+
+    def _probe_inputs(self, root, data):
+        spec, base, _ = load_params(root / "base.tswp")
+        _, tuned, name = load_params(root / "ft0.tswp")
+        x, y = read_dataset(data / "task0_test.csv")
+        return spec, base, diff(tuned, base, name), x, y
+
+    def _probe_csv(self, root, data, tmp_path, kind, *extra):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["probe", kind, "--base", str(root / "base.tswp"),
+                     "--finetuned", str(root / "ft0.tswp"),
+                     "--data", str(data / "task0_test.csv"), *extra,
+                     "-o", str(out)]) == 0
+        assert out.read_bytes().endswith(b"\r\n")   # csv.writer's lines
+        return _read_csv(out)
+
+    def test_probe_scale_csv_schema(self, pipeline_dir, tmp_path):
+        root, data = pipeline_dir
+        _, rows, _ = probe_scale(*self._probe_inputs(root, data))
+        assert self._probe_csv(root, data, tmp_path, "scale") == (
+            [["eta", "accuracy", "drop"]]
+            + [[f"{r.eta:.1f}", f"{r.accuracy:.6f}", f"{r.drop:.6f}"]
+               for r in rows])
+
+    @pytest.mark.parametrize("kind", ["sparsity", "precision"])
+    def test_probe_unit_csv_schema(self, pipeline_dir, tmp_path, kind):
+        root, data = pipeline_dir
+        probe = probe_sparsity if kind == "sparsity" else probe_precision
+        _, rows = probe(*self._probe_inputs(root, data), level="layer")
+        assert self._probe_csv(root, data, tmp_path, kind, "--level",
+                               "layer") == (
+            [["unit", "accuracy", "drop"]]
+            + [[r.unit, f"{r.accuracy:.6f}", f"{r.drop:.6f}"] for r in rows])
+        assert [r.unit for r in rows] == ["layer0", "layer1"]
 
     def test_merge_eval_report(self, pipeline_dir, capsys):
         root, data = pipeline_dir
@@ -787,6 +824,50 @@ class TestErrorPaths:
         assert capsys.readouterr().err == (
             f"error: {index}: task id 'task0' is repeated in the index\n")
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("name", ["base.tswp", "c0.tswc",
+                                      "switch.tswc"])
+    def test_other_container_as_index_exits_2(self, pipeline_dir, tmp_path,
+                                              capsys, name):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["merge-eval"](root, data, data / "task1_test.csv",
+                                          tmp_path)
+        argv[argv.index("--index") + 1] = str(root / name)
+        assert main(argv + ["-o", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / name}: not a reference index: expected one task "
+            "holding one dense stream of scale 1\n")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_index_of_the_old_layout_exits_2(self, pipeline_dir, tmp_path,
+                                             capsys):
+        # the TSWQ layout indexes had before they were task containers
+        root, data = pipeline_dir
+        old = tmp_path / "old.idx"
+        old.write_bytes(b"TSWQ" + struct.pack("<IH", 1, 5) + b"task0"
+                        + struct.pack("<III", 1, 10, 1)
+                        + np.ones(20, "<f4").tobytes())
+        argv = CSV_COMMANDS["merge-eval"](root, data, data / "task1_test.csv",
+                                          tmp_path)
+        argv[argv.index("--index") + 1] = str(old)
+        assert main(argv + ["-o", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {old}: not a task container\n")
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverged_train_metric_exits_2(self, pipeline_dir, tmp_path,
+                                           capsys):
+        # a step this large overflows the distances of the second epoch;
+        # before, numpy warned and save_index named the output file
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["train-metric"](root, data,
+                                            data / "task1_train.csv", tmp_path)
+        assert main(argv + ["--lr", "1e300", "--epochs", "5", "--rank", "4",
+                            "--neighbors", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: loss became non-finite at epoch 1: {'loss': nan}\n")
+        assert not (tmp_path / "r.idx").exists()
 
     def test_bad_named_argument(self, tmp_path):
         with pytest.raises(SystemExit):

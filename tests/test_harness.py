@@ -1,17 +1,13 @@
 """Synthetic benchmark tests: geometry, data generation, probes, baselines."""
 
-import csv
-
 import numpy as np
 import pytest
 
-from taskswitch.harness import (ETA_GRID, ProbeRow, ScaleRow,
-                                SyntheticTaskSpec, base_dataset,
+from taskswitch.harness import (ETA_GRID, SyntheticTaskSpec, base_dataset,
                                 baseline_merge, fine_tune, gen_tasks,
                                 probe_precision, probe_scale, probe_sparsity,
                                 read_dataset, task_geometry, task_permutation,
-                                unit_groups, write_dataset, write_probe_csv,
-                                write_tasks)
+                                unit_groups, write_dataset, write_tasks)
 from taskswitch.model import MlpSpec, accuracy, init_params
 from taskswitch.vectors import TaskVector, add
 
@@ -281,26 +277,6 @@ class TestProbes:
     def test_eta_grid_constants(self):
         assert len(ETA_GRID) == 20
         assert ETA_GRID[0] == 0.1 and ETA_GRID[-1] == 2.0
-
-
-class TestProbeCsv:
-    def test_scale_schema(self, tmp_path):
-        rows = [ScaleRow(0.1, 0.5, 0.25), ScaleRow(0.2, 0.75, 0.0)]
-        path = tmp_path / "scale.csv"
-        write_probe_csv(path, rows)
-        with open(path, newline="") as fh:
-            got = list(csv.reader(fh))
-        assert got[0] == ["eta", "accuracy", "drop"]
-        assert got[1] == ["0.1", "0.500000", "0.250000"]
-
-    def test_unit_schema(self, tmp_path):
-        rows = [ProbeRow("layer0.weight", 0.9, 0.05)]
-        path = tmp_path / "unit.csv"
-        write_probe_csv(path, rows)
-        with open(path, newline="") as fh:
-            got = list(csv.reader(fh))
-        assert got[0] == ["unit", "accuracy", "drop"]
-        assert got[1] == ["layer0.weight", "0.900000", "0.050000"]
 
 
 class TestBaselineMerge:

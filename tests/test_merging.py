@@ -3,13 +3,16 @@
 import dataclasses
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from taskswitch import autodiff as ad
-from taskswitch import merging
-from taskswitch.codec import CodecError
+from taskswitch import codec, merging
+from taskswitch.codec import (CapacityError, CodecError, Format, choose_format,
+                              encode_dense)
+from taskswitch.container import load_container, save_container
 from taskswitch.merging import (_BLOCK_ROWS, DIST_EPS, NUM_FLOOR,
                                 ReferenceIndex, _mixed_logits, build_index,
                                 init_projection, kmeans, knn_weights,
@@ -753,6 +756,20 @@ class TestPreparedIndex:
         assert w.tobytes() == want.tobytes()
 
 
+# magic, version, task count, the id "index", module count: the stream
+# starts at byte 16 and its payload 137 header bits later; the metadata of
+# TestIndexFile's 45-float index follows the stream and its u32 length
+STREAM_BYTE = 16
+PAYLOAD_BIT = 8 * STREAM_BYTE + 137
+META_BYTE = STREAM_BYTE + 17 + 4 * 45 + 1 + 4
+
+
+def _index_file(path, metadata, values, scale=1.0):
+    """An index container holding values as one dense stream."""
+    save_container(path, [("index", [encode_dense(values, scale)])],
+                   metadata)
+
+
 class TestIndexFile:
     def _index(self):
         rng = np.random.default_rng(40)
@@ -763,15 +780,38 @@ class TestIndexFile:
             labels=np.array([0] * 3 + [1] * 4),
             projection=f32(rng.normal(size=(2, 5))))
 
+    def _floats(self, index):
+        return np.concatenate([index.centers.ravel(),
+                               index.projection.ravel()])
+
+    def _meta(self, **change):
+        return {"task_ids": ["alpha", "tâche-2"], "counts": [3, 4],
+                "feature_dim": 5, **change}
+
     def test_round_trip(self, tmp_path):
         index = self._index()
         path = tmp_path / "refs.idx"
         save_index(path, index)
         back = load_index(path)
         assert back.task_ids == index.task_ids
-        np.testing.assert_array_equal(back.labels, index.labels)
-        np.testing.assert_array_equal(back.centers, index.centers)
-        np.testing.assert_array_equal(back.projection, index.projection)
+        for name in ("labels", "centers", "projection", "pc", "c2"):
+            a, b = getattr(back, name), getattr(index, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_file_is_one_dense_stream(self, tmp_path):
+        # the references task by task, then the projection rows
+        index = self._index()
+        path = tmp_path / "refs.idx"
+        save_index(path, index)
+        tasks, metadata = load_container(path)
+        assert metadata == self._meta()
+        [(task_id, [stream])] = tasks
+        assert task_id == "index"
+        assert stream.header.fmt == Format.DENSE
+        assert stream.header.scale == 1.0
+        assert stream.values.tobytes() == self._floats(index).tobytes()
+        assert path.read_bytes()[STREAM_BYTE:STREAM_BYTE + 17] == \
+            encode_dense(self._floats(index)).data[:17]
 
     def test_storage_rounds_to_float32(self, tmp_path):
         index = self._index()
@@ -785,10 +825,15 @@ class TestIndexFile:
         assert back.centers[0, 0] != 0.1
 
     def test_bad_magic_raises(self, tmp_path):
+        # no reader is kept for the TSWQ layout indexes had before
+        old = (b"TSWQ" + struct.pack("<IH", 1, 1) + b"a"
+               + struct.pack("<III", 1, 2, 1) + np.ones(4, "<f4").tobytes())
         path = tmp_path / "refs.idx"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(StructureError):
-            load_index(path)
+        for data in (b"NOPE" + b"\x00" * 32, old):
+            path.write_bytes(data)
+            with pytest.raises(CodecError, match="refs.idx: not a task "
+                                                 "container$"):
+                load_index(path)
 
     def test_every_proper_prefix_rejected(self, tmp_path):
         path = tmp_path / "refs.idx"
@@ -797,14 +842,22 @@ class TestIndexFile:
         cut = tmp_path / "cut.idx"
         for end in range(len(data)):
             cut.write_bytes(data[:end])
-            with pytest.raises((CodecError, StructureError), match="cut.idx"):
+            with pytest.raises(CodecError, match="cut.idx"):
                 load_index(cut)
-        # past the magic, every cut names the byte it stops at
-        cut.write_bytes(data[:6])
-        with pytest.raises(CodecError, match="task count cut short at byte 4"):
+        # past the magic, every cut names where it stops
+        cut.write_bytes(data[:8])
+        with pytest.raises(CodecError, match="task id length cut short at "
+                                             "byte 7"):
             load_index(cut)
-        cut.write_bytes(data[:12])
-        with pytest.raises(CodecError, match="at byte 10"):
+        cut.write_bytes(data[:100])
+        with pytest.raises(CodecError, match=r"cut.idx: task 'index' module "
+                                             r"0: truncated stream \(bit "
+                                             rf"offset {PAYLOAD_BIT}\)"):
+            load_index(cut)
+        cut.write_bytes(data[:-1])
+        with pytest.raises(CodecError, match=(
+                f"metadata of {len(data) - META_BYTE} bytes at byte "
+                f"{META_BYTE} runs past the end of the file")):
             load_index(cut)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -812,31 +865,33 @@ class TestIndexFile:
         save_index(path, self._index())
         size = len(path.read_bytes())
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
-        with pytest.raises(CodecError, match=f"9 rows of 5 floats at byte "
-                                             f"{size - 180} need 180 bytes, "
-                                             f"the file has 184"):
+        with pytest.raises(CodecError, match=f"refs.idx: 4 trailing bytes at "
+                                             f"byte {size}"):
             load_index(path)
 
     def test_non_finite_float_rejected(self, tmp_path):
-        # a file patched to hold a non-finite float is refused on load, and
-        # save_index runs the same test, naming the same byte
-        for block, pos, back in (("projection", (1, 3), 8),
-                                 ("centers", (0, 0), 180)):
+        # a file patched to hold a NaN is refused on load, naming the
+        # stream's payload; save_index refuses a non-finite value and
+        # writes nothing
+        for block, pos, k in (("projection", (1, 3), 44),
+                              ("centers", (0, 0), 0)):
             index = self._index()
             path = tmp_path / "refs.idx"
             save_index(path, index)
-            data = bytearray(path.read_bytes())
-            at = len(data) - back
-            data[at:at + 4] = np.array(np.nan, "<f4").tobytes()
-            path.write_bytes(bytes(data))
-            with pytest.raises(CodecError,
-                               match=f"non-finite float at byte {at}$"):
+            bits = np.unpackbits(np.frombuffer(path.read_bytes(), np.uint8))
+            at = PAYLOAD_BIT + 32 * k
+            bits[at:at + 32] = np.unpackbits(
+                np.array([np.nan], ">f4").view(np.uint8))
+            path.write_bytes(np.packbits(bits).tobytes())
+            with pytest.raises(CodecError, match=(
+                    r"refs.idx: task 'index' module 0: non-finite dense "
+                    rf"payload \(bit offset {PAYLOAD_BIT}\)$")):
                 load_index(path)
             poisoned = getattr(index, block).copy()
             poisoned[pos] = -np.inf
             index = dataclasses.replace(index, **{block: poisoned})
-            with pytest.raises(CodecError,
-                               match=f"non-finite float at byte {at}$"):
+            with pytest.raises(CodecError, match="other.idx: dense values "
+                                                 "must be finite in float32"):
                 save_index(tmp_path / "other.idx", index)
             assert not (tmp_path / "other.idx").exists()
 
@@ -877,24 +932,90 @@ class TestIndexFile:
     def test_index_without_tasks_refused(self, tmp_path):
         index = ReferenceIndex([], np.zeros((0, 5)), np.zeros(0, np.int64),
                                np.eye(5))
-        with pytest.raises(CodecError, match="task count at byte 4 is zero"):
+        with pytest.raises(StructureError, match="refs.idx: task_ids is not "
+                                                 "a non-empty list of "
+                                                 "strings"):
             save_index(tmp_path / "refs.idx", index)
         assert not (tmp_path / "refs.idx").exists()
 
     def test_non_utf8_task_id_names_the_byte(self, tmp_path):
+        # the container's own id, and an index task id in the metadata
         path = tmp_path / "refs.idx"
         save_index(path, self._index())
-        data = bytearray(path.read_bytes())
-        assert data[10:15] == b"alpha"   # magic, task count, id length
-        data[12] = 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(CodecError, match="refs.idx: task id is not UTF-8 "
-                                             "at byte 12"):
-            load_index(path)
+        good = path.read_bytes()
+        assert good[9:14] == b"index"   # magic, version, task count, length
+        for at, refusal in ((11, "task id is not UTF-8 at byte 11"),
+                            (good.index(b"alpha") + 2,
+                             f"metadata at byte {META_BYTE} is not valid "
+                             "JSON")):
+            data = bytearray(good)
+            data[at] = 0xFF
+            path.write_bytes(bytes(data))
+            with pytest.raises(CodecError, match=f"refs.idx: {refusal}"):
+                load_index(path)
 
     def test_zero_task_index_rejected(self, tmp_path):
         path = tmp_path / "refs.idx"
-        path.write_bytes(b"TSWQ" + bytes(4) + (3).to_bytes(4, "little")
-                         + (2).to_bytes(4, "little"))
-        with pytest.raises(CodecError, match="task count at byte 4 is zero"):
+        _index_file(path, {"task_ids": [], "counts": [], "feature_dim": 5},
+                    np.ones(5))
+        with pytest.raises(StructureError, match="refs.idx: task_ids is not "
+                                                 "a non-empty list of "
+                                                 "strings"):
             load_index(path)
+
+    @pytest.mark.parametrize("change, refusal", [
+        (dict(task_ids=None), "task_ids is not a non-empty list of strings"),
+        (dict(task_ids="alpha"), "task_ids is not a non-empty list"),
+        (dict(task_ids=["alpha", 2]), "task_ids is not a non-empty list"),
+        (dict(counts=None), "counts is not one non-negative int per task, "
+                            "for 2 tasks"),
+        (dict(counts=[7]), "counts is not one non-negative int per task"),
+        (dict(counts=[8, -1]), "counts is not one non-negative int per task"),
+        (dict(counts=[3.0, 4]), "counts is not one non-negative int"),
+        (dict(counts=[True, 6]), "counts is not one non-negative int"),
+        (dict(feature_dim=None), "feature_dim is not a positive int"),
+        (dict(feature_dim=0), "feature_dim is not a positive int"),
+        (dict(feature_dim=5.0), "feature_dim is not a positive int"),
+        (dict(feature_dim="5"), "feature_dim is not a positive int"),
+        (dict(feature_dim=4), "a stream of 45 floats is not 7 references "
+                              "and a projection of rows of 4"),
+        (dict(counts=[3, 6]), "a stream of 45 floats is not 9 references"),
+        (dict(counts=[30, 4]), "a stream of 45 floats is not 34 references"),
+    ], ids=["ids-missing", "ids-string", "ids-not-strings", "counts-missing",
+            "counts-short", "counts-negative", "counts-float", "counts-bool",
+            "dim-missing", "dim-zero", "dim-float", "dim-string",
+            "dim-not-dividing", "no-projection-row", "refs-past-stream"])
+    def test_bad_metadata_refused(self, tmp_path, change, refusal):
+        path = tmp_path / "refs.idx"
+        meta = {k: v for k, v in self._meta(**change).items()
+                if v is not None}
+        _index_file(path, meta, self._floats(self._index()))
+        with pytest.raises(StructureError, match=f"refs.idx: {refusal}"):
+            load_index(path)
+
+    def test_other_containers_refused(self, tmp_path):
+        # two tasks, two streams, a compressed stream or a scale other
+        # than 1 is not an index, whatever the metadata says
+        values = self._floats(self._index())
+        dense = encode_dense(values)
+        grouped = choose_format(CompressedModule(45, np.array([3]),
+                                                 np.array([1]), 2, 1.0, 1.0,
+                                                 1.0))
+        path = tmp_path / "refs.idx"
+        for tasks in ([("index", [dense]), ("more", [dense])],
+                      [("index", [dense, dense])],
+                      [("index", [grouped])],
+                      [("index", [encode_dense(values, 2.0)])]):
+            save_container(path, tasks, self._meta())
+            with pytest.raises(StructureError, match=(
+                    "refs.idx: not a reference index: expected one task "
+                    "holding one dense stream of scale 1")):
+                load_index(path)
+
+    def test_index_past_a_stream_refused(self, tmp_path, monkeypatch):
+        # 2^27 floats or more do not fit one stream: shown at 45 floats
+        monkeypatch.setattr(codec, "MAX_COUNT", 45)
+        with pytest.raises(CapacityError, match=r"refs.idx: element count 45 "
+                                                r"outside \[1, 45\)"):
+            save_index(tmp_path / "refs.idx", self._index())
+        assert not (tmp_path / "refs.idx").exists()

@@ -1,17 +1,22 @@
-"""The serving path against the code it replaced (tests/serve_reference.py).
+"""The retrieval path against the code it replaced
+(tests/serve_reference.py).
 
 features is a plain pass that must give the tape's penultimate activation
 bit for bit; knn_weights reads the references that ReferenceIndex prepares
-once and must give the weight rows of the per-call set-up bit for bit.
+once and must give the weight rows of the per-call set-up bit for bit;
+kmeans takes its squared distances from the expansion _distances uses and
+must give the centers and assignments of its own rule bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from taskswitch.merging import (_BLOCK_ROWS, ReferenceIndex, knn_weights,
-                                load_index, merged_forward, save_index)
+from taskswitch.merging import (_BLOCK_ROWS, ReferenceIndex, _floored_d2,
+                                kmeans, knn_weights, load_index,
+                                merged_forward, save_index)
 from taskswitch.model import MlpSpec, features, init_params
-from serve_reference import features_on_tape, knn_weights_per_call
+from serve_reference import (features_on_tape, kmeans_own_dists,
+                             knn_weights_per_call, sq_dists)
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -97,3 +102,39 @@ def test_walkthrough_index_matches_per_call(pipeline, tmp_path):
         _same_bits(knn_weights(index, feats, 10), want)
         _same_bits(merged_forward(pipeline.mspec, pipeline.base,
                                   pipeline.sparse, index, x, 10)[1], want)
+
+
+def _check_kmeans(points, k, seed):
+    got, want = kmeans(points, k, seed), kmeans_own_dists(points, k, seed)
+    for g, w in zip(got, want):
+        _same_bits(g, w)
+
+
+def test_expansion_matches_kmeans_own_dists():
+    # the product 2.0 * points is exact, so (2 p) @ c.T is (p @ c.T) * 2.0
+    rng = np.random.default_rng(300)
+    for _ in range(500):
+        n, m, e = (int(v) for v in rng.integers(1, 40, size=3))
+        points = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(n, e))
+        centers = np.vstack([points[rng.integers(n, size=m)],
+                             rng.normal(size=(m, e))])   # some coincide
+        _same_bits(_floored_d2(points, centers), sq_dists(points, centers))
+
+
+def test_kmeans_matches_own_dists_with_duplicate_points():
+    for trial in range(20):
+        rng = np.random.default_rng(310 + trial)
+        n, e = int(rng.integers(2, 60)), int(rng.integers(1, 9))
+        distinct = rng.normal(size=(int(rng.integers(1, n + 1)), e))
+        points = distinct[rng.integers(len(distinct), size=n)]
+        for k in {1, min(3, n), int(rng.integers(1, n + 1)), n}:
+            _check_kmeans(points, k, seed=trial)
+
+
+def test_walkthrough_kmeans_matches_own_dists(pipeline):
+    want = []
+    for k in range(len(pipeline.tasks)):
+        feats = features(pipeline.mspec, pipeline.base, pipeline.exemplars(k))
+        _check_kmeans(feats, 20, seed=0)
+        want.append(kmeans_own_dists(feats, 20, seed=0)[0])
+    _same_bits(pipeline.index.centers, np.vstack(want))
