@@ -18,12 +18,18 @@ Bits are most-significant-first within each field (_fields and _values
 are the one place that order is coded, through big-endian words of 16
 bits, or 32 for a field wider than 16), fields concatenated in declaration
 order, streams zero-padded to a byte boundary. Every padding bit is
-validated on decode so a single flipped bit can never pass silently.
-Decoding reads the stream's bytes in place: a BitReader over a whole file
-unpacks only the bytes each read covers into bits, and reads a dense
-payload as 32-bit words, each shifted back by the one bit the header
-leaves over a byte boundary, the way encode_dense writes it; no dense
-payload is ever spread out one byte per bit.
+validated on decode, by one mask on the byte that holds them, so a single
+flipped bit can never pass silently.
+
+Decoding reads the stream's bytes in place. A BitReader over a whole file
+unpacks only the bytes each read covers into bits; a grouped module's
+bitmap and first records come in one read. Masks (the grouped presence
+bitmap, the INDEP mask, the records' end-of-group flags) are read as
+bool, so numpy finds their set bits on its bool fast path. A dense payload
+is read as 32-bit words, each cut from the big-endian 64 bits at its
+first byte past the one bit the header leaves over a byte boundary, the
+way encode_dense writes it; no dense payload is ever spread out one byte
+per bit, and it is checked finite as float32, before it is widened.
 """
 
 from __future__ import annotations
@@ -238,13 +244,14 @@ class BitReader:
     def __init__(self, data: bytes, pos: int = 0):
         self.data = data
         self.pos = pos       # in bits
+        self.end = 8 * len(data)
 
     @property
     def remaining(self) -> int:
-        return 8 * len(self.data) - self.pos
+        return self.end - self.pos
 
     def read_bits(self, count: int) -> np.ndarray:
-        if count > self.remaining:
+        if count > self.end - self.pos:
             raise CorruptStreamError("truncated stream", self.pos)
         lo, skip = divmod(self.pos, 8)
         nbytes = (skip + count + 7) // 8
@@ -254,18 +261,23 @@ class BitReader:
 
     def read_words(self, count: int) -> np.ndarray:
         """count big-endian 32-bit words as uint32, from any bit offset."""
-        if 32 * count > self.remaining:
+        if 32 * count > self.end - self.pos:
             raise CorruptStreamError("truncated stream", self.pos)
         lo, skip = divmod(self.pos, 8)
-        words = np.frombuffer(self.data, ">u4", count, lo).astype(np.uint32)
         self.pos += 32 * count
-        if skip and count:
-            # each word takes its low bits from the top of the next one;
-            # the last word's come from the byte after the words
-            low = words[1:] >> (32 - skip)
-            words <<= skip
-            words[:-1] |= low
-            words[-1] |= self.data[lo + 4 * count] >> (8 - skip)
+        if not skip or not count:
+            return np.frombuffer(self.data, ">u4", count, lo).astype(np.uint32)
+        # word i is the low half of the big-endian 64 bits at byte lo + 4i
+        # shifted right by 32 - skip, read through one view of overlapping
+        # 64-bit words. The last word's 64 bits could run past the byte
+        # after the words, the last one sure to exist, so it is read from
+        # its five bytes
+        words = np.empty(count, dtype=np.uint32)
+        pairs = np.ndarray((count - 1,), ">u8", self.data, lo, (4,))
+        np.right_shift(pairs, 32 - skip, out=words[:-1], casting="unsafe")
+        tail = lo + 4 * count - 4
+        words[-1] = int.from_bytes(self.data[tail:tail + 5], "big") \
+            >> 8 - skip & 0xFFFFFFFF
         return words
 
 
@@ -278,9 +290,10 @@ def _check_header(h: ModuleHeader, at: int | None = None) -> None:
     n, b, c = h.count, h.bit_width, h.group_size
     if not 1 <= n < MAX_COUNT:
         fail(f"element count {n} outside [1, {MAX_COUNT})", CapacityError)
-    for name in ("scale", "range_neg", "range_pos"):
-        if not math.isfinite(getattr(h, name)):
-            fail(f"non-finite header field {name}")
+    if not math.isfinite(h.scale + h.range_neg + h.range_pos):
+        for name in ("scale", "range_neg", "range_pos"):
+            if not math.isfinite(getattr(h, name)):
+                fail(f"non-finite header field {name}")
     if h.fmt == Format.DENSE:
         if b or h.range_neg or h.range_pos:
             fail("dense header carries quantizer fields")
@@ -315,20 +328,25 @@ def _pack(header: ModuleHeader, nnz: int,
                          nnz)
 
 
+_FORMATS = tuple(Format)
+_FLOATS = struct.Struct(">3f")
+
+
 def _read_header(r: BitReader) -> ModuleHeader:
     start = r.pos
-    if r.remaining < HEADER_BITS:
+    if r.end - start < HEADER_BITS:
         raise CorruptStreamError("truncated stream", start)
     # streams start on a byte boundary: the header is the top 137 of 18 bytes
     word = int.from_bytes(r.data[start // 8:start // 8 + 18], "big") >> 7
-    r.pos += HEADER_BITS
+    r.pos = start + HEADER_BITS
     ints = word >> 96
-    tag, b = ints >> 39, ints >> 35 & 0xF
-    cfield, n = ints >> COUNT_BITS & 0xFF, ints & (MAX_COUNT - 1)
-    if tag not in (0, 1, 2):
+    tag = ints >> 39
+    if tag >= len(_FORMATS):
         raise CorruptStreamError(f"unknown format tag {tag}", start)
-    header = ModuleHeader(Format(tag), b, cfield + 1, n, *struct.unpack(
-        ">3f", (word & ((1 << 96) - 1)).to_bytes(12, "big")))
+    header = ModuleHeader(_FORMATS[tag], ints >> 35 & 0xF,
+                          (ints >> COUNT_BITS & 0xFF) + 1,
+                          ints & (MAX_COUNT - 1), *_FLOATS.unpack(
+                              (word & (1 << 96) - 1).to_bytes(12, "big")))
     _check_header(header, start)
     return header
 
@@ -452,16 +470,16 @@ def decode_at(reader: BitReader) -> DecodedModule:
     payload_start = reader.pos
     n = header.count
     if header.fmt == Format.DENSE:
-        words = reader.read_words(n)
+        stored = reader.read_words(n).view(np.float32)
         with np.errstate(invalid="ignore"):  # corrupt bits may form sNaN
-            values = words.view(np.float32).astype(np.float64)
-        if not np.isfinite(values).all():
-            raise CorruptStreamError("non-finite dense payload",
-                                     payload_start)
+            if not np.isfinite(stored).all():
+                raise CorruptStreamError("non-finite dense payload",
+                                         payload_start)
+        values = stored.astype(np.float64)
         module = None
     else:
         if header.fmt == Format.INDEP:
-            support = reader.read_bits(n).nonzero()[0]
+            support = reader.read_bits(n).view(bool).nonzero()[0]
             b = header.bit_width
             bins = _values(reader.read_bits(n * b).reshape(n, b)[support])
         else:
@@ -471,36 +489,71 @@ def decode_at(reader: BitReader) -> DecodedModule:
                                   header.scale)
         values = None
     payload_bits = reader.pos - payload_start
-    pad = (-(reader.pos - start)) % 8
-    if pad and reader.read_bits(pad).any():
-        raise CorruptStreamError("nonzero padding bits", reader.pos - pad)
+    # the padding is the low bits of the byte holding the payload's last bit
+    pad = (start - reader.pos) % 8
+    if pad and reader.data[reader.pos // 8] & (1 << pad) - 1:
+        raise CorruptStreamError("nonzero padding bits", reader.pos)
+    reader.pos += pad
     return DecodedModule(header, module, values, payload_bits,
                          reader.pos - start)
 
 
+def _records_to_scan(groups: int, per_group: float, least: int) -> int:
+    """Records to read for groups still open at per_group records each:
+    the mean and four times its square root (a Poisson count's standard
+    deviation) more, and at least least."""
+    want = groups * per_group
+    return max(least, int(want + 4.0 * math.sqrt(want)) + 1)
+
+
 def _decode_grouped(reader: BitReader, header: ModuleHeader):
     n, c, b = header.count, header.group_size, header.bit_width
-    flagged = reader.read_bits(n // c).nonzero()[0]
+    groups, rec_w = n // c, index_bits(c) + b + 1
+    records_start = reader.pos + groups
+    max_records = max(0, (reader.end - records_start) // rec_w)
+    # the bitmap and the first records come in one read; a small module
+    # needs no other
+    take = min(64, max_records)
+    bits = reader.read_bits(groups + take * rec_w)
+    flagged = bits[:groups].view(bool).nonzero()[0]
     if flagged.size == 0:
+        reader.pos = records_start
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    rec_w = index_bits(c) + b + 1
-    records_start = reader.pos
-    max_records = reader.remaining // rec_w
-    # Records are flag-terminated; scan in growing chunks until every
-    # flagged group has closed. Each record is read as one field.
+    bits = bits[groups:]
+    # Records are flag-terminated: scan until every flagged group has
+    # closed, each chunk sized for the groups still open. The first
+    # guesses each group's records from the share of groups flagged, as
+    # if every position survived alike; later ones use the records seen.
+    share = flagged.size / groups
+    per_group = c * -math.expm1(math.log1p(-share) / c) / share \
+        if share < 1.0 else float(c)
+    want = _records_to_scan(flagged.size, per_group, 64)
+    if want > take:
+        take = min(want, max_records)
+        reader.pos = records_start
+        bits = reader.read_bits(take * rec_w)
     recs, ends = [], []            # per chunk: records, flagged rows
-    chunk, parsed, closed = max(64, 2 * flagged.size), 0, 0
-    while closed < flagged.size:
-        take = min(chunk, max_records - parsed)
+    parsed, closed = 0, 0
+    while True:
         if take <= 0:
             raise CorruptStreamError("records exhausted before all groups "
-                                     "closed", 8 * len(reader.data))
-        recs.append(_values(reader.read_bits(take * rec_w)
-                            .reshape(take, rec_w)))
-        ends.append((recs[-1] & 1).nonzero()[0] + parsed)
+                                     "closed", reader.end)
+        bits = bits.reshape(take, rec_w)
+        recs.append(_values(bits))
+        ends.append(bits[:, -1].view(bool).nonzero()[0] + parsed)
         closed += ends[-1].size
         parsed += take
-        chunk *= 2
+        if closed >= flagged.size:
+            break
+        # no group holds more than c records
+        per_group = parsed / closed if closed else float(c)
+        # at least half again what was read: a scan that keeps falling
+        # short still grows geometrically
+        take = min(_records_to_scan(flagged.size - closed, per_group,
+                                    max(64, parsed // 2)),
+                   max_records - parsed)
+        if take > 0:
+            bits = reader.read_bits(take * rec_w)
     rec, ends = ((recs[0], ends[0]) if len(recs) == 1
                  else (np.concatenate(recs), np.concatenate(ends)))
     ends = ends[:flagged.size]     # the record closing each group

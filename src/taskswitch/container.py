@@ -89,15 +89,16 @@ def load_container(path) -> tuple[list[tuple[str, list[DecodedModule]]], dict]:
     cursor = 5
     (n_tasks,) = _unpack("<H", data, cursor, path, "task count")
     cursor += 2
-    tasks = []
+    tasks, reader = [], BitReader(data)
     for _ in range(n_tasks):
         task_id, cursor = _read_id(data, cursor, path)
         (n_mods,) = _unpack("<H", data, cursor, path, "module count")
         cursor += 2
         mods = []
         for i in range(n_mods):
+            reader.pos = 8 * cursor
             try:
-                dm = decode_at(BitReader(data, cursor * 8))
+                dm = decode_at(reader)
             except CodecError as exc:   # the type and bit_offset stay
                 exc.args = (f"{path}: task {task_id!r} module {i}: {exc}",)
                 raise
@@ -193,7 +194,10 @@ def load_params(path) -> tuple[MlpSpec, ParamSet, str]:
             raise StructureError(f"{path}: module {name!r} is a "
                                  f"{dm.header.fmt.name} stream, not a dense "
                                  "parameter stream")
-    params = ParamSet([(name, dm.final_values())
+    # x * 1.0 is x bit for bit, so a scale-1 stream (every one save_params
+    # writes) keeps the decoder's array; no one else holds it
+    params = ParamSet([(name, dm.values if dm.header.scale == 1.0
+                        else dm.final_values())
                        for name, dm in zip(names, mods)])
     try:
         spec = MlpSpec.from_dict(metadata["model"])

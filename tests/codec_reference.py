@@ -14,8 +14,10 @@ every call, `_decode_grouped` reads the intra index and the bin as two
 fields and finds groups by a cumulative sum, and `decode_at` turns every
 INDEP row into a value before masking and reads zero padding bits. Only
 `decode_at`'s DENSE branch is older still: it unpacks and repacks the
-payload's bits. Every function here calls this module's own field and
-packing code, never the package's.
+payload's bits. The header is parsed and checked as it was before the
+decoder read masks as bool: `Format(tag)`, then a loop over the float
+fields. Every function here calls this module's own field, packing and
+header code, never the package's; only the BitReader is shared.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from taskswitch.codec import (
     COUNT_BITS,
     HEADER_BITS,
+    MAX_COUNT,
     MAX_GROUP,
     NOMINAL_HEADER_BITS,
     BitReader,
@@ -40,12 +43,50 @@ from taskswitch.codec import (
     EncodedModule,
     Format,
     ModuleHeader,
-    _check_header,
-    _read_header,
     expected_bits,
     indep_bits,
     index_bits,
 )
+
+
+def _check_header(h: ModuleHeader, at: int | None = None) -> None:
+    """The header rule of encoders (CodecError, CapacityError for the
+    count) and the decoder (CorruptStreamError at the header's offset)."""
+    def fail(message, error=CodecError):
+        raise error(message) if at is None else CorruptStreamError(message, at)
+
+    n, b, c = h.count, h.bit_width, h.group_size
+    if not 1 <= n < MAX_COUNT:
+        fail(f"element count {n} outside [1, {MAX_COUNT})", CapacityError)
+    for name in ("scale", "range_neg", "range_pos"):
+        if not math.isfinite(getattr(h, name)):
+            fail(f"non-finite header field {name}")
+    if h.fmt == Format.DENSE:
+        if b or h.range_neg or h.range_pos:
+            fail("dense header carries quantizer fields")
+    elif not 1 <= b <= 15 or min(h.range_neg, h.range_pos) < 0.0:
+        fail(f"no quantizer of width {b}, ranges {h.range_neg}, "
+             f"{h.range_pos}")
+    if not 1 <= c <= MAX_GROUP or n % c or c > 1 and h.fmt != Format.GROUPED:
+        fail(f"group size {c} must divide {n}, in a grouped stream only")
+
+
+def _read_header(r: BitReader) -> ModuleHeader:
+    start = r.pos
+    if r.remaining < HEADER_BITS:
+        raise CorruptStreamError("truncated stream", start)
+    # streams start on a byte boundary: the header is the top 137 of 18 bytes
+    word = int.from_bytes(r.data[start // 8:start // 8 + 18], "big") >> 7
+    r.pos += HEADER_BITS
+    ints = word >> 96
+    tag, b = ints >> 39, ints >> 35 & 0xF
+    cfield, n = ints >> COUNT_BITS & 0xFF, ints & (MAX_COUNT - 1)
+    if tag not in (0, 1, 2):
+        raise CorruptStreamError(f"unknown format tag {tag}", start)
+    header = ModuleHeader(Format(tag), b, cfield + 1, n, *struct.unpack(
+        ">3f", (word & ((1 << 96) - 1)).to_bytes(12, "big")))
+    _check_header(header, start)
+    return header
 
 
 def _fields(values, nbits: int) -> np.ndarray:

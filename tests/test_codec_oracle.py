@@ -8,6 +8,7 @@ import pytest
 import codec_reference as ref
 from taskswitch import codec
 from taskswitch.codec import (
+    HEADER_BITS,
     BitReader,
     CodecError,
     CompressedModule,
@@ -174,8 +175,11 @@ class TestReadWords:
     def test_matches_packed_bits_at_every_offset(self, skip):
         data = np.random.default_rng(skip).integers(
             0, 256, 41, dtype=np.uint8).tobytes()
-        for count in (0, 1, 9):
-            words, bits = (BitReader(data, 16 + skip) for _ in range(2))
+        # nine words from byte 2 end in byte 38 at skip 0, and in the
+        # last byte of the 39 at any other skip
+        for size, count in ((41, 0), (41, 1), (41, 2), (41, 9), (39, 9)):
+            words, bits = (BitReader(data[:size], 16 + skip)
+                           for _ in range(2))
             got = words.read_words(count)
             want = np.packbits(bits.read_bits(32 * count)).view(">u4")
             assert got.dtype == np.uint32
@@ -211,6 +215,7 @@ class TestDense:
             with pytest.raises(CodecError, match="finite in float32"):
                 encoder(values)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [1, 3])
     def test_every_cut_and_bit_flip_fails_the_same_way(self, n):
         _every_cut_and_bit_flip(encode_dense(_dense_values(n, 1), 0.7).data)
@@ -241,12 +246,33 @@ class TestQuantized:
 
     @pytest.mark.parametrize("b", [3, 15])
     def test_records_past_one_scan_chunk(self, b):
-        # the decoder scans max(64, 2 * flagged groups) records first and
-        # doubles the scan until every group has closed
+        # every group flagged: the first scan reads c records a group
         mod = _module(4 * 256, b, 1.0, seed=b)
-        assert mod.nnz > 2 * max(64, 2 * 4)
         _same_encoding(encode, ref.encode, mod, 256)
         _every_cut_and_bit_flip(encode(mod, 256).data, step=37)
+
+    @pytest.mark.parametrize("n, c, full", [(4096, 16, range(8, 256, 32)),
+                                            (2048, 256, [0, 3])])
+    def test_groups_fuller_than_the_first_guess(self, monkeypatch, n, c,
+                                                full):
+        # the first scan guesses a group's records from the share of
+        # groups flagged, as if survivors were spread alike; whole groups
+        # among empty ones hold more, so the scan goes on, sized by the
+        # records seen (at 256 the first chunks close no group)
+        support = np.concatenate([np.arange(g * c, (g + 1) * c)
+                                  for g in full])
+        bins = np.arange(support.size) % 8
+        mod = CompressedModule(n, support, bins, 3, 0.5, 0.25, 1.5)
+        data = encode(mod, c).data
+        reads = []
+        read_bits = BitReader.read_bits
+        monkeypatch.setattr(BitReader, "read_bits", lambda r, count: (
+            reads.append(count), read_bits(r, count))[1])
+        decode_at(BitReader(data))
+        assert len(reads) >= 2       # the bitmap and first chunk, then more
+        monkeypatch.undo()
+        _same_encoding(encode, ref.encode, mod, c)
+        _every_cut_and_bit_flip(data, step=41)
 
     @pytest.mark.parametrize("fmt", ["grouped", "indep"])
     def test_every_cut_and_bit_flip_fails_the_same_way(self, fmt):
@@ -262,6 +288,73 @@ class TestQuantized:
         # has no index bits, and 256 at width 15 makes 24-bit records
         mod = _module(n, b, 0.5 if n < 100 else 3 / n, seed=4)
         _every_cut_and_bit_flip(encode(mod, group_size=c).data)
+
+
+def _padding(enc) -> int:
+    return 8 * len(enc.data) - HEADER_BITS - enc.payload_bits
+
+
+def _survivors(n: int, count: int, seed: int) -> CompressedModule:
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.choice(n, count, replace=False))
+    return CompressedModule(n, support, rng.integers(0, 4, count), 2, 0.5,
+                            0.25, 1.5)
+
+
+EDGE_MASKS = {"clear": lambda n: np.zeros(0, np.int64),
+              "set": lambda n: np.arange(n),
+              "last": lambda n: np.array([n - 1])}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPadding:
+    """Streams that end at every padding width, and bitmaps and masks at
+    their edges, cut and flipped at every bit."""
+
+    @pytest.mark.parametrize("pad", range(8))
+    def test_grouped_at_every_padding_width(self, pad):
+        # 12 elements in groups of 4 at width 2: 137 header bits, a 3-bit
+        # bitmap, then 5 bits a record
+        nnz = next(k for k in range(8) if -(140 + 5 * k) % 8 == pad)
+        mod = _survivors(12, nnz, seed=pad)
+        enc = encode(mod, group_size=4)
+        assert _padding(enc) == pad
+        _same_encoding(encode, ref.encode, mod, 4)
+        _every_cut_and_bit_flip(enc.data)
+
+    @pytest.mark.parametrize("pad", range(8))
+    def test_indep_at_every_padding_width(self, pad):
+        # width 2: 137 + 3 bits an element
+        n = next(n for n in range(1, 9) if -(137 + 3 * n) % 8 == pad)
+        mod = _survivors(n, (n + 1) // 2, seed=pad)
+        enc = encode_indep(mod)
+        assert _padding(enc) == pad
+        _same_encoding(encode_indep, ref.encode_indep, mod)
+        _every_cut_and_bit_flip(enc.data)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_dense_pads_seven_bits_at_any_length(self, n):
+        # 137 + 32 n bits is one past a byte boundary, so no other width
+        # occurs
+        enc = encode_dense(_dense_values(n, n), 0.7)
+        assert _padding(enc) == 7
+        _every_cut_and_bit_flip(enc.data)
+
+    @pytest.mark.parametrize("mask", sorted(EDGE_MASKS))
+    def test_grouped_bitmap_edges(self, mask):
+        # 13 groups of 3: the bitmap crosses a byte boundary, and index
+        # bits can hold 3
+        support = EDGE_MASKS[mask](39)
+        mod = CompressedModule(39, support, support % 8, 3, 0.5, 0.25, 1.5)
+        _same_encoding(encode, ref.encode, mod, 3)
+        _every_cut_and_bit_flip(encode(mod, 3).data)
+
+    @pytest.mark.parametrize("mask", sorted(EDGE_MASKS))
+    def test_indep_mask_edges(self, mask):
+        support = EDGE_MASKS[mask](13)
+        mod = CompressedModule(13, support, support % 8, 3, 0.5, 0.25, 1.5)
+        _same_encoding(encode_indep, ref.encode_indep, mod)
+        _every_cut_and_bit_flip(encode_indep(mod).data)
 
 
 def _bad(support=(1, 2), bins=(0, 1), bit_width=2, range_neg=1.0,

@@ -272,6 +272,48 @@ class TestParamsFile:
             np.testing.assert_array_equal(
                 v2, v1.astype(np.float32).astype(np.float64))
 
+    def test_scale_one_load_is_bit_equal_to_the_stored_floats(self, tmp_path):
+        # the loaded arrays are the decoder's own when the scale is 1.0;
+        # x * 1.0 is x bit for bit, -0.0 and subnormals included
+        spec = MlpSpec((4, 3, 2))
+        ps = init_params(spec, seed=1)
+        tiny = float(np.finfo(np.float32).smallest_subnormal)
+        first = ps.modules[0][1]
+        first[:6] = [-0.0, 0.0, tiny, -tiny, 3.4e38, -1e-30]
+        p = tmp_path / "base.tswp"
+        save_params(p, spec, ps)
+        _, loaded, _ = load_params(p)
+        for (_, want), (_, got) in zip(ps.modules, loaded.modules):
+            stored = want.astype(np.float32).astype(np.float64)
+            assert got.dtype == np.float64
+            assert got.tobytes() == (stored * 1.0).tobytes()
+
+    def test_scaled_dense_stream_loads_scaled(self, tmp_path):
+        from taskswitch.codec import encode_dense
+        spec = MlpSpec((4, 3, 2))
+        ps = init_params(spec, seed=2)
+        p = tmp_path / "half.tswp"
+        save_container(p, [("m", [encode_dense(v, 0.5)
+                                  for _, v in ps.modules])],
+                       metadata={"model": spec.to_dict(),
+                                 "module_names": ps.names})
+        _, loaded, _ = load_params(p)
+        for (_, want), (_, got) in zip(ps.modules, loaded.modules):
+            stored = want.astype(np.float32).astype(np.float64)
+            assert got.tobytes() == (stored * 0.5).tobytes()
+
+    def test_loads_return_separate_writable_arrays(self, tmp_path):
+        spec = MlpSpec((4, 3, 2))
+        p = tmp_path / "base.tswp"
+        save_params(p, spec, init_params(spec, seed=3))
+        (_, first, _), (_, second, _) = load_params(p), load_params(p)
+        for (_, a), (_, b) in zip(first.modules, second.modules):
+            assert a.flags.writeable and b.flags.writeable
+            assert not np.shares_memory(a, b)
+            before = b.copy()
+            a += 1.0
+            np.testing.assert_array_equal(b, before)
+
     def test_missing_model_metadata_rejected(self, tmp_path):
         _, streams = _switch_streams(0)
         p = tmp_path / "nomodel.tsw"
