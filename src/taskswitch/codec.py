@@ -244,14 +244,13 @@ class BitReader:
     def __init__(self, data: bytes, pos: int = 0):
         self.data = data
         self.pos = pos       # in bits
-        self.end = 8 * len(data)
 
     @property
     def remaining(self) -> int:
-        return self.end - self.pos
+        return 8 * len(self.data) - self.pos
 
     def read_bits(self, count: int) -> np.ndarray:
-        if count > self.end - self.pos:
+        if count > self.remaining:
             raise CorruptStreamError("truncated stream", self.pos)
         lo, skip = divmod(self.pos, 8)
         nbytes = (skip + count + 7) // 8
@@ -261,7 +260,7 @@ class BitReader:
 
     def read_words(self, count: int) -> np.ndarray:
         """count big-endian 32-bit words as uint32, from any bit offset."""
-        if 32 * count > self.end - self.pos:
+        if 32 * count > self.remaining:
             raise CorruptStreamError("truncated stream", self.pos)
         lo, skip = divmod(self.pos, 8)
         self.pos += 32 * count
@@ -290,10 +289,9 @@ def _check_header(h: ModuleHeader, at: int | None = None) -> None:
     n, b, c = h.count, h.bit_width, h.group_size
     if not 1 <= n < MAX_COUNT:
         fail(f"element count {n} outside [1, {MAX_COUNT})", CapacityError)
-    if not math.isfinite(h.scale + h.range_neg + h.range_pos):
-        for name in ("scale", "range_neg", "range_pos"):
-            if not math.isfinite(getattr(h, name)):
-                fail(f"non-finite header field {name}")
+    for name in ("scale", "range_neg", "range_pos"):
+        if not math.isfinite(getattr(h, name)):
+            fail(f"non-finite header field {name}")
     if h.fmt == Format.DENSE:
         if b or h.range_neg or h.range_pos:
             fail("dense header carries quantizer fields")
@@ -334,7 +332,7 @@ _FLOATS = struct.Struct(">3f")
 
 def _read_header(r: BitReader) -> ModuleHeader:
     start = r.pos
-    if r.end - start < HEADER_BITS:
+    if r.remaining < HEADER_BITS:
         raise CorruptStreamError("truncated stream", start)
     # streams start on a byte boundary: the header is the top 137 of 18 bytes
     word = int.from_bytes(r.data[start // 8:start // 8 + 18], "big") >> 7
@@ -498,20 +496,12 @@ def decode_at(reader: BitReader) -> DecodedModule:
                          reader.pos - start)
 
 
-def _records_to_scan(groups: int, per_group: float, least: int) -> int:
-    """Records to read for groups still open at per_group records each:
-    the mean and four times its square root (a Poisson count's standard
-    deviation) more, and at least least."""
-    want = groups * per_group
-    return max(least, int(want + 4.0 * math.sqrt(want)) + 1)
-
-
 def _decode_grouped(reader: BitReader, header: ModuleHeader):
     n, c, b = header.count, header.group_size, header.bit_width
     groups, rec_w = n // c, index_bits(c) + b + 1
     records_start = reader.pos + groups
-    max_records = max(0, (reader.end - records_start) // rec_w)
-    # the bitmap and the first records come in one read; a small module
+    max_records = max(0, (reader.remaining - groups) // rec_w)
+    # the bitmap and the first 64 records come in one read; a small module
     # needs no other
     take = min(64, max_records)
     bits = reader.read_bits(groups + take * rec_w)
@@ -520,24 +510,20 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
         reader.pos = records_start
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     bits = bits[groups:]
-    # Records are flag-terminated: scan until every flagged group has
-    # closed, each chunk sized for the groups still open. The first
-    # guesses each group's records from the share of groups flagged, as
-    # if every position survived alike; later ones use the records seen.
-    share = flagged.size / groups
-    per_group = c * -math.expm1(math.log1p(-share) / c) / share \
-        if share < 1.0 else float(c)
-    want = _records_to_scan(flagged.size, per_group, 64)
-    if want > take:
-        take = min(want, max_records)
+    # Records are flag-terminated; scan in growing chunks until every
+    # flagged group has closed. A first chunk longer than the records
+    # read is read again from the first record (measured no slower than
+    # appending to them, which copies them all).
+    chunk, parsed, closed = max(64, 2 * flagged.size), 0, 0
+    if min(chunk, max_records) > take:
+        take = min(chunk, max_records)
         reader.pos = records_start
         bits = reader.read_bits(take * rec_w)
     recs, ends = [], []            # per chunk: records, flagged rows
-    parsed, closed = 0, 0
     while True:
         if take <= 0:
             raise CorruptStreamError("records exhausted before all groups "
-                                     "closed", reader.end)
+                                     "closed", 8 * len(reader.data))
         bits = bits.reshape(take, rec_w)
         recs.append(_values(bits))
         ends.append(bits[:, -1].view(bool).nonzero()[0] + parsed)
@@ -545,13 +531,8 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
         parsed += take
         if closed >= flagged.size:
             break
-        # no group holds more than c records
-        per_group = parsed / closed if closed else float(c)
-        # at least half again what was read: a scan that keeps falling
-        # short still grows geometrically
-        take = min(_records_to_scan(flagged.size - closed, per_group,
-                                    max(64, parsed // 2)),
-                   max_records - parsed)
+        chunk *= 2
+        take = min(chunk, max_records - parsed)
         if take > 0:
             bits = reader.read_bits(take * rec_w)
     rec, ends = ((recs[0], ends[0]) if len(recs) == 1

@@ -246,33 +246,34 @@ class TestQuantized:
 
     @pytest.mark.parametrize("b", [3, 15])
     def test_records_past_one_scan_chunk(self, b):
-        # every group flagged: the first scan reads c records a group
+        # the decoder scans max(64, 2 * flagged groups) records first and
+        # doubles the scan until every group has closed
         mod = _module(4 * 256, b, 1.0, seed=b)
+        assert mod.nnz > 2 * max(64, 2 * 4)
         _same_encoding(encode, ref.encode, mod, 256)
         _every_cut_and_bit_flip(encode(mod, 256).data, step=37)
 
-    @pytest.mark.parametrize("n, c, full", [(4096, 16, range(8, 256, 32)),
-                                            (2048, 256, [0, 3])])
-    def test_groups_fuller_than_the_first_guess(self, monkeypatch, n, c,
-                                                full):
-        # the first scan guesses a group's records from the share of
-        # groups flagged, as if survivors were spread alike; whole groups
-        # among empty ones hold more, so the scan goes on, sized by the
-        # records seen (at 256 the first chunks close no group)
-        support = np.concatenate([np.arange(g * c, (g + 1) * c)
-                                  for g in full])
-        bins = np.arange(support.size) % 8
-        mod = CompressedModule(n, support, bins, 3, 0.5, 0.25, 1.5)
-        data = encode(mod, c).data
-        reads = []
+    @pytest.mark.parametrize("per_group, reads", [
+        (1, [80 + 40 * 8]), (3, [80 + 64 * 8, 80 * 8, 40 * 8])])
+    def test_first_chunk_past_the_records_read_with_the_bitmap(
+            self, monkeypatch, per_group, reads):
+        # 40 of 80 groups of 16 flagged, 8-bit records: the first chunk is
+        # 80 records. The bitmap's read takes up to 64; with one record a
+        # group that is every record the stream holds, so nothing is read
+        # again, and with three the first chunk is read from its start
+        support = np.concatenate([g * 16 + np.arange(per_group)
+                                  for g in range(0, 80, 2)])
+        mod = CompressedModule(1280, support, support % 8, 3, 0.5, 0.25, 1.5)
+        data = encode(mod, 16).data
+        got = []
         read_bits = BitReader.read_bits
         monkeypatch.setattr(BitReader, "read_bits", lambda r, count: (
-            reads.append(count), read_bits(r, count))[1])
+            got.append(count), read_bits(r, count))[1])
         decode_at(BitReader(data))
-        assert len(reads) >= 2       # the bitmap and first chunk, then more
         monkeypatch.undo()
-        _same_encoding(encode, ref.encode, mod, c)
-        _every_cut_and_bit_flip(data, step=41)
+        assert got == reads
+        _same_encoding(encode, ref.encode, mod, 16)
+        _every_cut_and_bit_flip(data, step=7)
 
     @pytest.mark.parametrize("fmt", ["grouped", "indep"])
     def test_every_cut_and_bit_flip_fails_the_same_way(self, fmt):
