@@ -14,12 +14,18 @@ as one integer. Payloads:
   indep     n mask bits followed by b bits per element, zeros included;
   dense     32-bit float32 per element, no quantization.
 
-Bits are most-significant-first within each field (_fields and _values
-are the one place that order is coded, through big-endian words of 16
-bits, or 32 for a field wider than 16), fields concatenated in declaration
-order, streams zero-padded to a byte boundary. Every padding bit is
-validated on decode, by one mask on the byte that holds them, so a single
-flipped bit can never pass silently.
+Bits are most-significant-first within each field, fields concatenated
+in declaration order, streams zero-padded to a byte boundary. That order
+is coded in two places. _fields and _values turn fields into bit arrays
+and back through big-endian words of 16 bits, or 32 for a field wider
+than 16. The one-integer encoders shift each field into a Python integer
+that holds the whole stream, which to_bytes writes out once. They serve
+GROUPED and INDEP modules of at most SMALL_SURVIVORS survivors: their
+steps are linear in the survivors, where the numpy path pays a fixed cost
+of two dozen array calls a module, and on modules of up to 16k elements the
+two cross near 56 survivors. Every padding bit is validated on decode, by
+one mask on the byte that holds them, so a single flipped bit can never
+pass silently.
 
 Decoding reads the stream's bytes in place. A BitReader over a whole file
 unpacks only the bytes each read covers into bits; a grouped module's
@@ -35,6 +41,7 @@ per bit, and it is checked finite as float32, before it is widened.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -49,6 +56,9 @@ NOMINAL_HEADER_BITS = 35     # n(27) + group size(8); scale is counted by +32
 COUNT_BITS = 27
 MAX_COUNT = 1 << COUNT_BITS
 MAX_GROUP = 256
+# GROUPED and INDEP modules with at most this many survivors are encoded as
+# one Python integer, more through numpy: the measured crossover
+SMALL_SURVIVORS = 56
 
 
 class CodecError(ValueError):
@@ -302,32 +312,47 @@ def _check_header(h: ModuleHeader, at: int | None = None) -> None:
         fail(f"group size {c} must divide {n}, in a grouped stream only")
 
 
-def _header_bytes(header: ModuleHeader) -> bytes:
-    """The header as the top 137 bits of 18 bytes, the last 7 bits zero.
+_FORMATS = tuple(Format)
+_FLOATS = struct.Struct(">3f")
 
-    The header is one integer: format tag (2), bit width (4), group size
-    minus 1 (8) and count (27), then the three float32 fields.
-    """
+
+def _header_int(header: ModuleHeader) -> int:
+    """The 137 header bits as one integer: format tag (2), bit width (4),
+    group size minus 1 (8) and count (27), then the three float32 fields."""
     ints = ((header.fmt << 4 | header.bit_width) << 8
             | header.group_size - 1) << COUNT_BITS | header.count
-    floats = struct.pack(">3f", header.scale, header.range_neg,
-                         header.range_pos)
-    word = (ints << 96 | int.from_bytes(floats, "big")) << 7
-    return word.to_bytes(18, "big")
+    return ints << 96 | int.from_bytes(_FLOATS.pack(
+        header.scale, header.range_neg, header.range_pos), "big")
+
+
+def _header_bytes(header: ModuleHeader) -> bytes:
+    """The header as the top 137 bits of 18 bytes, the last 7 bits zero."""
+    return (_header_int(header) << 7).to_bytes(18, "big")
 
 
 def _pack(header: ModuleHeader, nnz: int,
           *payload: np.ndarray) -> EncodedModule:
-    """Header then payload bits, zero-padded to a byte boundary."""
-    head = np.unpackbits(np.frombuffer(_header_bytes(header), np.uint8))
-    bits = [p.reshape(-1) for p in payload]
-    data = np.packbits(np.concatenate([head[:HEADER_BITS], *bits]))
-    return EncodedModule(data.tobytes(), header, sum(b.size for b in bits),
-                         nnz)
+    """Header then payload bits, zero-padded to a byte boundary; each bit
+    array is copied once, into its place in the stream's bits."""
+    at = HEADER_BITS
+    bits = np.empty(at + sum(p.size for p in payload), dtype=np.uint8)
+    bits[:at] = np.unpackbits(np.frombuffer(_header_bytes(header), np.uint8),
+                              count=at)
+    for p in payload:
+        bits[at:at + p.size].reshape(p.shape)[...] = p
+        at += p.size
+    return EncodedModule(np.packbits(bits).tobytes(), header,
+                         at - HEADER_BITS, nnz)
 
 
-_FORMATS = tuple(Format)
-_FLOATS = struct.Struct(">3f")
+def _pack_int(header: ModuleHeader, nnz: int, payload: int,
+              payload_bits: int) -> EncodedModule:
+    """Header then a payload of payload_bits held in one integer, most
+    significant bit first, zero-padded to a byte boundary."""
+    pad = -(HEADER_BITS + payload_bits) % 8
+    word = (_header_int(header) << payload_bits | payload) << pad
+    return EncodedModule(word.to_bytes((HEADER_BITS + payload_bits + pad)
+                                       // 8, "big"), header, payload_bits, nnz)
 
 
 def _read_header(r: BitReader) -> ModuleHeader:
@@ -360,25 +385,38 @@ def _float32(v: float) -> float:
 
 
 def _module_header(module: CompressedModule, fmt: Format,
-                   group_size: int = 1) -> ModuleHeader:
-    """The stream header of a module whose support and bins are sound."""
+                   group_size: int = 1) -> tuple:
+    """The stream header of a module, then its support and bins once they
+    are found sound: as lists when there are at most SMALL_SURVIVORS of
+    them, else as the module's arrays."""
     n, b, support, bins = (module.length, module.bit_width, module.support,
                            module.bins)
-    header = ModuleHeader(fmt, b, group_size, n, _float32(module.scale),
-                          _float32(module.range_neg),
-                          _float32(module.range_pos))
+    floats = module.scale, module.range_neg, module.range_pos
+    try:                # one round trip unless one is past float32's range
+        floats = _FLOATS.unpack(_FLOATS.pack(*floats))
+    except OverflowError:
+        floats = tuple(map(_float32, floats))
+    header = ModuleHeader(fmt, b, group_size, n, *floats)
     _check_header(header)
     if support.ndim != 1 or bins.shape != support.shape:
         raise CodecError(f"{bins.size} bins for {support.size} positions")
-    if support.size:
-        if header.range_neg + header.range_pos == 0.0:
-            raise CodecError("degenerate quantizer cannot carry survivors")
-        if (support[0] < 0 or support[-1] >= n
-                or (support[1:] <= support[:-1]).any()):
-            raise CodecError(f"support not strictly increasing in [0, {n})")
-        if bins.min() < 0 or bins.max() >= 1 << b:
-            raise CodecError(f"bin index outside [0, {1 << b})")
-    return header
+    if support.size <= SMALL_SURVIVORS:
+        support, bins = support.tolist(), bins.tolist()
+    if not len(support):
+        return header, support, bins
+    if header.range_neg + header.range_pos == 0.0:
+        raise CodecError("degenerate quantizer cannot carry survivors")
+    if isinstance(support, list):
+        unsorted = any(map(operator.ge, support, support[1:]))
+        low, high = min(bins), max(bins)
+    else:
+        unsorted = (support[1:] <= support[:-1]).any()
+        low, high = bins.min(), bins.max()
+    if support[0] < 0 or support[-1] >= n or unsorted:
+        raise CodecError(f"support not strictly increasing in [0, {n})")
+    if low < 0 or high >= 1 << b:
+        raise CodecError(f"bin index outside [0, {1 << b})")
+    return header, support, bins
 
 
 def encode(module: CompressedModule,
@@ -386,36 +424,60 @@ def encode(module: CompressedModule,
     """Grouped-format encoding of a module's support and bins.
 
     Each record is one field, intra-group index, bin and end-of-group flag
-    packed into one integer.
+    packed into one integer. A module of at most SMALL_SURVIVORS survivors
+    builds its whole stream as one Python integer, in steps linear in the
+    survivors; a larger one builds bit arrays through numpy.
     """
-    n, nnz, support = module.length, module.nnz, module.support
+    n, nnz = module.length, module.nnz
     if group_size is not None:
         c = int(group_size)
     elif 1 <= n and nnz <= n:
         c = optimal_group(n, 1.0 - nnz / n)
     else:
         c = 1                          # refused by _module_header
-    header = _module_header(module, Format.GROUPED, c)
-    b = header.bit_width
+    header, support, bins = _module_header(module, Format.GROUPED, c)
+    b, groups = header.bit_width, n // c
+    rec_w = index_bits(c) + b + 1
+    if isinstance(support, list):      # few survivors: one integer
+        bitmap = records = 0
+        last = -1
+        for pos, v in zip(support, bins):
+            group = pos // c
+            if group != last:
+                bitmap |= 1 << groups - 1 - group
+                records |= last >= 0   # the end flag of the group before
+                last = group
+            records = records << rec_w | (pos - group * c) << b + 1 | v << 1
+        records |= last >= 0           # and of the last group
+        return _pack_int(header, nnz, bitmap << nnz * rec_w | records,
+                         groups + nnz * rec_w)
     group_id = support // c
-    group_any = np.zeros(n // c, dtype=np.uint8)
+    group_any = np.zeros(groups, dtype=np.uint8)
     group_any[group_id] = 1
-    intra = (support % c).astype(np.int64, copy=False)
-    rec = (intra << b | module.bins) << 1
+    intra = (support - group_id * c).astype(np.int64, copy=False)
+    rec = (intra << b | bins) << 1
     rec[:-1] |= group_id[1:] != group_id[:-1]    # end-of-group flags
     rec[-1:] |= 1
-    return _pack(header, nnz, group_any, _fields(rec, index_bits(c) + b + 1))
+    return _pack(header, nnz, group_any, _fields(rec, rec_w))
 
 
 def encode_indep(module: CompressedModule) -> EncodedModule:
-    """Mask-plus-fixed-width encoding: exactly (b+1)*n payload bits."""
-    header = _module_header(module, Format.INDEP)
-    mask = np.zeros(header.count, dtype=np.uint8)
-    mask[module.support] = 1
-    all_bins = np.zeros(header.count, dtype=np.int64)
-    all_bins[module.support] = module.bins
-    return _pack(header, module.nnz, mask,
-                 _fields(all_bins, header.bit_width))
+    """Mask-plus-fixed-width encoding: exactly (b+1)*n payload bits, built
+    as one Python integer up to SMALL_SURVIVORS survivors, as encode does."""
+    header, support, bins = _module_header(module, Format.INDEP)
+    n, b = header.count, header.bit_width
+    if isinstance(support, list):      # few survivors: one integer
+        mask = values = 0
+        for pos, v in zip(support, bins):
+            mask |= 1 << n - 1 - pos
+            values |= v << b * (n - 1 - pos)
+        return _pack_int(header, module.nnz, mask << n * b | values,
+                         n * (b + 1))
+    mask = np.zeros(n, dtype=np.uint8)
+    mask[support] = 1
+    all_bins = np.zeros(n, dtype=np.int64)
+    all_bins[support] = bins
+    return _pack(header, module.nnz, mask, _fields(all_bins, b))
 
 
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
@@ -434,8 +496,9 @@ def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
         stored = values.astype(np.float32)
     if not np.isfinite(stored).all():
         raise CodecError("dense values must be finite in float32")
-    nnz = int(np.count_nonzero(stored))   # what decode counts
     words = stored.view(np.uint32)
+    # what decode counts: the shift drops the sign, so -0.0 is zero too
+    nnz = int(np.count_nonzero(words << 1))
     head = _header_bytes(header)
     shifted = np.empty(words.size + 1, dtype=">u4")
     shifted[0] = head[17] >> 7 << 31   # the header's last bit

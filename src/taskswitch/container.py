@@ -35,21 +35,18 @@ def streams_from_params(params: ParamSet) -> list[EncodedModule]:
 
 def save_container(path, tasks: list[tuple[str, list[EncodedModule]]],
                    metadata: dict | None = None) -> None:
+    """Write the framing and each stream's bytes straight to the file,
+    opened only once every part is built and checked."""
     if max([len(tasks)] + [len(mods) for _, mods in tasks]) > 0xFFFF:
         raise CodecError(f"{path}: over 65535 tasks, or modules in a task")
-    buf = bytearray()
-    buf += MAGIC
-    buf.append(VERSION)
-    buf += struct.pack("<H", len(tasks))
+    parts = [struct.pack("<4sBH", MAGIC, VERSION, len(tasks))]
     for task_id, mods in tasks:
-        _write_id(buf, task_id, path)
-        buf += struct.pack("<H", len(mods))
-        for em in mods:
-            buf += em.data
+        parts.append(_id_bytes(task_id, path) + struct.pack("<H", len(mods)))
+        parts += (em.data for em in mods)
     meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
-    buf += struct.pack("<I", len(meta))
-    buf += meta
-    Path(path).write_bytes(bytes(buf))
+    parts += (struct.pack("<I", len(meta)), meta)
+    with open(path, "wb") as f:
+        f.writelines(parts)
 
 
 def _unpack(fmt: str, data: bytes, cursor: int, path, what: str):
@@ -58,14 +55,13 @@ def _unpack(fmt: str, data: bytes, cursor: int, path, what: str):
     return struct.unpack_from(fmt, data, cursor)
 
 
-def _write_id(buf: bytearray, task_id: str, path) -> None:
-    """Append the u16-length-prefixed UTF-8 task id _read_id reads back."""
+def _id_bytes(task_id: str, path) -> bytes:
+    """The u16-length-prefixed UTF-8 task id _read_id reads back."""
     ident = task_id.encode("utf-8")
     if len(ident) > 0xFFFF:
         raise CodecError(f"{path}: task id of {len(ident)} bytes is over "
                          "the 65535 a file can hold")
-    buf += struct.pack("<H", len(ident))
-    buf += ident
+    return struct.pack("<H", len(ident)) + ident
 
 
 def _read_id(data: bytes, cursor: int, path) -> tuple[str, int]:

@@ -215,12 +215,15 @@ class TestRoundTrips:
             dec.values, v.astype(np.float32).astype(np.float64))
 
     def test_dense_nnz_counts_stored_words(self):
-        # 1e-50 and -0.0 are stored as float32 zeros: the encoder counts
+        # 1e-50 and -0.0 are stored as float32 zeros, float32's smallest
+        # subnormal (sign bit clear or set) is not: the encoder counts
         # what the decoder will count
-        for values in ([1e-50, 2.0], [-0.0, 2.0], [1e-46, -1e-300, 0.0]):
+        tiny = float(np.finfo(np.float32).smallest_subnormal)
+        for values, nnz in (([1e-50, 2.0], 1), ([-0.0, 2.0], 1),
+                            ([1e-46, -1e-300, 0.0], 0), ([-0.0, -0.0], 0),
+                            ([tiny, -0.0, -tiny, 0.0], 2)):
             enc = encode_dense(np.array(values))
-            assert enc.nnz == decode(enc.data).nnz
-        assert encode_dense(np.array([1e-50, 2.0])).nnz == 1
+            assert enc.nnz == decode(enc.data).nnz == nnz
 
     def test_empty_mask_stream(self):
         enc = encode(_module(64, 1.0, 4, 0))

@@ -26,6 +26,13 @@ SPECIALS = [0.0, -0.0, float(F32.smallest_subnormal),
             -float(F32.tiny) * 0.75, float(F32.max), -float(F32.max)]
 GROUP_SIZES = [1, 2, 3, 5, 8, 13, 64, 255, 256]
 DENSITIES = [0.0, "one", 0.3, 1.0]
+# survivor counts on either side of the cutoff between the one-integer
+# encoders and the numpy ones; the group sizes 1 and 3 and 256 at width 15
+# (24-bit records) are the record widths' edges
+CUTOFF = codec.SMALL_SURVIVORS
+COUNTS = [0, CUTOFF - 1, CUTOFF, CUTOFF + 1]
+CUTOFF_WIDTHS = [1, 8, 15]
+CUTOFF_GROUPS = [1, 3, 256]
 ENCODERS = [(encode, ref.encode), (encode_indep, ref.encode_indep),
             (choose_format, ref.choose_format)]
 
@@ -117,10 +124,13 @@ def _dense_values(n: int, seed: int) -> np.ndarray:
 
 
 def _module(n: int, b: int, density, seed: int) -> CompressedModule:
-    """A random module; density "one" keeps a single random position."""
+    """A random module; density "one" keeps a single random position, and
+    an int that many."""
     rng = np.random.default_rng(seed)
     if density == "one":
         support = rng.integers(0, n, 1)
+    elif isinstance(density, int):
+        support = np.sort(rng.choice(n, density, replace=False))
     else:
         support = np.flatnonzero(rng.random(n) < density)
     bins = rng.integers(0, 1 << b, support.size)
@@ -224,20 +234,27 @@ class TestDense:
 class TestQuantized:
     @pytest.mark.parametrize("b", range(1, 16))
     def test_grouped_streams_and_decodes_match(self, b):
-        for c in GROUP_SIZES:
-            for density in DENSITIES:
-                mod = _module(7 * c, b, density, seed=b * c)
-                _same_encoding(encode, ref.encode, mod, c)
-                _same_encoding(encode, ref.encode, mod)
-                _same_encoding(choose_format, ref.choose_format, mod)
+        cases = [(7 * c, c, density) for c in GROUP_SIZES
+                 for density in DENSITIES]
+        if b in CUTOFF_WIDTHS:
+            cases += [(c * (CUTOFF + 2), c, count) for c in CUTOFF_GROUPS
+                      for count in COUNTS]
+        for n, c, density in cases:
+            mod = _module(n, b, density, seed=b * c)
+            _same_encoding(encode, ref.encode, mod, c)
+            _same_encoding(encode, ref.encode, mod)
+            _same_encoding(choose_format, ref.choose_format, mod)
 
     @pytest.mark.parametrize("b", range(1, 16))
     def test_indep_streams_and_decodes_match(self, b):
-        for n in (1, 7, 300):
-            for density in DENSITIES:
-                mod = _module(n, b, density, seed=b * n)
-                _same_encoding(encode_indep, ref.encode_indep, mod)
-                _same_encoding(choose_format, ref.choose_format, mod)
+        cases = [(n, density) for n in (1, 7, 300) for density in DENSITIES]
+        if b in CUTOFF_WIDTHS:
+            cases += [(CUTOFF + 1, count) for count in COUNTS]
+            cases += [(300, count) for count in COUNTS]
+        for n, density in cases:
+            mod = _module(n, b, density, seed=b * n)
+            _same_encoding(encode_indep, ref.encode_indep, mod)
+            _same_encoding(choose_format, ref.choose_format, mod)
 
     @pytest.mark.parametrize("b", [1, 4, 15])
     def test_large_indep_module(self, b):
@@ -378,13 +395,22 @@ BAD_MODULES = [
 
 
 class TestRefusals:
+    """Refused on the one-integer path the modules take at the cutoff, and
+    on the numpy path with the cutoff below every module."""
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mod", BAD_MODULES)
-    def test_every_encoder_refuses_as_before(self, mod):
-        for new, old in ENCODERS:
-            _same_encoding(new, old, mod)
+    def test_every_encoder_refuses_as_before(self, mod, monkeypatch):
+        for cutoff in (CUTOFF, -1):
+            monkeypatch.setattr(codec, "SMALL_SURVIVORS", cutoff)
+            for new, old in ENCODERS:
+                _same_encoding(new, old, mod)
 
     @pytest.mark.parametrize("length, c", [(10, 3), (10, 20), (10, 0),
                                            (514, 257), (8, -2)])
-    def test_inadmissible_group_refused_as_before(self, length, c):
-        _same_encoding(encode, ref.encode, _bad([], [], length=length), c)
+    def test_inadmissible_group_refused_as_before(self, length, c,
+                                                  monkeypatch):
+        for cutoff in (CUTOFF, -1):
+            monkeypatch.setattr(codec, "SMALL_SURVIVORS", cutoff)
+            _same_encoding(encode, ref.encode, _bad([], [], length=length),
+                           c)

@@ -19,6 +19,7 @@ from taskswitch import (CodecError, CompressedModule, MlpSpec, ParamSet,
                         read_dataset, save_bundle, save_index, save_params,
                         write_dataset)
 from taskswitch.cli import main
+from taskswitch.container import save_container
 from taskswitch.harness import MAX_LABEL
 
 REFUSALS = (CodecError, StructureError, ValueError)
@@ -152,6 +153,52 @@ def test_save_index_round_trips_or_refuses(task_ids, dim, data):
     np.testing.assert_array_equal(loaded.labels, labels)
     assert loaded.centers.tobytes() == _f32(centers).tobytes()
     assert loaded.projection.tobytes() == _f32(proj).tobytes()
+
+
+def _two_tasks(second_id):
+    mod = CompressedModule(4, np.array([1]), np.array([1]), 1, 1.0, 1.0, 0.5)
+    return [("t0", [choose_format(mod)]), (second_id, [choose_format(mod)])]
+
+
+def _non_finite_params():
+    spec = MlpSpec((2, 3, 2))
+    values = [np.ones(int(np.prod(shape))) for _, shape in
+              spec.module_shapes()]
+    values[1][-1] = np.inf
+    return spec, ParamSet(list(zip(spec.module_names(), values)))
+
+
+REFUSED_SAVES = {
+    "container of 65536 tasks": (
+        CodecError, "over 65535 tasks",
+        lambda p: save_container(p, [("t", [])] * 65536)),
+    "bundle id of 65536 bytes": (
+        CodecError, "task id of 65536 bytes",
+        lambda p: save_bundle(p, _two_tasks("é" * 32768), ["a"])),
+    "bundle name count": (
+        StructureError, "2 module names for 1 modules",
+        lambda p: save_bundle(p, _two_tasks("t1"), ["a", "b"])),
+    "params non-finite": (
+        CodecError, "finite in float32",
+        lambda p: save_params(p, *_non_finite_params())),
+    "index interleaved labels": (
+        StructureError, "one run, in task order",
+        lambda p: save_index(p, ReferenceIndex(
+            ["a", "b"], np.ones((3, 2)), np.array([0, 1, 0]),
+            np.ones((1, 2))))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_SAVES))
+def test_refused_save_leaves_the_file_it_would_replace(tmp_path, case):
+    # the writer refuses before the file is opened
+    refusal, message, write = REFUSED_SAVES[case]
+    path = tmp_path / "old"
+    save_bundle(path, _two_tasks("t1"), ["a"])
+    before = path.read_bytes()
+    with pytest.raises(refusal, match=f"^{path}: .*{message}"):
+        write(path)
+    assert path.read_bytes() == before
 
 
 # every finite float64, and the ones whose shortest text is unusual
