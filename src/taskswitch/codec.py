@@ -22,10 +22,10 @@ than 16. The one-integer encoders shift each field into a Python integer
 that holds the whole stream, which to_bytes writes out once. They serve
 GROUPED and INDEP modules of at most SMALL_SURVIVORS survivors: their
 steps are linear in the survivors, where the numpy path pays a fixed cost
-of two dozen array calls a module, and on modules of up to 16k elements the
-two cross near 56 survivors. Every padding bit is validated on decode, by
-one mask on the byte that holds them, so a single flipped bit can never
-pass silently.
+of some thirty array calls a module, and on modules of up to 16k elements
+the two cross near 56 survivors. Every padding bit is validated on
+decode, by one mask on the byte that holds them, so a single flipped bit
+can never pass silently.
 
 Decoding reads the stream's bytes in place. A BitReader over a whole file
 unpacks only the bytes each read covers into bits; a grouped module's
