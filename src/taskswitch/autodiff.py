@@ -136,17 +136,32 @@ sigmoid = Elementwise(_sigmoid_np,
 softplus = Elementwise(_softplus_np, lambda g, v, out: g * _sigmoid_np(v))
 
 
-def _segment_sums(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of consecutive runs of counts[k] entries along the last axis."""
-    counts = np.asarray(counts)
-    starts = counts.cumsum() - counts
-    if counts.all():
-        return np.add.reduceat(v, starts, axis=-1)
+class Runs(NamedTuple):
+    """Consecutive runs of counts[k] entries along an array's last axis:
+    where each begins, and which are non-empty (None when all are). What
+    `_segment_sums` works out from counts, kept where counts is fixed."""
+
+    counts: np.ndarray
+    starts: np.ndarray
+    live: np.ndarray | None
+
+    @classmethod
+    def of(cls, counts) -> "Runs":
+        counts = np.asarray(counts)
+        return cls(counts, counts.cumsum() - counts,
+                   None if counts.all() else counts > 0)
+
+
+def _segment_sums(v: np.ndarray, counts) -> np.ndarray:
+    """Sums of consecutive runs of counts[k] entries along the last axis;
+    counts may come as its Runs."""
+    runs = counts if isinstance(counts, Runs) else Runs.of(counts)
+    if runs.live is None:
+        return np.add.reduceat(v, runs.starts, axis=-1)
     # reduceat over the non-empty starts alone ends each run where the next
     # non-empty one begins; the empty runs stay zero.
-    live = counts > 0
-    out = np.zeros(v.shape[:-1] + counts.shape)
-    out[..., live] = np.add.reduceat(v, starts[live], axis=-1)
+    out = np.zeros(v.shape[:-1] + runs.counts.shape)
+    out[..., runs.live] = np.add.reduceat(v, runs.starts[runs.live], axis=-1)
     return out
 
 

@@ -10,6 +10,7 @@ deltas of different tasks genuinely conflict under a static merge.
 from __future__ import annotations
 
 import csv
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,11 @@ from .vectors import ParamSet, TaskVector, add
 ETA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
 MAX_PLACEMENT_TRIES = 100
 MAX_LABEL = np.iinfo(np.int64).max
+LABEL_DIGITS = len(str(MAX_LABEL))
+# A plain CSV's rows hold these bytes alone, and its labels these many
+# digits at most: below 2^53, so they parse exactly as float64.
+PLAIN_CHARS = b"0123456789+-.eE,\r\n"
+PLAIN_LABEL_DIGITS = 15
 
 
 @dataclass(frozen=True)
@@ -196,8 +202,82 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:
 
     The file must be UTF-8, and every row must have the header's width,
     finite float features and a non-negative integer label; a ValueError
-    names the file and the line.
+    names the file and the line. A plain file (`_parse_plain`) is parsed
+    in one numpy pass; any other text, and every refusal, goes through the
+    csv row loop, which alone reads quoted fields and names bad lines.
     """
+    with open(path, "rb") as fh:
+        parsed = _parse_plain(fh.read())
+    return _read_rows(path) if parsed is None else parsed
+
+
+def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """What `_read_rows` returns for a plain CSV, bit for bit; else None.
+
+    Plain: a UTF-8 header line with no quote, NUL or lone CR, ending in
+    'label'; then one or more rows of the header's width, none blank or
+    over the csv field limit, ending in LF or CRLF, made of PLAIN_CHARS
+    alone, each with a label of at most PLAIN_LABEL_DIGITS digits and
+    finite features. On those characters np.loadtxt and float() run the
+    same PyOS_string_to_double, so they agree; on others they do not
+    (loadtxt takes '1.5\\x1c' and refuses '1_0' and Unicode digits).
+    """
+    end = data.find(b"\n")
+    if end < 0:
+        return None
+    head, body = data[:end].removesuffix(b"\r"), data[end + 1:]
+    if body.translate(None, PLAIN_CHARS) \
+            or any(c in head for c in (b'"', b"\0", b"\r")):
+        return None
+    try:
+        header = head.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    text = body.decode("ascii")
+    rows = text.splitlines()
+    # a row per LF, and one unterminated; a lone CR would make one more
+    lfs = text.count("\n") + (not text.endswith(("\n", "\r")))
+    limit = csv.field_size_limit()
+    if not rows or len(rows) != lfs or len(header) > limit \
+            or header.rpartition(",")[2] != "label":
+        return None
+    widths = list(map(len, rows))
+    labels = [row[row.rfind(",") + 1:] for row in rows]
+    if min(widths) == 0 or max(widths) > limit \
+            or max(map(len, labels)) > PLAIN_LABEL_DIGITS \
+            or not "".join(labels).isdigit():
+        return None
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != header.count(",") + 1 \
+            or not np.isfinite(values).all():
+        return None
+    return (np.ascontiguousarray(values[:, :-1]),
+            values[:, -1].astype(np.int64))
+
+
+def _label_value(field: str) -> int | None:
+    """A label field's value if it is a decimal integer in [0, MAX_LABEL].
+
+    int() refuses strings of over 4,300 digits, so the significant digits
+    are counted first; leading zeros may be as many as they like.
+    """
+    label = field.strip()
+    if not label.isdecimal():
+        return None
+    if not label.isascii():
+        label = "".join(str(unicodedata.decimal(c)) for c in label)
+    digits = label.lstrip("0") or "0"
+    if len(digits) > LABEL_DIGITS:
+        return None
+    value = int(digits)
+    return value if value <= MAX_LABEL else None
+
+
+def _read_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """read_dataset through csv.reader, one row at a time."""
     x, y, lines = [], [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -214,12 +294,12 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {r.line_num}: "
                                      f"{exc}") from None
-                label = row[-1].strip()
-                if not label.isdecimal() or int(label) > MAX_LABEL:
+                label = _label_value(row[-1])
+                if label is None:
                     raise ValueError(f"{path}: line {r.line_num}: label "
                                      f"{row[-1]!r} is not a non-negative "
                                      "integer")
-                y.append(int(label))
+                y.append(label)
                 lines.append(r.line_num)
     except csv.Error as exc:
         raise ValueError(f"{path}: line {r.line_num}: {exc}") from None

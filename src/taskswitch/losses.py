@@ -31,17 +31,19 @@ def kl_loss(ref_logits: np.ndarray, cmp_logits, temperature: float = 4.0):
     tape node; its backward is that of the divide, log-softmax, subtract,
     product and sum as separate nodes, operation for operation.
     """
-    ref = np.asarray(ref_logits, dtype=np.float64)
-    if ref.ndim != 2:
-        raise ValueError("expected a (batch, classes) array")
+    return _kl(*reference_side("kl", ref_logits, temperature), cmp_logits,
+               temperature)
+
+
+def _kl(q: np.ndarray, log_q: np.ndarray, cmp_logits, temperature: float):
+    """kl_loss from its reference side: q = softmax(ref / T) and log(q)."""
     t = np.asarray(float(temperature))
-    factor = np.asarray(t * t / ref.shape[0])
-    q = ad.softmax(ref / t)
+    factor = np.asarray(t * t / q.shape[0])
     log_p, e, s = ad.log_softmax_parts(ad._np(cmp_logits) / t)
 
     def vjp(g):
         return (ad.log_softmax_vjp(-(g * factor * q), e, s) / t,)
-    return ad.record((cmp_logits,), (q * (np.log(q) - log_p)).sum() * factor,
+    return ad.record((cmp_logits,), (q * (log_q - log_p)).sum() * factor,
                      vjp)
 
 
@@ -98,13 +100,35 @@ def cka_loss(ref_feats: np.ndarray, cmp_feats):
     return ad.record((cmp_feats,), np.asarray(1.0) - num / den, vjp)
 
 
+def reference_side(kind: str, ref: np.ndarray, temperature: float = 4.0,
+                   ) -> tuple[np.ndarray, ...]:
+    """What a preservation loss takes from the reference rows alone, row by
+    row: softmax(ref / T) and its log for kl, the rows themselves for mse
+    and cka. Its arrays indexed by rows are those rows' side, so a training
+    run computes it once over all its exemplars."""
+    ref = np.asarray(ref, dtype=np.float64)
+    if kind == "kl":
+        if ref.ndim != 2:
+            raise ValueError("expected a (batch, classes) array")
+        q = ad.softmax(ref / np.asarray(float(temperature)))
+        return q, np.log(q)
+    if kind in ("mse", "cka"):
+        return (ref,)
+    raise ValueError(f"unknown preservation loss {kind!r}")
+
+
 def preservation_loss(kind: str, ref: np.ndarray, cmp,
                       temperature: float = 4.0):
     """Dispatch to one of the three preservation losses by name."""
+    return loss_from_side(kind, reference_side(kind, ref, temperature), cmp,
+                          temperature)
+
+
+def loss_from_side(kind: str, side: tuple[np.ndarray, ...], cmp,
+                   temperature: float = 4.0):
+    """preservation_loss of the rows whose reference_side is side."""
     if kind == "kl":
-        return kl_loss(ref, cmp, temperature=temperature)
+        return _kl(*side, cmp, temperature)
     if kind == "mse":
-        return mse_loss(ref, cmp)
-    if kind == "cka":
-        return cka_loss(ref, cmp)
-    raise ValueError(f"unknown preservation loss {kind!r}")
+        return mse_loss(side[0], cmp)
+    return cka_loss(side[0], cmp)

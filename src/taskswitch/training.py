@@ -9,13 +9,15 @@ with Adam on 7 scalars per module: a (3, L) array of gate logits (two
 thresholds and a scale logit per module) and an (L, 4) array of width
 logits, for L modules. All modules are laid end to end in one graph: the
 constants (the concatenated task and base vectors, the four candidate
-quantizations and the sign-class bounds) are built once per run, and each
-step broadcasts the two arrays to the elements, so the tape has the same
-number of nodes whatever the module count. The fine-tuned reference
-outputs are computed once and indexed per batch. After the last step the
-same gate function runs once more on the final gate array at the post-run
-temperature: an element survives where its soft membership exceeds 1/2,
-and each module keeps the candidate width of its largest width logit.
+quantizations, the sign-class bounds, the gate denominators and the module
+runs) are built once per run, and each step broadcasts the two arrays to
+the elements, so the tape has the same number of nodes whatever the module
+count. The fine-tuned reference outputs, and the preservation loss's side
+of them (softmax(ref / T) and its log for kl), are computed once and
+indexed per batch. After the last step the same gate function runs once
+more on the final gate array at the post-run temperature: an element
+survives where its soft membership exceeds 1/2, and each module keeps the
+candidate width of its largest width logit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .bitwidth import CANDIDATE_WIDTHS, QuantSpec, quantize, quantize_indices
 from .codec import CompressedModule, EncodedModule, choose_format
-from .losses import DEFAULT_LAMBDA, preservation_loss
+from .losses import DEFAULT_LAMBDA, loss_from_side, reference_side
 from .model import MlpSpec, check_params, forward
 from .optim import Adam, clip_global_norm
 from .seeding import rng_for
@@ -42,6 +44,8 @@ INIT_SCALE_LOGIT = math.log(math.e - 1.0)  # softplus(.) == 1 at init
 # the global gradient-norm clip, and the temperature decay every interval.
 LR_GATE, LR_BITS, CLIP_NORM = 0.05, 0.1, 10.0
 TEMP_DECAY, TEMP_INTERVAL = 0.9, 10
+
+WIDTHS = np.asarray(CANDIDATE_WIDTHS, dtype=np.float64)
 
 
 def squash(s):
@@ -136,6 +140,10 @@ class StackedModules:
     ranges: np.ndarray    # (2, L) quantizer range of each class
     width: np.ndarray     # (2, L) ranges - lo, the magnitude span
     quant: np.ndarray     # (4, N) tau quantized at each candidate width
+    runs: ad.Runs         # the modules as runs of the element axis
+    denom: np.ndarray     # (2, N) the gate's denominator over rho
+    spans: list           # (name, start, stop) of each module's elements
+    bit_norm: float       # the width term's normaliser
 
     @classmethod
     def build(cls, base: ParamSet, tv: TaskVector) -> "StackedModules":
@@ -154,11 +162,18 @@ class StackedModules:
                        [b.neg_min for b in bounds]])
         ranges = np.array([[qs[0].range_pos for qs in specs],
                            [qs[0].range_neg for qs in specs]])
+        width = ranges - lo
+        ends = np.cumsum(sizes)
         return cls(names=tv.names, sizes=sizes,
                    base=np.concatenate([base_lookup[n] for n in tv.names]),
                    signed=np.where(live, np.stack([tau, -tau]), 0.0),
                    live=live.astype(np.float64), lo=lo, ranges=ranges,
-                   width=ranges - lo, quant=np.concatenate(quant, axis=1))
+                   width=width, quant=np.concatenate(quant, axis=1),
+                   runs=ad.Runs.of(sizes),
+                   denom=np.repeat(np.maximum(width, EPS_RANGE), sizes,
+                                   axis=1),
+                   spans=list(zip(tv.names, ends - sizes, ends)),
+                   bit_norm=float(len(tv.names) * max(CANDIDATE_WIDTHS)))
 
 
 def _gate(sm: StackedModules, gates, rho: float):
@@ -172,8 +187,7 @@ def _gate(sm: StackedModules, gates, rho: float):
     of the chain of small ops they replace, operation for operation.
     """
     gv = ad._np(gates)
-    denom = np.repeat(rho * np.maximum(sm.width, EPS_RANGE), sm.sizes,
-                      axis=1)
+    denom = rho * sm.denom
     thresholds = sm.lo + squash(gv[:2]) * sm.width
     z = (sm.signed - np.repeat(thresholds, sm.sizes, axis=-1)) / denom
     member = ad.sigmoid.fwd(z)
@@ -181,7 +195,7 @@ def _gate(sm: StackedModules, gates, rho: float):
 
     def soft_vjp(g):
         g_z = ad.sigmoid.vjp(g * sm.live, z, member) / denom
-        g_thr = ad._segment_sums(-g_z, sm.sizes)
+        g_thr = ad._segment_sums(-g_z, sm.runs)
         grad = np.zeros_like(gv)
         grad[:2] = ad.arctan.vjp(g_thr * sm.width / math.pi, gv[:2], None)
         return (grad,)
@@ -208,15 +222,15 @@ def _mix(sm: StackedModules, scale, soft, w):
 
     def vjp(g):
         g_gated = g * blended
-        return (ad._segment_sums(g_gated * mv, sm.sizes), g_gated * rep,
-                ad._segment_sums(g * gated * sm.quant, sm.sizes).T)
+        return (ad._segment_sums(g_gated * mv, sm.runs), g_gated * rep,
+                ad._segment_sums(g * gated * sm.quant, sm.runs).T)
     return ad.record((scale, soft, w), sm.base + gated * blended, vjp)
 
 
 def _sparsity_term(sm: StackedModules, soft):
     """Mean soft membership, summed module by module first; one node."""
     n = np.asarray(float(sm.base.size))
-    value = ad._segment_sums(ad._np(soft), sm.sizes).sum() / n
+    value = ad._segment_sums(ad._np(soft), sm.runs).sum() / n
     return ad.record((soft,), value,
                      lambda g: (np.full(sm.base.shape, g / n),))
 
@@ -224,10 +238,9 @@ def _sparsity_term(sm: StackedModules, soft):
 def _width_term(w, norm: float):
     """Expected candidate width summed over modules, over norm; one node."""
     wv, norm = ad._np(w), np.asarray(norm)
-    widths = np.asarray(CANDIDATE_WIDTHS, dtype=np.float64)
-    value = (wv * widths).sum(axis=1).sum() / norm
+    value = (wv * WIDTHS).sum(axis=1).sum() / norm
     return ad.record((w,), value,
-                     lambda g: (np.full(wv.shape, g / norm) * widths,))
+                     lambda g: (np.full(wv.shape, g / norm) * WIDTHS,))
 
 
 def _slice(flat, start: int, stop: int):
@@ -243,18 +256,18 @@ def _slice(flat, start: int, stop: int):
 
 def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
                    batch_x: np.ndarray, kind: str, lam: float, temp: float,
-                   rho: float, omega: float):
+                   rho: float, omega: float, side=None):
     """Build objective(leaves) for one batch: one graph for all modules.
 
     leaves maps "gates" to the (3, L) gate logits (threshold_pos,
     threshold_neg and scale logit per module) and "bits" to the (L, 4)
     width logits, arrays or Vars. Per-module values reach the elements
     inside the fused gate and mix nodes, so the tape has the same number of
-    nodes whatever the module count, apart from the forward pass.
+    nodes whatever the module count, apart from the forward pass. side is
+    the batch's losses.reference_side, computed from ref when not given.
     """
-    bit_norm = float(len(sm.names) * max(CANDIDATE_WIDTHS))
-    ends = np.cumsum(sm.sizes)
-    spans = list(zip(sm.names, ends - sm.sizes, ends))
+    if side is None:
+        side = reference_side(kind, ref, temp)
 
     def objective(leaves, return_parts: bool = False):
         soft, scale = _gate(sm, leaves["gates"], rho)
@@ -263,12 +276,12 @@ def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
         w = ad.softmax(ad.record((bits,), ad._np(bits) / omega,
                                  lambda g: (g / omega,)))
         flat = _mix(sm, scale, soft, w)
-        params = {n: _slice(flat, a, b) for n, a, b in spans}
+        params = {n: _slice(flat, a, b) for n, a, b in sm.spans}
         out = forward(spec, params, batch_x)
         cmp = out.features if kind == "cka" else out.logits
-        l_per = preservation_loss(kind, ref, cmp, temperature=temp)
+        l_per = loss_from_side(kind, side, cmp, temperature=temp)
         l_sp = _sparsity_term(sm, soft)
-        l_bit = _width_term(w, bit_norm)
+        l_bit = _width_term(w, sm.bit_norm)
         total = ad.record(
             (l_sp, l_bit, l_per),
             (ad._np(l_sp) + ad._np(l_bit)) + ad._np(l_per) * lam,
@@ -308,6 +321,7 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         raise ValueError("need a positive batch size and exemplar count")
 
     ref_all = reference_outputs(spec, finetuned, exemplars, config.loss_kind)
+    side_all = reference_side(config.loss_kind, ref_all, config.softmax_temp)
     stacked = StackedModules.build(base, tv)
 
     leaves = {"gates": np.tile([[0.0], [0.0], [INIT_SCALE_LOGIT]],
@@ -322,7 +336,8 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         idx = batch_rng.integers(0, n_ex, size=config.batch_size)
         obj = make_objective(spec, stacked, ref_all[idx], exemplars[idx],
                              config.loss_kind, config.lam,
-                             config.softmax_temp, rho, omega)
+                             config.softmax_temp, rho, omega,
+                             side=tuple(a[idx] for a in side_all))
         (_, parts), grads = ad.value_and_grad(
             lambda lv: obj(lv, return_parts=True), leaves)
         if not math.isfinite(parts["total"]):

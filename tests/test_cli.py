@@ -517,7 +517,10 @@ class TestErrorPaths:
         ("1,2,-1\n", "line 2: label '-1' is not a non-negative integer"),
         ("1,2,1.5\n", "line 2: label '1.5' is not a non-negative integer"),
         ("1,2,0\n1,2,3\n", "label 3 is out of range for the model's 3 classes"),
-    ], ids=["ragged", "nan", "negative", "fraction", "too-large"])
+        ("1,2," + "1" * 5000 + "\n",
+         f"line 2: label '{'1' * 5000}' is not a non-negative integer"),
+    ], ids=["ragged", "nan", "negative", "fraction", "too-large",
+            "5000-digits"])
     def test_bad_training_csv_exits_2(self, tmp_path, capsys, rows, what):
         path = tmp_path / "train.csv"
         path.write_text("x0,x1,label\n" + rows)
