@@ -131,4 +131,6 @@ def loss_from_side(kind: str, side: tuple[np.ndarray, ...], cmp,
         return _kl(*side, cmp, temperature)
     if kind == "mse":
         return mse_loss(side[0], cmp)
-    return cka_loss(side[0], cmp)
+    if kind == "cka":
+        return cka_loss(side[0], cmp)
+    raise ValueError(f"unknown preservation loss {kind!r}")

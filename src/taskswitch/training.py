@@ -254,9 +254,10 @@ def _slice(flat, start: int, stop: int):
     return ad.record((flat,), fv[start:stop], vjp)
 
 
-def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
-                   batch_x: np.ndarray, kind: str, lam: float, temp: float,
-                   rho: float, omega: float, side=None):
+def make_objective(spec: MlpSpec, sm: StackedModules,
+                   side: tuple[np.ndarray, ...], batch_x: np.ndarray,
+                   kind: str, lam: float, temp: float, rho: float,
+                   omega: float):
     """Build objective(leaves) for one batch: one graph for all modules.
 
     leaves maps "gates" to the (3, L) gate logits (threshold_pos,
@@ -264,10 +265,8 @@ def make_objective(spec: MlpSpec, sm: StackedModules, ref: np.ndarray,
     width logits, arrays or Vars. Per-module values reach the elements
     inside the fused gate and mix nodes, so the tape has the same number of
     nodes whatever the module count, apart from the forward pass. side is
-    the batch's losses.reference_side, computed from ref when not given.
+    losses.reference_side of the batch's reference outputs.
     """
-    if side is None:
-        side = reference_side(kind, ref, temp)
 
     def objective(leaves, return_parts: bool = False):
         soft, scale = _gate(sm, leaves["gates"], rho)
@@ -334,10 +333,9 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
     for step in range(config.steps):
         rho = omega = temperature_schedule(step)
         idx = batch_rng.integers(0, n_ex, size=config.batch_size)
-        obj = make_objective(spec, stacked, ref_all[idx], exemplars[idx],
-                             config.loss_kind, config.lam,
-                             config.softmax_temp, rho, omega,
-                             side=tuple(a[idx] for a in side_all))
+        obj = make_objective(spec, stacked, tuple(a[idx] for a in side_all),
+                             exemplars[idx], config.loss_kind, config.lam,
+                             config.softmax_temp, rho, omega)
         (_, parts), grads = ad.value_and_grad(
             lambda lv: obj(lv, return_parts=True), leaves)
         if not math.isfinite(parts["total"]):

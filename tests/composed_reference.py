@@ -279,10 +279,10 @@ def width_term(w, norm):
     return div(sum_(sum_(mul(w, widths), axis=1)), norm)
 
 
-def make_objective(spec, sm, ref, batch_x, kind, lam, temp, rho, omega,
-                   side=None):
-    """`training.make_objective` with every piece composed. The reference
-    side is recomputed from ref, whatever side the caller passes."""
+def make_objective(spec, sm, ref, batch_x, kind, lam, temp, rho, omega):
+    """`training.make_objective` with every piece composed. It takes the
+    batch's raw reference outputs, not their `losses.reference_side`, and
+    composes the preservation loss from them."""
     bit_norm = float(len(sm.names) * max(CANDIDATE_WIDTHS))
     ends = np.cumsum(sm.sizes)
     spans = list(zip(sm.names, ends - sm.sizes, ends))

@@ -17,7 +17,7 @@ from taskswitch.codec import (NOMINAL_HEADER_BITS, CompressedModule,
                               CorruptStreamError, choose_format, decode, encode, encode_dense,
                               encode_indep, expected_bits, indep_bits,
                               index_bits, optimal_group)
-from taskswitch.losses import DEFAULT_LAMBDA
+from taskswitch.losses import DEFAULT_LAMBDA, reference_side
 from taskswitch.merging import ReferenceIndex, knn_weights
 from taskswitch.model import MlpSpec, features, init_params
 from taskswitch.switch import build_switch
@@ -258,9 +258,9 @@ def test_06_gradient_check(capsys):
         ref = reference_outputs(mspec, finetuned, exemplars, kind)
         rho = 0.9 ** int(rng.integers(0, 6))
         omega = 0.9 ** int(rng.integers(0, 6))
-        obj = make_objective(mspec, StackedModules.build(base, tv), ref,
-                             exemplars, kind, DEFAULT_LAMBDA[kind], 4.0, rho,
-                             omega)
+        obj = make_objective(mspec, StackedModules.build(base, tv),
+                             reference_side(kind, ref, 4.0), exemplars, kind,
+                             DEFAULT_LAMBDA[kind], 4.0, rho, omega)
         n_mod = len(tv.modules)
         leaves = {"gates": np.empty((3, n_mod)), "bits": np.empty((n_mod, 4))}
         for m in range(n_mod):

@@ -12,7 +12,7 @@ import pytest
 
 from taskswitch import autodiff as ad
 from taskswitch import harness, merging, training
-from taskswitch.losses import cka_loss, kl_loss, mse_loss
+from taskswitch.losses import cka_loss, kl_loss, mse_loss, reference_side
 from taskswitch.model import (ACTIVATIONS, MlpSpec, cross_entropy, dense,
                               init_params)
 from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
@@ -223,10 +223,11 @@ def _objectives(spec, seed, kind, rho, omega, signs=None):
     sm, _, _, finetuned = _stacked(spec, seed, signs)
     x = np.random.default_rng(seed).standard_normal((12, spec.input_dim))
     ref = reference_outputs(spec, finetuned, x, kind)
-    args = (spec, sm, ref, x, kind, 0.3, 4.0, rho, omega)
+    args = (x, kind, 0.3, 4.0, rho, omega)
     leaves = {"gates": _gates(len(sm.names)),
               "bits": 0.7 * RNG.normal(size=(len(sm.names), 4))}
-    return make_objective(*args), cr.make_objective(*args), leaves
+    return (make_objective(spec, sm, reference_side(kind, ref, 4.0), *args),
+            cr.make_objective(spec, sm, ref, *args), leaves)
 
 
 class TestObjective:
@@ -251,7 +252,15 @@ def test_compression_run_matches_chain_step_by_step(monkeypatch, kind):
     config = TrainConfig(loss_kind=kind, steps=40, exemplar_count=16,
                          batch_size=8)
     got = training.train(tv, base, finetuned, x, SMALL, config)
-    monkeypatch.setattr(training, "make_objective", cr.make_objective)
+    ref_all = reference_outputs(SMALL, finetuned, x, kind)
+
+    def composed(spec, sm, side, batch_x, *rest):
+        # train indexes the reference side of all exemplar rows per batch;
+        # the chain ignores it and composes the loss from the batch's raw
+        # reference rows, found by matching the batch's inputs.
+        rows = (batch_x[:, None] == x[None]).all(axis=2).argmax(axis=1)
+        return cr.make_objective(spec, sm, ref_all[rows], batch_x, *rest)
+    monkeypatch.setattr(training, "make_objective", composed)
     want = training.train(tv, base, finetuned, x, SMALL, config)
     assert got.history == want.history
     assert _bits(got.gates) == _bits(want.gates)

@@ -14,6 +14,7 @@ from taskswitch import (
     mse_loss,
     preservation_loss,
 )
+from taskswitch.losses import loss_from_side
 
 
 class TestKl:
@@ -148,6 +149,10 @@ class TestDispatchAndPresets:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             preservation_loss("huber", np.ones((2, 2)), np.ones((2, 2)))
+
+    def test_unknown_kind_rejected_from_a_side(self):
+        with pytest.raises(ValueError, match="unknown preservation loss"):
+            loss_from_side("huber", (np.ones((2, 2)),), np.ones((2, 2)))
 
     def test_preset_tables(self):
         assert LAMBDA_PRESETS["kl"] == (0.1, 0.3, 0.5, 0.7, 0.9)

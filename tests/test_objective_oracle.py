@@ -13,7 +13,8 @@ import pytest
 
 from taskswitch import autodiff as ad
 from taskswitch.bitwidth import CANDIDATE_WIDTHS, QuantSpec
-from taskswitch.losses import DEFAULT_LAMBDA, preservation_loss
+from taskswitch.losses import (DEFAULT_LAMBDA, preservation_loss,
+                               reference_side)
 from taskswitch.model import MlpSpec, forward, init_params
 from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
                                  TrainConfig, make_objective,
@@ -110,7 +111,8 @@ def _compare(spec, seed, kind, rho, omega, signs=None):
     args = (ref, x, kind, DEFAULT_LAMBDA[kind], 4.0, rho, omega)
     want_val, want = _value_and_grads(
         _reference_objective(spec, base, tv, *args), leaves)
-    obj = make_objective(spec, StackedModules.build(base, tv), *args)
+    obj = make_objective(spec, StackedModules.build(base, tv),
+                         reference_side(kind, ref, 4.0), *args[1:])
     got_val, got = _value_and_grads(obj, leaves)
     assert np.isfinite(want_val)
     assert got_val == pytest.approx(want_val, rel=REL, abs=0.0)

@@ -20,6 +20,7 @@ from taskswitch import (
     materialize,
     train,
 )
+from taskswitch.losses import reference_side
 from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
                                  make_objective, reference_outputs)
 
@@ -55,8 +56,9 @@ class TestObjective:
     def _objective(self, kind="kl", lam=0.3):
         base, tv, finetuned, exemplars = _setup()
         ref = reference_outputs(SPEC, finetuned, exemplars, kind)
-        obj = make_objective(SPEC, StackedModules.build(base, tv), ref,
-                             exemplars, kind, lam, 4.0, rho=1.0, omega=1.0)
+        obj = make_objective(SPEC, StackedModules.build(base, tv),
+                             reference_side(kind, ref, 4.0), exemplars, kind,
+                             lam, 4.0, rho=1.0, omega=1.0)
         n_mod = len(tv.modules)
         leaves = {"gates": np.tile([[0.0], [0.0], [INIT_SCALE_LOGIT]], n_mod),
                   "bits": np.zeros((n_mod, 4))}
