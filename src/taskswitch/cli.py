@@ -456,9 +456,13 @@ def cmd_train_metric(args) -> int:
     index = _load_index(args.index, spec)
     pairs = _index_inputs(args, spec)
     feats = [(name, features(spec, base, x)) for name, x in pairs]
-    result = merging.train_metric(index, feats, rank=args.rank,
-                                  epochs=args.epochs, lr=args.lr,
-                                  n_neighbors=args.neighbors, seed=args.seed)
+    try:
+        result = merging.train_metric(index, feats, rank=args.rank,
+                                      epochs=args.epochs, lr=args.lr,
+                                      n_neighbors=args.neighbors,
+                                      seed=args.seed)
+    except StructureError as exc:   # --task names against the index's
+        raise StructureError(f"--index {args.index}: {exc}") from None
     merging.save_index(args.out, result.index)
     print(f"loss {result.losses[0]:.6f} -> {result.losses[-1]:.6f} "
           f"over {len(result.losses)} epochs")

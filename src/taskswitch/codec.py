@@ -46,6 +46,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ class Format(IntEnum):
     DENSE = 2
 
 
-@dataclass(frozen=True)
-class ModuleHeader:
+class ModuleHeader(NamedTuple):
     fmt: Format
     bit_width: int       # 0 for DENSE, else 1..15
     group_size: int      # 1 unless GROUPED

@@ -10,6 +10,7 @@ deltas of different tasks genuinely conflict under a static merge.
 from __future__ import annotations
 
 import csv
+import math
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ from .model import MlpSpec, accuracy, check_params, cross_entropy, forward
 from .optim import Adam, Sgd
 from .seeding import rng_for
 from .switch import build_switch, pulse_mask
+from .training import TrainingDivergedError
 from .vectors import ParamSet, TaskVector, add
 
 ETA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
@@ -325,6 +327,10 @@ def write_tasks(out_dir, tasks: list[TaskData]) -> list[Path]:
     return written
 
 
+# A step whose loss is not finite, or a last step that leaves a parameter
+# non-finite, raises TrainingDivergedError naming it, as training.train
+# does; numpy's floating-point warnings on the way would only repeat that.
+@np.errstate(all="ignore")
 def fine_tune(spec: MlpSpec, params: ParamSet, x: np.ndarray, y: np.ndarray,
               steps: int = 500, lr: float = 0.01, batch_size: int = 32,
               optimizer: str = "adam", seed: int = 0) -> ParamSet:
@@ -338,13 +344,18 @@ def fine_tune(spec: MlpSpec, params: ParamSet, x: np.ndarray, y: np.ndarray,
     opts = {name: optimizers[optimizer]() for name in params.names}
     rng = rng_for(seed, "fine-tune")
     values = dict(params.copy().modules)
-    for _ in range(steps):
+    for step in range(steps):
         idx = rng.integers(0, x.shape[0], size=batch_size)
-        _, grads = ad.value_and_grad(
+        loss, grads = ad.value_and_grad(
             lambda leaves: cross_entropy(
                 forward(spec, leaves, x[idx]).logits, y[idx]), values)
+        parts = {"loss": float(ad._np(loss))}
+        if not math.isfinite(parts["loss"]):
+            raise TrainingDivergedError(step, parts, "loss")
         values = {name: opts[name].step(v, grads[name], lr)
                   for name, v in values.items()}
+    if steps and not all(np.isfinite(v).all() for v in values.values()):
+        raise TrainingDivergedError(steps - 1, parts, "parameters")
     return ParamSet(list(values.items()))
 
 

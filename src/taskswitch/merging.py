@@ -22,7 +22,7 @@ from .codec import CodecError, encode_dense
 from .container import load_container, save_container
 # forward is unused here but stays importable: the benchmark traces
 # merging.forward by name
-from .model import ACTIVATIONS, MlpSpec, features, forward  # noqa: F401
+from .model import MlpSpec, features, forward  # noqa: F401
 from .optim import Adam
 from .seeding import rng_for
 from .training import CompressedTaskVector, TrainingDivergedError
@@ -275,8 +275,10 @@ def train_metric(index: ReferenceIndex,
                  rank: int = 32, epochs: int = 100, lr: float = 0.5,
                  n_neighbors: int = 10, seed: int = 0) -> MetricTrainResult:
     """Learn the low-rank projection by full-batch Adam on the ratio loss."""
-    if tuple(t for t, _ in task_features) != index.task_ids:
-        raise StructureError("feature tasks do not match the index")
+    tasks = tuple(t for t, _ in task_features)
+    if tasks != index.task_ids:
+        raise StructureError(f"feature tasks {list(tasks)} do not match the "
+                             f"index's tasks {list(index.task_ids)}")
     _check_neighbors(index, n_neighbors)
     feats = np.vstack([f for _, f in task_features])
     task_of_row = np.concatenate([
@@ -354,6 +356,14 @@ def _nearest(d: np.ndarray, n_neighbors: int) -> np.ndarray:
     return chosen
 
 
+def _check_bundle(base: ParamSet, sv: CompressedTaskVector) -> None:
+    """check_aligned(base, sv), its StructureError naming the bundle."""
+    try:
+        check_aligned(base, sv)
+    except StructureError as exc:
+        raise StructureError(f"bundle {sv.task_id!r}: {exc}") from None
+
+
 def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
                 weights) -> ParamSet:
     """base + sum_k w_k * vector_k touching only the union of supports.
@@ -367,10 +377,7 @@ def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
     for w, sv in zip(weights, vectors):
         if w == 0.0:
             continue
-        try:
-            check_aligned(base, sv)
-        except StructureError as exc:
-            raise StructureError(f"bundle {sv.task_id!r}: {exc}") from None
+        _check_bundle(base, sv)
         for (_, acc), (_, mod) in zip(out, sv.modules):
             acc[mod.support] += w * mod.values
     return ParamSet(out)
@@ -399,26 +406,19 @@ def _mixed_logits(spec: MlpSpec, base: ParamSet,
             block[t, mod.support] = mod.values
         return block
 
-    layers = []
-    for i in range(spec.n_layers):
-        fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
-        wname, bname = f"layer{i}.weight", f"layer{i}.bias"
-        layers.append((lookup[wname].reshape(fan_out, fan_in).T,
-                       lookup[bname],
-                       deltas(wname).reshape(k * fan_out, fan_in).T,
-                       deltas(bname), fan_out))
-    act = ACTIVATIONS[spec.activation]
-    logits = np.empty((n, spec.widths[-1]))
+    layers = [(lookup[wname].reshape(fan_out, fan_in).T, lookup[bname],
+               deltas(wname).reshape(k * fan_out, fan_in).T, deltas(bname),
+               fan_out, act)
+              for wname, bname, fan_in, fan_out, act in spec.layers]
+    logits = np.empty((n, spec.n_classes))
     for lo in range(0, n, _BLOCK_ROWS):
         a, wb = x[lo:lo + _BLOCK_ROWS], w[lo:lo + _BLOCK_ROWS]
-        for i, (weight_t, bias, delta_t, delta_b, fan_out) in \
-                enumerate(layers):
+        for weight_t, bias, delta_t, delta_b, fan_out, act in layers:
             mixed = (a @ delta_t).reshape(len(a), k, fan_out)
             z = (a @ weight_t + bias
                  + np.matmul(wb[:, None, :], mixed)[:, 0] + wb @ delta_b)
-            if i < spec.n_layers - 1:
-                a = act.fwd(z)
-        logits[lo:lo + _BLOCK_ROWS] = z
+            a = z if act is None else act.fwd(z)
+        logits[lo:lo + _BLOCK_ROWS] = a
     return logits
 
 
@@ -442,10 +442,7 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
         raise StructureError(f"bundle is missing tasks {missing}")
     ordered = [by_id[t] for t in index.task_ids]
     for sv in ordered:
-        try:
-            check_aligned(base, sv)
-        except StructureError as exc:
-            raise StructureError(f"bundle {sv.task_id!r}: {exc}") from None
+        _check_bundle(base, sv)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     w = knn_weights(index, features(spec, base, x), n_neighbors)
     logits = _mixed_logits(spec, base, ordered, x, w)

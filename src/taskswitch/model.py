@@ -1,13 +1,14 @@
 """Small MLP classifier expressed over flat per-module parameter vectors.
 
-Module names follow "layer{i}.weight" / "layer{i}.bias"; weights are stored
-row-major flattened (out x in). The penultimate activation doubles as the
+MlpSpec.layers states the layout once: module names, fans and which layers
+take the hidden activation. The penultimate activation doubles as the
 feature extractor for query building.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,13 +55,20 @@ class MlpSpec:
         """Width of the penultimate activation (the feature extractor)."""
         return self.widths[-2]
 
+    @cached_property
+    def layers(self) -> tuple[tuple, ...]:
+        """(weight name, bias name, fan in, fan out, activation) per layer,
+        input layer first, built once: the layer rule every pass reads. A
+        weight is stored (fan out, fan in); the output layer's act is None."""
+        act = ACTIVATIONS[self.activation]
+        return tuple((f"layer{i}.weight", f"layer{i}.bias", fan_in, fan_out,
+                      act if i < self.n_layers - 1 else None)
+                     for i, (fan_in, fan_out)
+                     in enumerate(zip(self.widths, self.widths[1:])))
+
     def module_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        shapes = []
-        for i in range(self.n_layers):
-            fan_in, fan_out = self.widths[i], self.widths[i + 1]
-            shapes.append((f"layer{i}.weight", (fan_out, fan_in)))
-            shapes.append((f"layer{i}.bias", (fan_out,)))
-        return shapes
+        return [shape for wname, bname, fan_in, fan_out, _ in self.layers
+                for shape in ((wname, (fan_out, fan_in)), (bname, (fan_out,)))]
 
     def module_names(self) -> list[str]:
         return [name for name, _ in self.module_shapes()]
@@ -82,13 +90,9 @@ def init_params(spec: MlpSpec, seed: int) -> ParamSet:
     """Scaled-normal init: std 1/sqrt(fan_in) for weights, zero biases."""
     rng = rng_for(seed, "init")
     mods = []
-    for name, shape in spec.module_shapes():
-        if name.endswith(".weight"):
-            fan_in = shape[1]
-            w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
-            mods.append((name, w.reshape(-1)))
-        else:
-            mods.append((name, np.zeros(shape)))
+    for wname, bname, fan_in, fan_out, _ in spec.layers:
+        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in))
+        mods += [(wname, w.reshape(-1)), (bname, np.zeros(fan_out))]
     return ParamSet(mods)
 
 
@@ -133,15 +137,9 @@ def _inputs(params, x: np.ndarray) -> tuple[dict, np.ndarray]:
 def forward(spec: MlpSpec, params, x: np.ndarray) -> ForwardResult:
     """Run the network. params is a ParamSet or a name -> Var/array mapping."""
     lookup, a = _inputs(params, x)
-    act = ACTIVATIONS[spec.activation]
-    for i in range(spec.n_layers):
-        w, b = lookup[f"layer{i}.weight"], lookup[f"layer{i}.bias"]
-        if i < spec.n_layers - 1:
-            a = dense(a, w, b, spec.widths[i + 1], act)
-        else:
-            return ForwardResult(logits=dense(a, w, b, spec.widths[i + 1]),
-                                 features=a)
-    raise AssertionError("unreachable")
+    for wname, bname, _, fan_out, act in spec.layers:
+        feats, a = a, dense(a, lookup[wname], lookup[bname], fan_out, act)
+    return ForwardResult(logits=a, features=feats)
 
 
 def cross_entropy(logits, labels: np.ndarray):
@@ -176,8 +174,6 @@ def features(spec: MlpSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
     tape node recorded and no output layer.
     """
     lookup, a = _inputs(params, x)
-    act = ACTIVATIONS[spec.activation]
-    for i in range(spec.n_layers - 1):
-        w, b = lookup[f"layer{i}.weight"], lookup[f"layer{i}.bias"]
-        a = act.fwd(a @ w.reshape(spec.widths[i + 1], -1).T + b)
+    for wname, bname, _, fan_out, act in spec.layers[:-1]:
+        a = act.fwd(a @ lookup[wname].reshape(fan_out, -1).T + lookup[bname])
     return a

@@ -140,7 +140,9 @@ class StackedModules:
     ranges: np.ndarray    # (2, L) quantizer range of each class
     width: np.ndarray     # (2, L) ranges - lo, the magnitude span
     quant: np.ndarray     # (4, N) tau quantized at each candidate width
-    runs: ad.Runs         # the modules as runs of the element axis
+    # (L,) where each module begins: np.add.reduceat's runs. None is empty,
+    # as MlpSpec refuses a zero width and train checks base against it.
+    starts: np.ndarray
     denom: np.ndarray     # (2, N) the gate's denominator over rho
     spans: list           # (name, start, stop) of each module's elements
     bit_norm: float       # the width term's normaliser
@@ -163,16 +165,16 @@ class StackedModules:
         ranges = np.array([[qs[0].range_pos for qs in specs],
                            [qs[0].range_neg for qs in specs]])
         width = ranges - lo
-        ends = np.cumsum(sizes)
+        starts = np.cumsum(sizes) - sizes
         return cls(names=tv.names, sizes=sizes,
                    base=np.concatenate([base_lookup[n] for n in tv.names]),
                    signed=np.where(live, np.stack([tau, -tau]), 0.0),
                    live=live.astype(np.float64), lo=lo, ranges=ranges,
                    width=width, quant=np.concatenate(quant, axis=1),
-                   runs=ad.Runs.of(sizes),
+                   starts=starts,
                    denom=np.repeat(np.maximum(width, EPS_RANGE), sizes,
                                    axis=1),
-                   spans=list(zip(tv.names, ends - sizes, ends)),
+                   spans=list(zip(tv.names, starts, starts + sizes)),
                    bit_norm=float(len(tv.names) * max(CANDIDATE_WIDTHS)))
 
 
@@ -195,7 +197,7 @@ def _gate(sm: StackedModules, gates, rho: float):
 
     def soft_vjp(g):
         g_z = ad.sigmoid.vjp(g * sm.live, z, member) / denom
-        g_thr = ad._segment_sums(-g_z, sm.runs)
+        g_thr = np.add.reduceat(-g_z, sm.starts, axis=-1)
         grad = np.zeros_like(gv)
         grad[:2] = ad.arctan.vjp(g_thr * sm.width / math.pi, gv[:2], None)
         return (grad,)
@@ -222,15 +224,16 @@ def _mix(sm: StackedModules, scale, soft, w):
 
     def vjp(g):
         g_gated = g * blended
-        return (ad._segment_sums(g_gated * mv, sm.runs), g_gated * rep,
-                ad._segment_sums(g * gated * sm.quant, sm.runs).T)
+        return (np.add.reduceat(g_gated * mv, sm.starts, axis=-1),
+                g_gated * rep,
+                np.add.reduceat(g * gated * sm.quant, sm.starts, axis=-1).T)
     return ad.record((scale, soft, w), sm.base + gated * blended, vjp)
 
 
 def _sparsity_term(sm: StackedModules, soft):
     """Mean soft membership, summed module by module first; one node."""
     n = np.asarray(float(sm.base.size))
-    value = ad._segment_sums(ad._np(soft), sm.runs).sum() / n
+    value = np.add.reduceat(ad._np(soft), sm.starts, axis=-1).sum() / n
     return ad.record((soft,), value,
                      lambda g: (np.full(sm.base.shape, g / n),))
 
@@ -351,7 +354,7 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
 
     gates, bits = leaves["gates"], leaves["bits"]
     soft, scales = _gate(stacked, gates, temperature_schedule(config.steps))
-    masks = np.split(soft > 0.5, np.cumsum(stacked.sizes)[:-1])
+    masks = np.split(soft > 0.5, stacked.starts[1:])
     modules = []
     for m, ((name, tau), mask) in enumerate(zip(tv.modules, masks)):
         # Ties between width logits resolve toward the smaller width.

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 
@@ -171,7 +170,7 @@ def encode(module: CompressedModule,
     n, nnz, support = module.length, module.nnz, module.support
     c = optimal_group(n, 1.0 - nnz / n) if group_size is None \
         else int(group_size)
-    header = replace(header, group_size=c)
+    header = header._replace(group_size=c)
     _check_header(header)
     group_id = support // c
     group_any = np.zeros(n // c, dtype=np.uint8)

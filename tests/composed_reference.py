@@ -147,15 +147,28 @@ def reshape(x, shape):
                   lambda g, v, out: g.reshape(v.shape))
 
 
+def _segment_sums(v: np.ndarray, counts) -> np.ndarray:
+    """Sums of consecutive runs of counts[k] entries along the last axis;
+    an empty run sums to 0."""
+    counts = np.asarray(counts)
+    live = counts > 0
+    # reduceat over the non-empty starts alone ends each run where the next
+    # non-empty one begins; the empty runs stay zero.
+    out = np.zeros(v.shape[:-1] + counts.shape)
+    out[..., live] = np.add.reduceat(v, (counts.cumsum() - counts)[live],
+                                     axis=-1)
+    return out
+
+
 def repeat(x, counts):
     """Last-axis entry k repeated counts[k] times (np.repeat), one node."""
     return _unary(x, lambda v: np.repeat(v, counts, axis=-1),
-                  lambda g, v, out: ad._segment_sums(g, counts))
+                  lambda g, v, out: _segment_sums(g, counts))
 
 
 def segment_sum(x, counts):
     """Sums of consecutive last-axis runs of counts[k]; adjoint of repeat."""
-    return _unary(x, lambda v: ad._segment_sums(v, counts),
+    return _unary(x, lambda v: _segment_sums(v, counts),
                   lambda g, v, out: np.repeat(g, counts, axis=-1))
 
 

@@ -680,6 +680,33 @@ class TestErrorPaths:
             "float32\n")
         assert not (tmp_path / "m.tswp").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_fine_tune_names_the_step_exit_2(
+            self, pipeline_dir, tmp_path, capsys):
+        # relu lets a huge step overflow the next forward: the loss is
+        # refused at that step, with no numpy warning and no file
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["fine-tune"](root, data, data / "task0_train.csv",
+                                         tmp_path)
+        argv[argv.index("--steps") + 1] = "30"
+        assert main(argv + ["--lr", "1e300", "--activation", "relu"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: loss became non-finite at step 1: {'loss': nan}\n"
+        assert not (tmp_path / "m.tswp").exists()
+
+    def test_train_metric_task_mismatch_names_index_and_tasks(
+            self, pipeline_dir, tmp_path, capsys):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["train-metric"](root, data,
+                                            data / "task1_train.csv", tmp_path)
+        argv[argv.index(f"task1={data / 'task1_train.csv'}")] = \
+            f"other={data / 'task1_train.csv'}"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --index {root / 'refs.idx'}: feature tasks ['task0', "
+            "'other'] do not match the index's tasks ['task0', 'task1']\n")
+        assert not (tmp_path / "r.idx").exists()
+
     def test_over_long_task_id_exits_2(self, pipeline_dir, tmp_path, capsys):
         root, data = pipeline_dir
         argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",

@@ -9,6 +9,7 @@ from taskswitch.harness import (ETA_GRID, SyntheticTaskSpec, base_dataset,
                                 read_dataset, task_geometry, task_permutation,
                                 unit_groups, write_dataset, write_tasks)
 from taskswitch.model import MlpSpec, accuracy, init_params
+from taskswitch.training import TrainingDivergedError
 from taskswitch.vectors import TaskVector, add
 
 
@@ -176,6 +177,17 @@ class TestFineTune:
         o2 = fine_tune(MSPEC, params, x, y, steps=10, seed=3)
         for (_, a), (_, b) in zip(o1.modules, o2.modules):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_last_step_names_it(self):
+        # the step's loss is finite; no later loss sees its update
+        params = init_params(MSPEC, seed=0)
+        rng = np.random.default_rng(4)
+        with pytest.raises(TrainingDivergedError,
+                           match="^parameters became non-finite at step 0: "):
+            fine_tune(MSPEC, params, rng.normal(size=(16, 8)),
+                      rng.integers(2, size=16), steps=1, lr=np.inf,
+                      optimizer="sgd")
 
     def test_unknown_optimizer(self):
         params = init_params(MSPEC, seed=0)

@@ -589,11 +589,11 @@ class TestMergedForward:
                            np.zeros((2, 4)), n_neighbors=3)
 
 
-def _eight_task_setup(seed=0):
+def _eight_task_setup(seed=0, spec=SPEC):
     """Base, 8 task vectors and an index whose neighbor votes spread over
     all of them, so most rows of a batch get a weight row of their own."""
     rng = np.random.default_rng(seed)
-    base = init_params(SPEC, seed=seed)
+    base = init_params(spec, seed=seed)
     vectors = []
     for t in range(8):
         mods = []
@@ -604,23 +604,39 @@ def _eight_task_setup(seed=0):
             mods.append((name, _quantized(
                 v.size, support, rng.integers(0, 16, nnz), 4, 0.05)))
         vectors.append(CompressedTaskVector(f"t{t}", mods))
-    x = rng.normal(size=(40, 4))
-    feats = features(SPEC, base, x)
+    x = rng.normal(size=(40, spec.input_dim))
+    feats = features(spec, base, x)
     index = ReferenceIndex(
         task_ids=[f"t{t}" for t in range(8)],
         centers=feats[rng.choice(40, 24, replace=False)]
-        + rng.normal(scale=0.05, size=(24, 6)),
+        + rng.normal(scale=0.05, size=(24, spec.feature_dim)),
         labels=np.arange(24) % 8,
-        projection=np.eye(6))
+        projection=np.eye(spec.feature_dim))
     return base, vectors, index, x
 
 
 class TestMixedForward:
-    def _oracle_logits(self, base, vectors, x, w):
+    def _oracle_logits(self, base, vectors, x, w, spec=SPEC):
         return np.vstack([
-            ad._np(forward(SPEC, materialize(base, vectors, w[i]),
+            ad._np(forward(spec, materialize(base, vectors, w[i]),
                            x[i:i + 1]).logits)
             for i in range(x.shape[0])])
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_three_hidden_layers_match_per_row_materialization(
+            self, activation):
+        spec = MlpSpec((4, 9, 7, 6, 3), activation)
+        base, vectors, _, _ = _eight_task_setup(spec=spec)
+        rng = np.random.default_rng(52)
+        n = _BLOCK_ROWS + 5
+        x = rng.normal(size=(n, 4))
+        w = rng.uniform(-1.0, 2.0, size=(n, 8))
+        w[rng.random(w.shape) < 0.4] = 0.0
+        got = _mixed_logits(spec, base, vectors, x, w)
+        assert got.shape == (n, 3)
+        np.testing.assert_allclose(got, self._oracle_logits(base, vectors,
+                                                            x, w, spec),
+                                   rtol=0, atol=1e-12)
 
     def test_logits_match_per_row_materialization(self):
         base, vectors, _, x = _eight_task_setup()

@@ -16,6 +16,25 @@ class TestSpec:
                                        "layer1.weight", "layer1.bias"]
         assert spec.feature_dim == 32 and spec.n_classes == 4
 
+    def test_layers_of_the_desk_spec(self):
+        assert MlpSpec().layers == (
+            ("layer0.weight", "layer0.bias", 16, 32, ad.tanh),
+            ("layer1.weight", "layer1.bias", 32, 4, None))
+
+    def test_layers_of_a_four_layer_relu_spec(self):
+        spec = MlpSpec((5, 9, 7, 6, 2), "relu")
+        assert spec.layers == (
+            ("layer0.weight", "layer0.bias", 5, 9, ad.relu),
+            ("layer1.weight", "layer1.bias", 9, 7, ad.relu),
+            ("layer2.weight", "layer2.bias", 7, 6, ad.relu),
+            ("layer3.weight", "layer3.bias", 6, 2, None))
+        assert spec.layers is spec.layers
+        assert spec.module_shapes() == [
+            ("layer0.weight", (9, 5)), ("layer0.bias", (9,)),
+            ("layer1.weight", (7, 9)), ("layer1.bias", (7,)),
+            ("layer2.weight", (6, 7)), ("layer2.bias", (6,)),
+            ("layer3.weight", (2, 6)), ("layer3.bias", (2,))]
+
     def test_roundtrip_dict(self):
         spec = MlpSpec((8, 6, 3), "relu")
         assert MlpSpec.from_dict(spec.to_dict()) == spec
