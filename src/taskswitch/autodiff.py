@@ -136,15 +136,15 @@ sigmoid = Elementwise(_sigmoid_np,
 softplus = Elementwise(_softplus_np, lambda g, v, out: g * _sigmoid_np(v))
 
 
-def softmax(x, axis=-1):
-    """e / sum(e) along axis with e = exp(x - max(x)), one node. Its
-    backward is that of the subtract, exp, sum and divide as separate
-    nodes, operation for operation."""
-    xv = _np(x)
+def softmax(x, axis=-1, temperature=1.0):
+    """e / sum(e) along axis with e = exp(v - max(v)) and v = x /
+    temperature, one node. Its backward is that of the divide, subtract,
+    exp, sum and divide as separate nodes, operation for operation."""
+    xv = _np(x) / temperature
     e = np.exp(xv - xv.max(axis=axis, keepdims=True))
     s = e.sum(axis=axis, keepdims=True)
     return record((x,), e / s, lambda g: (
-        (g / s + _unbroadcast(-g * e / (s * s), s.shape)) * e,))
+        (g / s + _unbroadcast(-g * e / (s * s), s.shape)) * e / temperature,))
 
 
 def log_softmax_parts(v: np.ndarray):

@@ -25,7 +25,7 @@ from .harness import (SyntheticTaskSpec, base_dataset, baseline_merge,
                       write_tasks)
 # named apply_compressed because perfbench/spans.py traces cli.apply_compressed
 from .merging import materialize as apply_compressed
-from .model import MlpSpec, accuracy, features, init_params
+from .model import MlpSpec, accuracy, features, forward, init_params
 from .switch import build_switch
 from .training import TrainConfig, TrainingDivergedError, train
 from .vectors import StructureError, check_aligned, diff
@@ -66,6 +66,7 @@ _count = _number(int, lambda v: v >= 1, "at least 1")
 _positive = _number(float, lambda v: math.isfinite(v) and v > 0.0,
                     "positive and finite")
 _finite = _number(float, math.isfinite, "finite")
+_fraction = _number(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def _named(text: str) -> tuple:
@@ -165,11 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-tasks", help="write the synthetic benchmark CSVs")
     p.add_argument("--out", required=True)
-    p.add_argument("--tasks", type=int, default=3)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--train-size", type=int, default=2000)
-    p.add_argument("--test-size", type=int, default=500)
+    p.add_argument("--tasks", type=_count, default=3)
+    p.add_argument("--dim", type=_count, default=16)
+    p.add_argument("--classes", type=_count, default=4)
+    p.add_argument("--train-size", type=_count, default=2000)
+    p.add_argument("--test-size", type=_count, default=500)
     p.add_argument("--task-separation", type=float, default=8.0)
     p.add_argument("--class-separation", type=float, default=5.0)
     p.add_argument("--noise", type=float, default=1.0)
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--finetuned", type=_named, action=_AppendNamed,
                    required=True, metavar="NAME=PATH")
-    p.add_argument("--alpha", type=float, default=0.9)
+    p.add_argument("--alpha", type=_fraction, default=0.9)
     p.add_argument("-o", "--out", required=True)
 
     p = sub.add_parser("compress", help="learn gates and bit-widths per task")
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--finetuned", required=True)
     p.add_argument("--data", required=True, help="evaluation CSV")
     p.add_argument("--level", choices=("module", "layer"), default="module")
-    p.add_argument("--alpha", type=float, default=0.9,
+    p.add_argument("--alpha", type=_fraction, default=0.9,
                    help="pruning ratio for the sparsity probe")
     p.add_argument("-o", "--out", help="write the report CSV here")
 
@@ -508,6 +509,9 @@ def cmd_merge_eval(args) -> int:
     return 0
 
 
+# A huge --scale can overflow the merge or its forward; the logits are
+# checked, and numpy's warnings on the way would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_baseline(args) -> int:
     spec, base, _ = load_params(args.base)
     tvs = []
@@ -518,7 +522,13 @@ def cmd_baseline(args) -> int:
     rows = []
     for name, path in args.task:
         x, y = _read_inputs(spec, path)
-        rows.append((name, accuracy(spec, merged, x, y)))
+        logits = forward(spec, merged, x).logits
+        if not np.isfinite(logits).all():
+            at = (f" at --scale {args.scale}"
+                  if args.mode == "task-arithmetic" else "")
+            raise ValueError(f"{path}: the {args.mode} merge gives "
+                             f"non-finite logits{at}")
+        rows.append((name, float(np.mean(logits.argmax(axis=1) == y))))
     _accuracy_report(rows, args.out)
     return 0
 
@@ -560,6 +570,9 @@ def main(argv=None) -> int:
     except (StructureError, CodecError, OSError, ValueError,
             TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -110,7 +110,7 @@ def reference_side(kind: str, ref: np.ndarray, temperature: float = 4.0,
     if kind == "kl":
         if ref.ndim != 2:
             raise ValueError("expected a (batch, classes) array")
-        q = ad.softmax(ref / np.asarray(float(temperature)))
+        q = ad.softmax(ref, temperature=float(temperature))
         return q, np.log(q)
     if kind in ("mse", "cka"):
         return (ref,)

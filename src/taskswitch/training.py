@@ -179,71 +179,71 @@ class StackedModules:
 
 
 def _gate(sm: StackedModules, gates, rho: float):
-    """Learnable gating over all modules: (soft membership, scale).
+    """Learnable gating over all modules: each element's soft membership.
 
     gates is the (3, L) gate-logit array or Var: two threshold logits
     place one threshold inside each sign class's magnitude range through
-    `squash`, a temperature-scaled sigmoid per class gives each element's
-    soft membership (N,), and a softplus gives each module's scale (L,).
-    On a tape each result is one node over gates; their backward is that
-    of the chain of small ops they replace, operation for operation.
+    `squash`, and a temperature-scaled sigmoid per class gives each
+    element's soft membership (N,). On a tape it is one node over gates;
+    its backward is that of the chain of small ops it replaces, operation
+    for operation.
     """
     gv = ad._np(gates)
     denom = rho * sm.denom
     thresholds = sm.lo + squash(gv[:2]) * sm.width
     z = (sm.signed - np.repeat(thresholds, sm.sizes, axis=-1)) / denom
     member = ad.sigmoid.fwd(z)
-    scale = ad.softplus.fwd(gv[2])
 
-    def soft_vjp(g):
+    def vjp(g):
         g_z = ad.sigmoid.vjp(g * sm.live, z, member) / denom
         g_thr = np.add.reduceat(-g_z, sm.starts, axis=-1)
         grad = np.zeros_like(gv)
         grad[:2] = ad.arctan.vjp(g_thr * sm.width / math.pi, gv[:2], None)
         return (grad,)
-
-    def scale_vjp(g):
-        grad = np.zeros_like(gv)
-        grad[2] = ad.softplus.vjp(g, gv[2], scale)
-        return (grad,)
-    return (ad.record((gates,), (member * sm.live).sum(axis=0), soft_vjp),
-            ad.record((gates,), scale, scale_vjp))
+    return ad.record((gates,), (member * sm.live).sum(axis=0), vjp)
 
 
-def _mix(sm: StackedModules, scale, soft, w):
+def _mix(sm: StackedModules, gates, soft, w):
     """base + scale * soft * blend over all elements, one node.
 
+    scale is the softplus of each module's scale logit, row 2 of gates.
     The blend weighs the four candidate quantizations in sm.quant by each
-    module's (L, 4) width weights w. The backward is that of the repeats,
-    products and sums as separate nodes, operation for operation.
+    module's (L, 4) width weights w. The backward is that of the softplus,
+    repeats, products and sums as separate nodes, operation for operation.
     """
-    sv, mv, wv = ad._np(scale), ad._np(soft), ad._np(w)
-    rep = np.repeat(sv, sm.sizes, axis=-1)
+    gv, mv, wv = ad._np(gates), ad._np(soft), ad._np(w)
+    scale = ad.softplus.fwd(gv[2])
+    rep = np.repeat(scale, sm.sizes, axis=-1)
     gated = rep * mv
     blended = (np.repeat(wv.T, sm.sizes, axis=-1) * sm.quant).sum(axis=0)
 
     def vjp(g):
         g_gated = g * blended
-        return (np.add.reduceat(g_gated * mv, sm.starts, axis=-1),
-                g_gated * rep,
+        g_gates = np.zeros_like(gv)
+        g_gates[2] = ad.softplus.vjp(
+            np.add.reduceat(g_gated * mv, sm.starts, axis=-1), gv[2], scale)
+        return (g_gates, g_gated * rep,
                 np.add.reduceat(g * gated * sm.quant, sm.starts, axis=-1).T)
-    return ad.record((scale, soft, w), sm.base + gated * blended, vjp)
+    return ad.record((gates, soft, w), sm.base + gated * blended, vjp)
 
 
-def _sparsity_term(sm: StackedModules, soft):
-    """Mean soft membership, summed module by module first; one node."""
-    n = np.asarray(float(sm.base.size))
-    value = np.add.reduceat(ad._np(soft), sm.starts, axis=-1).sum() / n
-    return ad.record((soft,), value,
-                     lambda g: (np.full(sm.base.shape, g / n),))
+def _total(sm: StackedModules, soft, w, preserve, lam: float):
+    """sparsity + bits + lam * preserve, one node, and its parts.
 
-
-def _width_term(w, norm: float):
-    """Expected candidate width summed over modules, over norm; one node."""
-    wv, norm = ad._np(w), np.asarray(norm)
-    value = (wv * WIDTHS).sum(axis=1).sum() / norm
-    return ad.record((w,), value,
-                     lambda g: (np.full(wv.shape, g / norm) * WIDTHS,))
+    The sparsity term is the mean soft membership, summed module by module
+    first; the bit term the expected candidate width summed over modules,
+    over sm.bit_norm.
+    """
+    n, norm = np.asarray(float(sm.base.size)), np.asarray(sm.bit_norm)
+    wv = ad._np(w)
+    sparsity = np.add.reduceat(ad._np(soft), sm.starts, axis=-1).sum() / n
+    bits = (wv * WIDTHS).sum(axis=1).sum() / norm
+    value = (sparsity + bits) + ad._np(preserve) * lam
+    parts = {"sparsity": float(sparsity), "bits": float(bits),
+             "preserve": float(ad._np(preserve)), "total": float(value)}
+    return ad.record((soft, w, preserve), value, lambda g: (
+        np.full(sm.base.shape, g / n), np.full(wv.shape, g / norm) * WIDTHS,
+        g * lam)), parts
 
 
 def _slice(flat, start: int, stop: int):
@@ -271,30 +271,16 @@ def make_objective(spec: MlpSpec, sm: StackedModules,
     losses.reference_side of the batch's reference outputs.
     """
 
-    def objective(leaves, return_parts: bool = False):
-        soft, scale = _gate(sm, leaves["gates"], rho)
+    def objective(leaves):
+        soft = _gate(sm, leaves["gates"], rho)
         # Bit-width selection: softmax over the four candidates per module.
-        bits = leaves["bits"]
-        w = ad.softmax(ad.record((bits,), ad._np(bits) / omega,
-                                 lambda g: (g / omega,)))
-        flat = _mix(sm, scale, soft, w)
+        w = ad.softmax(leaves["bits"], temperature=omega)
+        flat = _mix(sm, leaves["gates"], soft, w)
         params = {n: _slice(flat, a, b) for n, a, b in sm.spans}
         out = forward(spec, params, batch_x)
         cmp = out.features if kind == "cka" else out.logits
-        l_per = loss_from_side(kind, side, cmp, temperature=temp)
-        l_sp = _sparsity_term(sm, soft)
-        l_bit = _width_term(w, sm.bit_norm)
-        total = ad.record(
-            (l_sp, l_bit, l_per),
-            (ad._np(l_sp) + ad._np(l_bit)) + ad._np(l_per) * lam,
-            lambda g: (g, g, g * lam))
-        if return_parts:
-            parts = {"sparsity": float(ad._np(l_sp)),
-                     "bits": float(ad._np(l_bit)),
-                     "preserve": float(ad._np(l_per)),
-                     "total": float(ad._np(total))}
-            return total, parts
-        return total
+        return _total(sm, soft, w,
+                      loss_from_side(kind, side, cmp, temperature=temp), lam)
     return objective
 
 
@@ -339,8 +325,7 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         obj = make_objective(spec, stacked, tuple(a[idx] for a in side_all),
                              exemplars[idx], config.loss_kind, config.lam,
                              config.softmax_temp, rho, omega)
-        (_, parts), grads = ad.value_and_grad(
-            lambda lv: obj(lv, return_parts=True), leaves)
+        (_, parts), grads = ad.value_and_grad(obj, leaves)
         if not math.isfinite(parts["total"]):
             raise TrainingDivergedError(step, parts)
         try:
@@ -353,7 +338,8 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         history.append({"step": step, "rho": rho, "omega": omega, **parts})
 
     gates, bits = leaves["gates"], leaves["bits"]
-    soft, scales = _gate(stacked, gates, temperature_schedule(config.steps))
+    soft = _gate(stacked, gates, temperature_schedule(config.steps))
+    scales = ad.softplus.fwd(gates[2])
     masks = np.split(soft > 0.5, stacked.starts[1:])
     modules = []
     for m, ((name, tau), mask) in enumerate(zip(tv.modules, masks)):

@@ -271,7 +271,7 @@ def test_06_gradient_check(capsys):
         # The straight-through estimator sits on the value path only; the
         # trained leaves are gate and width logits, whose gradients flow
         # through sigmoid and softmax terms. No coordinate needs excluding.
-        report = fd_check(obj, leaves, h=1e-5, tol=1e-4)
+        report = fd_check(lambda lv: obj(lv)[0], leaves, h=1e-5, tol=1e-4)
         worst_frac = min(worst_frac, report.frac_within_tol)
         ok &= report.frac_within_tol >= 0.95
         no_exclusions &= not report.excluded

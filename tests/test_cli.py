@@ -10,7 +10,7 @@ import pytest
 
 from taskswitch import (MlpSpec, TaskVector, build_switch, diff, init_params,
                         load_params, save_bundle)
-from taskswitch.cli import build_parser, main
+from taskswitch.cli import COMMANDS, build_parser, main
 from taskswitch.container import save_container, streams_from_params
 from taskswitch.harness import (probe_precision, probe_scale, probe_sparsity,
                                 read_dataset)
@@ -652,6 +652,71 @@ class TestErrorPaths:
             "taskswitch baseline: error: argument --scale: "
             f"must be finite, got {scale!r}")
         assert not (tmp_path / "bl.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tasks", [1, 2])
+    def test_baseline_non_finite_logits_exit_2(self, pipeline_dir, tmp_path,
+                                               capsys, tasks):
+        # with one task the merged parameters stay finite and the forward
+        # overflows; with two the merge itself does. Either is refused
+        # without a numpy warning and without a report.
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["baseline"](root, data, data / "task1_test.csv",
+                                        tmp_path) + [
+            "--mode", "task-arithmetic", "--scale", "1e308",
+            "-o", str(tmp_path / "bl.csv")]
+        if tasks == 1:
+            at = argv.index(f"task1={root / 'ft1.tswp'}")
+            del argv[at - 1:at + 1]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {data / 'task0_test.csv'}: the task-arithmetic merge "
+            "gives non-finite logits at --scale 1e+308\n"))
+        assert not (tmp_path / "bl.csv").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    @pytest.mark.parametrize("flag", ["--tasks", "--dim", "--classes",
+                                      "--train-size", "--test-size"])
+    def test_gen_tasks_count_below_one_exit_2(self, tmp_path, capsys, flag,
+                                              count):
+        with pytest.raises(SystemExit) as exc:
+            _gen(tmp_path / "d", extra=(flag, count))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"taskswitch gen-tasks: error: argument {flag}: "
+            f"must be at least 1, got {count!r}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("command", ["tswitch", "probe"])
+    def test_alpha_outside_unit_interval_exit_2(self, tmp_path, capsys,
+                                                command, alpha):
+        # refused while parsing: --base names no file, and none is read
+        missing = str(tmp_path / "missing.tswp")
+        argv = {"tswitch": ["tswitch", "--finetuned", f"a={missing}",
+                            "-o", str(tmp_path / "s.tswc")],
+                "probe": ["probe", "sparsity", "--finetuned", missing,
+                          "--data", str(tmp_path / "d.csv")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--base", missing, "--alpha", alpha])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"taskswitch {command}: error: argument --alpha: "
+            f"must be in [0, 1], got {alpha!r}")
+        assert not (tmp_path / "s.tswc").exists()
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a command that cannot allocate exits 2 with one line; the error is
+        # raised by hand, as a real allocation this large might succeed
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+        monkeypatch.setitem(COMMANDS, "gen-tasks", exhausted)
+        assert _gen(tmp_path / "d") == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 149. GiB for an "
+            "array\n")
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
     def test_lambda_not_finite_exit_2(self, pipeline_dir, tmp_path, capsys,

@@ -74,6 +74,19 @@ class TestSoftmax:
         _same(pick(ad.softmax), pick(cr.softmax), {"x": x})
         _fd(pick(ad.softmax), {"x": x})
 
+    @pytest.mark.parametrize("temperature", [0.9 ** 7, 4.0])
+    def test_temperature_matches_chain(self, temperature):
+        x = RNG.normal(size=(5, 4)) * 2
+        r = RNG.normal(size=(5, 4))
+
+        def fused(lv):
+            return _probe(ad.softmax(lv["x"], temperature=temperature), r)
+
+        def composed(lv):
+            return _probe(cr.softmax(cr.div(lv["x"], temperature)), r)
+        _same(fused, composed, {"x": x})
+        _fd(fused, {"x": x})
+
 
 class TestDense:
     @pytest.mark.parametrize("act", [None, "tanh", "relu"])
@@ -179,43 +192,52 @@ class TestObjectivePieces:
                                               3: "-"}])
     def test_gate(self, rho, signs):
         sm = _stacked(SMALL, 3, signs)[0]
-        r_soft = RNG.normal(size=sm.base.size)
-        r_scale = RNG.normal(size=len(sm.names))
-
-        def pick(gate):
-            def fn(lv):
-                soft, scale = gate(sm, lv["gates"], rho)
-                return cr.add(_probe(soft, r_soft), _probe(scale, r_scale))
-            return fn
+        r = RNG.normal(size=sm.base.size)
         leaves = {"gates": _gates(len(sm.names))}
-        _same(pick(training._gate), pick(cr.gate), leaves)
+
+        def fused(lv):
+            return _probe(training._gate(sm, lv["gates"], rho), r)
+
+        def composed(lv):
+            return _probe(cr.gate(sm, lv["gates"], rho)[0], r)
+        _same(fused, composed, leaves)
         if signs is None and rho == 1.0:
-            _fd(pick(training._gate), leaves)
+            _fd(fused, leaves)
 
     def test_mix(self):
         sm = _stacked(DEEP, 4, {1: "-", 4: "0"})[0]
         n_mod = len(sm.names)
-        leaves = {"scale": RNG.uniform(0.5, 2.0, n_mod),
+        leaves = {"gates": _gates(n_mod),
                   "soft": RNG.uniform(0.0, 1.0, sm.base.size),
                   "w": RNG.dirichlet(np.ones(4), n_mod)}
         r = RNG.normal(size=sm.base.size)
 
-        def pick(mix):
-            return lambda lv: _probe(
-                mix(sm, lv["scale"], lv["soft"], lv["w"]), r)
-        _same(pick(training._mix), pick(cr.mix), leaves)
-        _fd(pick(training._mix), leaves)
+        def fused(lv):
+            return _probe(
+                training._mix(sm, lv["gates"], lv["soft"], lv["w"]), r)
+
+        def composed(lv):
+            scale = cr.softplus(cr.take(lv["gates"], 2))
+            return _probe(cr.mix(sm, scale, lv["soft"], lv["w"]), r)
+        _same(fused, composed, leaves)
+        _fd(fused, leaves)
 
     def test_sparsity_and_width_terms(self):
+        # the two terms and the weighted preservation loss, as one total
         sm = _stacked(DEEP, 5)[0]
         leaves = {"soft": RNG.uniform(0.0, 1.0, sm.base.size),
-                  "w": RNG.dirichlet(np.ones(4), len(sm.names))}
+                  "w": RNG.dirichlet(np.ones(4), len(sm.names)),
+                  "preserve": np.asarray(RNG.uniform(0.1, 2.0))}
 
-        def pick(sparsity, width):
-            return lambda lv: cr.add(cr.mul(sparsity(sm, lv["soft"]), 0.7),
-                                     width(lv["w"], 40.0))
-        fused = pick(training._sparsity_term, training._width_term)
-        _same(fused, pick(cr.sparsity_term, cr.width_term), leaves)
+        def fused(lv):
+            return training._total(sm, lv["soft"], lv["w"], lv["preserve"],
+                                   0.7)[0]
+
+        def composed(lv):
+            return cr.add(cr.add(cr.sparsity_term(sm, lv["soft"]),
+                                 cr.width_term(lv["w"], sm.bit_norm)),
+                          cr.mul(lv["preserve"], 0.7))
+        _same(fused, composed, leaves)
         _fd(fused, leaves)
 
 
@@ -238,9 +260,8 @@ class TestObjective:
     def test_matches_chain(self, kind, spec, signs):
         fused, composed, leaves = _objectives(spec, 6, kind, 0.9 ** 3,
                                               0.9 ** 7, signs)
-        _same(fused, composed, leaves)
-        assert fused(leaves, return_parts=True)[1] == composed(
-            leaves, return_parts=True)[1]
+        _same(lambda lv: fused(lv)[0], composed, leaves)
+        assert fused(leaves)[1] == composed(leaves, return_parts=True)[1]
 
 
 @pytest.mark.parametrize("kind", ["kl", "mse", "cka"])
@@ -259,7 +280,9 @@ def test_compression_run_matches_chain_step_by_step(monkeypatch, kind):
         # the chain ignores it and composes the loss from the batch's raw
         # reference rows, found by matching the batch's inputs.
         rows = (batch_x[:, None] == x[None]).all(axis=2).argmax(axis=1)
-        return cr.make_objective(spec, sm, ref_all[rows], batch_x, *rest)
+        objective = cr.make_objective(spec, sm, ref_all[rows], batch_x,
+                                      *rest)
+        return lambda lv: objective(lv, return_parts=True)
     monkeypatch.setattr(training, "make_objective", composed)
     want = training.train(tv, base, finetuned, x, SMALL, config)
     assert got.history == want.history

@@ -111,8 +111,11 @@ def _compare(spec, seed, kind, rho, omega, signs=None):
     args = (ref, x, kind, DEFAULT_LAMBDA[kind], 4.0, rho, omega)
     want_val, want = _value_and_grads(
         _reference_objective(spec, base, tv, *args), leaves)
-    obj = make_objective(spec, StackedModules.build(base, tv),
-                         reference_side(kind, ref, 4.0), *args[1:])
+    objective = make_objective(spec, StackedModules.build(base, tv),
+                               reference_side(kind, ref, 4.0), *args[1:])
+
+    def obj(lv):
+        return objective(lv)[0]
     got_val, got = _value_and_grads(obj, leaves)
     assert np.isfinite(want_val)
     assert got_val == pytest.approx(want_val, rel=REL, abs=0.0)

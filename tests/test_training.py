@@ -66,7 +66,7 @@ class TestObjective:
 
     def test_parts_are_finite_and_composed(self):
         obj, leaves = self._objective()
-        total, parts = obj(leaves, return_parts=True)
+        total, parts = obj(leaves)
         for key in ("sparsity", "bits", "preserve", "total"):
             assert np.isfinite(parts[key])
         assert parts["total"] == pytest.approx(
@@ -79,7 +79,7 @@ class TestObjective:
         obj, leaves = self._objective()
         tape = ad.Tape()
         lvars = {k: tape.var(v) for k, v in leaves.items()}
-        tape.backward(obj(lvars))
+        tape.backward(obj(lvars)[0])
         for key, lv in lvars.items():
             assert lv.grad is not None, key
             assert np.all(np.isfinite(lv.grad)), key
@@ -90,7 +90,7 @@ class TestObjective:
     def test_all_three_loss_kinds_run(self):
         for kind, lam in (("kl", 0.3), ("mse", 0.05), ("cka", 3.0)):
             obj, leaves = self._objective(kind, lam)
-            total = float(ad._np(obj(leaves)))
+            total = float(ad._np(obj(leaves)[0]))
             assert np.isfinite(total)
 
 
