@@ -7,7 +7,7 @@ gradient per parent. Called with no Var among its arguments, `record`
 hands the value back as it is, so the same formula code runs as a plain
 forward (as finite differences need) or as a node on a tape.
 
-Each node is a whole composite: `softmax` here, and the dense layer, the
+Each node is a whole composite: `softmax` here, and the network, the
 cross-entropy, the preservation losses, the compression objective's pieces
 and the metric objective beside their callers. A hand-written VJP runs the
 numpy operations of the chain of small ops the node replaces, in the same

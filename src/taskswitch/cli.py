@@ -63,6 +63,7 @@ def _number(parse, valid, rule: str):
 
 
 _count = _number(int, lambda v: v >= 1, "at least 1")
+_seed = _number(int, lambda v: v >= 0, "a non-negative integer")
 _positive = _number(float, lambda v: math.isfinite(v) and v > 0.0,
                     "positive and finite")
 _finite = _number(float, math.isfinite, "finite")
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, sp in sub.choices.items():
         sp.add_argument("--config", help="key=value defaults file")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -342,6 +343,9 @@ def cmd_tswitch(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    if args.ppl == "cka" and args.batch_size < 2:
+        raise ValueError("--batch-size must be at least 2 for --ppl cka, "
+                         f"got {args.batch_size}")
     spec, base, _ = load_params(args.base)
     tuned, stored_name = _load_finetuned(spec, args.finetuned)
     task_id = args.task or stored_name
@@ -522,7 +526,7 @@ def cmd_baseline(args) -> int:
     rows = []
     for name, path in args.task:
         x, y = _read_inputs(spec, path)
-        logits = forward(spec, merged, x).logits
+        logits = forward(spec, merged, x)
         if not np.isfinite(logits).all():
             at = (f" at --scale {args.scale}"
                   if args.mode == "task-arithmetic" else "")

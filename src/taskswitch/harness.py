@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .model import MlpSpec, accuracy, check_params, cross_entropy, forward
+from .model import (MlpSpec, accuracy, check_params, cross_entropy, flatten,
+                    forward, unflatten)
 from .optim import Adam, Sgd
-from .seeding import rng_for
+from .seeding import batch_indices, rng_for
 from .switch import build_switch, pulse_mask
 from .training import TrainingDivergedError
 from .vectors import ParamSet, TaskVector, add
@@ -334,29 +335,33 @@ def write_tasks(out_dir, tasks: list[TaskData]) -> list[Path]:
 def fine_tune(spec: MlpSpec, params: ParamSet, x: np.ndarray, y: np.ndarray,
               steps: int = 500, lr: float = 0.01, batch_size: int = 32,
               optimizer: str = "adam", seed: int = 0) -> ParamSet:
-    """Cross-entropy training on minibatches drawn with replacement."""
+    """Cross-entropy training on minibatches drawn with replacement.
+
+    Every module is trained as one flat vector (model.flatten) through
+    the network node, with one optimizer over it.
+    """
     check_params(spec, params)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     optimizers = {"adam": Adam, "sgd": Sgd}
     if optimizer not in optimizers:
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    opts = {name: optimizers[optimizer]() for name in params.names}
-    rng = rng_for(seed, "fine-tune")
-    values = dict(params.copy().modules)
-    for step in range(steps):
-        idx = rng.integers(0, x.shape[0], size=batch_size)
+    opt = optimizers[optimizer]()
+    flat = flatten(spec, params)
+    batches = batch_indices(rng_for(seed, "fine-tune"), x.shape[0],
+                            batch_size, steps)
+    for step, idx in enumerate(batches):
         loss, grads = ad.value_and_grad(
             lambda leaves: cross_entropy(
-                forward(spec, leaves, x[idx]).logits, y[idx]), values)
+                forward(spec, leaves["params"], x[idx]), y[idx]),
+            {"params": flat})
         parts = {"loss": float(ad._np(loss))}
         if not math.isfinite(parts["loss"]):
             raise TrainingDivergedError(step, parts, "loss")
-        values = {name: opts[name].step(v, grads[name], lr)
-                  for name, v in values.items()}
-    if steps and not all(np.isfinite(v).all() for v in values.values()):
+        flat = opt.step(flat, grads["params"], lr)
+    if steps and not np.isfinite(flat).all():
         raise TrainingDivergedError(steps - 1, parts, "parameters")
-    return ParamSet(list(values.items()))
+    return unflatten(spec, flat)
 
 
 def unit_groups(names: list[str], level: str) -> list[tuple[str, list[str]]]:

@@ -1,14 +1,17 @@
 """Small MLP classifier expressed over flat per-module parameter vectors.
 
 MlpSpec.layers states the layout once: module names, fans and which layers
-take the hidden activation. The penultimate activation doubles as the
-feature extractor for query building.
+take the hidden activation; MlpSpec.offsets places every module in the flat
+parameter vector that forward and both training loops run on. The
+penultimate activation doubles as the feature extractor for query building.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -66,6 +69,15 @@ class MlpSpec:
                      for i, (fan_in, fan_out)
                      in enumerate(zip(self.widths, self.widths[1:])))
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Where each module begins in the flat parameter vector, and where
+        the last one ends: the vector holds every module end to end, in
+        module_names() order, so layer i's weight is [offsets[2i],
+        offsets[2i + 1]) and its bias runs on to offsets[2i + 2]."""
+        return tuple(accumulate((math.prod(shape) for _, shape
+                                 in self.module_shapes()), initial=0))
+
     def module_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         return [shape for wname, bname, fan_in, fan_out, _ in self.layers
                 for shape in ((wname, (fan_out, fan_in)), (bname, (fan_out,)))]
@@ -102,31 +114,6 @@ def check_params(spec: MlpSpec, params: ParamSet) -> None:
                             in spec.module_shapes()]), params)
 
 
-@dataclass
-class ForwardResult:
-    logits: object     # (batch, classes)
-    features: object   # penultimate activation, (batch, feature_dim)
-
-
-def dense(a, w, b, fan_out: int, act=None):
-    """act(a @ w.reshape(fan_out, -1).T + b) as one tape node.
-
-    act is an ACTIVATIONS pair or None (the output layer). The backward is
-    that of the reshape, transpose, matmul, bias add and activation as
-    separate nodes, operation for operation.
-    """
-    av, wv, bv = ad._np(a), ad._np(w), ad._np(b)
-    w2 = wv.reshape(fan_out, -1)
-    z = av @ w2.T + bv
-    out = z if act is None else act.fwd(z)
-
-    def vjp(g):
-        gz = g if act is None else act.vjp(g, z, out)
-        return (gz @ w2 if isinstance(a, ad.Var) else None,
-                (av.T @ gz).T.reshape(wv.shape), ad._unbroadcast(gz, bv.shape))
-    return ad.record((a, w, b), out, vjp)
-
-
 def _inputs(params, x: np.ndarray) -> tuple[dict, np.ndarray]:
     """params as a name -> value mapping and x as a float64 batch."""
     lookup = dict(params.modules if isinstance(params, ParamSet) else params)
@@ -134,12 +121,55 @@ def _inputs(params, x: np.ndarray) -> tuple[dict, np.ndarray]:
     return lookup, x[None, :] if x.ndim == 1 else x
 
 
-def forward(spec: MlpSpec, params, x: np.ndarray) -> ForwardResult:
-    """Run the network. params is a ParamSet or a name -> Var/array mapping."""
-    lookup, a = _inputs(params, x)
-    for wname, bname, _, fan_out, act in spec.layers:
-        feats, a = a, dense(a, lookup[wname], lookup[bname], fan_out, act)
-    return ForwardResult(logits=a, features=feats)
+def flatten(spec: MlpSpec, params) -> np.ndarray:
+    """A ParamSet or name -> array mapping as one fresh flat vector: every
+    module end to end, in spec.module_names() order."""
+    lookup = dict(params.modules if isinstance(params, ParamSet) else params)
+    return np.concatenate([lookup[name] for name in spec.module_names()])
+
+
+def unflatten(spec: MlpSpec, flat: np.ndarray) -> ParamSet:
+    """The ParamSet whose modules are the runs of a flat vector."""
+    return ParamSet(list(zip(spec.module_names(),
+                             np.split(flat, spec.offsets[1:-1]))))
+
+
+def forward(spec: MlpSpec, params, x: np.ndarray, depth: int | None = None):
+    """The last activation of the network's first depth layers, one node.
+
+    depth None runs every layer and gives the logits; spec.n_layers - 1
+    gives the penultimate features. params is the flat parameter vector,
+    an array or a Var; a ParamSet or mapping is laid out by flatten first.
+    The backward writes each layer's weight and bias gradients into one
+    fresh flat array (zeros for the layers past depth), from the numpy
+    operations of the reshape, transpose, matmul, bias add and activation
+    as separate nodes, operation for operation.
+    """
+    if not isinstance(params, (np.ndarray, ad.Var)):
+        params = flatten(spec, params)
+    pv = ad._np(params)
+    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    run = []
+    for i, (_, _, fan_in, fan_out, act) in enumerate(spec.layers[:depth]):
+        w0, b0, end = spec.offsets[2 * i:2 * i + 3]
+        w2 = pv[w0:b0].reshape(fan_out, fan_in)
+        z = a @ w2.T + pv[b0:end]
+        out = z if act is None else act.fwd(z)
+        run.append((a, w2, z, out, act, w0, b0, end))
+        a = out
+
+    def vjp(g):
+        grad = np.empty_like(pv)
+        grad[spec.offsets[2 * len(run)]:] = 0.0
+        for i in reversed(range(len(run))):
+            a_in, w2, z, out, act, w0, b0, stop = run[i]
+            gz = g if act is None else act.vjp(g, z, out)
+            grad[w0:b0].reshape(w2.shape)[...] = (a_in.T @ gz).T
+            grad[b0:stop] = gz.sum(axis=0)
+            if i:
+                g = gz @ w2
+        return (grad,)
+    return ad.record((params,), a, vjp)
 
 
 def cross_entropy(logits, labels: np.ndarray):
@@ -158,8 +188,7 @@ def cross_entropy(logits, labels: np.ndarray):
 
 
 def predict(spec: MlpSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    logits = ad._np(forward(spec, params, x).logits)
-    return np.argmax(logits, axis=1)
+    return np.argmax(forward(spec, params, x), axis=1)
 
 
 def accuracy(spec: MlpSpec, params: ParamSet, x: np.ndarray,
@@ -170,8 +199,8 @@ def accuracy(spec: MlpSpec, params: ParamSet, x: np.ndarray,
 def features(spec: MlpSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
     """Penultimate activations as plain arrays (the query features).
 
-    A plain pass over the hidden layers: the operations dense runs, with no
-    tape node recorded and no output layer.
+    A plain pass over the hidden layers: the operations forward runs, with
+    no tape node recorded and no output layer.
     """
     lookup, a = _inputs(params, x)
     for wname, bname, _, fan_out, act in spec.layers[:-1]:

@@ -33,7 +33,7 @@ from .codec import CompressedModule, EncodedModule, choose_format
 from .losses import DEFAULT_LAMBDA, loss_from_side, reference_side
 from .model import MlpSpec, check_params, forward
 from .optim import Adam, clip_global_norm
-from .seeding import rng_for
+from .seeding import batch_indices, rng_for
 from .vectors import ParamSet, TaskVector, check_aligned, signed_bounds
 
 EPS_RANGE = 1e-12  # guards the sigmoid denominator when a class is degenerate
@@ -144,7 +144,6 @@ class StackedModules:
     # as MlpSpec refuses a zero width and train checks base against it.
     starts: np.ndarray
     denom: np.ndarray     # (2, N) the gate's denominator over rho
-    spans: list           # (name, start, stop) of each module's elements
     bit_norm: float       # the width term's normaliser
 
     @classmethod
@@ -174,7 +173,6 @@ class StackedModules:
                    starts=starts,
                    denom=np.repeat(np.maximum(width, EPS_RANGE), sizes,
                                    axis=1),
-                   spans=list(zip(tv.names, starts, starts + sizes)),
                    bit_norm=float(len(tv.names) * max(CANDIDATE_WIDTHS)))
 
 
@@ -246,17 +244,6 @@ def _total(sm: StackedModules, soft, w, preserve, lam: float):
         g * lam)), parts
 
 
-def _slice(flat, start: int, stop: int):
-    """flat[start:stop], one node; the gradient scatters back to the span."""
-    fv = ad._np(flat)
-
-    def vjp(g):
-        grad = np.zeros_like(fv)
-        grad[start:stop] = g
-        return (grad,)
-    return ad.record((flat,), fv[start:stop], vjp)
-
-
 def make_objective(spec: MlpSpec, sm: StackedModules,
                    side: tuple[np.ndarray, ...], batch_x: np.ndarray,
                    kind: str, lam: float, temp: float, rho: float,
@@ -266,29 +253,35 @@ def make_objective(spec: MlpSpec, sm: StackedModules,
     leaves maps "gates" to the (3, L) gate logits (threshold_pos,
     threshold_neg and scale logit per module) and "bits" to the (L, 4)
     width logits, arrays or Vars. Per-module values reach the elements
-    inside the fused gate and mix nodes, so the tape has the same number of
-    nodes whatever the module count, apart from the forward pass. side is
-    losses.reference_side of the batch's reference outputs.
+    inside the fused gate and mix nodes, and the mix's flat output is the
+    network node's parameter vector, so the tape has the same number of
+    nodes whatever the module count. side is losses.reference_side of the
+    batch's reference outputs.
     """
+
+    depth = _compared_depth(spec, kind)
 
     def objective(leaves):
         soft = _gate(sm, leaves["gates"], rho)
         # Bit-width selection: softmax over the four candidates per module.
         w = ad.softmax(leaves["bits"], temperature=omega)
-        flat = _mix(sm, leaves["gates"], soft, w)
-        params = {n: _slice(flat, a, b) for n, a, b in sm.spans}
-        out = forward(spec, params, batch_x)
-        cmp = out.features if kind == "cka" else out.logits
+        out = forward(spec, _mix(sm, leaves["gates"], soft, w), batch_x,
+                      depth)
         return _total(sm, soft, w,
-                      loss_from_side(kind, side, cmp, temperature=temp), lam)
+                      loss_from_side(kind, side, out, temperature=temp), lam)
     return objective
+
+
+def _compared_depth(spec: MlpSpec, kind: str) -> int | None:
+    """The layers whose output the preservation loss compares: the
+    penultimate features for cka, the logits otherwise."""
+    return spec.n_layers - 1 if kind == "cka" else None
 
 
 def reference_outputs(spec: MlpSpec, finetuned: ParamSet,
                       exemplars: np.ndarray, kind: str) -> np.ndarray:
     """Cached fine-tuned outputs the preservation loss aligns against."""
-    out = forward(spec, finetuned, exemplars)
-    return ad._np(out.features if kind == "cka" else out.logits)
+    return forward(spec, finetuned, exemplars, _compared_depth(spec, kind))
 
 
 # A step whose objective or gradient norm is not finite raises
@@ -307,6 +300,9 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
     n_ex = exemplars.shape[0]
     if config.batch_size < 1 or n_ex < 1:
         raise ValueError("need a positive batch size and exemplar count")
+    if config.loss_kind == "cka" and config.batch_size < 2:
+        raise ValueError("the cka loss needs a batch size of at least 2, "
+                         f"got {config.batch_size}")
 
     ref_all = reference_outputs(spec, finetuned, exemplars, config.loss_kind)
     side_all = reference_side(config.loss_kind, ref_all, config.softmax_temp)
@@ -316,12 +312,12 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
                                len(stacked.names)),
               "bits": np.zeros((len(stacked.names), len(CANDIDATE_WIDTHS)))}
     opts = {"gates": Adam(), "bits": Adam()}
-    batch_rng = rng_for(config.seed, "batches", tv.task_id)
+    batches = batch_indices(rng_for(config.seed, "batches", tv.task_id),
+                            n_ex, config.batch_size, config.steps)
     history: list[dict] = []
 
-    for step in range(config.steps):
+    for step, idx in enumerate(batches):
         rho = omega = temperature_schedule(step)
-        idx = batch_rng.integers(0, n_ex, size=config.batch_size)
         obj = make_objective(spec, stacked, tuple(a[idx] for a in side_all),
                              exemplars[idx], config.loss_kind, config.lam,
                              config.softmax_temp, rho, omega)

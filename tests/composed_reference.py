@@ -8,8 +8,9 @@ Vars (`_binary`, `_unary`, `add` ... `take`, and callable forms of the
 package's elementwise formula pairs). Each chain below is the composed
 form the package ran before its fused node existed: `softmax` and
 `log_softmax` for `autodiff.softmax` and the log-softmax inside the
-cross-entropy and KL nodes, `dense`, `forward` and `cross_entropy` for
-`model`, the three preservation losses for `losses`, `squash`, `gate`,
+cross-entropy and KL nodes, `dense`, `forward` (one leaf per module) and
+`cross_entropy` for `model`, `fine_tune` for `harness.fine_tune`'s flat
+loop, the three preservation losses for `losses`, `squash`, `gate`,
 `mix`, `sparsity_term`, `width_term` and `make_objective` for the
 compression objective in `training`, and `projected_distances` and
 `metric_objective` for `merging.metric_objective`. On a tape each records
@@ -19,6 +20,7 @@ one node per small op, so its gradients come from the per-op VJPs alone.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +29,9 @@ from taskswitch.autodiff import Var, _np, _unbroadcast
 from taskswitch.bitwidth import CANDIDATE_WIDTHS
 from taskswitch.losses import CKA_DEGENERATE_TOL, centering_matrix
 from taskswitch.merging import DIST_EPS, NUM_FLOOR, _nearest
-from taskswitch.model import ACTIVATIONS, ForwardResult
+from taskswitch.model import ACTIVATIONS
+from taskswitch.optim import Adam, Sgd
+from taskswitch.seeding import rng_for
 from taskswitch.training import EPS_RANGE
 from taskswitch.vectors import ParamSet
 
@@ -193,7 +197,12 @@ def dense(a, w, b, fan_out: int, act=None):
     return z if act is None else _elementwise(*act)(z)
 
 
-def forward(spec, params, x) -> ForwardResult:
+class Outputs(NamedTuple):
+    logits: object     # (batch, classes)
+    features: object   # penultimate activation, (batch, feature_dim)
+
+
+def forward(spec, params, x) -> Outputs:
     lookup = dict(params.modules if isinstance(params, ParamSet)
                   else params)
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -203,8 +212,8 @@ def forward(spec, params, x) -> ForwardResult:
         if i < spec.n_layers - 1:
             a = dense(a, w, b, spec.widths[i + 1], act)
         else:
-            return ForwardResult(logits=dense(a, w, b, spec.widths[i + 1]),
-                                 features=a)
+            return Outputs(logits=dense(a, w, b, spec.widths[i + 1]),
+                           features=a)
     raise AssertionError("unreachable")
 
 
@@ -215,6 +224,24 @@ def cross_entropy(logits, labels):
     onehot[np.arange(batch), labels] = 1.0
     log_p = log_softmax(logits, axis=-1)
     return mul(sum_(mul(log_p, onehot)), -1.0 / batch)
+
+
+def fine_tune(spec, params, x, y, steps, lr, batch_size, optimizer, seed=0):
+    """`harness.fine_tune` as a per-module loop: a leaf and an optimizer
+    per module, the network and the loss composed, and one integers draw
+    per step."""
+    opts = {name: {"adam": Adam, "sgd": Sgd}[optimizer]()
+            for name in params.names}
+    rng = rng_for(seed, "fine-tune")
+    values = dict(params.copy().modules)
+    for _ in range(steps):
+        idx = rng.integers(0, x.shape[0], size=batch_size)
+        _, grads = ad.value_and_grad(
+            lambda leaves: cross_entropy(
+                forward(spec, leaves, x[idx]).logits, y[idx]), values)
+        values = {name: opts[name].step(v, grads[name], lr)
+                  for name, v in values.items()}
+    return ParamSet(list(values.items()))
 
 
 # -- losses -----------------------------------------------------------------

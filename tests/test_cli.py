@@ -373,7 +373,62 @@ CSV_COMMANDS = {
 }
 
 
+def _seed_argv(command, root, data, out):
+    """A run of command on the pipeline's files that writes only to out."""
+    if command == "gen-tasks":
+        return ["gen-tasks", "--out", str(out / "d")]
+    if command == "tswitch":
+        return ["tswitch", "--base", str(root / "base.tswp"), "--finetuned",
+                f"task0={root / 'ft0.tswp'}", "-o", str(out / "s.tswc")]
+    if command == "inspect":
+        return ["inspect", str(root / "c0.tswc"), "--csv", str(out / "i.csv")]
+    argv = CSV_COMMANDS[command](root, data, data / "task1_test.csv", out)
+    return argv if "-o" in argv else argv + ["-o", str(out / "report.csv")]
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_negative_seed_names_the_flag(self, pipeline_dir, tmp_path,
+                                          capsys, command):
+        # refused while parsing, before any file is read or written
+        root, data = pipeline_dir
+        argv = _seed_argv(command, root, data, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"taskswitch {command}: error: argument --seed: must be a "
+            "non-negative integer, got '-1'")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_in_config_names_the_flag(self, pipeline_dir,
+                                                    tmp_path, capsys):
+        root, data = pipeline_dir
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = -5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(_seed_argv("compress", root, data, tmp_path)
+                 + ["--config", str(config)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "taskswitch compress: error: argument --seed: must be a "
+            "non-negative integer, got '-5'")
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("base", ["base.tswp", "missing.tswp"])
+    def test_cka_batch_of_one_refused_up_front(self, pipeline_dir, tmp_path,
+                                               capsys, base):
+        # the same refusal whether or not --base names a file: nothing is
+        # read first
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["compress"](root, data, data / "task0_train.csv",
+                                        tmp_path)
+        argv[argv.index("--base") + 1] = str(root / base)
+        assert main(argv + ["--ppl", "cka", "--batch-size", "1"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: --batch-size must be at least 2 for --ppl cka, got 1\n"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_input_file(self, tmp_path):
         assert main(["fine-tune", "--train", str(tmp_path / "no.csv"),
                      "-o", str(tmp_path / "m.tswp")]) == 2

@@ -3,8 +3,9 @@
 `composed_reference` keeps the chains. A fused node must give the same
 value and the same gradients bit for bit, on a tape and as a plain forward,
 and pass a central finite-difference check. On top of that, a compression
-run and a fine-tune with the chains patched in for the fused nodes must
-leave the same bits in every step's log line and every final array.
+run with the chains patched in for the fused nodes, and a fine-tune against
+the per-module loop `cr.fine_tune`, must leave the same bits in every
+step's log line and every final array.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 from taskswitch import autodiff as ad
 from taskswitch import harness, merging, training
 from taskswitch.losses import cka_loss, kl_loss, mse_loss, reference_side
-from taskswitch.model import (ACTIVATIONS, MlpSpec, cross_entropy, dense,
-                              init_params)
+from taskswitch.model import MlpSpec, cross_entropy, forward, init_params
+from taskswitch.seeding import BATCH_BLOCK
 from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
                                  TrainConfig, make_objective,
                                  reference_outputs)
@@ -88,22 +89,64 @@ class TestSoftmax:
         _fd(fused, {"x": x})
 
 
-class TestDense:
-    @pytest.mark.parametrize("act", [None, "tanh", "relu"])
-    @pytest.mark.parametrize("input_is_leaf", [False, True])
-    def test_matches_chain(self, act, input_is_leaf):
-        leaves = {"w": RNG.normal(size=15), "b": RNG.normal(size=3)}
-        a = RNG.normal(size=(8, 5))
-        if input_is_leaf:
-            leaves["a"] = a
-        r = RNG.normal(size=(8, 3))
-        op = ACTIVATIONS.get(act)
+def _chain_forward(spec, flat, x, depth):
+    """cr.forward over cr.take slices of flat, the output at depth."""
+    params = {name: cr.take(flat, slice(a, b)) for name, a, b in zip(
+        spec.module_names(), spec.offsets[:-1], spec.offsets[1:])}
+    out = cr.forward(spec, params, x)
+    return out.logits if depth is None else out.features
 
-        def pick(layer):
-            return lambda lv: _probe(
-                layer(lv.get("a", a), lv["w"], lv["b"], 3, op), r)
-        _same(pick(dense), pick(cr.dense), leaves)
-        _fd(pick(dense), leaves)
+
+class TestForward:
+    """The network node over a flat leaf against the layer chain over
+    cr.take slices of it. The slices add each module's gradient to zeros,
+    which would turn a -0.0 element into +0.0 where the node kept it; but
+    the node's weight and bias gradients are sums (a matmul over the batch
+    and gz.sum(axis=0)) that numpy and BLAS start at +0.0, so no element
+    is -0.0 and the gradients are equal bit for bit."""
+
+    @pytest.mark.parametrize("act", ["tanh", "relu"])
+    @pytest.mark.parametrize("widths, features", [
+        ((5, 3), False), ((5, 4, 3), False), ((5, 4, 3), True),
+        ((5, 6, 4, 3), False), ((5, 6, 4, 3), True),
+        ((5, 6, 4, 4, 3), False), ((5, 6, 4, 4, 3), True)])
+    def test_matches_chain(self, widths, features, act):
+        spec = MlpSpec(widths, act)
+        depth = spec.n_layers - 1 if features else None
+        x = RNG.normal(size=(8, 5))
+        leaves = {"p": RNG.normal(size=spec.offsets[-1])}
+        width = spec.widths[depth] if features else spec.n_classes
+        r = RNG.normal(size=(8, width))
+
+        def pick(net):
+            return lambda lv: _probe(net(spec, lv["p"], x, depth), r)
+        _same(pick(forward), pick(_chain_forward), leaves)
+        _fd(pick(forward), leaves)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_all_negative_zero_terms_sum_to_positive_zero(self, rows):
+        # hidden unit 0 is off for every row and feeds the output through
+        # a negative weight, so every term of its weight and bias
+        # gradients is -0.0; their sums are +0.0, as through the slices
+        spec = MlpSpec((2, 2, 1), "relu")
+        flat = np.array([1.0, 1.0, 1.0, 1.0, -100.0, 0.0, -1.0, 1.0, 0.0])
+        x = np.array([[1.0, 2.0], [3.0, 0.5]])[:rows]
+        grads = [ad.value_and_grad(
+            lambda lv: _probe(net(spec, lv["p"], x, None),
+                              np.ones((rows, 1))),
+            {"p": flat})[1]["p"] for net in (forward, _chain_forward)]
+        assert _bits(grads[0]) == _bits(grads[1])
+        assert np.all(grads[0][[0, 1, 4]] == 0.0)
+        assert not np.any(np.signbit(grads[0]))
+
+    def test_mapping_is_laid_out_flat(self):
+        spec = MlpSpec((5, 6, 4, 3))
+        params = init_params(spec, seed=3)
+        x = RNG.normal(size=(7, 5))
+        want = _bits(forward(spec, np.concatenate(
+            [v for _, v in params.modules]), x))
+        assert _bits(forward(spec, params, x)) == want
+        assert _bits(forward(spec, dict(params.modules), x)) == want
 
 
 class TestCrossEntropy:
@@ -294,21 +337,22 @@ def test_compression_run_matches_chain_step_by_step(monkeypatch, kind):
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_fine_tune_matches_chain(monkeypatch, optimizer, activation):
-    spec = MlpSpec((5, 7, 6, 3), activation)
+def test_fine_tune_matches_chain(optimizer, activation):
+    # the flat loop against cr.fine_tune, on two and four layers: a leaf
+    # and an optimizer per module, the layer chain, and one integers draw
+    # per step; the steps cross a block of batch draws
     rng = np.random.default_rng(8)
     x, y = rng.normal(size=(40, 5)), rng.integers(0, 3, size=40)
-    params = init_params(spec, seed=8)
-
-    def run():
-        return harness.fine_tune(spec, params, x, y, steps=30, lr=0.05,
-                                 batch_size=8, optimizer=optimizer)
-    got = run()
-    monkeypatch.setattr(harness, "forward", cr.forward)
-    monkeypatch.setattr(harness, "cross_entropy", cr.cross_entropy)
-    want = run()
-    for (name, g), (_, w) in zip(got.modules, want.modules):
-        assert _bits(g) == _bits(w), name
+    for widths in ((5, 7, 3), (5, 7, 6, 4, 3)):
+        spec = MlpSpec(widths, activation)
+        args = (spec, init_params(spec, seed=8), x, y)
+        kwargs = dict(steps=BATCH_BLOCK + 6, lr=0.05, batch_size=8,
+                      optimizer=optimizer, seed=2)
+        got = harness.fine_tune(*args, **kwargs)
+        want = cr.fine_tune(*args, **kwargs)
+        assert got.names == want.names
+        for (name, g), (_, w) in zip(got.modules, want.modules):
+            assert _bits(g) == _bits(w), (widths, name)
 
 
 def _metric_case(seed):

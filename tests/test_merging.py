@@ -536,7 +536,7 @@ class TestMergedForward:
         np.testing.assert_array_equal(w, knn_weights(index, feats, 3))
         for i in range(x.shape[0]):
             params = materialize(base, vectors, w[i])
-            logits = ad._np(forward(SPEC, params, x[i:i + 1]).logits)
+            logits = forward(SPEC, params, x[i:i + 1])
             assert preds[i] == np.argmax(logits[0])
 
     def test_bundle_order_does_not_matter(self):
@@ -618,8 +618,7 @@ def _eight_task_setup(seed=0, spec=SPEC):
 class TestMixedForward:
     def _oracle_logits(self, base, vectors, x, w, spec=SPEC):
         return np.vstack([
-            ad._np(forward(spec, materialize(base, vectors, w[i]),
-                           x[i:i + 1]).logits)
+            forward(spec, materialize(base, vectors, w[i]), x[i:i + 1])
             for i in range(x.shape[0])])
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])

@@ -5,7 +5,7 @@ import pytest
 
 from taskswitch import autodiff as ad
 from taskswitch import MlpSpec, accuracy, features, forward, init_params, predict
-from taskswitch.model import check_params, cross_entropy
+from taskswitch.model import check_params, cross_entropy, flatten, unflatten
 
 
 class TestSpec:
@@ -91,16 +91,15 @@ class TestForward:
             ("layer1.bias", np.ones(2)),
         ])
         x = np.array([[0.5, -1.0]])
-        out = forward(spec, ps, x)
-        np.testing.assert_allclose(ad._np(out.features), np.tanh(x),
+        np.testing.assert_allclose(forward(spec, ps, x, depth=1), np.tanh(x),
                                    rtol=1e-12)
-        np.testing.assert_allclose(ad._np(out.logits), 2 * np.tanh(x) + 1,
+        np.testing.assert_allclose(forward(spec, ps, x), 2 * np.tanh(x) + 1,
                                    rtol=1e-12)
 
     def test_single_row_promoted_to_batch(self):
         spec = MlpSpec((3, 4, 2))
         ps = init_params(spec, seed=0)
-        one = ad._np(forward(spec, ps, np.zeros(3)).logits)
+        one = forward(spec, ps, np.zeros(3))
         assert one.shape == (1, 2)
 
     def test_features_are_penultimate_activations(self):
@@ -123,11 +122,27 @@ class TestForward:
         spec = MlpSpec((4, 6, 3))
         ps = init_params(spec, seed=2)
         x = np.random.default_rng(1).normal(size=(5, 4))
-        plain = ad._np(forward(spec, ps, x).logits)
-        tape = ad.Tape()
-        lvars = {n: tape.var(v) for n, v in ps.modules}
-        tape_out = ad._np(forward(spec, lvars, x).logits)
-        np.testing.assert_allclose(tape_out, plain, rtol=1e-15)
+        plain = forward(spec, ps, x)
+        leaf = ad.Tape().var(flatten(spec, ps))
+        np.testing.assert_array_equal(ad._np(forward(spec, leaf, x)), plain)
+
+    def test_features_are_forward_to_the_last_hidden_layer(self):
+        spec = MlpSpec((4, 6, 5, 3), activation="relu")
+        ps = init_params(spec, seed=4)
+        x = np.random.default_rng(2).normal(size=(7, 4))
+        np.testing.assert_array_equal(forward(spec, ps, x, spec.n_layers - 1),
+                                      features(spec, ps, x))
+
+    def test_flat_layout_round_trips(self):
+        spec = MlpSpec((4, 6, 5, 3))
+        ps = init_params(spec, seed=5)
+        flat = flatten(spec, ps)
+        assert spec.offsets == (0, 24, 30, 60, 65, 80, 83)
+        assert flat.shape == (spec.offsets[-1],)
+        back = unflatten(spec, flat)
+        assert back.names == ps.names
+        for (_, got), (_, want) in zip(back.modules, ps.modules):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestLossesAndMetrics:

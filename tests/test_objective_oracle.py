@@ -15,7 +15,7 @@ from taskswitch import autodiff as ad
 from taskswitch.bitwidth import CANDIDATE_WIDTHS, QuantSpec
 from taskswitch.losses import (DEFAULT_LAMBDA, preservation_loss,
                                reference_side)
-from taskswitch.model import MlpSpec, forward, init_params
+from taskswitch.model import MlpSpec, init_params
 from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
                                  TrainConfig, make_objective,
                                  reference_outputs, temperature_schedule,
@@ -51,7 +51,7 @@ def _reference_objective(spec, base, tv, ref, batch_x, kind, lam, temp,
             blended = mixed_quantize(tau, bl, qspecs[name])
             params[name] = cr.add(base_lookup[name],
                                   cr.mul(gate.scaled_mask, blended))
-        out = forward(spec, params, batch_x)
+        out = cr.forward(spec, params, batch_x)
         cmp = out.features if kind == "cka" else out.logits
         l_per = preservation_loss(kind, ref, cmp, temperature=temp)
         l_sp = sparsity_loss(masks)

@@ -1,15 +1,15 @@
 """Tape-size guard: one training step records a graph of fixed, small size.
 
 The compression objective lays every module into one graph over two leaf
-arrays, and the dense layers, the losses and the objective's pieces are
-fused nodes, one per formula: at desk scale the two leaves, the gate, the
-width softmax, the mix, four slices, two dense layers, the preservation
-loss and the total, 13 in all. Adding modules adds only one dense node and
-two slices per layer. The metric objective is one node over the
-projection. A return to one subgraph per module, to a glue node between
-formulas, or to the chains of small ops the fused nodes replace (62 nodes
-per desk compression step, 21 per desk fine-tune step, 30 per metric
-epoch), fails here.
+arrays, and the network, the losses and the objective's pieces are fused
+nodes, one per formula: the two leaves, the gate, the width softmax, the
+mix, the network over the mix's flat output, the preservation loss and
+the total, 8 in all whatever the module count. A fine-tune step is the
+flat parameter leaf, the network and the loss. The metric objective is one
+node over the projection. A return to one subgraph per module, to a node
+per layer or per module slice, or to the chains of small ops the fused
+nodes replace (62 nodes per desk compression step, 21 per desk fine-tune
+step, 30 per metric epoch), fails here.
 """
 
 import numpy as np
@@ -18,9 +18,9 @@ from taskswitch import autodiff as ad
 from taskswitch import (MlpSpec, ReferenceIndex, TaskVector, TrainConfig, add,
                         fine_tune, init_params, train, train_metric)
 
-MAX_NODES_DESK = 13          # widths 16,32,4: four modules; 13 recorded
-MAX_GROWTH_4_TO_10 = 12      # three more layers; 9 recorded
-MAX_NODES_FINE_TUNE = 8      # widths 16,32,4: 4 leaves, 2 layers, the loss
+MAX_NODES_DESK = 8           # widths 16,32,4: four modules; 8 recorded
+MAX_GROWTH_4_TO_10 = 0       # three more layers; 0 recorded
+MAX_NODES_FINE_TUNE = 3      # widths 16,32,4: the leaf, network and loss
 MAX_NODES_METRIC_EPOCH = 2   # the projection leaf and the objective
 
 

@@ -20,6 +20,7 @@ from taskswitch import (
     materialize,
     train,
 )
+from taskswitch import training
 from taskswitch.losses import reference_side
 from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
                                  make_objective, reference_outputs)
@@ -189,6 +190,21 @@ class TestTrainLoop:
             train(tv, base, finetuned, exemplars, SPEC, cfg)
         assert err.value.step == 0
         assert math.isfinite(err.value.components["total"])
+
+    def test_cka_batch_of_one_refused_before_reference_outputs(
+            self, monkeypatch):
+        # centred features of one row are all zero: refused up front, not
+        # by the loss at step 0
+        base, tv, finetuned, exemplars = _setup()
+
+        def unreached(*args):
+            raise AssertionError("reference outputs computed")
+        monkeypatch.setattr(training, "reference_outputs", unreached)
+        with pytest.raises(ValueError, match="^the cka loss needs a batch "
+                           "size of at least 2, got 1$"):
+            train(tv, base, finetuned, exemplars, SPEC,
+                  dataclasses.replace(self.CFG, loss_kind="cka",
+                                      batch_size=1))
 
     def test_misaligned_task_vector_rejected(self):
         base, tv, finetuned, exemplars = _setup()
