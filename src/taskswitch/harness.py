@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .model import (MlpSpec, accuracy, check_params, cross_entropy, flatten,
-                    forward, unflatten)
+from .model import (MlpSpec, accuracy, cross_entropy, flatten, forward,
+                    unflatten)
 from .optim import Adam, Sgd
 from .seeding import batch_indices, rng_for
 from .switch import build_switch, pulse_mask
@@ -28,6 +28,7 @@ from .vectors import ParamSet, TaskVector, add
 
 ETA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
 MAX_PLACEMENT_TRIES = 100
+GAP_BLOCK_ELEMENTS = 1 << 18   # center differences per placement check
 MAX_LABEL = np.iinfo(np.int64).max
 LABEL_DIGITS = len(str(MAX_LABEL))
 # A plain CSV's rows hold these bytes alone, and its labels these many
@@ -84,23 +85,32 @@ def task_geometry(spec: SyntheticTaskSpec,
     """
     d = spec.input_dim
     rng = rng_for(spec.seed, "geometry")
-    centers = None
     for _ in range(MAX_PLACEMENT_TRIES):
         raw = rng.normal(size=(spec.num_tasks, d))
-        cand = spec.task_separation * raw / np.linalg.norm(
+        centers = spec.task_separation * raw / np.linalg.norm(
             raw, axis=1, keepdims=True)
-        gaps = np.linalg.norm(cand[:, None] - cand[None, :], axis=2)
-        gaps[np.diag_indices_from(gaps)] = np.inf
-        if spec.num_tasks == 1 or gaps.min() >= spec.min_task_gap:
-            centers = cand
+        if spec.num_tasks == 1 or _gaps_reach(centers, spec.min_task_gap):
             break
-    if centers is None:
+    else:
         raise ValueError(f"could not place --tasks {spec.num_tasks} centers "
                          f"--min-task-gap {spec.min_task_gap} apart in "
                          f"{MAX_PLACEMENT_TRIES} tries")
     q, _ = np.linalg.qr(rng.normal(size=(d, spec.classes_per_task)))
     offsets = spec.class_separation * q.T
     return centers, offsets
+
+
+def _gaps_reach(points: np.ndarray, gap: float) -> bool:
+    """Whether every pair of rows of points is at least gap apart, checked
+    GAP_BLOCK_ELEMENTS differences (or one row's, if more) at a time."""
+    k, d = points.shape
+    rows = max(1, GAP_BLOCK_ELEMENTS // (k * d))
+    for lo in range(0, k, rows):
+        gaps = np.linalg.norm(points[lo:lo + rows, None] - points, axis=2)
+        gaps[range(len(gaps)), range(lo, lo + len(gaps))] = np.inf
+        if not gaps.min() >= gap:
+            return False
+    return True
 
 
 def _sample_split(rng, center, offsets, n, noise, n_classes):
@@ -340,20 +350,19 @@ def fine_tune(spec: MlpSpec, params: ParamSet, x: np.ndarray, y: np.ndarray,
     Every module is trained as one flat vector (model.flatten) through
     the network node, with one optimizer over it.
     """
-    check_params(spec, params)
+    flat = flatten(spec, params)
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
+    onehot = np.eye(spec.n_classes)[np.asarray(y, dtype=np.int64)]
     optimizers = {"adam": Adam, "sgd": Sgd}
     if optimizer not in optimizers:
         raise ValueError(f"unknown optimizer {optimizer!r}")
     opt = optimizers[optimizer]()
-    flat = flatten(spec, params)
     batches = batch_indices(rng_for(seed, "fine-tune"), x.shape[0],
                             batch_size, steps)
     for step, idx in enumerate(batches):
         loss, grads = ad.value_and_grad(
             lambda leaves: cross_entropy(
-                forward(spec, leaves["params"], x[idx]), y[idx]),
+                forward(spec, leaves["params"], x[idx]), onehot[idx]),
             {"params": flat})
         parts = {"loss": float(ad._np(loss))}
         if not math.isfinite(parts["loss"]):

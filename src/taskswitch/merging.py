@@ -22,7 +22,7 @@ from .codec import CodecError, encode_dense
 from .container import load_container, save_container
 # forward is unused here but stays importable: the benchmark traces
 # merging.forward by name
-from .model import MlpSpec, features, forward  # noqa: F401
+from .model import MlpSpec, features, flatten, forward  # noqa: F401
 from .optim import Adam
 from .seeding import rng_for
 from .training import CompressedTaskVector, TrainingDivergedError
@@ -383,33 +383,30 @@ def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
     return ParamSet(out)
 
 
-def _mixed_logits(spec: MlpSpec, base: ParamSet,
+def _mixed_logits(spec: MlpSpec, flat: np.ndarray,
                   vectors: list[CompressedTaskVector], x: np.ndarray,
                   w: np.ndarray) -> np.ndarray:
     """Logits of base + sum_k w[i, k] * vectors[k] for every row i of x.
 
     Each layer is linear in its parameters, so row i's pre-activation is
-    a W^T + b + sum_k w[i, k] (a D_k^T + d_k). The K deltas of a weight
-    module are scattered once into one dense (K*out, in) block; each block
-    of rows multiplies it once and reduces over K with its rows of the
-    (n, K) weight matrix. No parameter set is built. The vectors must
-    already line up with base.
+    a W^T + b + sum_k w[i, k] (a D_k^T + d_k). The base is its flat
+    vector; the K deltas are scattered once into one buffer, module m's
+    (K, size) block at K * offsets[m], so a weight module's is a dense
+    (K*out, in) view. Each block of rows multiplies it once and reduces
+    over K with its rows of w. The vectors must line up with spec.
     """
     n, k = w.shape
-    lookup = dict(base.modules)
-    at = {name: m for m, name in enumerate(base.names)}
-
-    def deltas(name):
-        block = np.zeros((k, lookup[name].size))
-        for t, sv in enumerate(vectors):
-            mod = sv.modules[at[name]][1]
-            block[t, mod.support] = mod.values
-        return block
-
-    layers = [(lookup[wname].reshape(fan_out, fan_in).T, lookup[bname],
-               deltas(wname).reshape(k * fan_out, fan_in).T, deltas(bname),
-               fan_out, act)
-              for wname, bname, fan_in, fan_out, act in spec.layers]
+    off = spec.offsets
+    deltas = np.zeros(k * off[-1])
+    for t, sv in enumerate(vectors):
+        for lo, hi, (_, mod) in zip(off, off[1:], sv.modules):
+            row = k * lo + t * (hi - lo)   # row t of module m's block
+            deltas[row:row + hi - lo][mod.support] = mod.values
+    layers = [(flat[w0:b0].reshape(fan_out, fan_in).T, flat[b0:end],
+               deltas[k * w0:k * b0].reshape(k * fan_out, fan_in).T,
+               deltas[k * b0:k * end].reshape(k, fan_out), fan_out, act)
+              for (_, _, fan_in, fan_out, act), w0, b0, end
+              in zip(spec.layers, off[::2], off[1::2], off[2::2])]
     logits = np.empty((n, spec.n_classes))
     for lo in range(0, n, _BLOCK_ROWS):
         a, wb = x[lo:lo + _BLOCK_ROWS], w[lo:lo + _BLOCK_ROWS]
@@ -429,8 +426,9 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
     """Per-input merged predictions. Returns (predictions, weight rows).
 
     Bundle tasks are matched to index tasks by id and checked against the
-    base like materialize checks them. Each row is answered with its own
-    mix of the task vectors in one pass per layer over each block of rows.
+    base like materialize checks them, and the base against spec. Each
+    row is answered with its own mix of the task vectors in one pass per
+    layer over each block of rows.
     """
     by_id = {}
     for sv in vectors:
@@ -443,9 +441,10 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
     ordered = [by_id[t] for t in index.task_ids]
     for sv in ordered:
         _check_bundle(base, sv)
+    flat = flatten(spec, base)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    w = knn_weights(index, features(spec, base, x), n_neighbors)
-    logits = _mixed_logits(spec, base, ordered, x, w)
+    w = knn_weights(index, features(spec, flat, x), n_neighbors)
+    logits = _mixed_logits(spec, flat, ordered, x, w)
     return np.argmax(logits, axis=1), w
 
 

@@ -2,8 +2,9 @@
 
 MlpSpec.layers states the layout once: module names, fans and which layers
 take the hidden activation; MlpSpec.offsets places every module in the flat
-parameter vector that forward and both training loops run on. The
-penultimate activation doubles as the feature extractor for query building.
+parameter vector that forward, both training loops and the merged forward
+run on. The penultimate activation, forward to the last hidden layer,
+doubles as the feature extractor for query building.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .seeding import rng_for
-from .vectors import ParamSet, StructureError, check_aligned
+from .vectors import ParamSet, StructureError
 
 ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
 
@@ -83,7 +84,7 @@ class MlpSpec:
                 for shape in ((wname, (fan_out, fan_in)), (bname, (fan_out,)))]
 
     def module_names(self) -> list[str]:
-        return [name for name, _ in self.module_shapes()]
+        return [name for layer in self.layers for name in layer[:2]]
 
     def to_dict(self) -> dict:
         return {"widths": list(self.widths), "activation": self.activation}
@@ -109,23 +110,27 @@ def init_params(spec: MlpSpec, seed: int) -> ParamSet:
 
 
 def check_params(spec: MlpSpec, params: ParamSet) -> None:
-    """Raise StructureError unless params has spec's modules, in order."""
-    check_aligned(ParamSet([(name, np.empty(shape)) for name, shape
-                            in spec.module_shapes()]), params)
-
-
-def _inputs(params, x: np.ndarray) -> tuple[dict, np.ndarray]:
-    """params as a name -> value mapping and x as a float64 batch."""
-    lookup = dict(params.modules if isinstance(params, ParamSet) else params)
-    x = np.asarray(x, dtype=np.float64)
-    return lookup, x[None, :] if x.ndim == 1 else x
+    """Raise StructureError naming the first module where params differs
+    from spec's modules, in name, size or count (the first surplus one)."""
+    names, mods, off = spec.module_names(), params.modules, spec.offsets
+    for name, lo, hi, (got, v) in zip(names, off, off[1:], mods):
+        if got != name:
+            raise StructureError(f"module name mismatch: {name!r} vs {got!r}")
+        if v.size != hi - lo:
+            raise StructureError(f"module {name!r}: size {hi - lo} vs {v.size}")
+    surplus = names[len(mods):] + [name for name, _ in mods[len(names):]]
+    if surplus:
+        raise StructureError(f"module {surplus[0]!r}: module count "
+                             f"{len(names)} vs {len(mods)}")
 
 
 def flatten(spec: MlpSpec, params) -> np.ndarray:
-    """A ParamSet or name -> array mapping as one fresh flat vector: every
-    module end to end, in spec.module_names() order."""
-    lookup = dict(params.modules if isinstance(params, ParamSet) else params)
-    return np.concatenate([lookup[name] for name in spec.module_names()])
+    """A ParamSet, checked by check_params, as one fresh flat vector (every
+    module end to end, in order); a flat array or Var comes back as is."""
+    if not isinstance(params, ParamSet):
+        return params
+    check_params(spec, params)
+    return np.concatenate([v for _, v in params.modules])
 
 
 def unflatten(spec: MlpSpec, flat: np.ndarray) -> ParamSet:
@@ -139,14 +144,13 @@ def forward(spec: MlpSpec, params, x: np.ndarray, depth: int | None = None):
 
     depth None runs every layer and gives the logits; spec.n_layers - 1
     gives the penultimate features. params is the flat parameter vector,
-    an array or a Var; a ParamSet or mapping is laid out by flatten first.
+    an array or a Var, or a ParamSet, which flatten checks and lays out.
     The backward writes each layer's weight and bias gradients into one
     fresh flat array (zeros for the layers past depth), from the numpy
     operations of the reshape, transpose, matmul, bias add and activation
     as separate nodes, operation for operation.
     """
-    if not isinstance(params, (np.ndarray, ad.Var)):
-        params = flatten(spec, params)
+    params = flatten(spec, params)
     pv = ad._np(params)
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     run = []
@@ -172,15 +176,11 @@ def forward(spec: MlpSpec, params, x: np.ndarray, depth: int | None = None):
     return ad.record((params,), a, vjp)
 
 
-def cross_entropy(logits, labels: np.ndarray):
-    """Mean negative log-likelihood of the integer labels, one tape node."""
-    labels = np.asarray(labels, dtype=np.int64)
-    batch = labels.shape[0]
-    lv = ad._np(logits)
-    onehot = np.zeros((batch, lv.shape[1]))
-    onehot[np.arange(batch), labels] = 1.0
-    log_p, e, s = ad.log_softmax_parts(lv)
-    factor = np.asarray(-1.0 / batch)
+def cross_entropy(logits, onehot: np.ndarray):
+    """Mean negative log-likelihood of the labels whose one-hot rows are
+    onehot, one tape node."""
+    log_p, e, s = ad.log_softmax_parts(ad._np(logits))
+    factor = np.asarray(-1.0 / onehot.shape[0])
 
     def vjp(g):
         return (ad.log_softmax_vjp(g * factor * onehot, e, s),)
@@ -196,13 +196,6 @@ def accuracy(spec: MlpSpec, params: ParamSet, x: np.ndarray,
     return float(np.mean(predict(spec, params, x) == np.asarray(y)))
 
 
-def features(spec: MlpSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Penultimate activations as plain arrays (the query features).
-
-    A plain pass over the hidden layers: the operations forward runs, with
-    no tape node recorded and no output layer.
-    """
-    lookup, a = _inputs(params, x)
-    for wname, bname, _, fan_out, act in spec.layers[:-1]:
-        a = act.fwd(a @ lookup[wname].reshape(fan_out, -1).T + lookup[bname])
-    return a
+def features(spec: MlpSpec, params, x: np.ndarray) -> np.ndarray:
+    """Penultimate activations (the query features), from forward."""
+    return forward(spec, params, x, spec.n_layers - 1)

@@ -148,7 +148,6 @@ class StackedModules:
 
     @classmethod
     def build(cls, base: ParamSet, tv: TaskVector) -> "StackedModules":
-        base_lookup = dict(base.modules)
         specs = [[QuantSpec.from_values(tau, b) for b in CANDIDATE_WIDTHS]
                  for _, tau in tv.modules]
         quant = [[quantize(tau, q) for q in qs]
@@ -166,7 +165,7 @@ class StackedModules:
         width = ranges - lo
         starts = np.cumsum(sizes) - sizes
         return cls(names=tv.names, sizes=sizes,
-                   base=np.concatenate([base_lookup[n] for n in tv.names]),
+                   base=np.concatenate([v for _, v in base.modules]),
                    signed=np.where(live, np.stack([tau, -tau]), 0.0),
                    live=live.astype(np.float64), lo=lo, ranges=ranges,
                    width=width, quant=np.concatenate(quant, axis=1),
@@ -258,7 +257,6 @@ def make_objective(spec: MlpSpec, sm: StackedModules,
     nodes whatever the module count. side is losses.reference_side of the
     batch's reference outputs.
     """
-
     depth = _compared_depth(spec, kind)
 
     def objective(leaves):

@@ -4,6 +4,7 @@ import argparse
 import csv
 import filecmp
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,24 @@ class TestGenTasks:
         assert capsys.readouterr().err == (
             "error: could not place --tasks 40 centers --min-task-gap 11.0 "
             "apart in 100 tries\n")
+        assert not (tmp_path / "d").exists()
+
+    def test_crowded_task_centers_are_checked_in_blocks(self, tmp_path,
+                                                        capsys):
+        # 2,000 centers on a circle cannot all be 6 apart; their whole
+        # (K, K, d) difference tensor would take 64 MB
+        tracemalloc.start()
+        try:
+            assert main(["gen-tasks", "--out", str(tmp_path / "d"),
+                         "--tasks", "2000", "--dim", "2",
+                         "--classes", "2"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "error: could not place --tasks 2000 centers --min-task-gap 6.0 "
+            "apart in 100 tries\n")
+        assert peak < 16e6
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("flag", ["--noise", "--task-separation",

@@ -19,7 +19,7 @@ from taskswitch.seeding import BATCH_BLOCK
 from taskswitch.training import (INIT_SCALE_LOGIT, StackedModules,
                                  TrainConfig, make_objective,
                                  reference_outputs)
-from taskswitch.vectors import TaskVector, add
+from taskswitch.vectors import ParamSet, StructureError, TaskVector, add
 import composed_reference as cr
 from gradcheck import fd_check
 
@@ -146,7 +146,11 @@ class TestForward:
         want = _bits(forward(spec, np.concatenate(
             [v for _, v in params.modules]), x))
         assert _bits(forward(spec, params, x)) == want
-        assert _bits(forward(spec, dict(params.modules), x)) == want
+        # a ParamSet is laid out in its own order, which must be spec's
+        swapped = ParamSet(params.modules[1::-1] + params.modules[2:])
+        with pytest.raises(StructureError, match="^module name mismatch: "
+                           "'layer0.weight' vs 'layer0.bias'$"):
+            forward(spec, swapped, x)
 
 
 class TestCrossEntropy:
@@ -154,10 +158,9 @@ class TestCrossEntropy:
         leaves = {"z": RNG.normal(size=(9, 4)) * 3}
         labels = RNG.integers(0, 4, size=9)
 
-        def pick(ce):
-            return lambda lv: ce(lv["z"], labels)
-        _same(pick(cross_entropy), pick(cr.cross_entropy), leaves)
-        _fd(pick(cross_entropy), leaves)
+        _same(lambda lv: cross_entropy(lv["z"], np.eye(4)[labels]),
+              lambda lv: cr.cross_entropy(lv["z"], labels), leaves)
+        _fd(lambda lv: cross_entropy(lv["z"], np.eye(4)[labels]), leaves)
 
 
 class TestLosses:

@@ -18,7 +18,8 @@ from taskswitch.merging import (_BLOCK_ROWS, DIST_EPS, NUM_FLOOR,
                                 init_projection, kmeans, knn_weights,
                                 load_index, materialize, merged_forward,
                                 metric_objective, save_index, train_metric)
-from taskswitch.model import MlpSpec, features, forward, init_params
+from taskswitch.model import (MlpSpec, features, flatten, forward,
+                              init_params)
 from taskswitch.training import CompressedModule, CompressedTaskVector
 from taskswitch.vectors import ParamSet, StructureError
 from composed_reference import projected_distances
@@ -631,7 +632,7 @@ class TestMixedForward:
         x = rng.normal(size=(n, 4))
         w = rng.uniform(-1.0, 2.0, size=(n, 8))
         w[rng.random(w.shape) < 0.4] = 0.0
-        got = _mixed_logits(spec, base, vectors, x, w)
+        got = _mixed_logits(spec, flatten(spec, base), vectors, x, w)
         assert got.shape == (n, 3)
         np.testing.assert_allclose(got, self._oracle_logits(base, vectors,
                                                             x, w, spec),
@@ -644,7 +645,7 @@ class TestMixedForward:
         w[rng.random(w.shape) < 0.4] = 0.0
         w[0] = 0.0                      # the base model alone
         w[1] = np.eye(8)[5]             # one task alone
-        got = _mixed_logits(SPEC, base, vectors, x, w)
+        got = _mixed_logits(SPEC, flatten(SPEC, base), vectors, x, w)
         assert got.shape == (x.shape[0], 3)
         np.testing.assert_allclose(got, self._oracle_logits(base, vectors,
                                                             x, w),
@@ -657,7 +658,7 @@ class TestMixedForward:
         x = rng.normal(size=(n, 4))
         w = rng.uniform(-1.0, 2.0, size=(n, 8))
         w[rng.random(w.shape) < 0.4] = 0.0
-        got = _mixed_logits(SPEC, base, vectors, x, w)
+        got = _mixed_logits(SPEC, flatten(SPEC, base), vectors, x, w)
         assert got.shape == (n, 3)
         np.testing.assert_allclose(got, self._oracle_logits(base, vectors,
                                                             x, w),
@@ -672,8 +673,9 @@ class TestMixedForward:
         assert np.any(w == 0.0) and np.all(np.sum(w > 0.0, axis=1) > 1)
         oracle = self._oracle_logits(base, vectors, x, w)
         np.testing.assert_array_equal(preds, np.argmax(oracle, axis=1))
-        np.testing.assert_allclose(_mixed_logits(SPEC, base, vectors, x, w),
-                                   oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            _mixed_logits(SPEC, flatten(SPEC, base), vectors, x, w), oracle,
+            rtol=0, atol=1e-12)
 
 
 class TestBuildIndex:

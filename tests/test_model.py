@@ -1,11 +1,17 @@
 """Flat-parameter MLP: shapes, forward pass, losses, metrics."""
 
+import re
+
 import numpy as np
 import pytest
 
 from taskswitch import autodiff as ad
 from taskswitch import MlpSpec, accuracy, features, forward, init_params, predict
+from taskswitch.codec import CompressedModule
+from taskswitch.merging import ReferenceIndex, merged_forward
 from taskswitch.model import check_params, cross_entropy, flatten, unflatten
+from taskswitch.training import CompressedTaskVector
+from taskswitch.vectors import ParamSet, StructureError
 
 
 class TestSpec:
@@ -83,7 +89,6 @@ class TestForward:
         # Identity-ish weights picked so the output is computable by hand:
         # z1 = tanh(x), logits = 2 * z1 + 1.
         spec = MlpSpec((2, 2, 2))
-        from taskswitch import ParamSet
         ps = ParamSet([
             ("layer0.weight", np.eye(2).reshape(-1)),
             ("layer0.bias", np.zeros(2)),
@@ -152,7 +157,7 @@ class TestLossesAndMetrics:
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         want = -(log_p[0, 0] + log_p[1, 2]) / 2
-        assert float(ad._np(cross_entropy(logits, labels))) == \
+        assert float(ad._np(cross_entropy(logits, np.eye(3)[labels]))) == \
             pytest.approx(want, rel=1e-12)
 
     def test_cross_entropy_gradient_is_softmax_minus_onehot(self):
@@ -160,14 +165,13 @@ class TestLossesAndMetrics:
         labels = np.array([0, 1])
         tape = ad.Tape()
         lv = tape.var(logits)
-        tape.backward(cross_entropy(lv, labels))
-        p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         onehot = np.eye(2)[labels]
+        tape.backward(cross_entropy(lv, onehot))
+        p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(lv.grad, (p - onehot) / 2, rtol=1e-10)
 
     def test_predict_and_accuracy(self):
         spec = MlpSpec((2, 3, 2))
-        from taskswitch import ParamSet
         # Second logit equals x0: positive x0 predicts class 1.
         ps = ParamSet([
             ("layer0.weight", np.array([[1.0, 0.0], [0.0, 1.0],
@@ -181,3 +185,57 @@ class TestLossesAndMetrics:
         np.testing.assert_array_equal(predict(spec, ps, x), [1, 0, 1])
         assert accuracy(spec, ps, x, np.array([1, 0, 0])) == \
             pytest.approx(2 / 3)
+
+
+FIT_SPEC = MlpSpec((4, 3, 2))
+
+
+def _misfits():
+    """(ParamSet, message) pairs that do not fit FIT_SPEC: the message is
+    the StructureError every public entry point must raise."""
+    good = init_params(FIT_SPEC, seed=0)
+    (wn, w), (bn, b) = good.modules[:2]
+    return [
+        # the total size matches: 13 + 2 elements where spec has 12 + 3
+        (ParamSet([(wn, np.append(w, b[0])), (bn, b[1:])]
+                  + good.modules[2:]),
+         "module 'layer0.weight': size 12 vs 13"),
+        (ParamSet(good.modules[:3]),
+         "module 'layer1.bias': module count 4 vs 3"),
+        (ParamSet(good.modules + [("layer2.weight", np.zeros(1))]),
+         "module 'layer2.weight': module count 4 vs 5"),
+        (ParamSet([(bn, b), (wn, w)] + good.modules[2:]),
+         "module name mismatch: 'layer0.weight' vs 'layer0.bias'"),
+    ]
+
+
+def _merged(params, x):
+    """merged_forward over bundles that line up with params itself, so
+    only the check of params against the spec can refuse it."""
+    empty = np.zeros(0, dtype=np.int64)
+    bundle = CompressedTaskVector("t", [
+        (name, CompressedModule(v.size, empty, empty, 1, 2.0, 2.0, 1.0))
+        for name, v in params.modules])
+    index = ReferenceIndex(["t"], np.zeros((1, FIT_SPEC.feature_dim)), [0],
+                           np.eye(FIT_SPEC.feature_dim))
+    return merged_forward(FIT_SPEC, params, [bundle], index, x,
+                          n_neighbors=1)
+
+
+class TestParamsMustFitSpec:
+    @pytest.mark.parametrize("entry", [
+        lambda ps, x: forward(FIT_SPEC, ps, x),
+        lambda ps, x: predict(FIT_SPEC, ps, x),
+        lambda ps, x: accuracy(FIT_SPEC, ps, x, np.zeros(len(x), int)),
+        lambda ps, x: features(FIT_SPEC, ps, x),
+        _merged,
+    ], ids=["forward", "predict", "accuracy", "features", "merged_forward"])
+    def test_every_entry_point_names_the_module(self, entry):
+        x = np.ones((1, 4))
+        for params, message in _misfits():
+            with pytest.raises(StructureError,
+                               match=f"^{re.escape(message)}$"):
+                entry(params, x)
+
+    def test_a_fitting_set_passes(self):
+        check_params(FIT_SPEC, init_params(FIT_SPEC, seed=0))

@@ -1,22 +1,28 @@
 """The retrieval path against the code it replaced
 (tests/serve_reference.py).
 
-features is a plain pass that must give the tape's penultimate activation
-bit for bit; knn_weights reads the references that ReferenceIndex prepares
-once and must give the weight rows of the per-call set-up bit for bit;
-kmeans takes its squared distances from the expansion _distances uses and
-must give the centers and assignments of its own rule bit for bit.
+features is forward to the last hidden layer and must give the tape's
+penultimate activation and the plain by-name pass's bit for bit;
+knn_weights reads the references that ReferenceIndex prepares once and
+must give the weight rows of the per-call set-up bit for bit; kmeans takes
+its squared distances from the expansion _distances uses and must give the
+centers and assignments of its own rule bit for bit; the mixed forward on
+the flat layout must give the by-name mixed forward's logits bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from taskswitch.codec import CompressedModule
 from taskswitch.merging import (_BLOCK_ROWS, ReferenceIndex, _floored_d2,
-                                kmeans, knn_weights, load_index,
-                                merged_forward, save_index)
-from taskswitch.model import MlpSpec, features, init_params
-from serve_reference import (features_on_tape, kmeans_own_dists,
-                             knn_weights_per_call, sq_dists)
+                                _mixed_logits, kmeans, knn_weights,
+                                load_index, merged_forward, save_index)
+from taskswitch.model import MlpSpec, features, flatten, init_params
+from taskswitch.training import CompressedTaskVector
+from taskswitch.vectors import ParamSet
+from serve_reference import (features_by_name, features_on_tape,
+                             kmeans_own_dists, knn_weights_per_call,
+                             mixed_logits_by_name, sq_dists)
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -39,6 +45,64 @@ def test_features_match_the_tape(widths, activation):
                   np.zeros((0, d))):
             _same_bits(features(spec, params, x),
                        features_on_tape(spec, params, x))
+
+
+def _same_words(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _random_merge(rng):
+    """A random spec of 1-4 layers, a base with nonzero biases, K of 1-8
+    bundles (about a quarter of their modules empty), an index over the
+    base's features, rows around multiples of _BLOCK_ROWS and C."""
+    n_layers = int(rng.integers(1, 5))
+    spec = MlpSpec(tuple(int(v) for v in rng.integers(1, 10, n_layers + 1)),
+                   ("tanh", "relu")[int(rng.integers(2))])
+    base = ParamSet([(name, v + rng.normal(scale=0.3, size=v.size))
+                     for name, v in init_params(spec, seed=0).modules])
+    k = int(rng.integers(1, 9))
+    vectors = []
+    for t in range(k):
+        mods = []
+        for name, v in base.modules:
+            nnz = 0 if rng.random() < 0.25 else int(rng.integers(v.size + 1))
+            width = int(rng.integers(1, 9))
+            mods.append((name, CompressedModule(
+                v.size, np.sort(rng.choice(v.size, nnz, replace=False)),
+                rng.integers(0, 2 ** width, nnz), width, 2.0 ** width,
+                2.0 ** width, float(rng.uniform(0.01, 0.2)))))
+        vectors.append(CompressedTaskVector(f"t{t}", mods))
+    n = int(rng.choice([1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                        2 * _BLOCK_ROWS + int(rng.integers(1, 40))]))
+    x = rng.normal(size=(n, spec.input_dim))
+    refs = features_by_name(spec, base, rng.normal(size=(3 * k,
+                                                         spec.input_dim)))
+    index = ReferenceIndex([sv.task_id for sv in vectors], refs,
+                           np.arange(3 * k) % k, np.eye(spec.feature_dim))
+    return spec, base, vectors, index, x, int(rng.integers(1, 3 * k + 1))
+
+
+def test_flat_mixed_forward_matches_by_name():
+    for case in range(300):
+        rng = np.random.default_rng(400 + case)
+        spec, base, vectors, index, x, n_neighbors = _random_merge(rng)
+        feats = features_by_name(spec, base, x)
+        _same_words(features(spec, base, x), feats)
+        w = knn_weights(index, feats, n_neighbors)
+        want = mixed_logits_by_name(spec, base, vectors, x, w)
+        _same_words(_mixed_logits(spec, flatten(spec, base), vectors, x, w),
+                    want)
+        # arbitrary weights too, with zeros, negatives and whole zero rows
+        w_any = rng.uniform(-1.0, 2.0, size=w.shape)
+        w_any[rng.random(w.shape) < 0.4] = 0.0
+        _same_words(_mixed_logits(spec, flatten(spec, base), vectors, x,
+                                  w_any),
+                    mixed_logits_by_name(spec, base, vectors, x, w_any))
+        preds, got_w = merged_forward(spec, base, vectors[::-1], index, x,
+                                      n_neighbors)
+        _same_words(got_w, w)
+        np.testing.assert_array_equal(preds, np.argmax(want, axis=1))
 
 
 def _check_weights(task_ids, centers, labels, projection, feats):
