@@ -194,12 +194,8 @@ def expected_bits(n: int, c: int, alpha: float, b: int) -> float:
 
 @lru_cache(maxsize=1024)
 def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(c for c in range(1, min(n, MAX_GROUP) + 1) if n % c == 0)
-
-
-def admissible_groups(n: int) -> list[int]:
     """Divisors of n not exceeding the group cap, ascending."""
-    return list(_divisors(n))
+    return tuple(c for c in range(1, min(n, MAX_GROUP) + 1) if n % c == 0)
 
 
 def optimal_group(n: int, alpha: float) -> int:

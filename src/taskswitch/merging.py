@@ -425,10 +425,10 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-input merged predictions. Returns (predictions, weight rows).
 
-    Bundle tasks are matched to index tasks by id and checked against the
-    base like materialize checks them, and the base against spec. Each
-    row is answered with its own mix of the task vectors in one pass per
-    layer over each block of rows.
+    Bundle tasks are matched to index tasks by id, one each, and checked
+    against the base like materialize checks them, and the base against
+    spec. Each row is answered with its own mix of the task vectors in one
+    pass per layer over each block of rows.
     """
     by_id = {}
     for sv in vectors:
@@ -438,6 +438,9 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
     missing = [t for t in index.task_ids if t not in by_id]
     if missing:
         raise StructureError(f"bundle is missing tasks {missing}")
+    if len(by_id) > len(index.task_ids):
+        extra = [t for t in by_id if t not in index.task_ids]
+        raise StructureError(f"bundle holds tasks {extra} not in the index")
     ordered = [by_id[t] for t in index.task_ids]
     for sv in ordered:
         _check_bundle(base, sv)

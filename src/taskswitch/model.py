@@ -10,6 +10,7 @@ doubles as the feature extractor for query building.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .seeding import rng_for
-from .vectors import ParamSet, StructureError
+from .vectors import ParamSet, StructureError, _check_modules
 
 ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
 
@@ -111,17 +112,10 @@ def init_params(spec: MlpSpec, seed: int) -> ParamSet:
 
 def check_params(spec: MlpSpec, params: ParamSet) -> None:
     """Raise StructureError naming the first module where params differs
-    from spec's modules, in name, size or count (the first surplus one)."""
-    names, mods, off = spec.module_names(), params.modules, spec.offsets
-    for name, lo, hi, (got, v) in zip(names, off, off[1:], mods):
-        if got != name:
-            raise StructureError(f"module name mismatch: {name!r} vs {got!r}")
-        if v.size != hi - lo:
-            raise StructureError(f"module {name!r}: size {hi - lo} vs {v.size}")
-    surplus = names[len(mods):] + [name for name, _ in mods[len(names):]]
-    if surplus:
-        raise StructureError(f"module {surplus[0]!r}: module count "
-                             f"{len(names)} vs {len(mods)}")
+    from spec's modules, in name, size or count."""
+    off = spec.offsets
+    _check_modules(spec.module_names(), map(operator.sub, off[1:], off),
+                   params.modules)
 
 
 def flatten(spec: MlpSpec, params) -> np.ndarray:

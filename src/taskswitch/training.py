@@ -8,7 +8,7 @@ task vector on a fresh tape, and minimizes
 with Adam on 7 scalars per module: a (3, L) array of gate logits (two
 thresholds and a scale logit per module) and an (L, 4) array of width
 logits, for L modules. All modules are laid end to end in one graph: the
-constants (the concatenated task and base vectors, the four candidate
+constants (the flat task and base vectors, the four candidate
 quantizations, the sign-class bounds, the gate denominators and the module
 runs) are built once per run, and each step broadcasts the two arrays to
 the elements, so the tape has the same number of nodes whatever the module
@@ -31,10 +31,10 @@ from . import autodiff as ad
 from .bitwidth import CANDIDATE_WIDTHS, QuantSpec, quantize, quantize_indices
 from .codec import CompressedModule, EncodedModule, choose_format
 from .losses import DEFAULT_LAMBDA, loss_from_side, reference_side
-from .model import MlpSpec, check_params, forward
+from .model import MlpSpec, flatten, forward
 from .optim import Adam, clip_global_norm
 from .seeding import batch_indices, rng_for
-from .vectors import ParamSet, TaskVector, check_aligned, signed_bounds
+from .vectors import ParamSet, TaskVector, signed_bounds
 
 EPS_RANGE = 1e-12  # guards the sigmoid denominator when a class is degenerate
 
@@ -131,7 +131,6 @@ class StackedModules:
     where the task vector is NaN.
     """
 
-    names: list[str]
     sizes: np.ndarray     # (L,) elements per module
     base: np.ndarray      # (N,) base parameters
     signed: np.ndarray    # (2, N) tau and -tau
@@ -141,38 +140,39 @@ class StackedModules:
     width: np.ndarray     # (2, L) ranges - lo, the magnitude span
     quant: np.ndarray     # (4, N) tau quantized at each candidate width
     # (L,) where each module begins: np.add.reduceat's runs. None is empty,
-    # as MlpSpec refuses a zero width and train checks base against it.
+    # as MlpSpec refuses a zero width.
     starts: np.ndarray
     denom: np.ndarray     # (2, N) the gate's denominator over rho
     bit_norm: float       # the width term's normaliser
 
     @classmethod
-    def build(cls, base: ParamSet, tv: TaskVector) -> "StackedModules":
-        specs = [[QuantSpec.from_values(tau, b) for b in CANDIDATE_WIDTHS]
-                 for _, tau in tv.modules]
-        quant = [[quantize(tau, q) for q in qs]
-                 for (_, tau), qs in zip(tv.modules, specs)]
-        bounds = [signed_bounds(tau) for _, tau in tv.modules]
-        sizes = np.array([tau.size for _, tau in tv.modules])
+    def build(cls, spec: MlpSpec, base: ParamSet,
+              tv: TaskVector) -> "StackedModules":
+        """Lay out base and tv in spec's layout; flatten checks both."""
+        off = np.asarray(spec.offsets)
+        sizes = np.diff(off)
+        tau = flatten(spec, tv)
+        modules = np.split(tau, off[1:-1])
+        bounds = [signed_bounds(t) for t in modules]
+        quant = [[quantize(t, QuantSpec(b, bd.neg_max, bd.pos_max))
+                  for b in CANDIDATE_WIDTHS]
+                 for t, bd in zip(modules, bounds)]
         has = np.array([[b.has_pos for b in bounds],
                         [b.has_neg for b in bounds]])
         live = np.repeat(has, sizes, axis=1)
-        tau = np.concatenate([tau for _, tau in tv.modules])
         lo = np.array([[b.pos_min for b in bounds],
                        [b.neg_min for b in bounds]])
-        ranges = np.array([[qs[0].range_pos for qs in specs],
-                           [qs[0].range_neg for qs in specs]])
+        ranges = np.array([[b.pos_max for b in bounds],
+                           [b.neg_max for b in bounds]])
         width = ranges - lo
-        starts = np.cumsum(sizes) - sizes
-        return cls(names=tv.names, sizes=sizes,
-                   base=np.concatenate([v for _, v in base.modules]),
+        return cls(sizes=sizes, base=flatten(spec, base),
                    signed=np.where(live, np.stack([tau, -tau]), 0.0),
                    live=live.astype(np.float64), lo=lo, ranges=ranges,
                    width=width, quant=np.concatenate(quant, axis=1),
-                   starts=starts,
+                   starts=off[:-1],
                    denom=np.repeat(np.maximum(width, EPS_RANGE), sizes,
                                    axis=1),
-                   bit_norm=float(len(tv.names) * max(CANDIDATE_WIDTHS)))
+                   bit_norm=float(sizes.size * max(CANDIDATE_WIDTHS)))
 
 
 def _gate(sm: StackedModules, gates, rho: float):
@@ -289,10 +289,8 @@ def reference_outputs(spec: MlpSpec, finetuned: ParamSet,
 def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
           exemplars: np.ndarray, spec: MlpSpec,
           config: TrainConfig = TrainConfig()) -> TrainResult:
-    """Compress one task vector; deterministic for a fixed config and seed."""
-    check_params(spec, base)
-    check_aligned(base, finetuned)
-    check_aligned(base, tv)
+    """Compress one task vector; deterministic for a fixed config and seed.
+    flatten refuses a base, fine-tuned set or task vector unlike spec."""
     exemplars = np.asarray(exemplars, dtype=np.float64)
     exemplars = exemplars[:config.exemplar_count]
     n_ex = exemplars.shape[0]
@@ -302,13 +300,13 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
         raise ValueError("the cka loss needs a batch size of at least 2, "
                          f"got {config.batch_size}")
 
+    stacked = StackedModules.build(spec, base, tv)
     ref_all = reference_outputs(spec, finetuned, exemplars, config.loss_kind)
     side_all = reference_side(config.loss_kind, ref_all, config.softmax_temp)
-    stacked = StackedModules.build(base, tv)
 
-    leaves = {"gates": np.tile([[0.0], [0.0], [INIT_SCALE_LOGIT]],
-                               len(stacked.names)),
-              "bits": np.zeros((len(stacked.names), len(CANDIDATE_WIDTHS)))}
+    n_mod = len(spec.offsets) - 1
+    leaves = {"gates": np.tile([[0.0], [0.0], [INIT_SCALE_LOGIT]], n_mod),
+              "bits": np.zeros((n_mod, len(CANDIDATE_WIDTHS)))}
     opts = {"gates": Adam(), "bits": Adam()}
     batches = batch_indices(rng_for(config.seed, "batches", tv.task_id),
                             n_ex, config.batch_size, config.steps)
@@ -334,7 +332,7 @@ def train(tv: TaskVector, base: ParamSet, finetuned: ParamSet,
     gates, bits = leaves["gates"], leaves["bits"]
     soft = _gate(stacked, gates, temperature_schedule(config.steps))
     scales = ad.softplus.fwd(gates[2])
-    masks = np.split(soft > 0.5, stacked.starts[1:])
+    masks = np.split(soft > 0.5, spec.offsets[1:-1])
     modules = []
     for m, ((name, tau), mask) in enumerate(zip(tv.modules, masks)):
         # Ties between width logits resolve toward the smaller width.

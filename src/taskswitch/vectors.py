@@ -68,17 +68,25 @@ class SignedBounds:
     has_neg: bool
 
 
+def _check_modules(names: list[str], sizes, modules) -> None:
+    """The module alignment rule: raise StructureError naming the first of
+    modules that differs from names and sizes (in order) in name or size,
+    or else the first missing or surplus one."""
+    for name, size, (got, v) in zip(names, sizes, modules):
+        if got != name:
+            raise StructureError(f"module name mismatch: {name!r} vs {got!r}")
+        if v.size != size:
+            raise StructureError(f"module {name!r}: size {size} vs {v.size}")
+    if len(names) != len(modules):
+        first = names[len(modules)] if len(names) > len(modules) \
+            else modules[len(names)][0]
+        raise StructureError(f"module {first!r}: module count "
+                             f"{len(names)} vs {len(modules)}")
+
+
 def check_aligned(a, b) -> None:
-    """Same module count, names and sizes, in order, whatever the modules."""
-    if len(a.modules) != len(b.modules):
-        raise StructureError(
-            f"module count mismatch: {len(a.modules)} vs {len(b.modules)}")
-    for (name_a, va), (name_b, vb) in zip(a.modules, b.modules):
-        if name_a != name_b:
-            raise StructureError(f"module name mismatch: {name_a!r} vs {name_b!r}")
-        if va.size != vb.size:
-            raise StructureError(
-                f"module {name_a!r}: size {va.size} vs {vb.size}")
+    """b's modules line up with a's, whatever the modules."""
+    _check_modules(a.names, [v.size for _, v in a.modules], b.modules)
 
 
 def diff(finetuned: ParamSet, base: ParamSet, task_id: str) -> TaskVector:

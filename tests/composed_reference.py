@@ -323,9 +323,9 @@ def make_objective(spec, sm, ref, batch_x, kind, lam, temp, rho, omega):
     """`training.make_objective` with every piece composed. It takes the
     batch's raw reference outputs, not their `losses.reference_side`, and
     composes the preservation loss from them."""
-    bit_norm = float(len(sm.names) * max(CANDIDATE_WIDTHS))
+    bit_norm = float(len(sm.sizes) * max(CANDIDATE_WIDTHS))
     ends = np.cumsum(sm.sizes)
-    spans = list(zip(sm.names, ends - sm.sizes, ends))
+    spans = list(zip(spec.module_names(), ends - sm.sizes, ends))
 
     def objective(leaves, return_parts: bool = False):
         soft, scale = gate(sm, leaves["gates"], rho)

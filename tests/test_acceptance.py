@@ -258,7 +258,7 @@ def test_06_gradient_check(capsys):
         ref = reference_outputs(mspec, finetuned, exemplars, kind)
         rho = 0.9 ** int(rng.integers(0, 6))
         omega = 0.9 ** int(rng.integers(0, 6))
-        obj = make_objective(mspec, StackedModules.build(base, tv),
+        obj = make_objective(mspec, StackedModules.build(mspec, base, tv),
                              reference_side(kind, ref, 4.0), exemplars, kind,
                              DEFAULT_LAMBDA[kind], 4.0, rho, omega)
         n_mod = len(tv.modules)

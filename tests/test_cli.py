@@ -915,6 +915,23 @@ class TestErrorPaths:
                        f"vs 60\n")
         assert not (tmp_path / "m.csv").exists()
 
+    def test_merge_eval_bundle_of_a_task_outside_the_index_exits_2(
+            self, pipeline_dir, tmp_path, capsys):
+        root, data = pipeline_dir
+        task0 = ["--task", f"task0={data / 'task0_test.csv'}"]
+        assert main(["build-index", "--base", str(root / "base.tswp"),
+                     *task0, "--centers", "5",
+                     "-o", str(tmp_path / "r.idx")]) == 0
+        capsys.readouterr()
+        assert main(["merge-eval", "--base", str(root / "base.tswp"),
+                     "--index", str(tmp_path / "r.idx"),
+                     "--bundle", str(root / "c0.tswc"),
+                     "--bundle", str(root / "c1.tswc"), *task0,
+                     "--neighbors", "3", "-o", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: bundle holds tasks ['task1'] not in the index\n")
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_compress_exits_2(self, pipeline_dir, tmp_path, capsys):
         root, data = pipeline_dir

@@ -28,9 +28,9 @@ from taskswitch.codec import (
     HEADER_BITS,
     MAX_GROUP,
     NOMINAL_HEADER_BITS,
+    _divisors,
     _fields,
     _values,
-    admissible_groups,
     decode_at,
     indep_bits,
     index_bits,
@@ -70,14 +70,14 @@ class TestSizeFormulas:
         assert optimal_group(1000, 0.9) == 8
 
     def test_admissible_groups_are_capped_divisors(self):
-        assert admissible_groups(12) == [1, 2, 3, 4, 6, 12]
-        assert admissible_groups(512)[-1] == 256
-        assert max(admissible_groups(3 * 1024)) <= MAX_GROUP
+        assert _divisors(12) == (1, 2, 3, 4, 6, 12)
+        assert _divisors(512)[-1] == 256
+        assert max(_divisors(3 * 1024)) <= MAX_GROUP
 
     @given(st.integers(1, 4096), st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)
     def test_optimal_group_matches_brute_force(self, n, alpha):
-        best = min(admissible_groups(n),
+        best = min(_divisors(n),
                    key=lambda c: (expected_bits(n, c, alpha, 1), c))
         assert optimal_group(n, alpha) == best
 

@@ -219,7 +219,7 @@ def _stacked(spec, seed, signs=None):
     tv = TaskVector("t", mods)
     finetuned = add(base, TaskVector("t", [(n, np.nan_to_num(t))
                                            for n, t in mods]))
-    return StackedModules.build(base, tv), base, tv, finetuned
+    return StackedModules.build(spec, base, tv), base, tv, finetuned
 
 
 def _gates(n_mod, rng=RNG):
@@ -239,7 +239,7 @@ class TestObjectivePieces:
     def test_gate(self, rho, signs):
         sm = _stacked(SMALL, 3, signs)[0]
         r = RNG.normal(size=sm.base.size)
-        leaves = {"gates": _gates(len(sm.names))}
+        leaves = {"gates": _gates(len(sm.sizes))}
 
         def fused(lv):
             return _probe(training._gate(sm, lv["gates"], rho), r)
@@ -252,7 +252,7 @@ class TestObjectivePieces:
 
     def test_mix(self):
         sm = _stacked(DEEP, 4, {1: "-", 4: "0"})[0]
-        n_mod = len(sm.names)
+        n_mod = len(sm.sizes)
         leaves = {"gates": _gates(n_mod),
                   "soft": RNG.uniform(0.0, 1.0, sm.base.size),
                   "w": RNG.dirichlet(np.ones(4), n_mod)}
@@ -272,7 +272,7 @@ class TestObjectivePieces:
         # the two terms and the weighted preservation loss, as one total
         sm = _stacked(DEEP, 5)[0]
         leaves = {"soft": RNG.uniform(0.0, 1.0, sm.base.size),
-                  "w": RNG.dirichlet(np.ones(4), len(sm.names)),
+                  "w": RNG.dirichlet(np.ones(4), len(sm.sizes)),
                   "preserve": np.asarray(RNG.uniform(0.1, 2.0))}
 
         def fused(lv):
@@ -292,8 +292,8 @@ def _objectives(spec, seed, kind, rho, omega, signs=None):
     x = np.random.default_rng(seed).standard_normal((12, spec.input_dim))
     ref = reference_outputs(spec, finetuned, x, kind)
     args = (x, kind, 0.3, 4.0, rho, omega)
-    leaves = {"gates": _gates(len(sm.names)),
-              "bits": 0.7 * RNG.normal(size=(len(sm.names), 4))}
+    leaves = {"gates": _gates(len(sm.sizes)),
+              "bits": 0.7 * RNG.normal(size=(len(sm.sizes), 4))}
     return (make_objective(spec, sm, reference_side(kind, ref, 4.0), *args),
             cr.make_objective(spec, sm, ref, *args), leaves)
 

@@ -565,6 +565,17 @@ class TestMergedForward:
             merged_forward(SPEC, base, vectors + vectors[1:], index,
                            np.zeros((2, 4)))
 
+    def test_bundle_task_outside_the_index_raises(self):
+        # refused, not left unused and unchecked against the base
+        base, vectors, exemplars = _model_setup()
+        index = build_index(SPEC, base, exemplars, centers_per_task=4, seed=0)
+        stray = [CompressedTaskVector(t, vectors[0].modules[:1])
+                 for t in ("zzz", "c")]
+        with pytest.raises(StructureError, match="^" + re.escape(
+                "bundle holds tasks ['zzz', 'c'] not in the index") + "$"):
+            merged_forward(SPEC, base, vectors + stray, index,
+                           np.zeros((2, 4)), n_neighbors=3)
+
     def test_empty_input(self):
         base, vectors, exemplars = _model_setup()
         index = build_index(SPEC, base, exemplars, centers_per_task=4, seed=0)
@@ -574,7 +585,7 @@ class TestMergedForward:
 
     @pytest.mark.parametrize("break_it, message", [
         (lambda mods: mods[:1],
-         "bundle 'b': module count mismatch: 4 vs 1"),
+         "bundle 'b': module 'layer0.bias': module count 4 vs 1"),
         (lambda mods: mods[::-1],
          "bundle 'b': module name mismatch: 'layer0.weight' vs 'layer1.bias'"),
         (lambda mods: [("layer0.weight", _quantized(25, [0], [1], 4, 0.05))]

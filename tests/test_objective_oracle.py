@@ -111,7 +111,7 @@ def _compare(spec, seed, kind, rho, omega, signs=None):
     args = (ref, x, kind, DEFAULT_LAMBDA[kind], 4.0, rho, omega)
     want_val, want = _value_and_grads(
         _reference_objective(spec, base, tv, *args), leaves)
-    objective = make_objective(spec, StackedModules.build(base, tv),
+    objective = make_objective(spec, StackedModules.build(spec, base, tv),
                                reference_side(kind, ref, 4.0), *args[1:])
 
     def obj(lv):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from taskswitch import autodiff as ad
 from taskswitch import (
     CANDIDATE_WIDTHS,
     MlpSpec,
+    ParamSet,
+    QuantSpec,
     StructureError,
     TaskVector,
     TrainConfig,
@@ -18,6 +21,8 @@ from taskswitch import (
     decode,
     init_params,
     materialize,
+    quantize,
+    signed_bounds,
     train,
 )
 from taskswitch import training
@@ -57,7 +62,7 @@ class TestObjective:
     def _objective(self, kind="kl", lam=0.3):
         base, tv, finetuned, exemplars = _setup()
         ref = reference_outputs(SPEC, finetuned, exemplars, kind)
-        obj = make_objective(SPEC, StackedModules.build(base, tv),
+        obj = make_objective(SPEC, StackedModules.build(SPEC, base, tv),
                              reference_side(kind, ref, 4.0), exemplars, kind,
                              lam, 4.0, rho=1.0, omega=1.0)
         n_mod = len(tv.modules)
@@ -219,6 +224,87 @@ class TestTrainLoop:
             train(short, base, finetuned, exemplars, SPEC, self.CFG)
         assert str(exc.value) == (f"module {last!r}: size {tau.size} vs "
                                   f"{tau.size - 1}")
+
+    @pytest.mark.parametrize("which", ["base", "finetuned", "tv"])
+    @pytest.mark.parametrize("break_it, message", [
+        (lambda mods: mods[:-1] + [(mods[-1][0], mods[-1][1][:-1])],
+         "module 'layer1.bias': size 3 vs 2"),
+        (lambda mods: mods[:-1], "module 'layer1.bias': module count 4 vs 3"),
+        (lambda mods: mods + [("extra", np.zeros(2))],
+         "module 'extra': module count 4 vs 5"),
+        (lambda mods: mods[1::-1] + mods[2:],
+         "module name mismatch: 'layer0.weight' vs 'layer0.bias'"),
+    ], ids=["short", "missing", "extra", "swapped"])
+    def test_each_misfit_input_names_the_module(self, which, break_it,
+                                                message):
+        # train checks none of its inputs itself: flatten does, in
+        # StackedModules.build (base, tv) and reference_outputs (finetuned)
+        inputs = dict(zip(("base", "tv", "finetuned"), _setup()[:3]))
+        mods = break_it(inputs[which].modules)
+        inputs[which] = (TaskVector("t0", mods) if which == "tv"
+                         else ParamSet(mods))
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            train(inputs["tv"], inputs["base"], inputs["finetuned"],
+                  _setup()[3], SPEC, self.CFG)
+
+
+def _stacked_by_concatenation(base, tv) -> dict:
+    """StackedModules.build's fields as the build made them from the task
+    vector's own modules, concatenating base and tau unchecked, with the
+    module names it kept: the oracle of the build from spec.offsets."""
+    specs = [[QuantSpec.from_values(tau, b) for b in CANDIDATE_WIDTHS]
+             for _, tau in tv.modules]
+    quant = [[quantize(tau, q) for q in qs]
+             for (_, tau), qs in zip(tv.modules, specs)]
+    bounds = [signed_bounds(tau) for _, tau in tv.modules]
+    sizes = np.array([tau.size for _, tau in tv.modules])
+    has = np.array([[b.has_pos for b in bounds],
+                    [b.has_neg for b in bounds]])
+    live = np.repeat(has, sizes, axis=1)
+    tau = np.concatenate([tau for _, tau in tv.modules])
+    lo = np.array([[b.pos_min for b in bounds],
+                   [b.neg_min for b in bounds]])
+    ranges = np.array([[qs[0].range_pos for qs in specs],
+                       [qs[0].range_neg for qs in specs]])
+    width = ranges - lo
+    return dict(names=tv.names, sizes=sizes,
+                base=np.concatenate([v for _, v in base.modules]),
+                signed=np.where(live, np.stack([tau, -tau]), 0.0),
+                live=live.astype(np.float64), lo=lo, ranges=ranges,
+                width=width, quant=np.concatenate(quant, axis=1),
+                starts=np.cumsum(sizes) - sizes,
+                denom=np.repeat(np.maximum(width, training.EPS_RANGE),
+                                sizes, axis=1),
+                bit_norm=float(len(tv.names) * max(CANDIDATE_WIDTHS)))
+
+
+class TestStackedModules:
+    @pytest.mark.parametrize("spec", [MlpSpec(),
+                                      MlpSpec((5, 9, 7, 6, 3), "relu")],
+                                 ids=["desk", "relu-4-layers"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_build_matches_concatenation_bit_for_bit(self, spec, seed):
+        rng = np.random.default_rng(seed)
+        base = init_params(spec, seed=seed)
+        # a sign class empty, both empty, NaN: the live flags and bounds
+        # of every case the build switches on
+        fills = {1: np.abs, 2: lambda t: -np.abs(t), 3: lambda t: 0.0 * t,
+                 4: lambda t: np.full_like(t, np.nan)}
+        tv = TaskVector("t", [
+            (name, fills.get((m + seed) % 6, lambda t: t)(
+                rng.standard_normal(v.size)))
+            for m, (name, v) in enumerate(base.modules)])
+        want = _stacked_by_concatenation(base, tv)
+        assert want.pop("names") == spec.module_names()
+        got = StackedModules.build(spec, base, tv)
+        assert [f.name for f in dataclasses.fields(got)] == list(want)
+        for name, value in want.items():
+            mine = getattr(got, name)
+            if isinstance(value, float):
+                assert type(mine) is float and mine == value, name
+            else:
+                assert (mine.dtype, mine.shape, mine.tobytes()) == \
+                    (value.dtype, value.shape, value.tobytes()), name
 
 
 class TestStreamTransparency:
