@@ -360,9 +360,7 @@ def cmd_compress(args) -> int:
     save_bundle(args.out, [(task_id, comp.to_streams())], base.names,
                 {"kind": "compress", "loss": args.ppl, "lambda": config.lam,
                  "steps": args.steps, "seed": args.seed,
-                 "model": spec.to_dict(),
-                 "sparsity": comp.sparsity(),
-                 "bit_widths": {n: m.bit_width for n, m in comp.modules}})
+                 "model": spec.to_dict()})
     if args.log:
         hist = result.history
         _write_rows(args.log,

@@ -12,6 +12,9 @@ skips, naming what differs; it never passes there. A change that alters
 the walkthrough's bytes on purpose rewrites the table with
 
     PYTHONPATH=src python tests/test_walkthrough_digests.py
+
+which first prints, one line each, the entries that differ from the table
+it replaces.
 """
 
 import contextlib
@@ -95,6 +98,12 @@ def digests() -> dict:
     return table
 
 
+def changed(got: dict, pinned: dict) -> list[str]:
+    """The entries of two digest tables that differ, or that one lacks."""
+    return sorted(name for name in got.keys() | pinned.keys()
+                  if got.get(name) != pinned.get(name))
+
+
 def test_walkthrough_bytes_match_the_pinned_table():
     pinned = json.loads(TABLE.read_text())
     here = build()
@@ -103,13 +112,15 @@ def test_walkthrough_bytes_match_the_pinned_table():
     if differs:
         pytest.skip("walkthrough digests were pinned on another build: "
                     + "; ".join(differs))
-    got = digests()
-    changed = sorted(name for name in got.keys() | pinned["digests"].keys()
-                     if got.get(name) != pinned["digests"].get(name))
-    assert not changed, f"walkthrough bytes changed: {changed}"
+    moved = changed(digests(), pinned["digests"])
+    assert not moved, f"walkthrough bytes changed: {moved}"
 
 
 if __name__ == "__main__":
-    TABLE.write_text(json.dumps({"build": build(), "digests": digests()},
+    got = digests()
+    old = json.loads(TABLE.read_text())["digests"] if TABLE.exists() else {}
+    for name in changed(got, old):
+        print(f"differs: {name}", file=sys.stderr)
+    TABLE.write_text(json.dumps({"build": build(), "digests": got},
                                 indent=1, sort_keys=True) + "\n")
     print(f"wrote {TABLE}", file=sys.stderr)
