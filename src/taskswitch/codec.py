@@ -18,24 +18,39 @@ Bits are most-significant-first within each field, fields concatenated
 in declaration order, streams zero-padded to a byte boundary. That order
 is coded in two places. _fields and _values turn fields into bit arrays
 and back through big-endian words of 16 bits, or 32 for a field wider
-than 16. The one-integer encoders shift each field into a Python integer
-that holds the whole stream, which to_bytes writes out once. They serve
-GROUPED and INDEP modules of at most SMALL_SURVIVORS survivors: their
-steps are linear in the survivors, where the numpy path pays a fixed cost
-of some thirty array calls a module, and on modules of up to 16k elements
-the two cross near 56 survivors. Every padding bit is validated on
-decode, by one mask on the byte that holds them, so a single flipped bit
-can never pass silently.
+than 16. The one-integer paths shift fields into and out of Python
+integers. A grouped record's layout, intra index above bin above flag,
+is _record and _record_fields, which both paths share. The one-integer
+encoders build the whole stream in one integer, which to_bytes writes
+out once. They serve GROUPED and INDEP modules of at most
+SMALL_SURVIVORS survivors: their steps are linear in the survivors,
+where the numpy path pays a fixed cost of some thirty array calls a
+module, and on modules of up to 16k elements the two cross near 56
+survivors. Every padding bit is validated on decode, by one mask on the
+byte that holds them, so a single flipped bit can never pass silently.
 
-Decoding reads the stream's bytes in place. A BitReader over a whole file
-unpacks only the bytes each read covers into bits; a grouped module's
-bitmap and first records come in one read. Masks (the grouped presence
-bitmap, the INDEP mask, the records' end-of-group flags) are read as
-bool, so numpy finds their set bits on its bool fast path. A dense payload
-is read as 32-bit words, each cut from the big-endian 64 bits at its
-first byte past the one bit the header leaves over a byte boundary, the
-way encode_dense writes it; no dense payload is ever spread out one byte
-per bit, and it is checked finite as float32, before it is widened.
+Decoding reads the stream's bytes in place. The one-integer decoder
+mirrors the encoders for payloads of at most SMALL_RECORDS records or
+survivors. A grouped bitmap of at most SMALL_BITS groups and the
+SMALL_RECORDS records after it are read by one int.from_bytes; if the
+records' end-of-group flags close every flagged group, the records are
+walked with shifts until they do. An INDEP payload of at most SMALL_BITS
+bits is one integer, its mask walked the same way. A walk costs some
+0.3-0.5 us a record or survivor where numpy pays a fixed 14-22 us, and
+at widths 1 to 15 the two cross near 32 grouped records and between 24
+and 32 INDEP survivors. The path is chosen from
+the header, the bitmap or mask and the flags alone; a module that does
+not fit is read through numpy from its start, and both paths give the
+same modules and the same refusals. Every other module goes through
+numpy: a BitReader over a whole file unpacks only the bytes each read
+covers into bits; a grouped module's bitmap and first records come in
+one read. Masks (the grouped presence bitmap, the INDEP mask, the
+records' end-of-group flags) are read as bool, so numpy finds their set
+bits on its bool fast path. A dense payload is read as 32-bit words,
+each cut from the big-endian 64 bits at its first byte past the one bit
+the header leaves over a byte boundary, the way encode_dense writes it;
+no dense payload is ever spread out one byte per bit, and it is checked
+finite as float32, before it is widened.
 """
 
 from __future__ import annotations
@@ -60,6 +75,12 @@ MAX_GROUP = 256
 # GROUPED and INDEP modules with at most this many survivors are encoded as
 # one Python integer, more through numpy: the measured crossover
 SMALL_SURVIVORS = 56
+# GROUPED modules with at most this many records and a bitmap of at most
+# SMALL_BITS groups, and INDEP ones with at most this many survivors in a
+# payload of at most SMALL_BITS bits, are decoded as Python integers, the
+# rest through numpy: the measured crossovers
+SMALL_RECORDS = 32
+SMALL_BITS = 1024
 
 
 class CodecError(ValueError):
@@ -264,6 +285,15 @@ class BitReader:
         self.pos += count
         return bits[skip:skip + count]
 
+    def read_int(self, count: int) -> int:
+        """The next count bits as one integer, most significant bit first."""
+        if count > self.remaining:
+            raise CorruptStreamError("truncated stream", self.pos)
+        end = self.pos + count
+        word = int.from_bytes(self.data[self.pos // 8:(end + 7) // 8], "big")
+        self.pos = end
+        return word >> -end % 8 & (1 << count) - 1
+
     def read_words(self, count: int) -> np.ndarray:
         """count big-endian 32-bit words as uint32, from any bit offset."""
         if 32 * count > self.remaining:
@@ -292,19 +322,20 @@ def _check_header(h: ModuleHeader, at: int | None = None) -> None:
     def fail(message, error=CodecError):
         raise error(message) if at is None else CorruptStreamError(message, at)
 
-    n, b, c = h.count, h.bit_width, h.group_size
+    fmt, b, c, n, scale, neg, pos = h
     if not 1 <= n < MAX_COUNT:
         fail(f"element count {n} outside [1, {MAX_COUNT})", CapacityError)
-    for name in ("scale", "range_neg", "range_pos"):
-        if not math.isfinite(getattr(h, name)):
-            fail(f"non-finite header field {name}")
-    if h.fmt == Format.DENSE:
-        if b or h.range_neg or h.range_pos:
+    if not (math.isfinite(scale) and math.isfinite(neg)
+            and math.isfinite(pos)):
+        name = next(name for name, v in zip(h._fields[4:], h[4:])
+                    if not math.isfinite(v))
+        fail(f"non-finite header field {name}")
+    if fmt is Format.DENSE:
+        if b or neg or pos:
             fail("dense header carries quantizer fields")
-    elif not 1 <= b <= 15 or min(h.range_neg, h.range_pos) < 0.0:
-        fail(f"no quantizer of width {b}, ranges {h.range_neg}, "
-             f"{h.range_pos}")
-    if not 1 <= c <= MAX_GROUP or n % c or c > 1 and h.fmt != Format.GROUPED:
+    elif not 1 <= b <= 15 or neg < 0.0 or pos < 0.0:
+        fail(f"no quantizer of width {b}, ranges {neg}, {pos}")
+    if not 1 <= c <= MAX_GROUP or n % c or c > 1 and fmt is not Format.GROUPED:
         fail(f"group size {c} must divide {n}, in a grouped stream only")
 
 
@@ -443,7 +474,7 @@ def encode(module: CompressedModule,
                 bitmap |= 1 << groups - 1 - group
                 records |= last >= 0   # the end flag of the group before
                 last = group
-            records = records << rec_w | (pos - group * c) << b + 1 | v << 1
+            records = records << rec_w | _record(pos - group * c, v, b)
         records |= last >= 0           # and of the last group
         return _pack_int(header, nnz, bitmap << nnz * rec_w | records,
                          groups + nnz * rec_w)
@@ -451,7 +482,7 @@ def encode(module: CompressedModule,
     group_any = np.zeros(groups, dtype=np.uint8)
     group_any[group_id] = 1
     intra = (support - group_id * c).astype(np.int64, copy=False)
-    rec = (intra << b | bins) << 1
+    rec = _record(intra, bins, b)
     rec[:-1] |= group_id[1:] != group_id[:-1]    # end-of-group flags
     rec[-1:] |= 1
     return _pack(header, nnz, group_any, _fields(rec, rec_w))
@@ -536,11 +567,11 @@ def decode_at(reader: BitReader) -> DecodedModule:
         module = None
     else:
         if header.fmt == Format.INDEP:
-            support = reader.read_bits(n).view(bool).nonzero()[0]
-            b = header.bit_width
-            bins = _values(reader.read_bits(n * b).reshape(n, b)[support])
+            support, bins = (_indep_int(reader, header)
+                             or _decode_indep(reader, header))
         else:
-            support, bins = _decode_grouped(reader, header)
+            support, bins = (_grouped_int(reader, header)
+                             or _decode_grouped(reader, header))
         module = CompressedModule(n, support, bins, header.bit_width,
                                   header.range_neg, header.range_pos,
                                   header.scale)
@@ -553,6 +584,124 @@ def decode_at(reader: BitReader) -> DecodedModule:
     reader.pos += pad
     return DecodedModule(header, module, values, payload_bits,
                          reader.pos - start)
+
+
+def _record(intra, bin_, b: int):
+    """A grouped record without its end-of-group flag: the intra-group index
+    above the b-bit bin above the flag bit, for ints and int arrays alike."""
+    return (intra << b | bin_) << 1
+
+
+def _record_fields(rec, b: int):
+    """The intra-group index and bin of records laid out by _record."""
+    return rec >> b + 1, rec >> 1 & (1 << b) - 1
+
+
+def _set_positions(mask: int, width: int) -> list[int]:
+    """Ascending positions of the set bits of a width-bit mask, position 0
+    its most significant bit."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        mask ^= 1 << top
+        out.append(width - 1 - top)
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _flag_bits(count: int, rec_w: int) -> int:
+    """The end-of-group flag bits of count records of rec_w bits, set."""
+    return ((1 << count * rec_w) - 1) // ((1 << rec_w) - 1)
+
+
+def _int64(support: list[int], bins: list[int]):
+    """Support and bins as int64 arrays, the two rows of one."""
+    both = np.array((support, bins), dtype=np.int64)
+    return both[0], both[1]
+
+
+def _indep_int(reader: BitReader, header: ModuleHeader):
+    """An INDEP payload of at most SMALL_BITS bits and SMALL_RECORDS
+    survivors, read as one integer; else None, the reader unmoved."""
+    n, b = header.count, header.bit_width
+    size = n * (b + 1)
+    if size > SMALL_BITS or size > reader.remaining:
+        return None
+    start = reader.pos
+    word = reader.read_int(size)
+    mask = word >> n * b
+    if mask.bit_count() > SMALL_RECORDS:
+        reader.pos = start
+        return None
+    support = _set_positions(mask, n)
+    bin_mask = (1 << b) - 1
+    return _int64(support, [word >> b * (n - 1 - pos) & bin_mask
+                            for pos in support])
+
+
+def _grouped_int(reader: BitReader, header: ModuleHeader):
+    """A grouped payload with a bitmap of at most SMALL_BITS groups, read
+    with its next SMALL_RECORDS records as one integer; else None, the
+    reader unmoved, when its groups do not close within those records."""
+    n, c, b = header.count, header.group_size, header.bit_width
+    groups, rec_w = n // c, index_bits(c) + b + 1
+    take = min(SMALL_RECORDS, (reader.remaining - groups) // rec_w)
+    if groups > SMALL_BITS or take < 0:
+        return None
+    start = reader.pos
+    records_start = start + groups
+    word = reader.read_int(groups + take * rec_w)
+    bitmap = word >> take * rec_w
+    flagged = bitmap.bit_count()
+    if flagged > take or \
+            (word & _flag_bits(take, rec_w)).bit_count() < flagged:
+        reader.pos = start     # the groups do not close in these records
+        return None
+    if not flagged:
+        reader.pos = records_start
+        return _int64([], [])
+    flagged_groups = _set_positions(bitmap, groups)
+    rec_mask, top = (1 << rec_w) - 1, (take - 1) * rec_w
+    support, bins = [], []
+    add_pos, add_bin = support.append, bins.append
+    bad = back = None
+    g, last = 0, -1
+    first = flagged_groups[0] * c
+    end = first + c
+    for at in range(top, -1, -rec_w):
+        rec = word >> at & rec_mask
+        intra, v = _record_fields(rec, b)
+        pos = first + intra
+        if not last < pos < end:
+            i = (top - at) // rec_w
+            if intra >= c and bad is None:
+                bad = i, intra
+            if pos <= last and back is None:
+                back = i
+        add_pos(pos)
+        add_bin(v)
+        last = pos
+        if rec & 1:            # the end of this group
+            g += 1
+            if g == flagged:
+                break
+            first = flagged_groups[g] * c
+            end = first + c
+    # the numpy scan's refusals, in its order
+    if bad is not None:
+        raise CorruptStreamError(f"intra-group index {bad[1]} >= group "
+                                 f"size {c}", records_start + bad[0] * rec_w)
+    if back is not None:
+        raise CorruptStreamError("intra-group indices not strictly increasing",
+                                 records_start + back * rec_w)
+    reader.pos = records_start + len(support) * rec_w
+    return _int64(support, bins)
+
+
+def _decode_indep(reader: BitReader, header: ModuleHeader):
+    n, b = header.count, header.bit_width
+    support = reader.read_bits(n).view(bool).nonzero()[0]
+    return support, _values(reader.read_bits(n * b).reshape(n, b)[support])
 
 
 def _decode_grouped(reader: BitReader, header: ModuleHeader):
@@ -600,7 +749,7 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
     n_records = int(ends[-1]) + 1
     rec = rec[:n_records]
     reader.pos = records_start + n_records * rec_w
-    intra, bins = rec >> b + 1, rec >> 1 & (1 << b) - 1
+    intra, bins = _record_fields(rec, b)
     if c & c - 1:                  # index bits can hold c and more
         over = intra >= c
         if over.any():

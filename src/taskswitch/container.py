@@ -157,9 +157,14 @@ def save_bundle(path, entries: list[tuple[str, list[EncodedModule]]],
 
 def load_bundle(path) -> tuple[list[CompressedTaskVector], dict]:
     tasks, metadata = load_container(path)
-    out = [sparse_from_decoded(tid, mods,
-                               _module_names(path, metadata, len(mods)))
-           for tid, mods in tasks]
+    out = []
+    for tid, mods in tasks:
+        names = _module_names(path, metadata, len(mods))
+        try:
+            out.append(sparse_from_decoded(tid, mods, names))
+        except CodecError as exc:   # a dense stream, named with its file
+            exc.args = (f"{path}: {exc}",)
+            raise
     return out, metadata
 
 

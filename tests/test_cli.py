@@ -1025,6 +1025,19 @@ class TestErrorPaths:
             "holding one dense stream of scale 1\n")
         assert not (tmp_path / "m.csv").exists()
 
+    def test_parameter_file_as_bundle_exits_2(self, pipeline_dir, tmp_path,
+                                              capsys):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["merge-eval"](root, data, data / "task1_test.csv",
+                                          tmp_path)
+        argv[argv.index("--bundle") + 1] = str(root / "base.tswp")
+        assert main(argv + ["-o", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / 'base.tswp'}: task 'base' module "
+            "'layer0.weight': a dense stream is not a compressed task "
+            "vector\n")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_index_of_the_old_layout_exits_2(self, pipeline_dir, tmp_path,
                                              capsys):
         # the TSWQ layout indexes had before they were task containers

@@ -30,6 +30,9 @@ DENSITIES = [0.0, "one", 0.3, 1.0]
 # encoders and the numpy ones; the group sizes 1 and 3 and 256 at width 15
 # (24-bit records) are the record widths' edges
 CUTOFF = codec.SMALL_SURVIVORS
+# the decoder reads a module of at most this many records or survivors as
+# one integer; every decode is checked at it and at -1, where none is
+READ_CUTOFF = codec.SMALL_RECORDS
 COUNTS = [0, CUTOFF - 1, CUTOFF, CUTOFF + 1]
 CUTOFF_WIDTHS = [1, 8, 15]
 CUTOFF_GROUPS = [1, 3, 256]
@@ -74,13 +77,18 @@ def _outcome(decoder, data: bytes, pos: int = 0):
 
 
 def _same_outcome(data: bytes, pos: int = 0):
-    got = _outcome(decode_at, data, pos)
+    """The old decoder's outcome on both of the decoder's paths."""
     want = _outcome(ref.decode_at, data, pos)
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        assert not isinstance(got, tuple), got
-        _same_decoded(got, want)
+    for cutoff in (READ_CUTOFF, -1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, "SMALL_RECORDS", cutoff)
+            got = _outcome(decode_at, data, pos)
+        if isinstance(want, tuple):
+            assert got == want, cutoff
+        else:
+            assert not isinstance(got, tuple), (cutoff, got)
+            _same_decoded(got, want)
+    return want
 
 
 def _every_cut_and_bit_flip(data: bytes, step: int = 1):
@@ -199,11 +207,23 @@ class TestReadWords:
     @pytest.mark.parametrize("skip", [0, 1, 7])
     def test_truncation_at_the_same_offset(self, skip):
         data = bytes(11)
-        for reader in ("read_words", "read_bits"):
+        for reader in ("read_words", "read_bits", "read_int"):
             r = BitReader(data, skip)
             with pytest.raises(codec.CorruptStreamError) as err:
                 getattr(r, reader)(3 if reader == "read_words" else 96)
             assert err.value.bit_offset == skip and r.pos == skip
+
+    @pytest.mark.parametrize("skip", range(8))
+    def test_read_int_matches_read_bits(self, skip):
+        # counts that end inside a byte, on its boundary, and on the last
+        # bit of the data
+        data = np.random.default_rng(skip).integers(
+            0, 256, 9, dtype=np.uint8).tobytes()
+        for count in (0, 1, 7, 8 - skip, 9, 40, 72 - 16 - skip):
+            ints, bits = (BitReader(data, 16 + skip) for _ in range(2))
+            want = int("".join(map(str, bits.read_bits(count))) or "0", 2)
+            assert ints.read_int(count) == want
+            assert ints.pos == bits.pos
 
 
 class TestDense:
@@ -282,6 +302,7 @@ class TestQuantized:
                                   for g in range(0, 80, 2)])
         mod = CompressedModule(1280, support, support % 8, 3, 0.5, 0.25, 1.5)
         data = encode(mod, 16).data
+        monkeypatch.setattr(codec, "SMALL_RECORDS", -1)   # the numpy scan
         got = []
         read_bits = BitReader.read_bits
         monkeypatch.setattr(BitReader, "read_bits", lambda r, count: (
@@ -373,6 +394,108 @@ class TestPadding:
         mod = CompressedModule(13, support, support % 8, 3, 0.5, 0.25, 1.5)
         _same_encoding(encode_indep, ref.encode_indep, mod)
         _every_cut_and_bit_flip(encode_indep(mod).data)
+
+
+def _bit_reads(data: bytes, pos: int = 0) -> int:
+    """The bit-array reads decode_at makes: none on the one-integer path."""
+    reads = []
+    read_bits = BitReader.read_bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BitReader, "read_bits", lambda r, count: (
+            reads.append(count), read_bits(r, count))[1])
+        decode_at(BitReader(data, pos))
+    return len(reads)
+
+
+def _quantized(n: int, support, b: int = 2) -> CompressedModule:
+    support = np.asarray(support, dtype=np.int64)
+    return CompressedModule(n, support, support % (1 << b), b, 0.5, 0.25, 1.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOneIntegerRead:
+    """The edges of the decoder's one-integer path, each stream decoded on
+    both paths against the old decoder."""
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("spread", ["one group", "one per group"])
+    def test_grouped_at_the_read_cutoff(self, extra, spread):
+        # past the cutoff, records of one group run out of the integer's
+        # records, and one record a group flags too many groups
+        count = READ_CUTOFF + extra
+        c = 256 if spread == "one group" else 2
+        support = np.arange(count) * (3 if c == 256 else c)
+        enc = encode(_quantized(c * count, support), c)
+        _same_outcome(enc.data)
+        assert (_bit_reads(enc.data) == 0) == (extra == 0)
+        _every_cut_and_bit_flip(enc.data, step=5)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_indep_at_the_read_cutoff(self, extra):
+        enc = encode_indep(_quantized(READ_CUTOFF + 8,
+                                      np.arange(READ_CUTOFF + extra)))
+        _same_outcome(enc.data)
+        assert (_bit_reads(enc.data) == 0) == (extra == 0)
+        _every_cut_and_bit_flip(enc.data, step=3)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_at_the_integer_width_bound(self, extra):
+        # a bitmap of SMALL_BITS groups or one more, and an INDEP payload
+        # of SMALL_BITS bits at width 1 or the next length
+        bits = codec.SMALL_BITS
+        for enc in (encode(_quantized(bits + extra, [0, bits + extra - 1]), 1),
+                    encode_indep(_quantized(bits // 2 + extra, [0, 7], b=1))):
+            _same_outcome(enc.data)
+            assert (_bit_reads(enc.data) == 0) == (extra == 0)
+
+    def test_flipped_intra_field_reaching_the_group_size(self):
+        # groups of 5 take 3 index bits: flipping the top one of the second
+        # record's index 1 makes it 5
+        mod = _quantized(20, [0, 1, 6, 7, 12])
+        enc = encode(mod, 5)
+        rec_w = codec.index_bits(5) + 2 + 1
+        flip = HEADER_BITS + 4 + rec_w
+        data = bytearray(enc.data)
+        data[flip // 8] ^= 0x80 >> flip % 8
+        want = _same_outcome(bytes(data))
+        assert want == (codec.CorruptStreamError,
+                        f"intra-group index 5 >= group size 5 (bit offset "
+                        f"{flip})", flip)
+
+    @pytest.mark.parametrize("fmt", ["grouped", "indep"])
+    def test_zero_survivors(self, fmt):
+        mod = _quantized(24, [])
+        enc = encode(mod, 4) if fmt == "grouped" else encode_indep(mod)
+        assert _same_outcome(enc.data).nnz == 0
+        assert _bit_reads(enc.data) == 0
+        _every_cut_and_bit_flip(enc.data)
+
+    def test_module_followed_by_another(self):
+        # the first module's integer of records runs on into the second
+        # stream's bytes; both decode alike from their own offsets, cut
+        # and flipped at every bit
+        first = encode(_quantized(64, [3, 40]), 16).data
+        second = encode_indep(_quantized(6, [1, 2, 5])).data
+        data = first + second
+        assert _same_outcome(data).bits_consumed == 8 * len(first)
+        for at in (0, 8 * len(first)):
+            for bit in range(8 * len(data)):
+                flipped = bytearray(data)
+                flipped[bit // 8] ^= 0x80 >> bit % 8
+                _same_outcome(bytes(flipped), at)
+            for cut in range(at // 8, len(data)):
+                _same_outcome(data[:cut], at)
+
+    @pytest.mark.parametrize("fmt", ["grouped", "indep"])
+    def test_last_record_ends_in_the_last_byte(self, fmt):
+        # 137 header bits, then a 3-bit bitmap and four 5-bit records, or
+        # five 3-bit INDEP elements: 160 and 152 bits, no padding
+        enc = (encode(_quantized(12, [0, 1, 5, 9]), 4) if fmt == "grouped"
+               else encode_indep(_quantized(5, [0, 2, 4])))
+        assert _padding(enc) == 0
+        _same_outcome(enc.data)
+        assert _bit_reads(enc.data) == 0
+        _every_cut_and_bit_flip(enc.data)
 
 
 def _bad(support=(1, 2), bins=(0, 1), bit_width=2, range_neg=1.0,

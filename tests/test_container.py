@@ -126,6 +126,16 @@ class TestBundleRoundTrip:
         with pytest.raises(CodecError, match="'t' module 'd'"):
             load_bundle(path)
 
+    def test_dense_stream_refusal_names_the_file(self, tmp_path):
+        from taskswitch.codec import encode_dense
+        path = tmp_path / "dense.tswc"
+        save_bundle(path, [("t", [encode_dense(np.ones(3))])], ["d"])
+        with pytest.raises(CodecError) as err:
+            load_bundle(path)
+        assert type(err.value) is CodecError
+        assert str(err.value) == (f"{path}: task 't' module 'd': a dense "
+                                  "stream is not a compressed task vector")
+
 
 class TestCorruptContainers:
     def test_stream_error_names_file_task_and_module(self, tmp_path):
