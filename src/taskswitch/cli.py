@@ -1,7 +1,8 @@
 """Command-line pipeline: data generation through dynamic merge evaluation.
 
 Every subcommand is deterministic given --seed. A flat key=value file can
-supply any option via --config; explicit flags override file entries.
+supply any option via --config, one file a run; explicit flags override
+file entries.
 """
 
 from __future__ import annotations
@@ -108,6 +109,30 @@ def _load_config_tokens(path) -> list[str]:
     return tokens
 
 
+class _SpliceConfig(Exception):
+    """Raised at the first --config of a parse, carrying its file."""
+
+
+_SPLICED = object()    # --config's value while its file's entries parse
+
+
+class _ConfigFile(argparse.Action):
+    """--config FILE in every form argparse takes (--config=FILE, an
+    abbreviation). The first one met stops the parse, and _Parser parses
+    again with the file's entries in front of the flags, so that explicit
+    flags override them; there it is recorded, and a second one refused."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        if path is None:
+            raise ValueError("--config needs a file")
+        seen = getattr(namespace, self.dest)
+        if seen is None:
+            raise _SpliceConfig(path)
+        if seen is not _SPLICED:
+            raise ValueError("--config given twice")
+        setattr(namespace, self.dest, path)
+
+
 def _resolve_model(args):
     """Initial parameters from --init; a container also fixes the shape."""
     if args.init != "random":
@@ -135,11 +160,13 @@ def _load_finetuned(base_spec, path):
     return params, name
 
 
-def _load_index(path, spec):
+def _load_index(path, spec, neighbors):
+    """The index at path, checked against the model and --neighbors."""
     index = merging.load_index(path)
     if index.feature_dim != spec.feature_dim:
         raise StructureError(f"{path}: features of width {index.feature_dim}"
                              f", the model's have {spec.feature_dim}")
+    merging._check_neighbors(index, neighbors, "--neighbors")
     return index
 
 
@@ -149,7 +176,8 @@ class _Parser(argparse.ArgumentParser):
     argparse takes a token for an option unless it matches its negative
     number pattern, which has no exponent, so "--lambda -1e308" failed with
     "expected one argument" where "--lambda=-1e308" parsed. Subparsers are
-    made of the same class.
+    made of the same class, and a subcommand's parse that meets --config
+    parses again with the file's entries first (see _ConfigFile).
     """
 
     def __init__(self, *args, **kwargs):
@@ -157,6 +185,14 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
             re.IGNORECASE)
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except _SpliceConfig as splice:
+            return super().parse_known_args(
+                _load_config_tokens(splice.args[0]) + list(args),
+                argparse.Namespace(config=_SPLICED))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="write per-task accuracy CSV here")
 
     for name, sp in sub.choices.items():
-        sp.add_argument("--config", help="key=value defaults file")
+        sp.add_argument("--config", action=_ConfigFile, nargs="?",
+                        metavar="FILE", help="key=value defaults file")
         sp.add_argument("--seed", type=_seed, default=0)
     return parser
 
@@ -456,7 +493,7 @@ def cmd_build_index(args) -> int:
 
 def cmd_train_metric(args) -> int:
     spec, base, _ = load_params(args.base)
-    index = _load_index(args.index, spec)
+    index = _load_index(args.index, spec, args.neighbors)
     pairs = _index_inputs(args, spec)
     feats = [(name, features(spec, base, x)) for name, x in pairs]
     try:
@@ -490,7 +527,7 @@ def _accuracy_report(rows, out):
 
 def cmd_merge_eval(args) -> int:
     spec, base, _ = load_params(args.base)
-    index = _load_index(args.index, spec)
+    index = _load_index(args.index, spec, args.neighbors)
     vectors = []
     for path in args.bundle:
         for sv in load_bundle(path)[0]:
@@ -550,24 +587,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # expand --config into tokens right after the subcommand so explicit
-    # flags, parsed later, override it
-    if "--config" in argv:
-        at = argv.index("--config")
-        if at + 1 >= len(argv):
-            print("error: --config needs a file", file=sys.stderr)
-            return 2
-        try:
-            tokens = _load_config_tokens(argv[at + 1])
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        argv = argv[:at] + argv[at + 2:]
-        argv = argv[:1] + tokens + argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except (StructureError, CodecError, OSError, ValueError,
             TrainingDivergedError) as exc:

@@ -38,19 +38,18 @@ walked with shifts until they do. An INDEP payload of at most SMALL_BITS
 bits is one integer, its mask walked the same way. A walk costs some
 0.3-0.5 us a record or survivor where numpy pays a fixed 14-22 us, and
 at widths 1 to 15 the two cross near 32 grouped records and between 24
-and 32 INDEP survivors. The path is chosen from
-the header, the bitmap or mask and the flags alone; a module that does
-not fit is read through numpy from its start, and both paths give the
-same modules and the same refusals. Every other module goes through
-numpy: a BitReader over a whole file unpacks only the bytes each read
-covers into bits; a grouped module's bitmap and first records come in
-one read. Masks (the grouped presence bitmap, the INDEP mask, the
-records' end-of-group flags) are read as bool, so numpy finds their set
-bits on its bool fast path. A dense payload is read as 32-bit words,
-each cut from the big-endian 64 bits at its first byte past the one bit
-the header leaves over a byte boundary, the way encode_dense writes it;
-no dense payload is ever spread out one byte per bit, and it is checked
-finite as float32, before it is widened.
+and 32 INDEP survivors. The integer paths refuse nothing: a module that
+does not fit, or a grouped record out of place, is read through numpy
+from its start, and every grouped refusal is the numpy scan's. On that
+path a BitReader over a whole file unpacks only the bytes each read
+covers into bits; a grouped module's bitmap is one read and its records
+come in doubling chunks. Masks (the grouped presence bitmap, the INDEP
+mask, the records' end-of-group flags) are read as bool, so numpy finds
+their set bits on its bool fast path. A dense payload is read as 32-bit
+words, each cut from the big-endian 64 bits at its first byte past the
+one bit the header leaves over a byte boundary, the way encode_dense
+writes it; no dense payload is ever spread out one byte per bit, and it
+is checked finite as float32, before it is widened.
 """
 
 from __future__ import annotations
@@ -642,7 +641,8 @@ def _indep_int(reader: BitReader, header: ModuleHeader):
 def _grouped_int(reader: BitReader, header: ModuleHeader):
     """A grouped payload with a bitmap of at most SMALL_BITS groups, read
     with its next SMALL_RECORDS records as one integer; else None, the
-    reader unmoved, when its groups do not close within those records."""
+    reader unmoved, when its groups do not close within those records or
+    a record is one the numpy scan refuses."""
     n, c, b = header.count, header.group_size, header.bit_width
     groups, rec_w = n // c, index_bits(c) + b + 1
     take = min(SMALL_RECORDS, (reader.remaining - groups) // rec_w)
@@ -664,7 +664,6 @@ def _grouped_int(reader: BitReader, header: ModuleHeader):
     rec_mask, top = (1 << rec_w) - 1, (take - 1) * rec_w
     support, bins = [], []
     add_pos, add_bin = support.append, bins.append
-    bad = back = None
     g, last = 0, -1
     first = flagged_groups[0] * c
     end = first + c
@@ -673,11 +672,8 @@ def _grouped_int(reader: BitReader, header: ModuleHeader):
         intra, v = _record_fields(rec, b)
         pos = first + intra
         if not last < pos < end:
-            i = (top - at) // rec_w
-            if intra >= c and bad is None:
-                bad = i, intra
-            if pos <= last and back is None:
-                back = i
+            reader.pos = start     # the numpy scan refuses this record
+            return None
         add_pos(pos)
         add_bin(v)
         last = pos
@@ -687,13 +683,6 @@ def _grouped_int(reader: BitReader, header: ModuleHeader):
                 break
             first = flagged_groups[g] * c
             end = first + c
-    # the numpy scan's refusals, in its order
-    if bad is not None:
-        raise CorruptStreamError(f"intra-group index {bad[1]} >= group "
-                                 f"size {c}", records_start + bad[0] * rec_w)
-    if back is not None:
-        raise CorruptStreamError("intra-group indices not strictly increasing",
-                                 records_start + back * rec_w)
     reader.pos = records_start + len(support) * rec_w
     return _int64(support, bins)
 
@@ -707,42 +696,26 @@ def _decode_indep(reader: BitReader, header: ModuleHeader):
 def _decode_grouped(reader: BitReader, header: ModuleHeader):
     n, c, b = header.count, header.group_size, header.bit_width
     groups, rec_w = n // c, index_bits(c) + b + 1
-    records_start = reader.pos + groups
-    max_records = max(0, (reader.remaining - groups) // rec_w)
-    # the bitmap and the first 64 records come in one read; a small module
-    # needs no other
-    take = min(64, max_records)
-    bits = reader.read_bits(groups + take * rec_w)
-    flagged = bits[:groups].view(bool).nonzero()[0]
+    flagged = reader.read_bits(groups).view(bool).nonzero()[0]
+    records_start = reader.pos
     if flagged.size == 0:
-        reader.pos = records_start
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    bits = bits[groups:]
-    # Records are flag-terminated; scan in growing chunks until every
-    # flagged group has closed. A first chunk longer than the records
-    # read is read again from the first record (measured no slower than
-    # appending to them, which copies them all).
+    max_records = reader.remaining // rec_w
+    # Records are flag-terminated; scan in doubling chunks until every
+    # flagged group has closed
     chunk, parsed, closed = max(64, 2 * flagged.size), 0, 0
-    if min(chunk, max_records) > take:
-        take = min(chunk, max_records)
-        reader.pos = records_start
-        bits = reader.read_bits(take * rec_w)
     recs, ends = [], []            # per chunk: records, flagged rows
-    while True:
+    while closed < flagged.size:
+        take = min(chunk, max_records - parsed)
         if take <= 0:
             raise CorruptStreamError("records exhausted before all groups "
                                      "closed", 8 * len(reader.data))
-        bits = bits.reshape(take, rec_w)
+        bits = reader.read_bits(take * rec_w).reshape(take, rec_w)
         recs.append(_values(bits))
         ends.append(bits[:, -1].view(bool).nonzero()[0] + parsed)
         closed += ends[-1].size
         parsed += take
-        if closed >= flagged.size:
-            break
         chunk *= 2
-        take = min(chunk, max_records - parsed)
-        if take > 0:
-            bits = reader.read_bits(take * rec_w)
     rec, ends = ((recs[0], ends[0]) if len(recs) == 1
                  else (np.concatenate(recs), np.concatenate(ends)))
     ends = ends[:flagged.size]     # the record closing each group

@@ -330,11 +330,13 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     return w
 
 
-def _check_neighbors(index: ReferenceIndex, n_neighbors: int) -> None:
-    """Raise ValueError unless C is between 1 and the reference count."""
+def _check_neighbors(index: ReferenceIndex, n_neighbors: int,
+                     name: str = "n_neighbors") -> None:
+    """Raise ValueError, naming C as name, unless C is between 1 and the
+    reference count."""
     n_refs = index.centers.shape[0]
     if not 1 <= n_neighbors <= n_refs:
-        raise ValueError(f"n_neighbors must be in [1, {n_refs}], "
+        raise ValueError(f"{name} must be in [1, {n_refs}], "
                          f"got {n_neighbors}")
 
 

@@ -179,6 +179,53 @@ class TestConfigFile:
     def test_config_without_value_exits_2(self):
         assert main(["gen-tasks", "--out", "x", "--config"]) == 2
 
+    @pytest.mark.parametrize("form", [["--config", "{}"], ["--config={}"],
+                                      ["--conf", "{}"], ["--conf={}"]],
+                             ids=["space", "equals", "abbrev", "abbrev-equals"])
+    def test_every_form_applies_the_file(self, tmp_path, form):
+        # the file sets two tasks, so six files are written, not eight,
+        # and an explicit --tasks 1 before it still wins: four
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("tasks = 2\ndim = 6\ntrain_size = 20\n"
+                       "test_size = 10\n")
+        form = [t.format(cfg) for t in form]
+        for out, explicit, files in (("a", [], 6), ("b", ["--tasks", "1"], 4)):
+            assert main(["gen-tasks", *explicit, *form,
+                         "--out", str(tmp_path / out)]) == 0
+            assert len(list((tmp_path / out).iterdir())) == files
+
+    @pytest.mark.parametrize("form", ["--config={}", "--conf={}"])
+    def test_missing_file_in_every_form_exits_2(self, tmp_path, capsys,
+                                                form):
+        missing = tmp_path / "nope.cfg"
+        assert main(["gen-tasks", "--out", str(tmp_path / "a"),
+                     form.format(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("second", [["--config", "{}"], ["--conf={}"], []],
+                             ids=["repeated", "abbrev-equals", "in-the-file"])
+    def test_second_config_exits_2(self, tmp_path, capsys, second):
+        first, other = tmp_path / "c2.cfg", tmp_path / "c3.cfg"
+        first.write_text("tasks = 2\n" + ("" if second else
+                                          f"config = {other}\n"))
+        other.write_text("tasks = 3\n")
+        assert main(["gen-tasks", "--out", str(tmp_path / "a"),
+                     "--config", str(first),
+                     *(t.format(other) for t in second)]) == 2
+        assert capsys.readouterr().err == "error: --config given twice\n"
+        assert not (tmp_path / "a").exists()
+
+    def test_required_flag_from_the_file(self, tmp_path):
+        out = tmp_path / "a"
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"out = {out}\ntasks = 2\ndim = 6\n"
+                       "train_size = 20\ntest_size = 10\n")
+        assert main(["gen-tasks", f"--config={cfg}"]) == 0
+        assert len(list(out.iterdir())) == 6
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
         cfg.write_bytes(b"tasks = 2\n# caf\xe9\n")
@@ -643,8 +690,20 @@ class TestErrorPaths:
                                             data / "task1_train.csv", tmp_path)
         assert main(argv + ["--neighbors", neighbors]) == 2
         assert capsys.readouterr().err == (
-            f"error: n_neighbors must be in [1, 10], got {neighbors}\n")
+            f"error: --neighbors must be in [1, 10], got {neighbors}\n")
         assert not (tmp_path / "r.idx").exists()
+
+    @pytest.mark.parametrize("neighbors", ["0", "11"])
+    def test_merge_eval_neighbors_out_of_range_exit_2(
+            self, pipeline_dir, tmp_path, capsys, neighbors):
+        root, data = pipeline_dir
+        argv = CSV_COMMANDS["merge-eval"](root, data,
+                                          data / "task1_test.csv", tmp_path)
+        assert main(argv + ["--neighbors", neighbors,
+                            "-o", str(tmp_path / "acc.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --neighbors must be in [1, 10], got {neighbors}\n")
+        assert not (tmp_path / "acc.csv").exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     @pytest.mark.parametrize("command, flag, out", [

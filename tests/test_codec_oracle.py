@@ -291,13 +291,13 @@ class TestQuantized:
         _every_cut_and_bit_flip(encode(mod, 256).data, step=37)
 
     @pytest.mark.parametrize("per_group, reads", [
-        (1, [80 + 40 * 8]), (3, [80 + 64 * 8, 80 * 8, 40 * 8])])
+        (1, [80, 40 * 8]), (3, [80, 80 * 8, 40 * 8])])
     def test_first_chunk_past_the_records_read_with_the_bitmap(
             self, monkeypatch, per_group, reads):
-        # 40 of 80 groups of 16 flagged, 8-bit records: the first chunk is
-        # 80 records. The bitmap's read takes up to 64; with one record a
-        # group that is every record the stream holds, so nothing is read
-        # again, and with three the first chunk is read from its start
+        # 40 of 80 groups of 16 flagged, 8-bit records: the bitmap is read
+        # alone, then the records from a first chunk of 80. With one
+        # record a group the stream holds 40, so one read takes them all,
+        # and with three the next chunk takes the 40 left
         support = np.concatenate([g * 16 + np.arange(per_group)
                                   for g in range(0, 80, 2)])
         mod = CompressedModule(1280, support, support % 8, 3, 0.5, 0.25, 1.5)
@@ -461,6 +461,30 @@ class TestOneIntegerRead:
         assert want == (codec.CorruptStreamError,
                         f"intra-group index 5 >= group size 5 (bit offset "
                         f"{flip})", flip)
+
+    @pytest.mark.parametrize("record, want", [
+        (0, "intra-group index 3 >= group size 3"),
+        (1, "intra-group indices not strictly increasing")],
+        ids=["index-past-group", "step-back"])
+    def test_record_out_of_place_refused_by_the_scan(self, monkeypatch,
+                                                     record, want):
+        # groups of 3 take 2 index bits. Flipping the top one of the first
+        # record's index 1 makes it 3, and of the second's index 2 makes it
+        # 0, before the 1 of its group: the walk gives the module up, and
+        # the scan reads it from its start and refuses it
+        enc = encode(_quantized(12, [1, 2, 4]), 3)
+        assert _bit_reads(enc.data) == 0
+        flip = HEADER_BITS + 4 + record * (codec.index_bits(3) + 2 + 1)
+        data = bytearray(enc.data)
+        data[flip // 8] ^= 0x80 >> flip % 8
+        calls = []
+        for name in ("_grouped_int", "_decode_grouped"):
+            monkeypatch.setattr(codec, name, lambda *args, f=getattr(
+                codec, name), name=name: (calls.append(name), f(*args))[1])
+        got = _outcome(decode_at, bytes(data))
+        assert calls == ["_grouped_int", "_decode_grouped"]
+        assert got == _outcome(ref.decode_at, bytes(data)) == (
+            codec.CorruptStreamError, f"{want} (bit offset {flip})", flip)
 
     @pytest.mark.parametrize("fmt", ["grouped", "indep"])
     def test_zero_survivors(self, fmt):
