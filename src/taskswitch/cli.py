@@ -522,7 +522,6 @@ def _accuracy_report(rows, out):
         _write_rows(out, ["task", "accuracy"],
                     [[n, f"{a:.6f}"] for n, a in rows]
                     + [["average", f"{avg:.6f}"]])
-    return avg
 
 
 def cmd_merge_eval(args) -> int:
@@ -538,12 +537,13 @@ def cmd_merge_eval(args) -> int:
                                      f"not fit --base {args.base}: {exc}"
                                      ) from None
             vectors.append(sv)
-    rows = []
-    for name, path in args.task:
-        x, y = _read_inputs(spec, path)
-        preds, _ = merging.merged_forward(spec, base, vectors, index, x,
-                                          n_neighbors=args.neighbors)
-        rows.append((name, float(np.mean(preds == y))))
+    data = [_read_inputs(spec, path) for _, path in args.task]
+    preds, _ = merging.merged_forward(spec, base, vectors, index,
+                                      np.vstack([x for x, _ in data]),
+                                      n_neighbors=args.neighbors)
+    ends = np.cumsum([y.size for _, y in data])[:-1]
+    rows = [(name, float(np.mean(p == y))) for (name, _), p, (_, y)
+            in zip(args.task, np.split(preds, ends), data)]
     _accuracy_report(rows, args.out)
     return 0
 

@@ -117,15 +117,10 @@ class EncodedModule:
     data: bytes
     header: ModuleHeader
     payload_bits: int    # measured: bits written after the header
-    nnz: int
 
     @property
     def file_bits(self) -> int:
         return len(self.data) * 8
-
-    @property
-    def nominal_bits(self) -> float:
-        return nominal_bits(self.header.fmt, self.payload_bits)
 
 
 @dataclass
@@ -151,10 +146,6 @@ class CompressedModule:
     @property
     def size(self) -> int:   # the element count, as on a flat array
         return self.length
-
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.nnz / self.length
 
     def quant_spec(self) -> QuantSpec:
         return QuantSpec(self.bit_width, self.range_neg, self.range_pos)
@@ -356,8 +347,7 @@ def _header_bytes(header: ModuleHeader) -> bytes:
     return (_header_int(header) << 7).to_bytes(18, "big")
 
 
-def _pack(header: ModuleHeader, nnz: int,
-          *payload: np.ndarray) -> EncodedModule:
+def _pack(header: ModuleHeader, *payload: np.ndarray) -> EncodedModule:
     """Header then payload bits, zero-padded to a byte boundary; each bit
     array is copied once, into its place in the stream's bits."""
     at = HEADER_BITS
@@ -368,17 +358,17 @@ def _pack(header: ModuleHeader, nnz: int,
         bits[at:at + p.size].reshape(p.shape)[...] = p
         at += p.size
     return EncodedModule(np.packbits(bits).tobytes(), header,
-                         at - HEADER_BITS, nnz)
+                         at - HEADER_BITS)
 
 
-def _pack_int(header: ModuleHeader, nnz: int, payload: int,
+def _pack_int(header: ModuleHeader, payload: int,
               payload_bits: int) -> EncodedModule:
     """Header then a payload of payload_bits held in one integer, most
     significant bit first, zero-padded to a byte boundary."""
     pad = -(HEADER_BITS + payload_bits) % 8
     word = (_header_int(header) << payload_bits | payload) << pad
     return EncodedModule(word.to_bytes((HEADER_BITS + payload_bits + pad)
-                                       // 8, "big"), header, payload_bits, nnz)
+                                       // 8, "big"), header, payload_bits)
 
 
 def _read_header(r: BitReader) -> ModuleHeader:
@@ -475,7 +465,7 @@ def encode(module: CompressedModule,
                 last = group
             records = records << rec_w | _record(pos - group * c, v, b)
         records |= last >= 0           # and of the last group
-        return _pack_int(header, nnz, bitmap << nnz * rec_w | records,
+        return _pack_int(header, bitmap << nnz * rec_w | records,
                          groups + nnz * rec_w)
     group_id = support // c
     group_any = np.zeros(groups, dtype=np.uint8)
@@ -484,7 +474,7 @@ def encode(module: CompressedModule,
     rec = _record(intra, bins, b)
     rec[:-1] |= group_id[1:] != group_id[:-1]    # end-of-group flags
     rec[-1:] |= 1
-    return _pack(header, nnz, group_any, _fields(rec, rec_w))
+    return _pack(header, group_any, _fields(rec, rec_w))
 
 
 def encode_indep(module: CompressedModule) -> EncodedModule:
@@ -497,13 +487,12 @@ def encode_indep(module: CompressedModule) -> EncodedModule:
         for pos, v in zip(support, bins):
             mask |= 1 << n - 1 - pos
             values |= v << b * (n - 1 - pos)
-        return _pack_int(header, module.nnz, mask << n * b | values,
-                         n * (b + 1))
+        return _pack_int(header, mask << n * b | values, n * (b + 1))
     mask = np.zeros(n, dtype=np.uint8)
     mask[support] = 1
     all_bins = np.zeros(n, dtype=np.int64)
     all_bins[support] = bins
-    return _pack(header, module.nnz, mask, _fields(all_bins, b))
+    return _pack(header, mask, _fields(all_bins, b))
 
 
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
@@ -523,8 +512,6 @@ def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
     if not np.isfinite(stored).all():
         raise CodecError("dense values must be finite in float32")
     words = stored.view(np.uint32)
-    # what decode counts: the shift drops the sign, so -0.0 is zero too
-    nnz = int(np.count_nonzero(words << 1))
     head = _header_bytes(header)
     shifted = np.empty(words.size + 1, dtype=">u4")
     shifted[0] = head[17] >> 7 << 31   # the header's last bit
@@ -533,7 +520,7 @@ def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
     shifted[:-1] |= words
     payload = shifted.view(np.uint8)[:4 * words.size + 1]
     return EncodedModule(b"".join((head[:17], payload)), header,
-                         32 * words.size, nnz)
+                         32 * words.size)
 
 
 def choose_format(module: CompressedModule) -> EncodedModule:
@@ -542,8 +529,8 @@ def choose_format(module: CompressedModule) -> EncodedModule:
     """
     n, nnz, b = module.length, module.nnz, module.bit_width
     c = optimal_group(n, 1.0 - nnz / max(n, 1))   # n < 1: CapacityError
-    grouped_cost = NOMINAL_HEADER_BITS + n // c + nnz * (index_bits(c) + b + 1)
-    if grouped_cost <= indep_bits(n, b):
+    if nominal_bits(Format.GROUPED, n // c + nnz * (index_bits(c) + b + 1)) \
+            <= nominal_bits(Format.INDEP, indep_bits(n, b)):
         return encode(module, group_size=c)
     return encode_indep(module)
 

@@ -73,7 +73,6 @@ class TaskData:
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
-    permutation: np.ndarray = None  # raw cluster -> emitted label
 
 
 def task_geometry(spec: SyntheticTaskSpec,
@@ -135,7 +134,7 @@ def gen_tasks(spec: SyntheticTaskSpec) -> list[TaskData]:
     """Deterministic per-seed K-task benchmark.
 
     Task k relabels the shared clusters through task_permutation(k), an
-    adjacent-pair swap, and records that permutation on the TaskData.
+    adjacent-pair swap.
     """
     centers, offsets = task_geometry(spec)
     tasks = []
@@ -149,7 +148,7 @@ def gen_tasks(spec: SyntheticTaskSpec) -> list[TaskData]:
             rng, centers[k], offsets, spec.test_size, spec.noise,
             spec.classes_per_task)
         tasks.append(TaskData(f"task{k}", train_x, perm[train_c],
-                              test_x, perm[test_c], perm))
+                              test_x, perm[test_c]))
     return tasks
 
 
@@ -398,10 +397,8 @@ def _probe(spec, base, tv, x, y, level, transform):
     ref_acc = accuracy(spec, finetuned, x, y)
     rows = []
     for unit, members in unit_groups(tv.names, level):
-        modules = []
-        for name, tau in tv.modules:
-            modules.append((name, transform(name, tau)
-                            if name in members else tau.copy()))
+        modules = [(name, transform(name, tau) if name in members else tau)
+                   for name, tau in tv.modules]
         probed = add(base, TaskVector(tv.task_id, modules), 1.0)
         acc = accuracy(spec, probed, x, y)
         rows.append(ProbeRow(unit, acc, ref_acc - acc))

@@ -280,10 +280,9 @@ def train_metric(index: ReferenceIndex,
         raise StructureError(f"feature tasks {list(tasks)} do not match the "
                              f"index's tasks {list(index.task_ids)}")
     _check_neighbors(index, n_neighbors)
-    feats = np.vstack([f for _, f in task_features])
-    task_of_row = np.concatenate([
-        np.full(f.shape[0], i, dtype=np.int64)
-        for i, (_, f) in enumerate(task_features)])
+    rows = [_feature_rows(index, f) for _, f in task_features]
+    feats = np.vstack(rows)
+    task_of_row = np.repeat(np.arange(len(rows)), [len(f) for f in rows])
     proj = init_projection(rank, index.feature_dim, seed)
     opt = Adam()
     losses = []
@@ -313,7 +312,7 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     neighbors absorbs the division rounding, so every row sums to exactly
     1.0 in float arithmetic.
     """
-    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
+    feats = _feature_rows(index, feats)
     _check_neighbors(index, n_neighbors)
     counts = np.empty((feats.shape[0], index.n_tasks))
     for lo in range(0, feats.shape[0], _BLOCK_ROWS):
@@ -328,6 +327,16 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     before = np.where(last > 0, prefix[rows, np.maximum(last - 1, 0)], 0.0)
     w[rows, last] = 1.0 - before
     return w
+
+
+def _feature_rows(index: ReferenceIndex, feats) -> np.ndarray:
+    """feats as float64 rows, refused with StructureError unless they are
+    as wide as the index's references."""
+    feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
+    if feats.ndim != 2 or feats.shape[1] != index.feature_dim:
+        raise StructureError(f"features of width {feats.shape[-1]}, the "
+                             f"index's width is {index.feature_dim}")
+    return feats
 
 
 def _check_neighbors(index: ReferenceIndex, n_neighbors: int,

@@ -138,7 +138,8 @@ def forward(spec: MlpSpec, params, x: np.ndarray, depth: int | None = None):
 
     depth None runs every layer and gives the logits; spec.n_layers - 1
     gives the penultimate features. params is the flat parameter vector,
-    an array or a Var, or a ParamSet, which flatten checks and lays out.
+    an array or a Var, or a ParamSet, which flatten checks and lays out;
+    rows of x of another width than spec's input raise StructureError.
     The backward writes each layer's weight and bias gradients into one
     fresh flat array (zeros for the layers past depth), from the numpy
     operations of the reshape, transpose, matmul, bias add and activation
@@ -147,6 +148,9 @@ def forward(spec: MlpSpec, params, x: np.ndarray, depth: int | None = None):
     params = flatten(spec, params)
     pv = ad._np(params)
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if a.ndim != 2 or a.shape[1] != spec.input_dim:
+        raise StructureError(f"rows of width {a.shape[-1]}, the model's "
+                             f"input width is {spec.input_dim}")
     run = []
     for i, (_, _, fan_in, fan_out, act) in enumerate(spec.layers[:depth]):
         w0, b0, end = spec.offsets[2 * i:2 * i + 3]

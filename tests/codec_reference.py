@@ -101,8 +101,7 @@ def _values(bits: np.ndarray) -> np.ndarray:
     return bits.astype(np.uint64).dot(np.uint64(1) << shifts).astype(np.int64)
 
 
-def _pack(header: ModuleHeader, nnz: int,
-          *payload: np.ndarray) -> EncodedModule:
+def _pack(header: ModuleHeader, *payload: np.ndarray) -> EncodedModule:
     """Header then payload bits, zero-padded to a byte boundary.
 
     The header is one integer: format tag (2), bit width (4), group size
@@ -116,8 +115,7 @@ def _pack(header: ModuleHeader, nnz: int,
     head = np.unpackbits(np.frombuffer(word.to_bytes(18, "big"), np.uint8))
     bits = [p.reshape(-1) for p in payload]
     data = np.packbits(np.concatenate([head[:HEADER_BITS], *bits]))
-    return EncodedModule(data.tobytes(), header, sum(b.size for b in bits),
-                         nnz)
+    return EncodedModule(data.tobytes(), header, sum(b.size for b in bits))
 
 
 def admissible_groups(n: int) -> list[int]:
@@ -179,7 +177,7 @@ def encode(module: CompressedModule,
     flags[:-1, 0] = group_id[1:] != group_id[:-1]
     rec = np.hstack([_fields(support % c, index_bits(c)),
                      _fields(module.bins, header.bit_width), flags])
-    return _pack(header, nnz, group_any, rec)
+    return _pack(header, group_any, rec)
 
 def encode_indep(module: CompressedModule) -> EncodedModule:
     """Mask-plus-fixed-width encoding: exactly (b+1)*n payload bits."""
@@ -188,8 +186,7 @@ def encode_indep(module: CompressedModule) -> EncodedModule:
     mask[module.support] = 1
     all_bins = np.zeros(header.count, dtype=np.int64)
     all_bins[module.support] = module.bins
-    return _pack(header, module.nnz, mask,
-                 _fields(all_bins, header.bit_width))
+    return _pack(header, mask, _fields(all_bins, header.bit_width))
 
 
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
@@ -202,8 +199,7 @@ def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
         stored = values.astype(">f4")
     if not np.all(np.isfinite(stored)):
         raise CodecError("dense values must be finite in float32")
-    return _pack(header, int(np.count_nonzero(values)),
-                 np.unpackbits(stored.view(np.uint8)))
+    return _pack(header, np.unpackbits(stored.view(np.uint8)))
 
 
 def decode_at(reader: BitReader) -> DecodedModule:

@@ -38,7 +38,7 @@ class TestSparseStructures:
                                bins=np.array([1, 0]), bit_width=1,
                                range_neg=2.0, range_pos=2.0, scale=0.5)
         assert mod.nnz == 2
-        assert mod.sparsity == pytest.approx(0.8)
+        assert 1 - mod.nnz / mod.length == pytest.approx(0.8)
         np.testing.assert_array_equal(mod.values, [0.5, -0.5])
         dense = mod.final_values()
         assert dense.shape == (10,)

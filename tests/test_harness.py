@@ -96,10 +96,17 @@ class TestGenTasks:
             assert np.bincount(t.train_y, minlength=4).tolist() == [500] * 4
             assert np.bincount(t.test_y, minlength=4).tolist() == [125] * 4
 
-    def test_permutations_recorded(self):
+    def test_labels_follow_task_permutation(self):
+        # the rows of each emitted label gather around the raw cluster
+        # that task_permutation(k) relabels to it
+        centers, offsets = task_geometry(self.SPEC)
         for k, t in enumerate(gen_tasks(self.SPEC)):
-            np.testing.assert_array_equal(t.permutation,
-                                          task_permutation(k, 4))
+            raw = np.argsort(task_permutation(k, 4))   # label -> cluster
+            for label in range(4):
+                for x, y in ((t.train_x, t.train_y), (t.test_x, t.test_y)):
+                    mean = x[y == label].mean(axis=0) - centers[k]
+                    assert np.linalg.norm(offsets - mean, axis=1).argmin() \
+                        == raw[label]
 
     def test_deterministic_per_seed(self):
         t1 = gen_tasks(self.SPEC)

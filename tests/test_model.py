@@ -8,7 +8,8 @@ import pytest
 from taskswitch import autodiff as ad
 from taskswitch import MlpSpec, accuracy, features, forward, init_params, predict
 from taskswitch.codec import CompressedModule
-from taskswitch.merging import ReferenceIndex, merged_forward
+from taskswitch.merging import (ReferenceIndex, knn_weights, merged_forward,
+                                train_metric)
 from taskswitch.model import check_params, cross_entropy, flatten, unflatten
 from taskswitch.training import CompressedTaskVector
 from taskswitch.vectors import ParamSet, StructureError
@@ -222,14 +223,18 @@ def _merged(params, x):
                           n_neighbors=1)
 
 
+# every public entry point that runs the model on (params, rows)
+ENTRY_POINTS = pytest.mark.parametrize("entry", [
+    lambda ps, x: forward(FIT_SPEC, ps, x),
+    lambda ps, x: predict(FIT_SPEC, ps, x),
+    lambda ps, x: accuracy(FIT_SPEC, ps, x, np.zeros(len(x), int)),
+    lambda ps, x: features(FIT_SPEC, ps, x),
+    _merged,
+], ids=["forward", "predict", "accuracy", "features", "merged_forward"])
+
+
 class TestParamsMustFitSpec:
-    @pytest.mark.parametrize("entry", [
-        lambda ps, x: forward(FIT_SPEC, ps, x),
-        lambda ps, x: predict(FIT_SPEC, ps, x),
-        lambda ps, x: accuracy(FIT_SPEC, ps, x, np.zeros(len(x), int)),
-        lambda ps, x: features(FIT_SPEC, ps, x),
-        _merged,
-    ], ids=["forward", "predict", "accuracy", "features", "merged_forward"])
+    @ENTRY_POINTS
     def test_every_entry_point_names_the_module(self, entry):
         x = np.ones((1, 4))
         for params, message in _misfits():
@@ -239,3 +244,25 @@ class TestParamsMustFitSpec:
 
     def test_a_fitting_set_passes(self):
         check_params(FIT_SPEC, init_params(FIT_SPEC, seed=0))
+
+
+class TestRowsMustFitWidth:
+    @ENTRY_POINTS
+    def test_every_entry_point_names_both_widths(self, entry):
+        params = init_params(FIT_SPEC, seed=0)
+        for width in (3, 5):
+            with pytest.raises(StructureError, match=(
+                    f"^rows of width {width}, the model's input width is 4$")):
+                entry(params, np.ones((2, width)))
+
+    @pytest.mark.parametrize("entry", [
+        lambda index, f: knn_weights(index, f, n_neighbors=1),
+        lambda index, f: train_metric(index, [("t", f)], rank=1, epochs=1,
+                                      n_neighbors=1),
+    ], ids=["knn_weights", "train_metric"])
+    def test_index_entry_points_name_both_widths(self, entry):
+        index = ReferenceIndex(["t"], np.zeros((2, 3)), [0, 0], np.eye(3))
+        for width in (2, 4):
+            with pytest.raises(StructureError, match=(
+                    f"^features of width {width}, the index's width is 3$")):
+                entry(index, np.ones((2, width)))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from taskswitch.codec import (BitReader, CompressedModule, choose_format,
-                              decode_at)
+                              decode_at, encode_dense)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,6 +41,9 @@ def test_codec_extractors_read_real_results():
     enc = choose_format(mod)
     assert spans._encode_attrs((mod,), {}, enc) == {
         "elems": 64, "fmt": enc.header.fmt.name}
+    values = np.array([0.5, 0.0, -2.0])
+    assert spans._encode_attrs((values,), {}, encode_dense(values)) == {
+        "elems": 3, "fmt": "DENSE"}
     reader = BitReader(enc.data)
     assert spans._decode_attrs((reader,), {}, decode_at(reader)) == {
         "elems": 64}
