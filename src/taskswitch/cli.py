@@ -91,7 +91,7 @@ class _AppendNamed(argparse.Action):
 
 
 def _load_config_tokens(path) -> list[str]:
-    """key=value lines become --key value tokens; false drops a flag."""
+    """Every key=value line becomes the tokens --key value."""
     tokens = []
     for raw in read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -100,12 +100,7 @@ def _load_config_tokens(path) -> list[str]:
         if "=" not in line:
             raise ValueError(f"{path}: bad config line {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                tokens.append(flag)
-        else:
-            tokens.extend([flag, value])
+        tokens.extend(["--" + key.replace("_", "-"), value])
     return tokens
 
 

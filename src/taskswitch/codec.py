@@ -150,15 +150,11 @@ class CompressedModule:
     def quant_spec(self) -> QuantSpec:
         return QuantSpec(self.bit_width, self.range_neg, self.range_pos)
 
-    def center_values(self) -> np.ndarray:
-        """Full-length unscaled vector: bin centers on the support, else 0."""
-        out = np.zeros(self.length)
-        if self.nnz:
-            out[self.support] = self.quant_spec().centers()[self.bins]
-        return out
-
     def final_values(self) -> np.ndarray:
-        return self.scale * self.center_values()
+        """Full-length vector: values on the support, else 0."""
+        out = np.zeros(self.length)
+        out[self.support] = self.values
+        return out
 
     @cached_property
     def values(self) -> np.ndarray:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .merging import materialize
 from .model import (MlpSpec, accuracy, cross_entropy, flatten, forward,
                     unflatten)
 from .optim import Adam, Sgd
@@ -420,7 +421,7 @@ def probe_precision(spec: MlpSpec, base: ParamSet, tv: TaskVector,
     """Accuracy cost of binarizing one unit's delta (signs at one scale)."""
     def binarize(name, tau):
         sw = build_switch(TaskVector(tv.task_id, [(name, tau)]), alpha=0.0)
-        return sw.to_vector().modules[0][1]
+        return sw.modules[0][1].final_values()
     return _probe(spec, base, tv, x, y, level, binarize)
 
 
@@ -443,10 +444,9 @@ def probe_scale(spec: MlpSpec, base: ParamSet, tv: TaskVector,
     finetuned = add(base, tv, 1.0)
     ref_acc = accuracy(spec, finetuned, x, y)
     sw = build_switch(tv, alpha=0.0)
-    binary = sw.to_vector()
     rows = []
     for eta in etas:
-        acc = accuracy(spec, add(base, binary, float(eta)), x, y)
+        acc = accuracy(spec, materialize(base, [sw], [float(eta)]), x, y)
         rows.append(ScaleRow(float(eta), acc, ref_acc - acc))
     best = max(rows, key=lambda r: (r.accuracy, -r.eta))
     return ref_acc, rows, best.eta

@@ -22,7 +22,8 @@ from .codec import CodecError, encode_dense
 from .container import load_container, save_container
 # forward is unused here but stays importable: the benchmark traces
 # merging.forward by name
-from .model import MlpSpec, features, flatten, forward  # noqa: F401
+from .model import (MlpSpec, check_params, features, flatten,  # noqa: F401
+                    forward)
 from .optim import Adam
 from .seeding import rng_for
 from .training import CompressedTaskVector, TrainingDivergedError
@@ -367,10 +368,10 @@ def _nearest(d: np.ndarray, n_neighbors: int) -> np.ndarray:
     return chosen
 
 
-def _check_bundle(base: ParamSet, sv: CompressedTaskVector) -> None:
-    """check_aligned(base, sv), its StructureError naming the bundle."""
+def _check_bundle(check, against, sv: CompressedTaskVector) -> None:
+    """check(against, sv), its StructureError naming the bundle."""
     try:
-        check_aligned(base, sv)
+        check(against, sv)
     except StructureError as exc:
         raise StructureError(f"bundle {sv.task_id!r}: {exc}") from None
 
@@ -388,7 +389,7 @@ def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
     for w, sv in zip(weights, vectors):
         if w == 0.0:
             continue
-        _check_bundle(base, sv)
+        _check_bundle(check_aligned, base, sv)
         for (_, acc), (_, mod) in zip(out, sv.modules):
             acc[mod.support] += w * mod.values
     return ParamSet(out)
@@ -430,17 +431,18 @@ def _mixed_logits(spec: MlpSpec, flat: np.ndarray,
     return logits
 
 
-def merged_forward(spec: MlpSpec, base: ParamSet,
+def merged_forward(spec: MlpSpec, base: ParamSet | np.ndarray,
                    vectors: list[CompressedTaskVector], index: ReferenceIndex,
                    x: np.ndarray, n_neighbors: int = 10,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-input merged predictions. Returns (predictions, weight rows).
 
-    Bundle tasks are matched to index tasks by id, one each, and checked
-    against the base like materialize checks them, and the base against
+    base is a ParamSet or its flat vector, read through flatten. Bundle
+    tasks are matched to index tasks by id, one each, and checked against
     spec. Each row is answered with its own mix of the task vectors in one
     pass per layer over each block of rows.
     """
+    flat = flatten(spec, base)
     by_id = {}
     for sv in vectors:
         if sv.task_id in by_id:
@@ -454,8 +456,7 @@ def merged_forward(spec: MlpSpec, base: ParamSet,
         raise StructureError(f"bundle holds tasks {extra} not in the index")
     ordered = [by_id[t] for t in index.task_ids]
     for sv in ordered:
-        _check_bundle(base, sv)
-    flat = flatten(spec, base)
+        _check_bundle(check_params, spec, sv)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     w = knn_weights(index, features(spec, flat, x), n_neighbors)
     logits = _mixed_logits(spec, flat, ordered, x, w)

@@ -120,8 +120,13 @@ def check_params(spec: MlpSpec, params: ParamSet) -> None:
 
 def flatten(spec: MlpSpec, params) -> np.ndarray:
     """A ParamSet, checked by check_params, as one fresh flat vector (every
-    module end to end, in order); a flat array or Var comes back as is."""
+    module end to end, in order); a flat array or Var of spec's size comes
+    back as is, and any other shape raises StructureError naming both."""
     if not isinstance(params, ParamSet):
+        shape = ad._np(params).shape
+        if shape != spec.offsets[-1:]:
+            raise StructureError(f"flat parameters of shape {shape}, the "
+                                 f"model's shape is {spec.offsets[-1:]}")
         return params
     check_params(spec, params)
     return np.concatenate([v for _, v in params.modules])

@@ -179,6 +179,21 @@ class TestConfigFile:
     def test_config_without_value_exits_2(self):
         assert main(["gen-tasks", "--out", "x", "--config"]) == 2
 
+    @pytest.mark.parametrize("value", ["false", "true"])
+    def test_boolean_words_are_plain_values(self, tmp_path, monkeypatch,
+                                            capsys, value):
+        # out = false used to drop the line (--out then missing) and
+        # out = true to leave --out without its argument
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"out = {value}\ntasks = 1\ndim = 6\n"
+                       "train_size = 20\ntest_size = 10\n")
+        assert main(["gen-tasks", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in (tmp_path / value).iterdir()) == [
+            "base_test.csv", "base_train.csv", "task0_test.csv",
+            "task0_train.csv"]
+
     @pytest.mark.parametrize("form", [["--config", "{}"], ["--config={}"],
                                       ["--conf", "{}"], ["--conf={}"]],
                              ids=["space", "equals", "abbrev", "abbrev-equals"])

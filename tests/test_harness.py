@@ -1,14 +1,19 @@
 """Synthetic benchmark tests: geometry, data generation, probes, baselines."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from taskswitch.harness import (ETA_GRID, SyntheticTaskSpec, base_dataset,
+from taskswitch import harness
+from taskswitch.harness import (ETA_GRID, ProbeRow, ScaleRow,
+                                SyntheticTaskSpec, base_dataset,
                                 baseline_merge, fine_tune, gen_tasks,
                                 probe_precision, probe_scale, probe_sparsity,
                                 read_dataset, task_geometry, task_permutation,
                                 unit_groups, write_dataset, write_tasks)
-from taskswitch.model import MlpSpec, accuracy, init_params
+from taskswitch.model import MlpSpec, accuracy, flatten, init_params
+from taskswitch.switch import build_switch
 from taskswitch.training import TrainingDivergedError
 from taskswitch.vectors import TaskVector, add
 
@@ -242,9 +247,9 @@ class TestUnitGroups:
 PSPEC = MlpSpec((4, 6, 3))
 
 
-def _probe_setup(signed_unit=False):
-    rng = np.random.default_rng(7)
-    base = init_params(PSPEC, seed=0)
+def _probe_setup(signed_unit=False, seed=7, spec=PSPEC):
+    rng = np.random.default_rng(seed)
+    base = init_params(spec, seed=0)
     modules = []
     for name, v in base.modules:
         tau = (rng.choice([-1.0, 1.0], size=v.size) if signed_unit
@@ -254,6 +259,12 @@ def _probe_setup(signed_unit=False):
     x = rng.normal(size=(40, 4))
     y = rng.integers(3, size=40)
     return base, tv, x, y
+
+
+def _digest_score(spec, params, x, y):
+    """A stand-in for accuracy that tells apart any two parameter sets."""
+    digest = hashlib.sha256(flatten(spec, params).tobytes()).digest()
+    return float(int.from_bytes(digest[:6], "big"))
 
 
 class TestProbes:
@@ -292,6 +303,35 @@ class TestProbes:
         _, rows, _ = probe_scale(PSPEC, base, tv, x, y, etas=(0.0, 1.0))
         assert rows[0].eta == 0.0
         assert rows[0].accuracy == accuracy(PSPEC, base, x, y)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("score", ["accuracy", "parameter-digest"])
+    def test_probe_rows_match_the_dense_route(self, monkeypatch, activation,
+                                              score):
+        # the oracle adds every densified switch with add(); the digest
+        # score makes a row equal only when the probed parameters are
+        # equal bit for bit
+        if score == "parameter-digest":
+            monkeypatch.setattr(harness, "accuracy", _digest_score)
+        measure = harness.accuracy
+        for seed in range(3):
+            spec = MlpSpec((4, 5, 6, 3), activation)
+            base, tv, x, y = _probe_setup(seed=seed, spec=spec)
+            ref = measure(spec, add(base, tv, 1.0), x, y)
+            binary = build_switch(tv, alpha=0.0).to_vector()
+            want = [ScaleRow(eta, a, ref - a) for eta in ETA_GRID
+                    for a in [measure(spec, add(base, binary, eta), x, y)]]
+            assert probe_scale(spec, base, tv, x, y)[:2] == (ref, want)
+            for level in ("module", "layer"):
+                want = []
+                for unit, members in unit_groups(tv.names, level):
+                    mods = [(n, build_switch(TaskVector("t", [(n, v)]), 0.0)
+                             .to_vector().modules[0][1]
+                             if n in members else v) for n, v in tv.modules]
+                    a = measure(spec, add(base, TaskVector("t", mods)), x, y)
+                    want.append(ProbeRow(unit, a, ref - a))
+                assert probe_precision(spec, base, tv, x, y, level) == \
+                    (ref, want)
 
     def test_eta_grid_constants(self):
         assert len(ETA_GRID) == 20

@@ -20,7 +20,8 @@ from taskswitch.merging import (_BLOCK_ROWS, DIST_EPS, NUM_FLOOR,
                                 metric_objective, save_index, train_metric)
 from taskswitch.model import (MlpSpec, features, flatten, forward,
                               init_params)
-from taskswitch.training import CompressedModule, CompressedTaskVector
+from taskswitch.training import (CompressedModule, CompressedTaskVector,
+                                 TrainingDivergedError)
 from taskswitch.vectors import ParamSet, StructureError
 from composed_reference import projected_distances
 
@@ -399,6 +400,17 @@ class TestTrainMetric:
                            n_neighbors=3, seed=0)
         assert all(v >= 0.0 for v in res.losses), res.losses
 
+    def test_infinite_step_size_raises_at_epoch_0(self):
+        # the first loss is finite; the update lr * m / sqrt(v) is not
+        index, task_features = _blob_problem()
+        with pytest.raises(TrainingDivergedError,
+                           match="^projection became non-finite at epoch "
+                                 "0: ") as err:
+            train_metric(index, task_features, rank=2, epochs=3, lr=np.inf,
+                         n_neighbors=3, seed=0)
+        assert err.value.step == 0
+        assert math.isfinite(err.value.components["loss"])
+
     def test_first_loss_is_pre_update(self):
         index, task_features = _blob_problem()
         res = train_metric(index, task_features, rank=2, epochs=3, lr=0.1,
@@ -525,6 +537,18 @@ def _model_setup(seed=0):
     return base, vectors, exemplars
 
 
+# bundle 'b' broken three ways, and the refusal merged_forward names
+MISALIGNED = pytest.mark.parametrize("break_it, message", [
+    (lambda mods: mods[:1],
+     "bundle 'b': module 'layer0.bias': module count 4 vs 1"),
+    (lambda mods: mods[::-1],
+     "bundle 'b': module name mismatch: 'layer0.weight' vs 'layer1.bias'"),
+    (lambda mods: [("layer0.weight", _quantized(25, [0], [1], 4, 0.05))]
+     + mods[1:],
+     "bundle 'b': module 'layer0.weight': size 24 vs 25"),
+], ids=["short", "renamed", "wrong-length"])
+
+
 class TestMergedForward:
     def test_matches_per_row_materialization(self):
         base, vectors, exemplars = _model_setup()
@@ -583,15 +607,7 @@ class TestMergedForward:
                                   np.zeros((0, 4)), n_neighbors=3)
         assert preds.shape == (0,) and w.shape == (0, 2)
 
-    @pytest.mark.parametrize("break_it, message", [
-        (lambda mods: mods[:1],
-         "bundle 'b': module 'layer0.bias': module count 4 vs 1"),
-        (lambda mods: mods[::-1],
-         "bundle 'b': module name mismatch: 'layer0.weight' vs 'layer1.bias'"),
-        (lambda mods: [("layer0.weight", _quantized(25, [0], [1], 4, 0.05))]
-         + mods[1:],
-         "bundle 'b': module 'layer0.weight': size 24 vs 25"),
-    ], ids=["short", "renamed", "wrong-length"])
+    @MISALIGNED
     def test_misaligned_bundle_raises(self, break_it, message):
         base, vectors, exemplars = _model_setup()
         index = build_index(SPEC, base, exemplars, centers_per_task=4, seed=0)
@@ -599,6 +615,42 @@ class TestMergedForward:
         with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
             merged_forward(SPEC, base, [vectors[0], bad], index,
                            np.zeros((2, 4)), n_neighbors=3)
+
+    @MISALIGNED
+    def test_misaligned_bundle_raises_the_same_over_a_flat_base(
+            self, break_it, message):
+        base, vectors, exemplars = _model_setup()
+        index = build_index(SPEC, base, exemplars, centers_per_task=4, seed=0)
+        bad = CompressedTaskVector("b", break_it(vectors[1].modules))
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            merged_forward(SPEC, flatten(SPEC, base), [vectors[0], bad],
+                           index, np.zeros((2, 4)), n_neighbors=3)
+
+    def test_misfit_base_refused_before_any_bundle(self):
+        # the bundles fit the spec and not the base: the base is named
+        base, vectors, exemplars = _model_setup()
+        index = build_index(SPEC, base, exemplars, centers_per_task=4, seed=0)
+        flat = flatten(SPEC, base)
+        for bad, message in (
+                (ParamSet(base.modules[:3]),
+                 "module 'layer1.bias': module count 4 vs 3"),
+                (flat[:-1], "flat parameters of shape (50,), the model's "
+                            "shape is (51,)")):
+            with pytest.raises(StructureError,
+                               match=f"^{re.escape(message)}$"):
+                merged_forward(SPEC, bad, vectors, index, np.zeros((2, 4)),
+                               n_neighbors=3)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_flat_base_matches_its_param_set(self, activation):
+        spec = MlpSpec((4, 9, 7, 3), activation)
+        base, vectors, index, x = _eight_task_setup(spec=spec)
+        p1, w1 = merged_forward(spec, base, vectors, index, x, n_neighbors=5)
+        p2, w2 = merged_forward(spec, flatten(spec, base), vectors, index, x,
+                                n_neighbors=5)
+        assert len(np.unique(w1, axis=0)) > 1
+        np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(w1, w2)
 
 
 def _eight_task_setup(seed=0, spec=SPEC):

@@ -1,5 +1,6 @@
 """Flat-parameter MLP: shapes, forward pass, losses, metrics."""
 
+import math
 import re
 
 import numpy as np
@@ -211,12 +212,14 @@ def _misfits():
 
 
 def _merged(params, x):
-    """merged_forward over bundles that line up with params itself, so
-    only the check of params against the spec can refuse it."""
+    """merged_forward over a bundle that fits FIT_SPEC, with params, a
+    ParamSet or a flat vector, as the base: a base that does not fit is
+    refused as the base, before the bundle is checked."""
     empty = np.zeros(0, dtype=np.int64)
     bundle = CompressedTaskVector("t", [
-        (name, CompressedModule(v.size, empty, empty, 1, 2.0, 2.0, 1.0))
-        for name, v in params.modules])
+        (name, CompressedModule(math.prod(shape), empty, empty, 1, 2.0, 2.0,
+                                1.0))
+        for name, shape in FIT_SPEC.module_shapes()])
     index = ReferenceIndex(["t"], np.zeros((1, FIT_SPEC.feature_dim)), [0],
                            np.eye(FIT_SPEC.feature_dim))
     return merged_forward(FIT_SPEC, params, [bundle], index, x,
@@ -242,6 +245,23 @@ class TestParamsMustFitSpec:
                                match=f"^{re.escape(message)}$"):
                 entry(params, x)
 
+    @ENTRY_POINTS
+    def test_every_entry_point_names_both_flat_shapes(self, entry):
+        # one value too many used to be ignored, one too few to fail in
+        # numpy's broadcasting and a row vector in its reshape
+        flat = flatten(FIT_SPEC, init_params(FIT_SPEC, seed=0))
+        for bad in (np.append(flat, 1.0), flat[:-1], flat[None]):
+            with pytest.raises(StructureError, match="^" + re.escape(
+                    f"flat parameters of shape {bad.shape}, the model's "
+                    "shape is (23,)") + "$"):
+                entry(bad, np.ones((2, 4)))
+
+    def test_a_var_of_another_shape_is_refused(self):
+        flat = flatten(FIT_SPEC, init_params(FIT_SPEC, seed=0))
+        leaf = ad.Tape().var(flat[:-1])
+        with pytest.raises(StructureError, match=re.escape("shape (22,)")):
+            forward(FIT_SPEC, leaf, np.ones((2, 4)))
+
     def test_a_fitting_set_passes(self):
         check_params(FIT_SPEC, init_params(FIT_SPEC, seed=0))
 
@@ -254,6 +274,17 @@ class TestRowsMustFitWidth:
             with pytest.raises(StructureError, match=(
                     f"^rows of width {width}, the model's input width is 4$")):
                 entry(params, np.ones((2, width)))
+
+    @ENTRY_POINTS
+    def test_every_entry_point_takes_the_flat_vector(self, entry):
+        params = init_params(FIT_SPEC, seed=0)
+        flat = flatten(FIT_SPEC, params)
+        x = np.random.default_rng(0).normal(size=(3, 4))
+        np.testing.assert_equal(entry(flat, x), entry(params, x))
+        for width in (3, 5):
+            with pytest.raises(StructureError, match=(
+                    f"^rows of width {width}, the model's input width is 4$")):
+                entry(flat, np.ones((2, width)))
 
     @pytest.mark.parametrize("entry", [
         lambda index, f: knn_weights(index, f, n_neighbors=1),

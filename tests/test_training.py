@@ -10,6 +10,7 @@ import pytest
 from taskswitch import autodiff as ad
 from taskswitch import (
     CANDIDATE_WIDTHS,
+    CompressedModule,
     MlpSpec,
     ParamSet,
     QuantSpec,
@@ -18,6 +19,7 @@ from taskswitch import (
     TrainConfig,
     TrainingDivergedError,
     add,
+    build_switch,
     decode,
     init_params,
     materialize,
@@ -211,6 +213,17 @@ class TestTrainLoop:
                   dataclasses.replace(self.CFG, loss_kind="cka",
                                       batch_size=1))
 
+    @pytest.mark.parametrize("batch_size, rows, count", [
+        (0, 24, 24), (4, 0, 24), (4, 24, 0)],
+        ids=["zero-batch", "no-exemplar-rows", "zero-exemplar-count"])
+    def test_empty_batch_or_exemplars_refused(self, batch_size, rows, count):
+        base, tv, finetuned, exemplars = _setup()
+        cfg = dataclasses.replace(self.CFG, batch_size=batch_size,
+                                  exemplar_count=count)
+        with pytest.raises(ValueError, match="^need a positive batch size "
+                           "and exemplar count$"):
+            train(tv, base, finetuned, exemplars[:rows], SPEC, cfg)
+
     def test_misaligned_task_vector_rejected(self):
         base, tv, finetuned, exemplars = _setup()
         renamed = TaskVector("t0", [("other" + n, v)
@@ -325,6 +338,24 @@ class TestStreamTransparency:
             np.testing.assert_array_equal(dec.final_values(),
                                           mod.final_values())
             assert dec.nnz == mod.nnz
+
+    def test_final_values_scatter_values_at_support(self):
+        # the full-length vector is values at support in a zero vector,
+        # bit for bit, for every kind of module
+        base, tv, finetuned, exemplars = _setup()
+        trained = train(tv, base, finetuned, exemplars, SPEC,
+                        TrainConfig(steps=20, exemplar_count=24, seed=0))
+        empty = np.zeros(0, dtype=np.int64)
+        mods = ([m for _, m in trained.compressed.modules]
+                + [decode(e.data).module
+                   for e in trained.compressed.to_streams()]
+                + [m for _, m in build_switch(tv, alpha=0.5).modules]
+                + [CompressedModule(5, empty, empty, 2, 1.0, 1.0, 0.5)])
+        for mod in mods:
+            want = np.zeros(mod.length)
+            want[mod.support] = mod.values
+            assert mod.final_values().tobytes() == want.tobytes()
+        assert mods[-1].final_values().tobytes() == np.zeros(5).tobytes()
 
     def test_apply_compressed_matches_vector_form(self):
         base, tv, finetuned, exemplars = _setup()
