@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import merging
-from .codec import MAX_COUNT, CodecError, Format, nominal_bits
+from .codec import MAX_COUNT, Format, nominal_bits
 from .container import (_module_names, load_bundle, load_container,
                         load_params, save_bundle, save_params)
 from .harness import (SyntheticTaskSpec, base_dataset, baseline_merge,
@@ -29,7 +29,7 @@ from .merging import materialize as apply_compressed
 from .model import MlpSpec, accuracy, features, forward, init_params
 from .switch import build_switch
 from .training import TrainConfig, TrainingDivergedError, train
-from .vectors import StructureError, check_aligned, diff
+from .vectors import StructureError, check_aligned, diff, refused_at
 
 
 def _widths(text: str) -> tuple:
@@ -129,11 +129,18 @@ class _ConfigFile(argparse.Action):
 
 
 def _resolve_model(args):
-    """Initial parameters from --init; a container also fixes the shape."""
+    """Initial parameters from --init; a container also fixes the shape,
+    so --widths and --activation are refused with it."""
+    shape = {key: value for key, value in vars(args).items()
+             if key in ("widths", "activation") and value is not None}
     if args.init != "random":
+        if shape:
+            raise ValueError(f"{' and '.join('--' + k for k in shape)} "
+                             f"cannot be used with --init {args.init}: the "
+                             "container fixes the model's shape")
         spec, params, _ = load_params(args.init)
         return spec, params
-    spec = MlpSpec(widths=args.widths, activation=args.activation)
+    spec = MlpSpec(**shape)
     return spec, init_params(spec, seed=args.seed)
 
 
@@ -213,9 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test")
     p.add_argument("--init", default="random",
                    help="'random' or a saved model container")
-    p.add_argument("--widths", type=_widths, default=MlpSpec().widths,
-                   help="comma-separated layer widths (default 16,32,4)")
-    p.add_argument("--activation", choices=("tanh", "relu"), default="tanh")
+    p.add_argument("--widths", type=_widths,
+                   help="comma-separated layer widths of a random --init "
+                   "(default 16,32,4)")
+    p.add_argument("--activation", choices=("tanh", "relu"),
+                   help="hidden activation of a random --init (default "
+                   "tanh)")
     p.add_argument("--steps", type=_count, default=800)
     p.add_argument("--lr", type=_positive, default=0.1)
     p.add_argument("--batch-size", type=_count, default=32)
@@ -491,13 +501,9 @@ def cmd_train_metric(args) -> int:
     index = _load_index(args.index, spec, args.neighbors)
     pairs = _index_inputs(args, spec)
     feats = [(name, features(spec, base, x)) for name, x in pairs]
-    try:
-        result = merging.train_metric(index, feats, rank=args.rank,
-                                      epochs=args.epochs, lr=args.lr,
-                                      n_neighbors=args.neighbors,
-                                      seed=args.seed)
-    except StructureError as exc:   # --task names against the index's
-        raise StructureError(f"--index {args.index}: {exc}") from None
+    result = refused_at(f"--index {args.index}", merging.train_metric, index,
+                        feats, rank=args.rank, epochs=args.epochs, lr=args.lr,
+                        n_neighbors=args.neighbors, seed=args.seed)
     merging.save_index(args.out, result.index)
     print(f"loss {result.losses[0]:.6f} -> {result.losses[-1]:.6f} "
           f"over {len(result.losses)} epochs")
@@ -525,12 +531,8 @@ def cmd_merge_eval(args) -> int:
     vectors = []
     for path in args.bundle:
         for sv in load_bundle(path)[0]:
-            try:
-                check_aligned(base, sv)
-            except StructureError as exc:
-                raise StructureError(f"{path}: bundle {sv.task_id!r} does "
-                                     f"not fit --base {args.base}: {exc}"
-                                     ) from None
+            refused_at(f"{path}: bundle {sv.task_id!r} does not fit --base "
+                       f"{args.base}", check_aligned, base, sv)
             vectors.append(sv)
     data = [_read_inputs(spec, path) for _, path in args.task]
     preds, _ = merging.merged_forward(spec, base, vectors, index,
@@ -585,8 +587,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
-    except (StructureError, CodecError, OSError, ValueError,
-            TrainingDivergedError) as exc:
+    except (OSError, ValueError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

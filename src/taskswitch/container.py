@@ -23,7 +23,7 @@ from .codec import (BitReader, CodecError, DecodedModule, EncodedModule,
                     decode_at, encode_dense)
 from .model import MlpSpec, check_params
 from .training import CompressedTaskVector
-from .vectors import ParamSet, StructureError
+from .vectors import ParamSet, StructureError, refused_at
 
 MAGIC = b"TSWC"
 VERSION = 1
@@ -160,11 +160,7 @@ def load_bundle(path) -> tuple[list[CompressedTaskVector], dict]:
     out = []
     for tid, mods in tasks:
         names = _module_names(path, metadata, len(mods))
-        try:
-            out.append(sparse_from_decoded(tid, mods, names))
-        except CodecError as exc:   # a dense stream, named with its file
-            exc.args = (f"{path}: {exc}",)
-            raise
+        out.append(refused_at(path, sparse_from_decoded, tid, mods, names))
     return out, metadata
 
 
@@ -172,12 +168,8 @@ def save_params(path, spec: MlpSpec, params: ParamSet,
                 name: str = "model") -> None:
     """Store a parameter set densely (float32 at rest) with its layout."""
     metadata = {"model": spec.to_dict(), "module_names": params.names}
-    try:
-        check_params(spec, params)
-        streams = streams_from_params(params)
-    except ValueError as exc:   # a CodecError or StructureError as it was
-        exc.args = (f"{path}: {exc}",)
-        raise
+    refused_at(path, check_params, spec, params)
+    streams = refused_at(path, streams_from_params, params)
     save_container(path, [(name, streams)], metadata)
 
 
@@ -200,9 +192,6 @@ def load_params(path) -> tuple[MlpSpec, ParamSet, str]:
     params = ParamSet([(name, dm.values if dm.header.scale == 1.0
                         else dm.final_values())
                        for name, dm in zip(names, mods)])
-    try:
-        spec = MlpSpec.from_dict(metadata["model"])
-        check_params(spec, params)
-    except StructureError as exc:
-        raise StructureError(f"{path}: {exc}") from None
+    spec = refused_at(path, MlpSpec.from_dict, metadata["model"])
+    refused_at(path, check_params, spec, params)
     return spec, params, task_id

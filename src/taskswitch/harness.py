@@ -10,6 +10,7 @@ deltas of different tasks genuinely conflict under a static merge.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import unicodedata
 from dataclasses import dataclass
@@ -157,13 +158,14 @@ def base_dataset(spec: SyntheticTaskSpec,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Raw-labeled pre-training data covering every task's region.
 
-    Returns (train_x, train_y, test_x, test_y) with train_size and
-    test_size samples in total, split evenly across regions. A model fit
-    here is the natural base for the per-task fine-tunes.
+    Returns (train_x, train_y, test_x, test_y): each region gives
+    max(train_size // K, 1) train and max(test_size // K, 1) test samples
+    for K tasks, so at the defaults (K = 3) 1,998 and 498 rows. A model
+    fit here is the natural base for the per-task fine-tunes.
     """
     centers, offsets = task_geometry(spec)
     rng = rng_for(spec.seed, "base-data")
-    per_tr = spec.train_size // spec.num_tasks
+    per_tr = max(spec.train_size // spec.num_tasks, 1)
     per_te = max(spec.test_size // spec.num_tasks, 1)
     tr = [_sample_split(rng, centers[k], offsets, per_tr, spec.noise,
                         spec.classes_per_task)
@@ -201,7 +203,11 @@ def _check_finite_rows(path, x: np.ndarray, lines) -> None:
 def read_text(path) -> str:
     """A UTF-8 file's text; a ValueError names the file and the line of
     the first byte that is not UTF-8."""
-    data = Path(path).read_bytes()
+    return _utf8(path, Path(path).read_bytes())
+
+
+def _utf8(path, data: bytes) -> str:
+    """data, the bytes of the file at path, decoded by read_text's rule."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -213,43 +219,41 @@ def read_text(path) -> str:
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     """Features and labels of a write_dataset CSV.
 
-    The file must be UTF-8, and every row must have the header's width,
+    The file must be UTF-8 (checked first, for the whole file, as it is
+    read and decoded once), and every row must have the header's width,
     finite float features and a non-negative integer label; a ValueError
     names the file and the line. A plain file (`_parse_plain`) is parsed
     in one numpy pass; any other text, and every refusal, goes through the
     csv row loop, which alone reads quoted fields and names bad lines.
     """
-    with open(path, "rb") as fh:
-        parsed = _parse_plain(fh.read())
-    return _read_rows(path) if parsed is None else parsed
+    data = Path(path).read_bytes()
+    text = _utf8(path, data)
+    parsed = _parse_plain(data, text)
+    return _read_rows(path, text) if parsed is None else parsed
 
 
-def _parse_plain(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_plain(data: bytes, text: str,
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
     """What `_read_rows` returns for a plain CSV, bit for bit; else None.
 
-    Plain: a UTF-8 header line with no quote, NUL or lone CR, ending in
-    'label'; then one or more rows of the header's width, none blank or
-    over the csv field limit, ending in LF or CRLF, made of PLAIN_CHARS
-    alone, each with a label of at most PLAIN_LABEL_DIGITS digits and
-    finite features. On those characters np.loadtxt and float() run the
+    data is the file's bytes and text the same bytes decoded. Plain: a
+    header line with no quote, NUL or lone CR, ending in 'label'; then
+    one or more rows of the header's width, none blank or over the csv
+    field limit, ending in LF or CRLF, made of PLAIN_CHARS alone, each
+    with a label of at most PLAIN_LABEL_DIGITS digits and finite
+    features. On those characters np.loadtxt and float() run the
     same PyOS_string_to_double, so they agree; on others they do not
     (loadtxt takes '1.5\\x1c' and refuses '1_0' and Unicode digits).
     """
     end = data.find(b"\n")
-    if end < 0:
+    head, _, body = text.partition("\n")
+    header = head.removesuffix("\r")
+    if end < 0 or data[end + 1:].translate(None, PLAIN_CHARS) \
+            or any(c in header for c in '"\0\r'):
         return None
-    head, body = data[:end].removesuffix(b"\r"), data[end + 1:]
-    if body.translate(None, PLAIN_CHARS) \
-            or any(c in head for c in (b'"', b"\0", b"\r")):
-        return None
-    try:
-        header = head.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    text = body.decode("ascii")
-    rows = text.splitlines()
+    rows = body.splitlines()
     # a row per LF, and one unterminated; a lone CR would make one more
-    lfs = text.count("\n") + (not text.endswith(("\n", "\r")))
+    lfs = body.count("\n") + (not body.endswith(("\n", "\r")))
     limit = csv.field_size_limit()
     if not rows or len(rows) != lfs or len(header) > limit \
             or header.rpartition(",")[2] != "label":
@@ -289,37 +293,33 @@ def _label_value(field: str) -> int | None:
     return value if value <= MAX_LABEL else None
 
 
-def _read_rows(path) -> tuple[np.ndarray, np.ndarray]:
-    """read_dataset through csv.reader, one row at a time."""
+def _read_rows(path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """read_dataset of the file's text through csv.reader, one row at a
+    time."""
     x, y, lines = [], [], []
+    r = csv.reader(io.StringIO(text, newline=""))
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            r = csv.reader(fh)
-            header = next(r, None)
-            if not header or header[-1] != "label":
-                raise ValueError(f"{path}: expected trailing 'label' column")
-            for row in r:
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: line {r.line_num}: {len(row)}"
-                                     f" fields, the header has {len(header)}")
-                try:
-                    x.append([float(v) for v in row[:-1]])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {r.line_num}: "
-                                     f"{exc}") from None
-                label = _label_value(row[-1])
-                if label is None:
-                    raise ValueError(f"{path}: line {r.line_num}: label "
-                                     f"{row[-1]!r} is not a non-negative "
-                                     "integer")
-                y.append(label)
-                lines.append(r.line_num)
+        header = next(r, None)
+        if not header or header[-1] != "label":
+            raise ValueError(f"{path}: expected trailing 'label' column")
+        for row in r:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {r.line_num}: {len(row)}"
+                                 f" fields, the header has {len(header)}")
+            try:
+                x.append([float(v) for v in row[:-1]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {r.line_num}: "
+                                 f"{exc}") from None
+            label = _label_value(row[-1])
+            if label is None:
+                raise ValueError(f"{path}: line {r.line_num}: label "
+                                 f"{row[-1]!r} is not a non-negative "
+                                 "integer")
+            y.append(label)
+            lines.append(r.line_num)
     except csv.Error as exc:
         raise ValueError(f"{path}: line {r.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        # the file is decoded a block at a time, so the line is found anew
-        read_text(path)
-        raise
     x = np.array(x, dtype=np.float64).reshape(len(y), len(header) - 1)
     _check_finite_rows(path, x, lines)
     return x, np.array(y, dtype=np.int64)

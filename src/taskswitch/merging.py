@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .codec import CodecError, encode_dense
+from .codec import encode_dense
 from .container import load_container, save_container
 # forward is unused here but stays importable: the benchmark traces
 # merging.forward by name
@@ -27,7 +27,7 @@ from .model import (MlpSpec, check_params, features, flatten,  # noqa: F401
 from .optim import Adam
 from .seeding import rng_for
 from .training import CompressedTaskVector, TrainingDivergedError
-from .vectors import ParamSet, StructureError, check_aligned
+from .vectors import ParamSet, StructureError, check_aligned, refused_at
 
 DIST_EPS = 1e-8        # d below this is clamped before inversion
 NUM_FLOOR = 1e-30      # keeps the ratio loss finite with zero correct mass
@@ -368,14 +368,6 @@ def _nearest(d: np.ndarray, n_neighbors: int) -> np.ndarray:
     return chosen
 
 
-def _check_bundle(check, against, sv: CompressedTaskVector) -> None:
-    """check(against, sv), its StructureError naming the bundle."""
-    try:
-        check(against, sv)
-    except StructureError as exc:
-        raise StructureError(f"bundle {sv.task_id!r}: {exc}") from None
-
-
 def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
                 weights) -> ParamSet:
     """base + sum_k w_k * vector_k touching only the union of supports.
@@ -389,7 +381,7 @@ def materialize(base: ParamSet, vectors: list[CompressedTaskVector],
     for w, sv in zip(weights, vectors):
         if w == 0.0:
             continue
-        _check_bundle(check_aligned, base, sv)
+        refused_at(f"bundle {sv.task_id!r}", check_aligned, base, sv)
         for (_, acc), (_, mod) in zip(out, sv.modules):
             acc[mod.support] += w * mod.values
     return ParamSet(out)
@@ -456,7 +448,7 @@ def merged_forward(spec: MlpSpec, base: ParamSet | np.ndarray,
         raise StructureError(f"bundle holds tasks {extra} not in the index")
     ordered = [by_id[t] for t in index.task_ids]
     for sv in ordered:
-        _check_bundle(check_params, spec, sv)
+        refused_at(f"bundle {sv.task_id!r}", check_params, spec, sv)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     w = knn_weights(index, features(spec, flat, x), n_neighbors)
     logits = _mixed_logits(spec, flat, ordered, x, w)
@@ -499,12 +491,9 @@ def save_index(path, index: ReferenceIndex) -> None:
     metadata = {"task_ids": list(index.task_ids), "counts": counts,
                 "feature_dim": index.feature_dim}
     _index_layout(path, metadata, index.centers.size + index.projection.size)
-    try:   # a non-finite float32, or 2^27 floats or more
-        stream = encode_dense(np.concatenate([index.centers.ravel(),
-                                              index.projection.ravel()]))
-    except CodecError as exc:   # the type stays
-        exc.args = (f"{path}: {exc}",)
-        raise
+    # refuses a non-finite float32, or 2^27 floats or more
+    stream = refused_at(path, encode_dense, np.concatenate(
+        [index.centers.ravel(), index.projection.ravel()]))
     save_container(path, [("index", [stream])], metadata)
 
 
@@ -520,9 +509,7 @@ def load_index(path) -> ReferenceIndex:
     floats = mods[0].values
     task_ids, counts, dim, rank = _index_layout(path, metadata, floats.size)
     refs = sum(counts)
-    try:
-        return ReferenceIndex(task_ids, floats[:refs * dim].reshape(refs, dim),
-                              np.repeat(np.arange(len(counts)), counts),
-                              floats[refs * dim:].reshape(rank, dim))
-    except StructureError as exc:
-        raise StructureError(f"{path}: {exc}") from None
+    return refused_at(path, ReferenceIndex, task_ids,
+                      floats[:refs * dim].reshape(refs, dim),
+                      np.repeat(np.arange(len(counts)), counts),
+                      floats[refs * dim:].reshape(rank, dim))

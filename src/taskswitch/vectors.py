@@ -17,6 +17,17 @@ class StructureError(ValueError):
     """Two parameter sets (or a set and a companion object) do not line up."""
 
 
+def refused_at(where: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), or its ValueError (every StructureError and
+    CodecError is one) raised again with where in front of its message:
+    the type, any bit_offset and the traceback stay."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 @dataclass
 class ParamSet:
     """Ordered mapping of module name -> flat float64 vector."""

@@ -14,7 +14,7 @@ from taskswitch import (MlpSpec, TaskVector, build_switch, diff, init_params,
 from taskswitch.cli import COMMANDS, build_parser, main
 from taskswitch.container import save_container, streams_from_params
 from taskswitch.harness import (probe_precision, probe_scale, probe_sparsity,
-                                read_dataset)
+                                read_dataset, write_dataset)
 
 
 def _read_csv(path):
@@ -78,6 +78,18 @@ class TestGenTasks:
             "apart in 100 tries\n")
         assert peak < 16e6
         assert not (tmp_path / "d").exists()
+
+    def test_fewer_train_rows_than_tasks_give_a_base_pair_that_fine_tunes(
+            self, tmp_path):
+        # train_size // K drew no base row per region: a header-only
+        # base_train.csv that fine-tune refused
+        data = tmp_path / "d"
+        assert main(["gen-tasks", "--out", str(data), "--tasks", "5",
+                     "--train-size", "3"]) == 0
+        assert read_dataset(data / "base_train.csv")[0].shape == (5, 16)
+        assert main(["fine-tune", "--train", str(data / "base_train.csv"),
+                     "--test", str(data / "base_test.csv"), "--steps", "1",
+                     "-o", str(tmp_path / "base.tswp")]) == 0
 
     @pytest.mark.parametrize("flag", ["--noise", "--task-separation",
                                       "--class-separation", "--min-task-gap"])
@@ -412,6 +424,38 @@ class TestPipeline:
                      "-o", str(root / "tmp.tswp")]) == 0
         out = capsys.readouterr().out
         assert "train accuracy" in out and "test accuracy" in out
+
+
+    @pytest.mark.parametrize("flags, config, named", [
+        (["--widths", "6,8,8,3"], "", "--widths"),
+        (["--activation", "relu"], "", "--activation"),
+        (["--widths", "6,10,3", "--activation", "tanh"], "",
+         "--widths and --activation"),
+        ([], "widths = 6,8,8,3\n", "--widths"),
+    ], ids=["widths", "activation", "both", "config"])
+    def test_shape_flags_with_a_container_init_exit_2(
+            self, pipeline_dir, tmp_path, capsys, flags, config, named):
+        # the container fixes the shape; the flags used to be ignored
+        root, data = pipeline_dir
+        if config:
+            (tmp_path / "ft.cfg").write_text(config)
+            flags = ["--config", str(tmp_path / "ft.cfg")]
+        assert main(["fine-tune", "--train", str(data / "task0_train.csv"),
+                     "--init", str(root / "base.tswp"), "--steps", "1",
+                     *flags, "-o", str(tmp_path / "m.tswp")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {named} cannot be used with --init "
+            f"{root / 'base.tswp'}: the container fixes the model's shape\n")
+        assert not (tmp_path / "m.tswp").exists()
+
+    def test_random_init_keeps_the_default_shape(self, tmp_path):
+        rng = np.random.default_rng(0)
+        write_dataset(tmp_path / "t.csv", rng.normal(size=(8, 16)),
+                      np.arange(8) % 4)
+        assert main(["fine-tune", "--train", str(tmp_path / "t.csv"),
+                     "--steps", "1", "-o", str(tmp_path / "m.tswp")]) == 0
+        spec = load_params(tmp_path / "m.tswp")[0]
+        assert (spec.widths, spec.activation) == ((16, 32, 4), "tanh")
 
 
 # every subcommand that feeds a CSV to a model, with that CSV swapped in

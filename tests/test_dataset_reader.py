@@ -16,8 +16,10 @@ refusal (or the value, for leading zeros) that read_dataset gives with the
 limit in place.
 """
 
+import builtins
 import contextlib
 import csv
+import io
 import random
 import sys
 import tempfile
@@ -279,7 +281,7 @@ def test_unreadable_paths_raise_as_the_row_loop(tmp_path, make):
 
 def test_write_dataset_output_takes_the_numpy_pass(tmp_path, monkeypatch):
     # the walkthrough's files never reach the row loop
-    def refuse(path):
+    def refuse(path, text):
         raise AssertionError("row loop")
     monkeypatch.setattr(harness, "_read_rows", refuse)
     rng = np.random.default_rng(3)
@@ -291,3 +293,34 @@ def test_write_dataset_output_takes_the_numpy_pass(tmp_path, monkeypatch):
         got_x, got_y = read_dataset(path)
         assert got_x.tobytes() == x.tobytes() and got_x.shape == x.shape
         assert got_x.flags.c_contiguous and got_y.tolist() == y.tolist()
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b'x0,x1,label\r\n"1.5",-2,3\r\n4,"5e-1",0\r\n',
+     ([[1.5, -2.0], [4.0, 0.5]], [3, 0])),
+    (b"x0,label\r\n1,0\r\n\xff,1\r\n",
+     "line 3: not UTF-8 text (invalid start byte at byte 15)"),
+], ids=["quoted", "non-utf8"])
+def test_a_csv_the_row_loop_reads_is_opened_once(tmp_path, monkeypatch,
+                                                  data, expected):
+    # the numpy pass declines both; the row loop and the UTF-8 refusal
+    # work on the bytes and text it was given
+    path = tmp_path / "once.csv"
+    path.write_bytes(data)
+    opened, real = [], io.open
+
+    def counting(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real(file, *args, **kwargs)
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    try:
+        x, y = read_dataset(path)
+    except ValueError as exc:
+        assert str(exc) == f"{path}: {expected}"
+    else:
+        assert (x.tolist(), y.tolist()) == expected
+    assert len(opened) == 1
+    monkeypatch.undo()
+    _same(path)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskswitch import (
+    CodecError,
     ParamSet,
     StructureError,
     TaskVector,
@@ -16,6 +17,9 @@ from taskswitch import (
     sign_quantile,
     signed_bounds,
 )
+from taskswitch.codec import CorruptStreamError
+from taskswitch.training import TrainingDivergedError
+from taskswitch.vectors import refused_at
 
 
 def _ps(*mods):
@@ -146,3 +150,27 @@ class TestSignQuantile:
         gamma = sign_quantile(v, 0.3, "+")  # k = floor(1.2) = 1
         assert gamma == pytest.approx(0.2)
         assert int(np.sum(v > gamma)) == 1
+
+
+def test_refused_at_names_where_and_keeps_the_refusal():
+    assert refused_at("here", lambda a, b: a - b, 5, b=2) == 3
+    for exc in (StructureError("modules differ"), CodecError("bad stream"),
+                CorruptStreamError("bad record", 17)):
+        message = str(exc)
+
+        def refuse():
+            raise exc
+        with pytest.raises(type(exc)) as info:
+            refused_at("m.tswp", refuse)
+        assert info.value is exc and str(exc) == f"m.tswp: {message}"
+        assert info.traceback[-1].name == "refuse"
+    assert exc.bit_offset == 17
+    # not a ValueError: no file or flag is to blame, so it passes as it is
+    diverged = TrainingDivergedError(1, {"loss": math.nan}, "loss", "epoch")
+
+    def diverge():
+        raise diverged
+    with pytest.raises(TrainingDivergedError) as info:
+        refused_at("--index r.idx", diverge)
+    assert str(info.value) == \
+        "loss became non-finite at epoch 1: {'loss': nan}"

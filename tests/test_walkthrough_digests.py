@@ -6,8 +6,9 @@ and compares the SHA-256 of every file it writes, and of its stdout and
 stderr, with the table in walkthrough_digests.json.
 
 The bits depend on the build: numpy's version and the CPU features it
-dispatches to, the BLAS and its version, and the BLAS thread count. The
-table records the build it was taken on. On any other build the test
+dispatches to, the BLAS, its version and the kernel it runs (OpenBLAS picks
+one per CPU, and OPENBLAS_CORETYPE overrides it), and the BLAS thread
+count. The table records the build it was taken on. On any other build the test
 skips, naming what differs; it never passes there. A change that alters
 the walkthrough's bytes on purpose rewrites the table with
 
@@ -18,10 +19,12 @@ it replaces.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -64,6 +67,19 @@ def walkthrough() -> list[list[str]]:
     return steps
 
 
+def blas_kernel() -> str | None:
+    """The kernel numpy's OpenBLAS runs, as the library names it, or None
+    where no library under numpy.libs says."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for lib in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def build() -> dict:
     """What the walkthrough's bits depend on beyond the source."""
     cfg = np.show_config(mode="dicts")
@@ -74,6 +90,7 @@ def build() -> dict:
     return {"numpy": np.__version__,
             "simd": cfg["SIMD Extensions"]["found"],
             "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_kernel": blas_kernel(),
             "blas_threads": threads}
 
 
@@ -114,6 +131,26 @@ def test_walkthrough_bytes_match_the_pinned_table():
                     + "; ".join(differs))
     moved = changed(digests(), pinned["digests"])
     assert not moved, f"walkthrough bytes changed: {moved}"
+
+
+def test_another_blas_kernel_skips_naming_it():
+    # a child process, since OpenBLAS reads OPENBLAS_CORETYPE when loaded
+    pinned = json.loads(TABLE.read_text())["build"]
+    if build() != pinned or pinned["blas_kernel"] is None:
+        pytest.skip("no pinned OpenBLAS kernel on this build to differ from")
+    here = pinned["blas_kernel"]
+    other = "Sandybridge" if here == "Haswell" else "Haswell"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "OPENBLAS_CORETYPE": other,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rs", "-p",
+         "no:cacheprovider",
+         f"{__file__}::test_walkthrough_bytes_match_the_pinned_table"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert "1 skipped" in run.stdout, run.stdout + run.stderr
+    assert f"blas_kernel {other!r}, pinned {here!r}" in run.stdout
 
 
 if __name__ == "__main__":
