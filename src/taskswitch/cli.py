@@ -432,9 +432,9 @@ def cmd_inspect(args) -> int:
                 task_id, name, Format(h.fmt).name, h.count, dec.nnz,
                 f"{1.0 - dec.nnz / h.count:.4f}", h.bit_width, h.group_size,
                 f"{nominal_bits(h.fmt, dec.payload_bits):.0f}",
-                dec.bits_consumed])
+                dec.bits_consumed, dec.header_bits])
     header = ["task", "module", "format", "n", "nnz", "sparsity",
-              "bits", "group", "nominal_bits", "file_bits"]
+              "bits", "group", "nominal_bits", "file_bits", "header_bits"]
     widths = [max(len(str(r[i])) for r in rows + [header])
               for i in range(len(header))]
     for r in [header] + rows:

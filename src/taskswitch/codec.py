@@ -2,10 +2,27 @@
 
 A CompressedModule (support positions and one bin index per position) is
 what the grouped and independent encoders take and their decoder returns;
-the dense format carries raw floats. All three share one fixed 137-bit
-header (format tag 2, bit width 4, group-size-minus-1 8, element count 27,
-then scale / range_neg / range_pos as IEEE-754 float32), packed and read
-as one integer. Payloads:
+the dense format carries raw floats. A header has one of two spellings,
+each packed and read as one integer:
+
+  long      137 bits: format tag (2 bits, 0 GROUPED, 1 INDEP, 2 DENSE),
+            bit width (4), group size minus 1 (8), element count (27),
+            then scale / range_neg / range_pos as IEEE-754 float32;
+  short     format tag 3, the one spare, then the payload kind (2 bits,
+            0 GROUPED, 1 INDEP, 2 and 3 reserved and refused), bit width
+            (4), the count's bit length L in [1, 27] (5) and its L - 1
+            bits below the leading one, for GROUPED the group size's index
+            among the count's admissible divisors (ceil(log2 of their
+            number) bits), then the same three float32 fields: 108 + L
+            bits, plus the index.
+
+encode, encode_indep and encode_dense write the long spelling, so their
+bytes never change. choose_format, which every compress, tswitch and
+bundle write goes through, picks the payload by nominal size, then writes
+whichever spelling is shorter, the long one on a tie: at desk sizes the
+short one is 111-122 bits. The decoder reads either into the same
+ModuleHeader, its fmt the payload kind, and runs one header rule on both.
+Payloads:
 
   grouped   group-presence bitmap (n/c bits), then one record per nonzero in
             position order: intra-group index (ceil(log2 c) bits), bin index
@@ -66,7 +83,8 @@ import numpy as np
 
 from .bitwidth import QuantSpec
 
-HEADER_BITS = 137
+HEADER_BITS = 137            # the long spelling
+SHORT_TAG = 3                # the short spelling's format tag
 NOMINAL_HEADER_BITS = 35     # n(27) + group size(8); scale is counted by +32
 COUNT_BITS = 27
 MAX_COUNT = 1 << COUNT_BITS
@@ -167,6 +185,7 @@ class DecodedModule:
     header: ModuleHeader
     module: CompressedModule | None  # GROUPED and INDEP streams
     values: np.ndarray | None        # raw floats of a DENSE stream
+    header_bits: int     # 137, or the short spelling's length
     payload_bits: int
     bits_consumed: int   # header + payload + padding, a multiple of 8
 
@@ -205,12 +224,14 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(c for c in range(1, min(n, MAX_GROUP) + 1) if n % c == 0)
 
 
+@lru_cache(maxsize=4096)
 def optimal_group(n: int, alpha: float) -> int:
     """Group size minimizing expected_bits over the admissible divisors.
 
     Ties go to the smaller size. The b term is constant across candidates
     so the choice is bit-width independent. alpha = 1 degenerates to the
-    largest admissible divisor (the bitmap is all that remains).
+    largest admissible divisor (the bitmap is all that remains). A pure
+    function of (n, alpha), so its choices are cached; a refusal is not.
     """
     if n < 1:
         raise CapacityError(f"element count must be positive, got {n}")
@@ -327,62 +348,115 @@ def _check_header(h: ModuleHeader, at: int | None = None) -> None:
 
 _FORMATS = tuple(Format)
 _FLOATS = struct.Struct(">3f")
+_FLOAT_MASK = (1 << 96) - 1
 
 
-def _header_int(header: ModuleHeader) -> int:
-    """The 137 header bits as one integer: format tag (2), bit width (4),
-    group size minus 1 (8) and count (27), then the three float32 fields."""
-    ints = ((header.fmt << 4 | header.bit_width) << 8
-            | header.group_size - 1) << COUNT_BITS | header.count
-    return ints << 96 | int.from_bytes(_FLOATS.pack(
-        header.scale, header.range_neg, header.range_pos), "big")
+def _head(header: ModuleHeader, short: bool = False) -> tuple[int, int]:
+    """The header as one integer and its bit count: the long spelling, or
+    with short the shorter of the two, the long one on a tie."""
+    fmt, b, c, n = header[:4]
+    floats = int.from_bytes(_FLOATS.pack(*header[4:]), "big")
+    if short:
+        length = n.bit_length()
+        groups = _divisors(n) if fmt is Format.GROUPED else (1,)
+        k = index_bits(len(groups))
+        bits = 13 + length - 1 + k + 96   # 13 fixed bits, then fields
+        if bits < HEADER_BITS:
+            word = ((SHORT_TAG << 2 | fmt) << 4 | b) << 5 | length
+            word = (word << length - 1 | n ^ 1 << length - 1) << k \
+                | groups.index(c)
+            return word << 96 | floats, bits
+    ints = ((fmt << 4 | b) << 8 | c - 1) << COUNT_BITS | n
+    return ints << 96 | floats, HEADER_BITS
 
 
 def _header_bytes(header: ModuleHeader) -> bytes:
-    """The header as the top 137 bits of 18 bytes, the last 7 bits zero."""
-    return (_header_int(header) << 7).to_bytes(18, "big")
+    """The long header as the top 137 bits of 18 bytes, the last 7 bits
+    zero."""
+    return (_head(header)[0] << 7).to_bytes(18, "big")
 
 
-def _pack(header: ModuleHeader, *payload: np.ndarray) -> EncodedModule:
+def _pack(head: tuple[int, int], header: ModuleHeader,
+          *payload: np.ndarray) -> EncodedModule:
     """Header then payload bits, zero-padded to a byte boundary; each bit
     array is copied once, into its place in the stream's bits."""
-    at = HEADER_BITS
+    word, at = head
     bits = np.empty(at + sum(p.size for p in payload), dtype=np.uint8)
-    bits[:at] = np.unpackbits(np.frombuffer(_header_bytes(header), np.uint8),
-                              count=at)
+    bits[:at] = np.unpackbits(np.frombuffer(
+        (word << -at % 8).to_bytes((at + 7) // 8, "big"), np.uint8), count=at)
     for p in payload:
         bits[at:at + p.size].reshape(p.shape)[...] = p
         at += p.size
-    return EncodedModule(np.packbits(bits).tobytes(), header,
-                         at - HEADER_BITS)
+    return EncodedModule(np.packbits(bits).tobytes(), header, at - head[1])
 
 
-def _pack_int(header: ModuleHeader, payload: int,
+def _pack_int(head: tuple[int, int], header: ModuleHeader, payload: int,
               payload_bits: int) -> EncodedModule:
     """Header then a payload of payload_bits held in one integer, most
     significant bit first, zero-padded to a byte boundary."""
-    pad = -(HEADER_BITS + payload_bits) % 8
-    word = (_header_int(header) << payload_bits | payload) << pad
-    return EncodedModule(word.to_bytes((HEADER_BITS + payload_bits + pad)
-                                       // 8, "big"), header, payload_bits)
+    word, total = head
+    total += payload_bits
+    pad = -total % 8
+    word = (word << payload_bits | payload) << pad
+    return EncodedModule(word.to_bytes((total + pad) // 8, "big"), header,
+                         payload_bits)
 
 
 def _read_header(r: BitReader) -> ModuleHeader:
+    """Either spelling, read from one int.from_bytes of at most 18 bytes,
+    which hold the longest short header too. A short header's 13 fixed
+    bits (tag, payload kind, width, count length) are checked first, then
+    each later field is read if the stream holds it; every refusal is at
+    the header's offset."""
     start = r.pos
-    if r.remaining < HEADER_BITS:
+    head = r.data[start // 8:start // 8 + 18]  # streams start on a byte
+    size = 8 * len(head)
+    word = int.from_bytes(head, "big")
+    if size >= 13 and word >> size - 2 == SHORT_TAG:
+        at = size - 13
+        fixed = word >> at
+        kind, b, length = fixed >> 9 & 3, fixed >> 5 & 0xF, fixed & 0x1F
+        if kind > 1:
+            raise CorruptStreamError(f"format tag {SHORT_TAG} with reserved "
+                                     f"payload kind {kind}", start)
+        if not 0 < length <= COUNT_BITS:
+            raise CorruptStreamError(f"count length {length} outside "
+                                     f"[1, {COUNT_BITS}]", start)
+        at -= length - 1
+        if at < 0:
+            raise CorruptStreamError("truncated stream", start)
+        n = 1 << length - 1 | word >> at & (1 << length - 1) - 1
+        c = 1
+        if not kind:                # GROUPED: the group's index
+            groups = _divisors(n)
+            k = (len(groups) - 1).bit_length()
+            at -= k
+            if at < 0:
+                raise CorruptStreamError("truncated stream", start)
+            i = word >> at & (1 << k) - 1
+            if i >= len(groups):
+                raise CorruptStreamError(f"group index {i} past the "
+                                         f"{len(groups)} admissible sizes "
+                                         f"of {n}", start)
+            c = groups[i]
+        at -= 96
+        if at < 0:
+            raise CorruptStreamError("truncated stream", start)
+        header = ModuleHeader(_FORMATS[kind], b, c, n, *_FLOATS.unpack(
+            (word >> at & _FLOAT_MASK).to_bytes(12, "big")))
+        bits = size - at
+    elif size < HEADER_BITS:
         raise CorruptStreamError("truncated stream", start)
-    # streams start on a byte boundary: the header is the top 137 of 18 bytes
-    word = int.from_bytes(r.data[start // 8:start // 8 + 18], "big") >> 7
-    r.pos = start + HEADER_BITS
-    ints = word >> 96
-    tag = ints >> 39
-    if tag >= len(_FORMATS):
-        raise CorruptStreamError(f"unknown format tag {tag}", start)
-    header = ModuleHeader(_FORMATS[tag], ints >> 35 & 0xF,
-                          (ints >> COUNT_BITS & 0xFF) + 1,
-                          ints & (MAX_COUNT - 1), *_FLOATS.unpack(
-                              (word & (1 << 96) - 1).to_bytes(12, "big")))
+    else:                       # the long header: the top 137 of 18 bytes
+        word >>= 7
+        ints = word >> 96
+        header = ModuleHeader(_FORMATS[ints >> 39], ints >> 35 & 0xF,
+                              (ints >> COUNT_BITS & 0xFF) + 1,
+                              ints & (MAX_COUNT - 1), *_FLOATS.unpack(
+                                  (word & _FLOAT_MASK).to_bytes(12, "big")))
+        bits = HEADER_BITS
     _check_header(header, start)
+    r.pos = start + bits
     return header
 
 
@@ -447,7 +521,15 @@ def encode(module: CompressedModule,
         c = optimal_group(n, 1.0 - nnz / n)
     else:
         c = 1                          # refused by _module_header
+    return _grouped(module, c)
+
+
+def _grouped(module: CompressedModule, c: int,
+             short: bool = False) -> EncodedModule:
+    """The grouped stream of groups of c, its header spelled by _head."""
     header, support, bins = _module_header(module, Format.GROUPED, c)
+    head = _head(header, short)
+    n, nnz = module.length, module.nnz
     b, groups = header.bit_width, n // c
     rec_w = index_bits(c) + b + 1
     if isinstance(support, list):      # few survivors: one integer
@@ -461,7 +543,7 @@ def encode(module: CompressedModule,
                 last = group
             records = records << rec_w | _record(pos - group * c, v, b)
         records |= last >= 0           # and of the last group
-        return _pack_int(header, bitmap << nnz * rec_w | records,
+        return _pack_int(head, header, bitmap << nnz * rec_w | records,
                          groups + nnz * rec_w)
     group_id = support // c
     group_any = np.zeros(groups, dtype=np.uint8)
@@ -470,25 +552,31 @@ def encode(module: CompressedModule,
     rec = _record(intra, bins, b)
     rec[:-1] |= group_id[1:] != group_id[:-1]    # end-of-group flags
     rec[-1:] |= 1
-    return _pack(header, group_any, _fields(rec, rec_w))
+    return _pack(head, header, group_any, _fields(rec, rec_w))
 
 
 def encode_indep(module: CompressedModule) -> EncodedModule:
     """Mask-plus-fixed-width encoding: exactly (b+1)*n payload bits, built
     as one Python integer up to SMALL_SURVIVORS survivors, as encode does."""
+    return _indep(module)
+
+
+def _indep(module: CompressedModule, short: bool = False) -> EncodedModule:
+    """The INDEP stream, its header spelled by _head."""
     header, support, bins = _module_header(module, Format.INDEP)
+    head = _head(header, short)
     n, b = header.count, header.bit_width
     if isinstance(support, list):      # few survivors: one integer
         mask = values = 0
         for pos, v in zip(support, bins):
             mask |= 1 << n - 1 - pos
             values |= v << b * (n - 1 - pos)
-        return _pack_int(header, mask << n * b | values, n * (b + 1))
+        return _pack_int(head, header, mask << n * b | values, n * (b + 1))
     mask = np.zeros(n, dtype=np.uint8)
     mask[support] = 1
     all_bins = np.zeros(n, dtype=np.int64)
     all_bins[support] = bins
-    return _pack(header, mask, _fields(all_bins, b))
+    return _pack(head, header, mask, _fields(all_bins, b))
 
 
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
@@ -521,14 +609,15 @@ def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
 
 def choose_format(module: CompressedModule) -> EncodedModule:
     """Grouped or independent encoding, whichever is smaller by nominal
-    size (ties go to grouped). Dense never wins: (b+1)*n < 32*n for b <= 15.
+    size (ties go to grouped), under the shorter header spelling. Dense
+    never wins: (b+1)*n < 32*n for b <= 15.
     """
     n, nnz, b = module.length, module.nnz, module.bit_width
     c = optimal_group(n, 1.0 - nnz / max(n, 1))   # n < 1: CapacityError
     if nominal_bits(Format.GROUPED, n // c + nnz * (index_bits(c) + b + 1)) \
             <= nominal_bits(Format.INDEP, indep_bits(n, b)):
-        return encode(module, group_size=c)
-    return encode_indep(module)
+        return _grouped(module, c, short=True)
+    return _indep(module, short=True)
 
 
 def decode_at(reader: BitReader) -> DecodedModule:
@@ -564,8 +653,8 @@ def decode_at(reader: BitReader) -> DecodedModule:
     if pad and reader.data[reader.pos // 8] & (1 << pad) - 1:
         raise CorruptStreamError("nonzero padding bits", reader.pos)
     reader.pos += pad
-    return DecodedModule(header, module, values, payload_bits,
-                         reader.pos - start)
+    return DecodedModule(header, module, values, payload_start - start,
+                         payload_bits, reader.pos - start)
 
 
 def _record(intra, bin_, b: int):

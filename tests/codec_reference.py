@@ -14,10 +14,14 @@ every call, `_decode_grouped` reads the intra index and the bin as two
 fields and finds groups by a cumulative sum, and `decode_at` turns every
 INDEP row into a value before masking and reads zero padding bits. Only
 `decode_at`'s DENSE branch is older still: it unpacks and repacks the
-payload's bits. The header is parsed and checked as it was before the
+payload's bits. The long header is parsed and checked as it was before the
 decoder read masks as bool: `Format(tag)`, then a loop over the float
-fields. Every function here calls this module's own field, packing and
-header code, never the package's; only the BitReader is shared.
+fields. The short header (format tag 3) is written one field at a time
+into a bit array by `_head_bits`, and `_read_short_header` reads it back
+one field at a time through the BitReader; `choose_format` builds both
+spellings and keeps the shorter, the long one on a tie. Every function
+here calls this module's own field, packing and header code, never the
+package's; only the BitReader is shared.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from taskswitch.codec import (
     MAX_COUNT,
     MAX_GROUP,
     NOMINAL_HEADER_BITS,
+    SHORT_TAG,
     BitReader,
     CapacityError,
     CodecError,
@@ -72,6 +77,9 @@ def _check_header(h: ModuleHeader, at: int | None = None) -> None:
 
 def _read_header(r: BitReader) -> ModuleHeader:
     start = r.pos
+    if r.remaining >= 2 and _values(BitReader(r.data, start).read_bits(2)
+                                    [None, :])[0] == SHORT_TAG:
+        return _read_short_header(r)
     if r.remaining < HEADER_BITS:
         raise CorruptStreamError("truncated stream", start)
     # streams start on a byte boundary: the header is the top 137 of 18 bytes
@@ -80,12 +88,53 @@ def _read_header(r: BitReader) -> ModuleHeader:
     ints = word >> 96
     tag, b = ints >> 39, ints >> 35 & 0xF
     cfield, n = ints >> COUNT_BITS & 0xFF, ints & (MAX_COUNT - 1)
-    if tag not in (0, 1, 2):
-        raise CorruptStreamError(f"unknown format tag {tag}", start)
     header = ModuleHeader(Format(tag), b, cfield + 1, n, *struct.unpack(
         ">3f", (word & ((1 << 96) - 1)).to_bytes(12, "big")))
     _check_header(header, start)
     return header
+
+
+def _read_short_header(r: BitReader) -> ModuleHeader:
+    """The tag-3 header one field at a time: tag, payload kind, width and
+    the count's bit length L, then the count's L - 1 low bits, a GROUPED
+    stream's group index and the three floats. A field the stream ends
+    inside is refused as truncated at the header's offset, as is every
+    other refusal."""
+    start = r.pos
+
+    def take(nbits: int) -> int:
+        if r.remaining < nbits:
+            raise CorruptStreamError("truncated stream", start)
+        return int(_values(r.read_bits(nbits)[None, :])[0])
+
+    _, kind, b, length = take(2), take(2), take(4), take(5)
+    if kind not in (Format.GROUPED, Format.INDEP):
+        raise CorruptStreamError(f"format tag {SHORT_TAG} with reserved "
+                                 f"payload kind {kind}", start)
+    if not 1 <= length <= COUNT_BITS:
+        raise CorruptStreamError(f"count length {length} outside "
+                                 f"[1, {COUNT_BITS}]", start)
+    n = (1 << (length - 1)) + take(length - 1)
+    c = 1
+    if kind == Format.GROUPED:
+        groups = admissible_groups(n)
+        i = take(_group_index_bits(groups))
+        if i >= len(groups):
+            raise CorruptStreamError(f"group index {i} past the "
+                                     f"{len(groups)} admissible sizes of "
+                                     f"{n}", start)
+        c = groups[i]
+    if r.remaining < 96:
+        raise CorruptStreamError("truncated stream", start)
+    floats = struct.unpack(">3f", np.packbits(r.read_bits(96)).tobytes())
+    header = ModuleHeader(Format(kind), b, c, n, *floats)
+    _check_header(header, start)
+    return header
+
+
+def _group_index_bits(groups: list[int]) -> int:
+    """Bits of an index into the admissible group sizes: ceil(log2)."""
+    return math.ceil(math.log2(len(groups)))
 
 
 def _fields(values, nbits: int) -> np.ndarray:
@@ -101,20 +150,36 @@ def _values(bits: np.ndarray) -> np.ndarray:
     return bits.astype(np.uint64).dot(np.uint64(1) << shifts).astype(np.int64)
 
 
-def _pack(header: ModuleHeader, *payload: np.ndarray) -> EncodedModule:
-    """Header then payload bits, zero-padded to a byte boundary.
-
-    The header is one integer: format tag (2), bit width (4), group size
-    minus 1 (8) and count (27), then the three float32 fields.
-    """
+def _head_bits(header: ModuleHeader, short: bool = False) -> np.ndarray:
+    """The header's bits. The long spelling is one integer: format tag (2),
+    bit width (4), group size minus 1 (8) and count (27), then the three
+    float32 fields. With short, the tag-3 spelling is built field by field
+    and kept if it is shorter."""
     ints = ((header.fmt << 4 | header.bit_width) << 8
             | header.group_size - 1) << COUNT_BITS | header.count
     floats = struct.pack(">3f", header.scale, header.range_neg,
                          header.range_pos)
     word = (ints << 96 | int.from_bytes(floats, "big")) << 7
     head = np.unpackbits(np.frombuffer(word.to_bytes(18, "big"), np.uint8))
+    long = head[:HEADER_BITS]
+    if not short:
+        return long
+    n = header.count
+    length = n.bit_length()
+    groups = (admissible_groups(n) if header.fmt == Format.GROUPED else [1])
+    fields = [(SHORT_TAG, 2), (int(header.fmt), 2), (header.bit_width, 4),
+              (length, 5), (n - (1 << (length - 1)), length - 1),
+              (groups.index(header.group_size), _group_index_bits(groups))]
+    bits = np.concatenate([_fields([v], w)[0] for v, w in fields]
+                          + [np.unpackbits(np.frombuffer(floats, np.uint8))])
+    return bits if bits.size < long.size else long
+
+
+def _pack(header: ModuleHeader, *payload: np.ndarray,
+          short: bool = False) -> EncodedModule:
+    """Header then payload bits, zero-padded to a byte boundary."""
     bits = [p.reshape(-1) for p in payload]
-    data = np.packbits(np.concatenate([head[:HEADER_BITS], *bits]))
+    data = np.packbits(np.concatenate([_head_bits(header, short), *bits]))
     return EncodedModule(data.tobytes(), header, sum(b.size for b in bits))
 
 
@@ -161,8 +226,8 @@ def _module_header(module: CompressedModule, fmt: Format) -> ModuleHeader:
             raise CodecError(f"bin index outside [0, {1 << b})")
     return header
 
-def encode(module: CompressedModule,
-           group_size: int | None = None) -> EncodedModule:
+def encode(module: CompressedModule, group_size: int | None = None,
+           short: bool = False) -> EncodedModule:
     """Grouped-format encoding of a module's support and bins."""
     header = _module_header(module, Format.GROUPED)
     n, nnz, support = module.length, module.nnz, module.support
@@ -177,16 +242,18 @@ def encode(module: CompressedModule,
     flags[:-1, 0] = group_id[1:] != group_id[:-1]
     rec = np.hstack([_fields(support % c, index_bits(c)),
                      _fields(module.bins, header.bit_width), flags])
-    return _pack(header, group_any, rec)
+    return _pack(header, group_any, rec, short=short)
 
-def encode_indep(module: CompressedModule) -> EncodedModule:
+def encode_indep(module: CompressedModule,
+                 short: bool = False) -> EncodedModule:
     """Mask-plus-fixed-width encoding: exactly (b+1)*n payload bits."""
     header = _module_header(module, Format.INDEP)
     mask = np.zeros(header.count, dtype=np.uint8)
     mask[module.support] = 1
     all_bins = np.zeros(header.count, dtype=np.int64)
     all_bins[module.support] = module.bins
-    return _pack(header, mask, _fields(all_bins, header.bit_width))
+    return _pack(header, mask, _fields(all_bins, header.bit_width),
+                 short=short)
 
 
 def encode_dense(values: np.ndarray, scale: float = 1.0) -> EncodedModule:
@@ -235,8 +302,8 @@ def decode_at(reader: BitReader) -> DecodedModule:
     pad_bits = reader.read_bits(pad)
     if np.any(pad_bits):
         raise CorruptStreamError("nonzero padding bits", reader.pos - pad)
-    return DecodedModule(header, module, values, payload_bits,
-                         reader.pos - start)
+    return DecodedModule(header, module, values, payload_start - start,
+                         payload_bits, reader.pos - start)
 
 
 def _decode_grouped(reader: BitReader, header: ModuleHeader):
@@ -283,11 +350,12 @@ def _decode_grouped(reader: BitReader, header: ModuleHeader):
 
 def choose_format(module: CompressedModule) -> EncodedModule:
     """Grouped or independent encoding, whichever is smaller by nominal
-    size (ties go to grouped). Dense never wins: (b+1)*n < 32*n for b <= 15.
+    size (ties go to grouped), under the shorter header spelling. Dense
+    never wins: (b+1)*n < 32*n for b <= 15.
     """
     n, nnz, b = module.length, module.nnz, module.bit_width
     c = optimal_group(n, 1.0 - nnz / max(n, 1))   # n < 1: CapacityError
     grouped_cost = NOMINAL_HEADER_BITS + n // c + nnz * (index_bits(c) + b + 1)
     if grouped_cost <= indep_bits(n, b):
-        return encode(module, group_size=c)
-    return encode_indep(module)
+        return encode(module, group_size=c, short=True)
+    return encode_indep(module, short=True)

@@ -12,7 +12,8 @@ import pytest
 from taskswitch import (MlpSpec, TaskVector, build_switch, diff, init_params,
                         load_params, save_bundle)
 from taskswitch.cli import COMMANDS, build_parser, main
-from taskswitch.container import save_container, streams_from_params
+from taskswitch.container import (load_container, save_container,
+                                 streams_from_params)
 from taskswitch.harness import (probe_precision, probe_scale, probe_sparsity,
                                 read_dataset, write_dataset)
 
@@ -339,6 +340,13 @@ class TestPipeline:
         rows = _read_csv(root / "inspect.csv")
         assert rows[0][:4] == ["task", "module", "format", "n"]
         assert len(rows) == 5  # header + 4 modules
+        # the header each stream was read with: compress writes the short
+        # spelling, 108 bits plus the count's and any group index's
+        assert rows[0][-2:] == ["file_bits", "header_bits"]
+        (_, decoded), = load_container(root / "c0.tswc")[0]
+        assert [int(r[-1]) for r in rows[1:]] == \
+            [dm.header_bits for dm in decoded]
+        assert all(108 < int(r[-1]) < 137 for r in rows[1:])
 
     def test_probe_reports(self, pipeline_dir, capsys):
         root, data = pipeline_dir

@@ -29,6 +29,7 @@ from taskswitch.codec import (
     HEADER_BITS,
     MAX_GROUP,
     NOMINAL_HEADER_BITS,
+    ModuleHeader,
     _divisors,
     _fields,
     _values,
@@ -91,6 +92,25 @@ class TestSizeFormulas:
             optimal_group(0, 0.5)
         with pytest.raises(ValueError):
             optimal_group(8, 1.5)
+
+    def test_cached_choices_match_the_scan(self):
+        scan = optimal_group.__wrapped__
+        for n in range(1, 4097):
+            for alpha in (0.0, 0.1, 0.5, 0.9, 0.95, 1.0 - 3 / n, 1.0):
+                if alpha >= 0.0:
+                    assert optimal_group(n, alpha) == scan(n, alpha), (n,
+                                                                       alpha)
+        hits = optimal_group.cache_info().hits
+        assert optimal_group(4096, 0.9) == scan(4096, 0.9)
+        assert optimal_group.cache_info().hits == hits + 1
+        # refusals are raised on every call, never cached
+        for args, error in (((0, 0.5), CapacityError), ((-3, 0.5),
+                            CapacityError), ((8, 1.5), ValueError),
+                            ((8, -0.1), ValueError),
+                            ((8, float("nan")), ValueError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    optimal_group(*args)
 
 
 def _f32(*floats):
@@ -171,6 +191,59 @@ class TestFrozenLayout:
         bits += _f32(0.5, -1.25, 0.0)
         assert enc.data == _stream(bits)
         assert enc.payload_bits == 96
+
+    def test_short_grouped_stream_bit_for_bit(self):
+        # choose_format of one survivor in 64 elements: groups of 32, the
+        # sixth of the seven admissible sizes 1, 2, ..., 64, so index 5 in
+        # 3 bits. Tag 11, kind 00, width 0010, count length 7 and the 6
+        # bits of 64 below its leading one, the index, then the floats
+        enc = choose_format(CompressedModule(64, np.array([40]),
+                                             np.array([3]), 2, 1.0, 1.0,
+                                             2.0))
+        bits = "11" + "00" + "0010" + "00111" + "000000" + "101"
+        bits += _f32(2.0, 1.0, 1.0)
+        assert len(bits) == 118
+        bits += "01"                   # the second of two groups
+        bits += "01000" + "11" + "1"   # intra 8, bin 3, close
+        assert enc.data == _stream(bits)
+        assert enc.header == ModuleHeader(Format.GROUPED, 2, 32, 64, 2.0,
+                                          1.0, 1.0)
+        assert enc.payload_bits == 10
+        dec = decode(enc.data)
+        assert (dec.header, dec.header_bits) == (enc.header, 118)
+
+    def test_short_indep_stream_bit_for_bit(self):
+        # tag 11, kind 01, width 0010, count length 3 and the 2 bits of 4
+        # below its leading one; an INDEP header has no group index
+        enc = choose_format(CompressedModule(4, np.array([1, 3]),
+                                             np.array([3, 1]), 2, 0.5, 1.5,
+                                             2.0))
+        bits = "11" + "01" + "0010" + "00011" + "00" + _f32(2.0, 0.5, 1.5)
+        assert len(bits) == 111
+        bits += "0101"
+        bits += "00" + "11" + "00" + "01"
+        assert enc.data == _stream(bits)
+        assert enc.payload_bits == 12
+        dec = decode(enc.data)
+        assert (dec.header, dec.header_bits) == (
+            ModuleHeader(Format.INDEP, 2, 1, 4, 2.0, 0.5, 1.5), 111)
+
+    def test_long_header_stream_pinned_as_hex_decodes(self):
+        # encode's 137-bit header, as every stream before the short header
+        # was written: 12 elements in groups of 4 at width 2
+        pinned = "080c0000061fa000001f8000001fe000007746bb"
+        mod = CompressedModule(12, np.array([1, 2, 6, 11]),
+                               np.array([3, 0, 2, 1]), 2, 0.5, 1.5, 0.75)
+        assert encode(mod, 4).data.hex() == pinned
+        dec = decode(bytes.fromhex(pinned))
+        assert dec.header == ModuleHeader(Format.GROUPED, 2, 4, 12, 0.75,
+                                          0.5, 1.5)
+        assert (dec.header_bits, dec.payload_bits) == (HEADER_BITS, 23)
+        _same_module(dec.module, mod)
+        short = decode(choose_format(mod).data)
+        assert short.header_bits < HEADER_BITS
+        np.testing.assert_array_equal(short.final_values(),
+                                      dec.final_values())
 
     def test_payload_matches_deterministic_size_formula(self):
         for seed in range(5):
@@ -415,7 +488,7 @@ class TestCorruption:
 
     def test_unknown_format_tag(self):
         data = bytearray(self._valid_stream())
-        data[0] |= 0b1100_0000  # tag 3
+        data[0] |= 0b1111_0000  # tag 3, the short header, of kind 3
         with pytest.raises(CorruptStreamError, match="format tag"):
             decode(bytes(data))
 

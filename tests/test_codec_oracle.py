@@ -2,6 +2,8 @@
 streams, the same decoded modules and the same errors, with the same messages
 and bit offsets, on every format."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,9 @@ def _same_stream(got, want):
 
 def _same_decoded(got, want):
     assert got.header == want.header
-    assert (got.payload_bits, got.bits_consumed, got.nnz) == \
-        (want.payload_bits, want.bits_consumed, want.nnz)
+    assert (got.header_bits, got.payload_bits, got.bits_consumed,
+            got.nnz) == (want.header_bits, want.payload_bits,
+                         want.bits_consumed, want.nnz)
     if want.module is None:
         assert got.module is None
         assert got.values.dtype == want.values.dtype
@@ -513,6 +516,104 @@ class TestOneIntegerRead:
         _same_outcome(enc.data)
         assert _bit_reads(enc.data) == 0
         _every_cut_and_bit_flip(enc.data)
+
+
+# the counts a short header's length prefix changes at, a prime above the
+# group cap (its one admissible group is 1) and the largest count
+SHORT_COUNTS = sorted({1, 4099, *(1 << k for k in range(1, 27)),
+                       *((1 << k) - 1 for k in range(2, 28))})
+
+
+# the writers under the short spelling, where it is the shorter
+SHORT_GROUPED = (partial(codec._grouped, short=True),
+                 partial(ref.encode, short=True))
+SHORT_INDEP = (partial(codec._indep, short=True),
+               partial(ref.encode_indep, short=True))
+
+
+class TestShortHeader:
+    """The tag-3 header against the reference's per-bit writer and reader:
+    the same bits, read back to the same header, and every stream that
+    carries one cut and flipped at every bit."""
+
+    @pytest.mark.parametrize("b", [1, 15])
+    def test_header_round_trips(self, b):
+        for n in SHORT_COUNTS:
+            groups = ref.admissible_groups(n)
+            for fmt, c in [(codec.Format.INDEP, 1),
+                           *((codec.Format.GROUPED, c) for c in groups)]:
+                header = codec.ModuleHeader(fmt, b, c, n, 0.5, 0.25, 1.5)
+                word, bits = codec._head(header, short=True)
+                want = ref._head_bits(header, short=True)
+                data = np.packbits(want).tobytes()
+                assert bits == want.size, header
+                assert (word << -bits % 8).to_bytes(len(data), "big") == data
+                index = (len(groups) - 1).bit_length() \
+                    if fmt is codec.Format.GROUPED else 0
+                short = 108 + n.bit_length() + index
+                assert bits == (short if short < HEADER_BITS else HEADER_BITS)
+                assert (data[0] >> 6 == codec.SHORT_TAG) == \
+                    (bits < HEADER_BITS)
+                for read in (codec._read_header, ref._read_header):
+                    r = BitReader(data)
+                    assert read(r) == header and r.pos == bits, header
+
+    def test_spelling_lengths_at_the_edges(self):
+        def bits(fmt, c, n):
+            return codec._head(codec.ModuleHeader(fmt, 4, c, n, 1.0, 1.0,
+                                                  1.0), short=True)[1]
+
+        top = (1 << 27) - 1            # divisors up to 256: 1, 7 and 73
+        assert bits(codec.Format.INDEP, 1, 1) == 109
+        assert bits(codec.Format.INDEP, 1, top) == 135
+        assert bits(codec.Format.GROUPED, 73, top) == HEADER_BITS  # a tie
+        assert [bits(codec.Format.GROUPED, c, 512)
+                for c in (1, 256)] == [122, 122]
+
+    @pytest.mark.parametrize("b", [1, 15])
+    def test_every_group_of_512(self, b):
+        for c in ref.admissible_groups(512):
+            for density in (0.0, "one", 0.05, 1.0):
+                mod = _module(512, b, density, seed=c)
+                _same_encoding(*SHORT_GROUPED, mod, c)
+                assert (decode_at(BitReader(SHORT_GROUPED[0](mod, c).data))
+                        .header_bits == 122)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 255, 256, 4099])
+    def test_short_streams_at_the_counts(self, n):
+        for b in (1, 15):
+            for density in (0.0, "one", 0.3):
+                mod = _module(n, b, density, seed=n + b)
+                _same_encoding(*SHORT_INDEP, mod)
+                _same_encoding(*SHORT_GROUPED, mod,
+                               ref.admissible_groups(n)[-1])
+                _same_encoding(choose_format, ref.choose_format, mod)
+
+    @pytest.mark.parametrize("fmt, n, support, c", [
+        ("grouped", 512, [3, 4, 300], 16), ("grouped", 512, [], 256),
+        ("grouped", 4096, [0, 4095], 256), ("grouped", 4099, [7], 1),
+        ("grouped", 20, [0, 6, 7], 5), ("indep", 1, [0], 1),
+        ("indep", 12, [1, 2, 11], 1)])
+    def test_every_cut_and_bit_flip(self, fmt, n, support, c):
+        # 512 and 4096 take 4 index bits for 9 groups, so an index can
+        # point past them; 4099 takes none, and 20 takes 3 for its 6
+        mod = _quantized(n, support)
+        enc = (SHORT_GROUPED[0](mod, c) if fmt == "grouped"
+               else SHORT_INDEP[0](mod))
+        assert enc.data[0] >> 6 == codec.SHORT_TAG
+        _same_outcome(enc.data)
+        _every_cut_and_bit_flip(enc.data, step=1 if n < 1000 else 3)
+
+    def test_choose_format_writes_the_shorter_header(self):
+        mod = _quantized(512, [3, 4, 300])
+        short = _same_outcome(choose_format(mod).data)
+        long = _same_outcome(encode(mod).data)
+        assert short.header == long.header
+        assert (short.header_bits, long.header_bits) == (122, HEADER_BITS)
+        assert short.payload_bits == long.payload_bits
+        for field in ("support", "bins"):
+            np.testing.assert_array_equal(getattr(short.module, field),
+                                          getattr(long.module, field))
 
 
 def _bad(support=(1, 2), bins=(0, 1), bit_width=2, range_neg=1.0,

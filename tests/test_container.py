@@ -146,12 +146,13 @@ class TestCorruptContainers:
         save_bundle(p, [(sw.task_id, streams)], ["a", "b"])
         data = bytearray(p.read_bytes())
         second = 5 + 2 + 2 + len(sw.task_id) + 2 + len(streams[0].data)
-        data[second] |= 0b1100_0000          # format tag 3
+        data[second] |= 0b1111_0000          # tag 3, reserved kind 3
         p.write_bytes(bytes(data))
         with pytest.raises(CorruptStreamError) as exc:
             load_container(p)
-        assert str(exc.value) == (f"{p}: task 'task0' module 1: unknown "
-                                  f"format tag 3 (bit offset {8 * second})")
+        assert str(exc.value) == (f"{p}: task 'task0' module 1: format tag "
+                                  f"3 with reserved payload kind 3 (bit "
+                                  f"offset {8 * second})")
         assert exc.value.bit_offset == 8 * second
 
     def test_over_long_task_id_refused(self, tmp_path):

@@ -7,7 +7,8 @@ stderr, with the table in walkthrough_digests.json.
 
 The bits depend on the build: numpy's version and the CPU features it
 dispatches to, the BLAS, its version and the kernel it runs (OpenBLAS picks
-one per CPU, and OPENBLAS_CORETYPE overrides it), and the BLAS thread
+one per CPU, and OPENBLAS_CORETYPE overrides it). They do not depend on the
+BLAS thread count, which a test shows by running the walkthrough at another
 count. The table records the build it was taken on. On any other build the test
 skips, naming what differs; it never passes there. A change that alters
 the walkthrough's bytes on purpose rewrites the table with
@@ -84,14 +85,10 @@ def build() -> dict:
     """What the walkthrough's bits depend on beyond the source."""
     cfg = np.show_config(mode="dicts")
     blas = cfg["Build Dependencies"]["blas"]
-    threads = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS",
-                                            "OMP_NUM_THREADS")
-                    if os.environ.get(v)), str(os.cpu_count()))
     return {"numpy": np.__version__,
             "simd": cfg["SIMD Extensions"]["found"],
             "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_kernel": blas_kernel(),
-            "blas_threads": threads}
+            "blas_kernel": blas_kernel()}
 
 
 def digests() -> dict:
@@ -133,6 +130,16 @@ def test_walkthrough_bytes_match_the_pinned_table():
     assert not moved, f"walkthrough bytes changed: {moved}"
 
 
+def _child_env(**settings: str) -> dict:
+    """The environment for a child process of this test, with settings
+    applied and the source tree and this directory importable."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"),
+             str(Path(__file__).resolve().parent),
+             os.environ.get("PYTHONPATH")]
+    return {**os.environ, **settings,
+            "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_another_blas_kernel_skips_naming_it():
     # a child process, since OpenBLAS reads OPENBLAS_CORETYPE when loaded
     pinned = json.loads(TABLE.read_text())["build"]
@@ -140,10 +147,7 @@ def test_another_blas_kernel_skips_naming_it():
         pytest.skip("no pinned OpenBLAS kernel on this build to differ from")
     here = pinned["blas_kernel"]
     other = "Sandybridge" if here == "Haswell" else "Haswell"
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "OPENBLAS_CORETYPE": other,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = _child_env(OPENBLAS_CORETYPE=other)
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rs", "-p",
          "no:cacheprovider",
@@ -151,6 +155,27 @@ def test_another_blas_kernel_skips_naming_it():
         env=env, capture_output=True, text=True, timeout=600)
     assert "1 skipped" in run.stdout, run.stdout + run.stderr
     assert f"blas_kernel {other!r}, pinned {here!r}" in run.stdout
+
+
+def test_digests_match_at_another_blas_thread_count():
+    # a child process, since OpenBLAS reads OPENBLAS_NUM_THREADS when
+    # loaded; with neither variable set it runs a thread per CPU
+    pinned = json.loads(TABLE.read_text())
+    if build() != pinned["build"]:
+        pytest.skip("walkthrough digests were pinned on another build")
+    here = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS",
+                                         "OMP_NUM_THREADS")
+                 if os.environ.get(v)), str(os.cpu_count()))
+    other = "2" if here == "1" else "1"
+    run = subprocess.run(
+        [sys.executable, "-c", "import json, test_walkthrough_digests as t;"
+         " print(json.dumps(t.digests()))"],
+        env=_child_env(OPENBLAS_NUM_THREADS=other), capture_output=True,
+        text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert not changed(got, pinned["digests"]), \
+        f"{other} BLAS threads against {here}"
 
 
 if __name__ == "__main__":
