@@ -6,9 +6,10 @@ themselves; a learnable low-rank projection shapes the retrieval metric.
 Each input is answered by base + sum_k w_k * tau_k with w_k the fraction of
 that task among the C nearest references; the reference side of that
 search is computed once, when the index is built. A batch is answered in
-fixed blocks of rows, one pass per layer each: every row mixes the task
-vectors' outputs with its own weights, so no parameter set is built per
-weight row; materialize builds one for a single weight vector.
+blocks of rows sized by their widest temporary (_block_rows), one pass per
+layer each: every row mixes the task vectors' outputs with its own weights,
+so no parameter set is built per weight row; materialize builds one for a
+single weight vector.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ DIST_EPS = 1e-8        # d below this is clamped before inversion
 NUM_FLOOR = 1e-30      # keeps the ratio loss finite with zero correct mass
 D2_FLOOR = 1e-30       # squared distances are floored here before the root
 KMEANS_ITERS = 100     # Lloyd sweeps at most, fewer once assignments settle
-# Rows per pass in knn_weights and _mixed_logits. Their temporaries are
-# (rows, references) and (rows, K * width) arrays: in blocks they stay tens
-# of kilobytes and in cache whatever the input's size, instead of growing
-# with it and being mapped afresh on every call.
-_BLOCK_ROWS = 64
+# Rows per pass in knn_weights and _mixed_logits (_block_rows). Their
+# temporaries are (rows, references) and (rows, K * width) arrays: a block
+# grows while they stay within _BLOCK_FLOATS floats (256 KB), so a desk
+# batch is one or two passes, and never has fewer than _MIN_BLOCK_ROWS rows.
+_MIN_BLOCK_ROWS = 64
+_BLOCK_FLOATS = 2 ** 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +49,10 @@ class ReferenceIndex:
     An index is a value prepared once. The arrays are read-only copies, so
     later writes to the caller's arrays do not reach it, and construction
     computes what every query reads: the references in projection space
-    (pc), their squared norms as a (1, refs) row (c2) and the (refs, K)
-    label one-hot. A repeated task id, a projection of another width than
-    the references or a label outside [0, K) raises StructureError.
+    (pc), their squared norms as a (1, refs) row (c2), the operand -2 pc^T
+    of the distances' cross term (cross) and the (refs, K) label one-hot.
+    A repeated task id, a projection of another width than the references
+    or a label outside [0, K) raises StructureError.
     """
 
     task_ids: tuple[str, ...]
@@ -58,6 +61,7 @@ class ReferenceIndex:
     projection: np.ndarray   # (r, e)
     pc: np.ndarray = field(init=False, repr=False)
     c2: np.ndarray = field(init=False, repr=False)
+    cross: np.ndarray = field(init=False, repr=False)
     onehot: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -89,10 +93,11 @@ class ReferenceIndex:
         # values past float64's range warn where the index is queried and
         # are refused where it is saved, not while it is prepared
         with np.errstate(all="ignore"):
-            pc, c2 = _projected_refs(centers, projection)
+            pc, c2, cross = _projected_refs(centers, projection)
         for name, value in (("task_ids", task_ids), ("centers", centers),
                             ("labels", labels), ("projection", projection),
-                            ("pc", pc), ("c2", c2), ("onehot", onehot)):
+                            ("pc", pc), ("c2", c2), ("cross", cross),
+                            ("onehot", onehot)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -182,36 +187,43 @@ def init_projection(rank: int, feature_dim: int, seed: int) -> np.ndarray:
     return rng.normal(size=(rank, feature_dim)) / np.sqrt(feature_dim)
 
 
+def _block_rows(width: int) -> int:
+    """Rows per block when each row's widest temporary holds width floats:
+    as many as keep it within _BLOCK_FLOATS, and at least _MIN_BLOCK_ROWS."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_FLOATS // max(width, 1))
+
+
+def _ref_terms(refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference half of _expanded_d2 for the rows of refs: their
+    squared norms as a (1, refs) row and the cross-term operand -2 refs^T.
+    The operand keeps refs' layout, so pf @ it is the BLAS call
+    pf @ refs.T on exactly doubled inputs: (pf @ refs.T) * -2.0, bit for
+    bit."""
+    return np.sum(refs * refs, axis=1, keepdims=True).T, (refs * -2.0).T
+
+
 def _projected_refs(centers: np.ndarray, projection: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The references in projection space and their squared norms as a
-    (1, refs) row: the reference half of _distances, computed once per
-    ReferenceIndex and once per metric_objective call."""
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pc, c2, cross): the references in projection space and their
+    _ref_terms, computed once per ReferenceIndex and once per
+    metric_objective call."""
     pc = centers @ projection.T
-    return pc, np.sum(pc * pc, axis=1, keepdims=True).T
+    return (pc, *_ref_terms(pc))
 
 
-def _expanded_d2(pf: np.ndarray, pc: np.ndarray, c2: np.ndarray):
-    """|f|^2 + |c|^2 - 2 f.c from the rows of pf to those of pc (squared
-    norms c2, a (1, refs) row): slightly negative at coincident points."""
-    f2 = np.sum(pf * pf, axis=1, keepdims=True)
-    return (f2 + c2) + (pf @ pc.T) * -2.0
+def _expanded_d2(pf: np.ndarray, c2: np.ndarray, cross: np.ndarray):
+    """|f|^2 + |c|^2 - 2 f.c from the rows of pf to the references of
+    _ref_terms c2 and cross, as (f2 + c2) + pf @ cross: slightly negative
+    at coincident points."""
+    d2 = np.sum(pf * pf, axis=1, keepdims=True) + c2
+    d2 += pf @ cross
+    return d2
 
 
 def _floored_d2(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """kmeans' squared distances: _expanded_d2, floored at 0."""
-    c2 = np.sum(refs * refs, axis=1, keepdims=True).T
-    return np.maximum(_expanded_d2(points, refs, c2), 0.0)
-
-
-def _distances(feats: np.ndarray, projection: np.ndarray, pc: np.ndarray,
-               c2: np.ndarray):
-    """(pf, d2, d): the rows in projection space, their squared distances
-    to the references pc and the distances, with d2 floored at D2_FLOOR
-    first."""
-    pf = feats @ projection.T
-    d2 = _expanded_d2(pf, pc, c2)
-    return pf, d2, np.sqrt(np.maximum(d2, D2_FLOOR))
+    d2 = _expanded_d2(points, *_ref_terms(refs))
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def metric_objective(projection, feats: np.ndarray, centers: np.ndarray,
@@ -228,8 +240,10 @@ def metric_objective(projection, feats: np.ndarray, centers: np.ndarray,
     pv = ad._np(projection)
     feats = np.asarray(feats, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    pc, c2 = _projected_refs(centers, pv)
-    pf, d2, d = _distances(feats, pv, pc, c2)
+    pc, c2, cross = _projected_refs(centers, pv)
+    pf = feats @ pv.T
+    d2 = _expanded_d2(pf, c2, cross)
+    d = np.sqrt(np.maximum(d2, D2_FLOOR))
     mask_all = _nearest(d, n_neighbors).astype(np.float64)
     mask_correct = mask_all * (labels[None, :] == task_of_row[:, None])
     dm = np.maximum(d, DIST_EPS)
@@ -315,18 +329,29 @@ def knn_weights(index: ReferenceIndex, feats: np.ndarray,
     """
     feats = _feature_rows(index, feats)
     _check_neighbors(index, n_neighbors)
-    counts = np.empty((feats.shape[0], index.n_tasks))
-    for lo in range(0, feats.shape[0], _BLOCK_ROWS):
-        d = _distances(feats[lo:lo + _BLOCK_ROWS], index.projection,
-                       index.pc, index.c2)[2]
-        counts[lo:lo + _BLOCK_ROWS] = \
-            _nearest(d, n_neighbors) @ index.onehot
+    n = feats.shape[0]
+    counts = np.empty((n, index.n_tasks))
+    step = _block_rows(index.centers.shape[0])
+    for lo in range(0, n, step):
+        d = _expanded_d2(feats[lo:lo + step] @ index.projection.T,
+                         index.c2, index.cross)
+        np.sqrt(np.maximum(d, D2_FLOOR, out=d), out=d)
+        counts[lo:lo + step] = _nearest(d, n_neighbors) @ index.onehot
+    return _count_weights(counts, n_neighbors)
+
+
+def _count_weights(counts: np.ndarray, n_neighbors: int) -> np.ndarray:
+    """knn_weights' rows from (rows, K) neighbor counts that each sum to C.
+
+    The last task holding neighbors takes 1 minus the running sum of the
+    weights before it. With its own weight zeroed first, that is the
+    running sum over the whole row, since the tasks after it add +0.0.
+    """
     w = counts / float(n_neighbors)
     rows = np.arange(w.shape[0])
     last = w.shape[1] - 1 - np.argmax(counts[:, ::-1] != 0, axis=1)
-    prefix = np.cumsum(w, axis=1)
-    before = np.where(last > 0, prefix[rows, np.maximum(last - 1, 0)], 0.0)
-    w[rows, last] = 1.0 - before
+    w[rows, last] = 0.0
+    w[rows, last] = 1.0 - np.cumsum(w, axis=1)[:, -1]
     return w
 
 
@@ -357,13 +382,15 @@ def _nearest(d: np.ndarray, n_neighbors: int) -> np.ndarray:
     at exactly that distance, lowest ordinal first. Only rows with more
     than C references at or inside it need the fill.
     """
-    kth = np.partition(d, n_neighbors - 1, axis=1)[:, [n_neighbors - 1]]
+    c = n_neighbors
+    kth = np.partition(d, c - 1, axis=1)[:, c - 1:c]
     chosen = d <= kth
-    tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) > n_neighbors)
-    if tied.size:
+    over = chosen.sum(axis=1) > c
+    if over.any():
+        tied = np.flatnonzero(over)
         dt, kt = d[tied], kth[tied]
         at_kth = dt == kt
-        room = n_neighbors - np.count_nonzero(dt < kt, axis=1, keepdims=True)
+        room = c - np.count_nonzero(dt < kt, axis=1, keepdims=True)
         chosen[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room)
     return chosen
 
@@ -412,14 +439,17 @@ def _mixed_logits(spec: MlpSpec, flat: np.ndarray,
               for (_, _, fan_in, fan_out, act), w0, b0, end
               in zip(spec.layers, off[::2], off[1::2], off[2::2])]
     logits = np.empty((n, spec.n_classes))
-    for lo in range(0, n, _BLOCK_ROWS):
-        a, wb = x[lo:lo + _BLOCK_ROWS], w[lo:lo + _BLOCK_ROWS]
+    step = _block_rows(k * max(spec.widths[1:]))
+    for lo in range(0, n, step):
+        a, wb = x[lo:lo + step], w[lo:lo + step]
         for weight_t, bias, delta_t, delta_b, fan_out, act in layers:
             mixed = (a @ delta_t).reshape(len(a), k, fan_out)
-            z = (a @ weight_t + bias
-                 + np.matmul(wb[:, None, :], mixed)[:, 0] + wb @ delta_b)
+            z = a @ weight_t
+            z += bias
+            z += np.matmul(wb[:, None, :], mixed)[:, 0]
+            z += wb @ delta_b
             a = z if act is None else act.fwd(z)
-        logits[lo:lo + _BLOCK_ROWS] = a
+        logits[lo:lo + step] = a
     return logits
 
 

@@ -2,10 +2,12 @@
 
 `write_dataset` is the csv.writer writer whose output harness.write_dataset
 must match byte for byte. `read_dataset` is the row-loop reader that
-harness.read_dataset must match: the same arrays, bit for bit, or the same
-exception type and message."""
+harness.read_dataset must match, on the file's whole text read through
+read_text first: the same arrays, bit for bit, or the same exception type
+and message."""
 
 import csv
+import io
 
 import numpy as np
 
@@ -35,34 +37,31 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:
     names the file and the line.
     """
     x, y, lines = [], [], []
+    # the whole file is decoded first, so a byte that is not UTF-8 is
+    # refused before any row, wherever it lies
+    r = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            r = csv.reader(fh)
-            header = next(r, None)
-            if not header or header[-1] != "label":
-                raise ValueError(f"{path}: expected trailing 'label' column")
-            for row in r:
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: line {r.line_num}: {len(row)}"
-                                     f" fields, the header has {len(header)}")
-                try:
-                    x.append([float(v) for v in row[:-1]])
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {r.line_num}: "
-                                     f"{exc}") from None
-                label = row[-1].strip()
-                if not label.isdecimal() or int(label) > MAX_LABEL:
-                    raise ValueError(f"{path}: line {r.line_num}: label "
-                                     f"{row[-1]!r} is not a non-negative "
-                                     "integer")
-                y.append(int(label))
-                lines.append(r.line_num)
+        header = next(r, None)
+        if not header or header[-1] != "label":
+            raise ValueError(f"{path}: expected trailing 'label' column")
+        for row in r:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {r.line_num}: {len(row)}"
+                                 f" fields, the header has {len(header)}")
+            try:
+                x.append([float(v) for v in row[:-1]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {r.line_num}: "
+                                 f"{exc}") from None
+            label = row[-1].strip()
+            if not label.isdecimal() or int(label) > MAX_LABEL:
+                raise ValueError(f"{path}: line {r.line_num}: label "
+                                 f"{row[-1]!r} is not a non-negative "
+                                 "integer")
+            y.append(int(label))
+            lines.append(r.line_num)
     except csv.Error as exc:
         raise ValueError(f"{path}: line {r.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        # the file is decoded a block at a time, so the line is found anew
-        read_text(path)
-        raise
     x = np.array(x, dtype=np.float64).reshape(len(y), len(header) - 1)
     _check_finite_rows(path, x, lines)
     return x, np.array(y, dtype=np.int64)

@@ -3,20 +3,23 @@ k-means on the shared distance expansion and the mixed forward on the flat
 layout replaced, kept as the oracle their outputs must match bit for bit.
 
 knn_weights_per_call builds the projected references, their squared norms
-and the label one-hot from the caller's own arrays on every call;
+and the label one-hot from the caller's own arrays on every call, and then
+runs the retrieval that answered in fixed 64-row blocks, kept verbatim:
+the distance expansion with its separate * -2.0 pass, the C-nearest rule
+and the weight tail;
 features_on_tape runs the whole network on the tape and keeps the
 penultimate activation; features_by_name is the plain pass over the hidden
 layers that looked each module up by name; kmeans_own_dists runs Lloyd's
 algorithm on sq_dists, k-means' own squared-distance rule;
 mixed_logits_by_name is the mixed forward that found each module of the
 base and the bundles through name dicts and built one delta block per
-module.
+module. It cuts its rows into blocks by the rule _mixed_logits serves
+with (merging._block_rows), or into blocks of a given size.
 """
 
 import numpy as np
 
-from taskswitch.merging import (_BLOCK_ROWS, KMEANS_ITERS, _distances,
-                                _nearest, _projected_refs)
+from taskswitch.merging import D2_FLOOR, KMEANS_ITERS, _block_rows
 from taskswitch.model import forward
 from taskswitch.seeding import rng_for
 from taskswitch.vectors import ParamSet
@@ -40,7 +43,8 @@ def features_by_name(spec, params, x) -> np.ndarray:
     return a
 
 
-def mixed_logits_by_name(spec, base, vectors, x, w) -> np.ndarray:
+def mixed_logits_by_name(spec, base, vectors, x, w,
+                         block_rows=None) -> np.ndarray:
     n, k = w.shape
     lookup = dict(base.modules)
     at = {name: m for m, name in enumerate(base.names)}
@@ -56,16 +60,60 @@ def mixed_logits_by_name(spec, base, vectors, x, w) -> np.ndarray:
                deltas(wname).reshape(k * fan_out, fan_in).T, deltas(bname),
                fan_out, act)
               for wname, bname, fan_in, fan_out, act in spec.layers]
+    step = block_rows or _block_rows(k * max(spec.widths[1:]))
     logits = np.empty((n, spec.n_classes))
-    for lo in range(0, n, _BLOCK_ROWS):
-        a, wb = x[lo:lo + _BLOCK_ROWS], w[lo:lo + _BLOCK_ROWS]
+    for lo in range(0, n, step):
+        a, wb = x[lo:lo + step], w[lo:lo + step]
         for weight_t, bias, delta_t, delta_b, fan_out, act in layers:
             mixed = (a @ delta_t).reshape(len(a), k, fan_out)
             z = (a @ weight_t + bias
                  + np.matmul(wb[:, None, :], mixed)[:, 0] + wb @ delta_b)
             a = z if act is None else act.fwd(z)
-        logits[lo:lo + _BLOCK_ROWS] = a
+        logits[lo:lo + step] = a
     return logits
+
+
+BLOCK_ROWS = 64
+
+
+def _projected_refs(centers, projection):
+    pc = centers @ projection.T
+    return pc, np.sum(pc * pc, axis=1, keepdims=True).T
+
+
+def _expanded_d2(pf, pc, c2):
+    f2 = np.sum(pf * pf, axis=1, keepdims=True)
+    return (f2 + c2) + (pf @ pc.T) * -2.0
+
+
+def _distances(feats, projection, pc, c2):
+    pf = feats @ projection.T
+    d2 = _expanded_d2(pf, pc, c2)
+    return pf, d2, np.sqrt(np.maximum(d2, D2_FLOOR))
+
+
+def _nearest(d, n_neighbors):
+    kth = np.partition(d, n_neighbors - 1, axis=1)[:, [n_neighbors - 1]]
+    chosen = d <= kth
+    tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) > n_neighbors)
+    if tied.size:
+        dt, kt = d[tied], kth[tied]
+        at_kth = dt == kt
+        room = n_neighbors - np.count_nonzero(dt < kt, axis=1, keepdims=True)
+        chosen[tied] &= ~at_kth | (np.cumsum(at_kth, axis=1) <= room)
+    return chosen
+
+
+def normalized_counts(counts, n_neighbors):
+    """The weight tail: counts over C, the last occupied task taking 1
+    minus the running sum of the tasks before it."""
+    w = counts / float(n_neighbors)
+    rows = np.arange(w.shape[0])
+    last = w.shape[1] - 1 - np.argmax(counts[:, ::-1] != 0, axis=1)
+    prefix = np.cumsum(w, axis=1)
+    before = np.where(last > 0, prefix[rows, np.maximum(last - 1, 0)], 0.0)
+    w[rows, last] = 1.0 - before
+    return w
 
 
 def knn_weights_per_call(centers, labels, projection, n_tasks: int, feats,
@@ -74,16 +122,10 @@ def knn_weights_per_call(centers, labels, projection, n_tasks: int, feats,
     pc, c2 = _projected_refs(centers, projection)
     onehot = (labels[:, None] == np.arange(n_tasks)).astype(np.float64)
     counts = np.empty((feats.shape[0], n_tasks))
-    for lo in range(0, feats.shape[0], _BLOCK_ROWS):
-        d = _distances(feats[lo:lo + _BLOCK_ROWS], projection, pc, c2)[2]
-        counts[lo:lo + _BLOCK_ROWS] = _nearest(d, n_neighbors) @ onehot
-    w = counts / float(n_neighbors)
-    rows = np.arange(w.shape[0])
-    last = w.shape[1] - 1 - np.argmax(counts[:, ::-1] != 0, axis=1)
-    prefix = np.cumsum(w, axis=1)
-    before = np.where(last > 0, prefix[rows, np.maximum(last - 1, 0)], 0.0)
-    w[rows, last] = 1.0 - before
-    return w
+    for lo in range(0, feats.shape[0], BLOCK_ROWS):
+        d = _distances(feats[lo:lo + BLOCK_ROWS], projection, pc, c2)[2]
+        counts[lo:lo + BLOCK_ROWS] = _nearest(d, n_neighbors) @ onehot
+    return normalized_counts(counts, n_neighbors)
 
 
 def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dataset_reference as reference
@@ -232,11 +232,26 @@ def csv_texts(draw):
     return text
 
 
+def _late_non_utf8() -> bytes:
+    """A bad row (the blank line 2) before a byte that is not UTF-8 and
+    lies past the first 8 KB, as a block-wise decoder would read it."""
+    data = bytearray(b"x0,label\r\n\r\n" + b"1.0,0\r\n" * 1500)
+    data[8191:8193] = b"\xc3A"
+    return bytes(data)
+
+
 @settings(max_examples=200, deadline=None)
 @given(csv_texts())
+@example(_late_non_utf8())
 def test_mutated_csvs_match_the_row_loop(text):
     with tempfile.TemporaryDirectory() as tmp:
         _check(Path(tmp), text)
+
+
+def test_a_late_non_utf8_byte_is_refused_before_any_row(tmp_path):
+    outcome = _check(tmp_path, _late_non_utf8())
+    assert outcome == (ValueError, f"{tmp_path / 'm.csv'}: line 1171: not "
+                       "UTF-8 text (invalid continuation byte at byte 8191)")
 
 
 @pytest.mark.parametrize("label, value", [

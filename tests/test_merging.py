@@ -13,8 +13,8 @@ from taskswitch import codec, merging
 from taskswitch.codec import (CapacityError, CodecError, Format, choose_format,
                               encode_dense)
 from taskswitch.container import load_container, save_container
-from taskswitch.merging import (_BLOCK_ROWS, DIST_EPS, NUM_FLOOR,
-                                ReferenceIndex, _mixed_logits, build_index,
+from taskswitch.merging import (DIST_EPS, NUM_FLOOR, ReferenceIndex,
+                                _block_rows, _mixed_logits, build_index,
                                 init_projection, kmeans, knn_weights,
                                 load_index, materialize, merged_forward,
                                 metric_objective, save_index, train_metric)
@@ -226,13 +226,14 @@ class TestKnnWeights:
                              centers=np.repeat(distinct, 3, axis=0),
                              labels=rng.permutation(np.arange(18) % 3),
                              projection=rng.normal(size=(2, 3)))
-        n = 2 * _BLOCK_ROWS + 37
+        step = _block_rows(18)
+        n = 2 * step + 37
         feats = rng.normal(size=(n, 3))
         feats[::3] = distinct[rng.integers(0, 6, size=len(feats[::3]))]
         w = knn_weights(idx, feats, n_neighbors=4)
         assert len(np.unique(w, axis=0)) > 3
         np.testing.assert_array_equal(w, _oracle_weights(idx, feats, 4))
-        for i in (0, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1):
+        for i in (0, step - 1, step, n - 1):
             np.testing.assert_array_equal(
                 knn_weights(idx, feats[i], n_neighbors=4), w[i:i + 1])
 
@@ -679,6 +680,16 @@ def _eight_task_setup(seed=0, spec=SPEC):
     return base, vectors, index, x
 
 
+def test_block_rule_at_desk_and_wide_shapes():
+    # the walkthrough: 3 tasks of 20 references, widths 16,32,4; a
+    # 512-row batch is one retrieval block and two mixing blocks
+    assert _block_rows(3 * 20) >= 512
+    assert 256 < _block_rows(3 * 32) < 512
+    # 16,1024,1024,4 at K = 3, and the desk at K = 64: the least block
+    assert _block_rows(3 * 1024) == 64
+    assert _block_rows(64 * 20) == _block_rows(64 * 32) == 64
+
+
 class TestMixedForward:
     def _oracle_logits(self, base, vectors, x, w, spec=SPEC):
         return np.vstack([
@@ -691,7 +702,7 @@ class TestMixedForward:
         spec = MlpSpec((4, 9, 7, 6, 3), activation)
         base, vectors, _, _ = _eight_task_setup(spec=spec)
         rng = np.random.default_rng(52)
-        n = _BLOCK_ROWS + 5
+        n = _block_rows(8 * 9) + 5
         x = rng.normal(size=(n, 4))
         w = rng.uniform(-1.0, 2.0, size=(n, 8))
         w[rng.random(w.shape) < 0.4] = 0.0
@@ -717,7 +728,7 @@ class TestMixedForward:
     def test_rows_across_blocks_match_per_row_materialization(self):
         base, vectors, _, _ = _eight_task_setup()
         rng = np.random.default_rng(51)
-        n = 2 * _BLOCK_ROWS + 5
+        n = 2 * _block_rows(8 * 6) + 5
         x = rng.normal(size=(n, 4))
         w = rng.uniform(-1.0, 2.0, size=(n, 8))
         w[rng.random(w.shape) < 0.4] = 0.0

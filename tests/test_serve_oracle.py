@@ -4,25 +4,29 @@
 features is forward to the last hidden layer and must give the tape's
 penultimate activation and the plain by-name pass's bit for bit;
 knn_weights reads the references that ReferenceIndex prepares once and
-must give the weight rows of the per-call set-up bit for bit; kmeans takes
-its squared distances from the expansion _distances uses and must give the
-centers and assignments of its own rule bit for bit; the mixed forward on
-the flat layout must give the by-name mixed forward's logits bit for bit.
+must give the weight rows of the per-call set-up and fixed 64-row blocks
+bit for bit; kmeans takes its squared distances from the expansion
+knn_weights uses and must give the centers and assignments of its own rule
+bit for bit; the mixed forward on the flat layout must give the by-name
+mixed forward's logits bit for bit in blocks of the same size, and its
+predictions in fixed 64-row blocks.
 """
 
 import numpy as np
 import pytest
 
 from taskswitch.codec import CompressedModule
-from taskswitch.merging import (_BLOCK_ROWS, ReferenceIndex, _floored_d2,
-                                _mixed_logits, kmeans, knn_weights,
-                                load_index, merged_forward, save_index)
+from taskswitch.merging import (ReferenceIndex, _block_rows, _count_weights,
+                                _floored_d2, _mixed_logits, kmeans,
+                                knn_weights, load_index, merged_forward,
+                                save_index)
 from taskswitch.model import MlpSpec, features, flatten, init_params
 from taskswitch.training import CompressedTaskVector
 from taskswitch.vectors import ParamSet
 from serve_reference import (features_by_name, features_on_tape,
                              kmeans_own_dists, knn_weights_per_call,
-                             mixed_logits_by_name, sq_dists)
+                             mixed_logits_by_name, normalized_counts,
+                             sq_dists)
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -39,7 +43,7 @@ def test_features_match_the_tape(widths, activation):
         params = init_params(spec, seed=seed)
         rng = np.random.default_rng(seed)
         d = spec.input_dim
-        for x in (3.0 * rng.normal(size=(2 * _BLOCK_ROWS + 3, d)),
+        for x in (3.0 * rng.normal(size=(2 * _block_rows(d) + 3, d)),
                   rng.normal(size=d),                 # one row, 1-D
                   rng.normal(size=(d, 19)).T,         # not C-contiguous
                   np.zeros((0, d))):
@@ -55,7 +59,8 @@ def _same_words(got: np.ndarray, want: np.ndarray) -> None:
 def _random_merge(rng):
     """A random spec of 1-4 layers, a base with nonzero biases, K of 1-8
     bundles (about a quarter of their modules empty), an index over the
-    base's features, rows around multiples of _BLOCK_ROWS and C."""
+    base's features, rows around a multiple of the retrieval's or the
+    mixed forward's block (_block_rows) and C."""
     n_layers = int(rng.integers(1, 5))
     spec = MlpSpec(tuple(int(v) for v in rng.integers(1, 10, n_layers + 1)),
                    ("tanh", "relu")[int(rng.integers(2))])
@@ -73,8 +78,9 @@ def _random_merge(rng):
                 rng.integers(0, 2 ** width, nnz), width, 2.0 ** width,
                 2.0 ** width, float(rng.uniform(0.01, 0.2)))))
         vectors.append(CompressedTaskVector(f"t{t}", mods))
-    n = int(rng.choice([1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                        2 * _BLOCK_ROWS + int(rng.integers(1, 40))]))
+    step = _block_rows(int(rng.choice([3 * k, k * max(spec.widths[1:])])))
+    n = int(rng.choice([1, 2, step - 1, step, step + 1,
+                        2 * step + int(rng.integers(1, 40))]))
     x = rng.normal(size=(n, spec.input_dim))
     refs = features_by_name(spec, base, rng.normal(size=(3 * k,
                                                          spec.input_dim)))
@@ -99,10 +105,27 @@ def test_flat_mixed_forward_matches_by_name():
         _same_words(_mixed_logits(spec, flatten(spec, base), vectors, x,
                                   w_any),
                     mixed_logits_by_name(spec, base, vectors, x, w_any))
+        _same_bits(w, knn_weights_per_call(index.centers, index.labels,
+                                           index.projection, index.n_tasks,
+                                           feats, n_neighbors))
         preds, got_w = merged_forward(spec, base, vectors[::-1], index, x,
                                       n_neighbors)
         _same_words(got_w, w)
         np.testing.assert_array_equal(preds, np.argmax(want, axis=1))
+
+
+def test_mixed_forward_matches_fixed_64_row_blocks():
+    # blocks of another size may take other BLAS kernels, so a logit may
+    # move by a few ulps; no prediction moves
+    for case in range(100):
+        rng = np.random.default_rng(700 + case)
+        spec, base, vectors, index, x, n_neighbors = _random_merge(rng)
+        w = knn_weights(index, features(spec, base, x), n_neighbors)
+        got = _mixed_logits(spec, flatten(spec, base), vectors, x, w)
+        want = mixed_logits_by_name(spec, base, vectors, x, w, block_rows=64)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.argmax(got, axis=1),
+                                      np.argmax(want, axis=1))
 
 
 def _check_weights(task_ids, centers, labels, projection, feats):
@@ -115,6 +138,39 @@ def _check_weights(task_ids, centers, labels, projection, feats):
     return index
 
 
+def test_count_weights_match_the_running_sum_before_the_last_task():
+    # K of 1-40, C of 1-30; the first row of each draw has one occupied
+    # task, the others one to min(K, C)
+    rng = np.random.default_rng(500)
+    for _ in range(3000):
+        k, c = int(rng.integers(1, 41)), int(rng.integers(1, 31))
+        counts = np.zeros((int(rng.integers(1, 6)), k))
+        for i, row in enumerate(counts):
+            m = 1 if i == 0 else int(rng.integers(1, min(k, c) + 1))
+            row[rng.choice(k, m, replace=False)] = \
+                1 + rng.multinomial(c - m, np.full(m, 1.0 / m))
+        _same_bits(_count_weights(counts, c), normalized_counts(counts, c))
+
+
+def test_cross_operand_is_the_doubled_product():
+    # doubling is exact at normal-range values, and -2 pc^T keeps pc's
+    # layout, so pf @ cross is the BLAS call of pf @ pc.T on exactly
+    # doubled inputs
+    rng = np.random.default_rng(600)
+    for trial in range(200):
+        n_refs, e, r = (int(v) for v in rng.integers(1, 70, size=3))
+        centers = rng.normal(size=(n_refs, e))
+        projection = rng.normal(size=(r, e))
+        if trial % 2:
+            centers = np.asfortranarray(centers)
+        index = ReferenceIndex(["a"], centers, np.zeros(n_refs, np.int64),
+                               projection)
+        assert not index.cross.flags.writeable
+        for rows in (1, 2, int(rng.integers(3, 600))):
+            pf = rng.normal(size=(rows, e)) @ index.projection.T
+            _same_bits(pf @ index.cross, (pf @ index.pc.T) * -2.0)
+
+
 def test_interleaved_labels_match_per_call():
     for trial in range(10):
         rng = np.random.default_rng(200 + trial)
@@ -123,7 +179,7 @@ def test_interleaved_labels_match_per_call():
                        rng.normal(size=(n_refs, e)),
                        rng.integers(n_tasks, size=n_refs),
                        rng.normal(size=(int(rng.integers(1, 8)), e)),
-                       rng.normal(size=(2 * _BLOCK_ROWS + 7, e)))
+                       rng.normal(size=(2 * _block_rows(n_refs) + 7, e)))
 
 
 def test_coincident_points_match_per_call():
